@@ -12,7 +12,9 @@ Scenario grammar, one directive per line, `#` starts a comment:
     offset <id> hello <tick> tc <tick>
 
 All numbers are decimal integers; infinities never appear in input.
-Node ids must be declared before use and match [A-Za-z0-9_-]+.
+Node ids must be declared before use and match [A-Za-z0-9_-]+. Event
+ticks and the ticks param are non-negative, and each directed link is
+declared once.
 
 Exit codes: 0 success (and true verdicts), 1 false verdict,
 2 usage or parse or configuration error, 3 non-convergence.
@@ -66,6 +68,7 @@ def parse_scenario(text: str) -> Scenario:
     flags: dict = {}
     offsets: dict = {}
     declared: set = set()
+    linked: set = set()     # (src, dst) of every link line so far
 
     def want_int(tok, lineno, what):
         if not _INT.match(tok):
@@ -111,6 +114,8 @@ def parse_scenario(text: str) -> Scenario:
             if "." in name:
                 want_node(name.split(".", 1)[0], lineno)
             params[name] = want_int(rest[1], lineno, f"param {name}")
+            if base == "ticks" and params[name] < 0:
+                _fail(lineno, f"param {name} must be >= 0, got {params[name]}")
 
         elif kind == "link":
             if len(rest) not in (3, 5) or (len(rest) == 5
@@ -121,14 +126,21 @@ def parse_scenario(text: str) -> Scenario:
             dst = want_node(rest[1], lineno)
             if src == dst:
                 _fail(lineno, f"self-loop link on {src}")
-            links.append((src, dst, want_metric(rest[2], lineno)))
+            ends = [(src, dst, rest[2])]
             if len(rest) == 5:
-                links.append((dst, src, want_metric(rest[4], lineno)))
+                ends.append((dst, src, rest[4]))
+            for a, b, m in ends:
+                if (a, b) in linked:
+                    _fail(lineno, f"duplicate link {a}->{b}")
+                linked.add((a, b))
+                links.append((a, b, want_metric(m, lineno)))
 
         elif kind == "at":
             if len(rest) < 2:
                 _fail(lineno, "usage: at <tick> <event> ...")
             tick = want_int(rest[0], lineno, "tick")
+            if tick < 0:
+                _fail(lineno, f"event tick must be >= 0, got {tick}")
             ev, args = rest[1], rest[2:]
             if ev in ("linkup", "metric"):
                 if len(args) != 3:
@@ -197,6 +209,8 @@ def _apply_cli_overrides(scenario: Scenario, args) -> Scenario:
     if args.seed is not None:
         scenario.params["seed"] = args.seed
     if args.ticks is not None:
+        if args.ticks < 0:
+            raise ScenarioError(f"--ticks must be >= 0, got {args.ticks}")
         scenario.params["ticks"] = args.ticks
     if getattr(args, "bug_rfc7181", False):
         scenario.flags["bug_rfc7181"] = True

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import message_logs, neighborhood, topology
-from .messages import (INF, Hello, Message, NodeId, Packet, Status, Tc,
-                       TimeValue, forward_tc_message, make_hello, make_tc,
-                       render_message)
-from .neighborhood import LinkSet, TwoHopSet
+from .messages import (INF, NEG_INF, Hello, MprRole, NodeId, Packet,
+                       Status, Tc, TimeValue, forward_tc_message, make_hello,
+                       make_tc, render_message)
+from .neighborhood import LinkSet, LinkTuple, TwoHopSet, TwoHopTuple
 from .topology import RoutingSet, render_route
 
 MICRO_STEP_CAP = 10 ** 6
@@ -119,7 +119,7 @@ class Router:
         self.send_time: TimeValue = INF
         self.sqn = 0
         self.ansn = 0
-        self.prev_ls: LinkSet = {}
+        self.advertised = frozenset()  # rmpr selectors at the last pass
 
         self.inbox: list = []  # QUEUE process: delivered (packet, metric)
         self._rng = jitter_rng
@@ -169,7 +169,7 @@ class Router:
         if not neighborhood.is_valid_rmpr_set(self.ls, self.twohop_set, now,
                                               flagged_r, self.bug_mode):
             return True
-        if self.ansn != topology.increment_ansn(self.ls, self.prev_ls,
+        if self.ansn != topology.increment_ansn(self.ls, self.advertised,
                                                 self.ansn):
             return True
         edges = topology.link_universe(self.ip, self.ls, self.rts, now)
@@ -183,23 +183,23 @@ class Router:
     def run_update_info(self) -> None:
         """Purge, reselect MPRs, refresh ansn, recompute routes (in order)."""
         now = self.now
-        self.ls = neighborhood.purge_link_set(self.ls, now)
-        self.twohop_set = neighborhood.purge_2hop_set(self.ls,
-                                                      self.twohop_set, now)
-        self.arrs = topology.purge_advertising_routers(self.arrs, now)
-        self.rts = topology.purge_router_topology(self.rts, now)
+        neighborhood.purge_link_set(self.ls, now)
+        neighborhood.purge_2hop_set(self.ls, self.twohop_set, now)
+        topology.purge_advertising_routers(self.arrs, now)
+        topology.purge_router_topology(self.rts, now)
         fmprs = neighborhood.choose_fmprs(self.ls, self.twohop_set, now)
-        self.ls = neighborhood.update_fmprs(self.ls, self.twohop_set, now,
-                                            fmprs)
+        neighborhood.update_fmprs(self.ls, self.twohop_set, now, fmprs)
         rmprs = neighborhood.choose_rmprs(self.ls, self.twohop_set, now,
                                           self.bug_mode)
-        self.ls = neighborhood.update_rmprs(self.ls, self.twohop_set, now,
-                                            rmprs, self.bug_mode)
-        self.ansn = topology.increment_ansn(self.ls, self.prev_ls, self.ansn)
-        self.prev_ls = self.ls
-        candidate = topology.choose_optimal(self.ip, self.ls, self.rts, now)
-        new_rs = topology.update_routing_set(self.ip, self.ls, self.rts, now,
-                                             self.rs, candidate)
+        neighborhood.update_rmprs(self.ls, self.twohop_set, now, rmprs,
+                                  self.bug_mode)
+        self.ansn = topology.increment_ansn(self.ls, self.advertised,
+                                            self.ansn)
+        self.advertised = topology.rmpr_selectors(self.ls)
+        edges = topology.link_universe(self.ip, self.ls, self.rts, now)
+        candidate = topology.choose_optimal(self.ip, edges)
+        new_rs = topology.update_routing_set(self.ip, edges, self.rs,
+                                             candidate)
         if new_rs != self.rs:
             self.rs = new_rs
             detail = "; ".join(render_route(self.rs[d])
@@ -209,37 +209,62 @@ class Router:
     # -- message processing ----------------------------------------------
 
     def process_hello(self, msg: Hello, in_metric) -> None:
-        """Run the HELLO update pipeline against the sender's tuple."""
+        """Apply a HELLO to the sender's link tuple, then its 2-hop tuples.
+
+        The steps follow RFC 6130 section 12: create the link tuple if
+        new, adopt the sender's measurement of us as out_metric, refresh
+        or tear down the symmetric time, refresh heard and validity
+        times, record MPR selection; then, if the link is symmetric,
+        create, re-measure and refresh the 2-hop tuples for the
+        addresses the HELLO names.
+        """
         if not isinstance(msg, Hello):
             raise TypeError("process_hello requires a HELLO message")
         if in_metric == INF:
             raise EngineDiagnostic("measured in_metric must be finite")
-        now = self.now
-        cfg = self.cfg
+        now, ip, vtime = self.now, self.ip, msg.validity
+        htime = self.cfg.l_hold_time
         moip = msg.originator
-        ls = neighborhood.add_link_tuple(self.ls, moip, msg.validity,
-                                         in_metric, now)
-        ls = neighborhood.update_link_out_metrics(self.ip, ls, moip,
-                                                  msg.in_metrics)
-        ls = neighborhood.update_symmetric_time(self.ip, ls, moip,
-                                                msg.validity, msg.statuses,
-                                                cfg.l_hold_time, now)
-        ls = neighborhood.update_heard_time(ls, moip, msg.validity, now)
-        ls = neighborhood.update_validity_time(ls, moip, cfg.l_hold_time, now)
-        ls = neighborhood.update_fmpr_selectors(self.ip, ls, moip,
-                                                msg.statuses, msg.mprs, now)
-        ls = neighborhood.update_rmpr_selectors(self.ip, ls, moip,
-                                                msg.statuses, msg.mprs, now)
-        self.ls = ls
-        ths = neighborhood.add_2hop_tuples(self.ip, ls, self.twohop_set,
-                                           moip, msg.statuses, now)
-        ths = neighborhood.update_2hop_in_metrics(ls, ths, moip,
-                                                  msg.in_metrics, now)
-        ths = neighborhood.update_2hop_out_metrics(ls, ths, moip,
-                                                   msg.out_metrics, now)
-        ths = neighborhood.update_2hop_time(self.ip, ls, ths, moip,
-                                            msg.validity, msg.statuses, now)
-        self.twohop_set = ths
+        lt = self.ls.get(moip)
+        if lt is None:
+            lt = LinkTuple(moip, NEG_INF, NEG_INF, now + vtime,
+                           False, False, False, False, in_metric, INF)
+        sym_time, validity = lt.symmetric_time, lt.validity_time
+        st = msg.statuses.get(ip)
+        if st is not None and st != Status.LOST:
+            sym_time = now + vtime
+        elif st == Status.LOST and sym_time > now:
+            # a symmetric link the sender reports LOST is downgraded but
+            # kept around for l_hold_time more ticks
+            sym_time, validity = NEG_INF, now + htime
+        heard_time = max(now + vtime, sym_time)
+        # an MPR announcement selects us; a SYMMETRIC listing without
+        # one withdraws the selection; anything else leaves it alone
+        role = msg.mprs.get(ip)
+        keep = st != Status.SYMMETRIC
+        fsel = (role in (MprRole.FLOODING, MprRole.FLOOD_ROUTE)
+                or (keep and lt.fmpr_selector))
+        rsel = (role in (MprRole.ROUTING, MprRole.FLOOD_ROUTE)
+                or (keep and lt.rmpr_selector))
+        self.ls[moip] = LinkTuple(
+            moip, sym_time, heard_time, max(heard_time + htime, validity),
+            lt.fmpr, lt.rmpr, fsel, rsel, lt.in_metric,
+            msg.in_metrics.get(ip, lt.out_metric))
+        if sym_time <= now:
+            return
+        ths = self.twohop_set
+        # every address the HELLO names, in message order
+        for x in {**msg.statuses, **msg.in_metrics, **msg.out_metrics}:
+            listed_sym = x != ip and msg.statuses.get(x) == Status.SYMMETRIC
+            n2 = ths.get((moip, x))
+            if n2 is None:
+                if not listed_sym:
+                    continue
+                n2 = TwoHopTuple(moip, x, NEG_INF, INF, INF)
+            ths[(moip, x)] = TwoHopTuple(
+                moip, x, now + vtime if listed_sym else n2.validity_time,
+                msg.in_metrics.get(x, n2.in_metric),
+                msg.out_metrics.get(x, n2.out_metric))
 
     def process_tc(self, msg: Tc) -> None:
         if not isinstance(msg, Tc):
@@ -256,16 +281,15 @@ class Router:
         if key in self.ps:
             self._forward_tc(msg)
             return
-        self.ps = message_logs.add_processed_tuple(self.ps, msg.originator,
-                                                   msg.seq)
+        message_logs.add_processed_tuple(self.ps, msg.originator, msg.seq)
         ar = self.arrs.get(msg.originator)
         if ar is not None and ar.ansn > msg.ansn:
             # known newer advertisement; message content is out of date
             self._forward_tc(msg)
             return
-        self.arrs = topology.update_advertising_routers(
+        topology.update_advertising_routers(
             self.arrs, msg.originator, msg.ansn, msg.validity, self.now)
-        self.rts = topology.update_router_topology(
+        topology.update_router_topology(
             self.ip, self.rts, msg.originator, msg.validity, msg.dests,
             self.now)
         self._forward_tc(msg)
@@ -277,8 +301,7 @@ class Router:
         key = (msg.originator, msg.seq)
         if key in self.rxs:
             return
-        self.rxs = message_logs.add_received_tuple(self.rxs, msg.originator,
-                                                   msg.seq)
+        message_logs.add_received_tuple(self.rxs, msg.originator, msg.seq)
         if self.flood_all or sender_lt.fmpr_selector:
             fwd = forward_tc_message(self.ip, msg)
             self.pkt.append(fwd)

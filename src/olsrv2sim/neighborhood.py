@@ -5,7 +5,9 @@ Link sets are maps oip -> LinkTuple; 2-hop sets are maps
 with sets of tuples, but both key spaces are unique by construction, so
 the map form is equivalent and keeps uniqueness structural.
 
-All functions here are pure: they take a set and return a new one.
+The purge and MPR-flag updates change the sets they are given in
+place; Router.process_hello writes the HELLO's rows directly. The
+tuples themselves are frozen, so a changed row is a new tuple.
 """
 from __future__ import annotations
 
@@ -13,8 +15,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import AbstractSet, FrozenSet, Iterable
 
-from .messages import (INF, NEG_INF, Metric, MprRole, NodeId, Status,
-                       TimeValue, render_metric, render_time)
+from .messages import (INF, Metric, NodeId, Status, TimeValue,
+                       render_metric, render_time)
 
 LinkSet = dict  # dict[NodeId, LinkTuple]
 TwoHopSet = dict  # dict[tuple[NodeId, NodeId], TwoHopTuple]
@@ -52,186 +54,26 @@ class TwoHopTuple:
     out_metric: Metric
 
 
-def link_status(lt: LinkTuple, now: TimeValue) -> Status:
-    return lt.status(now)
-
-
-def add_link_tuple(ls: LinkSet, moip: NodeId, vtime: TimeValue,
-                   in_metric: Metric, now: TimeValue) -> LinkSet:
-    """Insert a fresh, flagless tuple for moip unless one already exists."""
-    if moip in ls:
-        return ls
-    out = dict(ls)
-    out[moip] = LinkTuple(moip, NEG_INF, NEG_INF, now + vtime,
-                          False, False, False, False, in_metric, INF)
-    return out
-
-
-def update_link_out_metrics(ip: NodeId, ls: LinkSet, moip: NodeId,
-                            in_metrics: dict) -> LinkSet:
-    """Adopt the neighbor's measurement of our transmissions as out_metric."""
-    lt = ls.get(moip)
-    if lt is None or ip not in in_metrics:
-        return ls
-    out = dict(ls)
-    out[moip] = dataclasses.replace(lt, out_metric=in_metrics[ip])
-    return out
-
-
-def update_symmetric_time(ip: NodeId, ls: LinkSet, moip: NodeId,
-                          vtime: TimeValue, statuses: dict,
-                          htime: TimeValue, now: TimeValue) -> LinkSet:
-    """Refresh (or tear down) the symmetric timer from a received HELLO.
-
-    htime is the l_hold_time parameter: a symmetric link reported LOST by
-    the other side is downgraded but kept around for htime more ticks.
-    """
-    lt = ls.get(moip)
-    if lt is None:
-        return ls
-    st = statuses.get(ip)
-    if st is not None and st != Status.LOST:
-        out = dict(ls)
-        out[moip] = dataclasses.replace(lt, symmetric_time=now + vtime)
-        return out
-    if st == Status.LOST and lt.status(now) == Status.SYMMETRIC:
-        out = dict(ls)
-        out[moip] = dataclasses.replace(lt, symmetric_time=NEG_INF,
-                                        validity_time=now + htime)
-        return out
-    return ls
-
-
-def update_heard_time(ls: LinkSet, moip: NodeId, vtime: TimeValue,
-                      now: TimeValue) -> LinkSet:
-    lt = ls.get(moip)
-    if lt is None:
-        return ls
-    out = dict(ls)
-    out[moip] = dataclasses.replace(
-        lt, heard_time=max(now + vtime, lt.symmetric_time))
-    return out
-
-
-def update_validity_time(ls: LinkSet, moip: NodeId, htime: TimeValue,
-                         now: TimeValue) -> LinkSet:
-    lt = ls.get(moip)
-    if lt is None:
-        return ls
-    out = dict(ls)
-    out[moip] = dataclasses.replace(
-        lt, validity_time=max(lt.heard_time + htime, lt.validity_time))
-    return out
-
-
-def _update_selector(ls: LinkSet, moip: NodeId, selected: bool | None,
-                     field: str) -> LinkSet:
-    if selected is None or moip not in ls:
-        return ls
-    out = dict(ls)
-    out[moip] = dataclasses.replace(out[moip], **{field: selected})
-    return out
-
-
-def update_fmpr_selectors(ip: NodeId, ls: LinkSet, moip: NodeId,
-                          statuses: dict, mprs: dict,
-                          now: TimeValue) -> LinkSet:
-    """Record whether moip announced us as a flooding MPR.
-
-    Absent an announcement, a SYMMETRIC claim withdraws the selection;
-    anything else leaves the flag untouched.
-    """
-    role = mprs.get(ip)
-    if role in (MprRole.FLOODING, MprRole.FLOOD_ROUTE):
-        return _update_selector(ls, moip, True, "fmpr_selector")
-    if statuses.get(ip) == Status.SYMMETRIC:
-        return _update_selector(ls, moip, False, "fmpr_selector")
-    return ls
-
-
-def update_rmpr_selectors(ip: NodeId, ls: LinkSet, moip: NodeId,
-                          statuses: dict, mprs: dict,
-                          now: TimeValue) -> LinkSet:
-    role = mprs.get(ip)
-    if role in (MprRole.ROUTING, MprRole.FLOOD_ROUTE):
-        return _update_selector(ls, moip, True, "rmpr_selector")
-    if statuses.get(ip) == Status.SYMMETRIC:
-        return _update_selector(ls, moip, False, "rmpr_selector")
-    return ls
-
-
-def _moip_symmetric(ls: LinkSet, moip: NodeId, now: TimeValue) -> bool:
-    lt = ls.get(moip)
-    return lt is not None and lt.status(now) == Status.SYMMETRIC
-
-
-def add_2hop_tuples(ip: NodeId, ls: LinkSet, twohop_set: TwoHopSet,
-                    moip: NodeId, statuses: dict,
-                    now: TimeValue) -> TwoHopSet:
-    """Create placeholder 2-hop tuples for moip's symmetric neighbors."""
-    if not _moip_symmetric(ls, moip, now):
-        return twohop_set
-    out = dict(twohop_set)
-    for x1, st in statuses.items():
-        if st == Status.SYMMETRIC and x1 != ip and (moip, x1) not in out:
-            out[(moip, x1)] = TwoHopTuple(moip, x1, NEG_INF, INF, INF)
-    return out
-
-
-def update_2hop_in_metrics(ls: LinkSet, twohop_set: TwoHopSet, moip: NodeId,
-                           in_metrics: dict, now: TimeValue) -> TwoHopSet:
-    if not _moip_symmetric(ls, moip, now):
-        return twohop_set
-    out = dict(twohop_set)
-    for (one, two), n2 in twohop_set.items():
-        if one == moip and two in in_metrics:
-            out[(one, two)] = dataclasses.replace(n2, in_metric=in_metrics[two])
-    return out
-
-
-def update_2hop_out_metrics(ls: LinkSet, twohop_set: TwoHopSet, moip: NodeId,
-                            out_metrics: dict, now: TimeValue) -> TwoHopSet:
-    if not _moip_symmetric(ls, moip, now):
-        return twohop_set
-    out = dict(twohop_set)
-    for (one, two), n2 in twohop_set.items():
-        if one == moip and two in out_metrics:
-            out[(one, two)] = dataclasses.replace(n2, out_metric=out_metrics[two])
-    return out
-
-
-def update_2hop_time(ip: NodeId, ls: LinkSet, twohop_set: TwoHopSet,
-                     moip: NodeId, vtime: TimeValue, statuses: dict,
-                     now: TimeValue) -> TwoHopSet:
-    if not _moip_symmetric(ls, moip, now):
-        return twohop_set
-    out = dict(twohop_set)
-    for (one, two), n2 in twohop_set.items():
-        if (one == moip and two != ip
-                and statuses.get(two) == Status.SYMMETRIC):
-            out[(one, two)] = dataclasses.replace(n2, validity_time=now + vtime)
-    return out
-
-
-def purge_link_set(ls: LinkSet, now: TimeValue) -> LinkSet:
+def purge_link_set(ls: LinkSet, now: TimeValue) -> None:
     """Drop expired tuples; strip MPR flags from non-symmetric survivors."""
-    out = {}
-    for oip, lt in ls.items():
-        if lt.validity_time <= now:
-            continue
-        if lt.status(now) == Status.SYMMETRIC:
-            out[oip] = lt
-        else:
-            out[oip] = dataclasses.replace(lt, fmpr=False, rmpr=False,
-                                           fmpr_selector=False,
-                                           rmpr_selector=False)
-    return out
+    for oip in [oip for oip, lt in ls.items() if lt.validity_time <= now]:
+        del ls[oip]
+    stale = [lt for lt in ls.values()
+             if lt.status(now) != Status.SYMMETRIC
+             and (lt.fmpr or lt.rmpr or lt.fmpr_selector or lt.rmpr_selector)]
+    for lt in stale:
+        ls[lt.oip] = dataclasses.replace(lt, fmpr=False, rmpr=False,
+                                         fmpr_selector=False,
+                                         rmpr_selector=False)
 
 
 def purge_2hop_set(ls: LinkSet, twohop_set: TwoHopSet,
-                   now: TimeValue) -> TwoHopSet:
-    return {k: n2 for k, n2 in twohop_set.items()
-            if n2.validity_time > now and _moip_symmetric(ls, n2.one_hop_oip, now)}
+                   now: TimeValue) -> None:
+    """Drop expired tuples and those whose anchor is not symmetric."""
+    n1 = _n1_oips(ls, now)
+    for key in [key for key, n2 in twohop_set.items()
+                if n2.validity_time <= now or n2.one_hop_oip not in n1]:
+        del twohop_set[key]
 
 
 # --- MPR validity and selection -----------------------------------------
@@ -247,8 +89,8 @@ def purge_2hop_set(ls: LinkSet, twohop_set: TwoHopSet,
 # Since d(t, S) = min over x in S of d(t, {x}), validity reduces to a
 # covering condition: every target with finite d(t, N1) needs some
 # member achieving that minimum. choose_* exploits this for a greedy
-# polynomial pick; valid_* enumerates all subsets and exists as the
-# test oracle (practical for |N1| <= 6).
+# polynomial pick; the test suite checks it against an exhaustive
+# enumeration (practical for |N1| <= 6).
 
 def _n1_oips(ls: LinkSet, now: TimeValue) -> FrozenSet[NodeId]:
     return frozenset(oip for oip, lt in ls.items()
@@ -317,33 +159,6 @@ def is_valid_rmpr_set(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
     return _is_valid(member_oips, n1, targets, dist, full)
 
 
-def _enumerate_valid(ls, twohop_set, now, flavour, bug_mode=False):
-    import itertools
-
-    n1, targets, dist, full = _distance_table(ls, twohop_set, now, flavour,
-                                              bug_mode)
-    members = sorted(n1)
-    out = set()
-    for r in range(len(members) + 1):
-        for combo in itertools.combinations(members, r):
-            if _is_valid(frozenset(combo), n1, targets, dist, full):
-                out.add(frozenset(combo))
-    return out
-
-
-def valid_fmprs(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue):
-    """All valid flooding-MPR subsets, as frozensets of oips.
-
-    Exponential enumeration; intended for tests and tiny neighborhoods.
-    """
-    return _enumerate_valid(ls, twohop_set, now, "fmpr")
-
-
-def valid_rmprs(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
-                bug_mode: bool = False):
-    return _enumerate_valid(ls, twohop_set, now, "rmpr", bug_mode)
-
-
 def _greedy_choose(n1, targets, dist, full) -> FrozenSet[NodeId]:
     # x covers t when x alone achieves the N1-wide minimum. Targets at
     # infinite distance constrain nothing.
@@ -389,13 +204,14 @@ def choose_rmprs(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
 
 
 def _rewrite_flags(ls: LinkSet, field: str,
-                   member_oips: AbstractSet[NodeId]) -> LinkSet:
-    return {oip: dataclasses.replace(lt, **{field: oip in member_oips})
-            for oip, lt in ls.items()}
+                   member_oips: AbstractSet[NodeId]) -> None:
+    for lt in [lt for lt in ls.values()
+               if getattr(lt, field) != (lt.oip in member_oips)]:
+        ls[lt.oip] = dataclasses.replace(lt, **{field: lt.oip in member_oips})
 
 
 def update_fmprs(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
-                 fmprs: Iterable[NodeId]) -> LinkSet:
+                 fmprs: Iterable[NodeId]) -> None:
     """Install fmprs as the flooding-MPR flags if the current flags are stale.
 
     When the currently flagged set is still valid the link set is kept
@@ -405,20 +221,18 @@ def update_fmprs(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
     if not is_valid_fmpr_set(ls, twohop_set, now, members):
         raise ValueError("proposed flooding MPR set fails the distance equality")
     current = frozenset(oip for oip, lt in ls.items() if lt.fmpr)
-    if is_valid_fmpr_set(ls, twohop_set, now, current):
-        return ls
-    return _rewrite_flags(ls, "fmpr", members)
+    if not is_valid_fmpr_set(ls, twohop_set, now, current):
+        _rewrite_flags(ls, "fmpr", members)
 
 
 def update_rmprs(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
-                 rmprs: Iterable[NodeId], bug_mode: bool = False) -> LinkSet:
+                 rmprs: Iterable[NodeId], bug_mode: bool = False) -> None:
     members = frozenset(rmprs)
     if not is_valid_rmpr_set(ls, twohop_set, now, members, bug_mode):
         raise ValueError("proposed routing MPR set fails the distance equality")
     current = frozenset(oip for oip, lt in ls.items() if lt.rmpr)
-    if is_valid_rmpr_set(ls, twohop_set, now, current, bug_mode):
-        return ls
-    return _rewrite_flags(ls, "rmpr", members)
+    if not is_valid_rmpr_set(ls, twohop_set, now, current, bug_mode):
+        _rewrite_flags(ls, "rmpr", members)
 
 
 # --- trace rendering ---------------------------------------------------

@@ -22,9 +22,6 @@ from typing import Iterable, Optional
 from .engine import EngineDiagnostic, Router, RouterConfig, init_router
 from .messages import INF, Metric, NodeId, Packet, TimeValue, render_packet
 
-TRACE_KINDS = ("BROADCAST", "DELIVER", "HELLO_GEN", "TC_GEN", "TC_FWD",
-               "LINK_EVENT", "ROUTE_CHANGE")
-
 
 class ScenarioError(ValueError):
     """Scenario content is structurally or semantically invalid."""
@@ -46,20 +43,19 @@ class NetworkParams:
 
 @dataclass
 class GroundTruth:
-    """Who can hear whom, and at what directed link metric."""
+    """Who can hear whom, and at what directed link metric.
+
+    b hears a exactly when (a, b) is a key of metric.
+    """
 
     nodes: set
-    range_map: dict   # NodeId -> set[NodeId]
-    metric: dict      # (NodeId, NodeId) -> Metric, exactly the in-range pairs
+    metric: dict      # (NodeId, NodeId) -> Metric
 
     def check(self) -> None:
-        for a, peers in self.range_map.items():
-            if a not in self.nodes or not peers <= self.nodes:
-                raise ScenarioError(f"range of {a} mentions undeclared nodes")
-        pairs = {(a, b) for a, peers in self.range_map.items() for b in peers}
-        if pairs != set(self.metric):
-            raise ScenarioError("metric map does not match in-range pairs")
         for (a, b), m in self.metric.items():
+            if a not in self.nodes or b not in self.nodes:
+                raise ScenarioError(
+                    f"link {a}->{b} mentions an undeclared node")
             if a == b:
                 raise ScenarioError(f"self-loop link on {a}")
             if m == INF or m < 1:
@@ -176,8 +172,9 @@ class Network:
             if packet is not None:
                 d = self.params.lb + self._dur_rng[nid].randrange(
                     self.params.delta_b + 1)
-                recipients = frozenset(self.gt.range_map.get(nid, ()))
-                snapshot = {r: self.gt.metric[(nid, r)] for r in recipients}
+                snapshot = {r: m for (src, r), m in self.gt.metric.items()
+                            if src == nid}
+                recipients = frozenset(snapshot)
                 self.inflights.append(InFlight(nid, packet, self.clock + d,
                                                recipients, snapshot))
                 to = ",".join(sorted(recipients))
@@ -203,11 +200,9 @@ class Network:
             raise ScenarioError(f"topology event references unknown node: "
                                 f"{ev.src}->{ev.dst}")
         if ev.kind == "linkup":
-            self.gt.range_map.setdefault(ev.src, set()).add(ev.dst)
             self.gt.metric[(ev.src, ev.dst)] = ev.metric
             detail = f"linkup dst={ev.dst} m={ev.metric}"
         elif ev.kind == "linkdown":
-            self.gt.range_map.get(ev.src, set()).discard(ev.dst)
             self.gt.metric.pop((ev.src, ev.dst), None)
             detail = f"linkdown dst={ev.dst}"
         elif ev.kind == "metric":
@@ -254,14 +249,12 @@ def build_network(scenario) -> Network:
     params = NetworkParams(lb=lb, delta_b=delta_b,
                            node_count=len(nodes), seed=seed)
 
-    range_map = {n: set() for n in nodes}
     metric = {}
     for (src, dst, m) in scenario.links:
         if src not in node_set or dst not in node_set:
             raise ScenarioError(f"dangling link endpoint: {src}->{dst}")
-        range_map[src].add(dst)
         metric[(src, dst)] = m
-    gt = GroundTruth(nodes=node_set, range_map=range_map, metric=metric)
+    gt = GroundTruth(nodes=node_set, metric=metric)
 
     events = []
     for ev in scenario.events:

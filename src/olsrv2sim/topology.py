@@ -2,7 +2,8 @@
 
 Advertising-router sets are maps oip -> AdvertisingRouterTuple, router
 topology sets are maps (from_oip, dest_oip) -> TopologyTuple, routing
-sets are maps dest -> Route.
+sets are maps dest -> Route. The update and purge functions change the
+sets they are given in place.
 
 Optimality of a routing set is defined over the link universe known to
 one router: its own symmetric links plus every advertised topology row.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import AbstractSet, FrozenSet
 
 from .messages import (INF, Metric, NodeId, Sqn, Status, TimeValue,
                        render_metric, render_time)
@@ -47,36 +48,40 @@ class Route:
 
 
 def update_advertising_routers(arrs: ArSet, moip: NodeId, mansn: Sqn,
-                               vtime: TimeValue, now: TimeValue) -> ArSet:
-    out = {k: v for k, v in arrs.items() if k != moip}
-    out[moip] = AdvertisingRouterTuple(moip, mansn, now + vtime)
-    return out
+                               vtime: TimeValue, now: TimeValue) -> None:
+    arrs[moip] = AdvertisingRouterTuple(moip, mansn, now + vtime)
 
 
 def update_router_topology(ip: NodeId, rts: TrSet, moip: NodeId,
                            vtime: TimeValue, dests: dict,
-                           now: TimeValue) -> TrSet:
+                           now: TimeValue) -> None:
     """Replace every advertised row of moip with the new dests map."""
-    out = {k: v for k, v in rts.items() if k[0] != moip}
+    for key in [key for key in rts if key[0] == moip]:
+        del rts[key]
     for d, m in dests.items():
         if d != ip:
-            out[(moip, d)] = TopologyTuple(moip, d, now + vtime, m)
-    return out
+            rts[(moip, d)] = TopologyTuple(moip, d, now + vtime, m)
 
 
-def purge_advertising_routers(arrs: ArSet, now: TimeValue) -> ArSet:
-    return {k: ar for k, ar in arrs.items() if ar.validity_time > now}
+def purge_advertising_routers(arrs: ArSet, now: TimeValue) -> None:
+    for oip in [oip for oip, ar in arrs.items() if ar.validity_time <= now]:
+        del arrs[oip]
 
 
-def purge_router_topology(rts: TrSet, now: TimeValue) -> TrSet:
-    return {k: tr for k, tr in rts.items() if tr.validity_time > now}
+def purge_router_topology(rts: TrSet, now: TimeValue) -> None:
+    for key in [key for key, tr in rts.items() if tr.validity_time <= now]:
+        del rts[key]
 
 
-def increment_ansn(ls: dict, prev_ls: dict, ansn: Sqn) -> Sqn:
-    """Bump ansn when the advertised (rmpr-selector) neighbor set changed."""
-    cur = {oip for oip, lt in ls.items() if lt.rmpr_selector}
-    prev = {oip for oip, lt in prev_ls.items() if lt.rmpr_selector}
-    return ansn + 1 if cur != prev else ansn
+def rmpr_selectors(ls: dict) -> FrozenSet[NodeId]:
+    """The neighbors a TC advertises: those that chose us as routing MPR."""
+    return frozenset(oip for oip, lt in ls.items() if lt.rmpr_selector)
+
+
+def increment_ansn(ls: dict, advertised: AbstractSet[NodeId],
+                   ansn: Sqn) -> Sqn:
+    """Bump ansn when the rmpr-selector set differs from the advertised one."""
+    return ansn + 1 if rmpr_selectors(ls) != advertised else ansn
 
 
 # --- shortest paths over the known link universe -----------------------
@@ -123,16 +128,14 @@ def _dijkstra(edges: dict, source: NodeId) -> dict:
     return dist
 
 
-def shortest_path_dists(ip: NodeId, ls: dict, rts: TrSet,
-                        now: TimeValue) -> dict:
-    """Distances from ip to every reachable node over the known universe."""
-    dist = _dijkstra(link_universe(ip, ls, rts, now), ip)
-    dist.pop(ip, None)
-    return dist
-
-
 def is_optimal_over(ip: NodeId, edges: dict, rs: RoutingSet) -> bool:
-    """is_optimal against a prebuilt edge universe (see link_universe)."""
+    """Membership test for the set of optimal routing sets over edges.
+
+    edges is a link universe (see link_universe). rs must hold exactly
+    one shortest route per reachable destination (destinations other
+    than ip with finite distance), with a first hop that actually
+    starts a witnessing shortest path.
+    """
     dist = _dijkstra(edges, ip)
     reachable = {d for d in dist if d != ip}
     if set(rs.keys()) != reachable:
@@ -151,19 +154,15 @@ def is_optimal_over(ip: NodeId, edges: dict, rs: RoutingSet) -> bool:
     return True
 
 
-def is_optimal(ip: NodeId, ls: dict, rts: TrSet, now: TimeValue,
-               rs: RoutingSet) -> bool:
-    """Membership test for the set of optimal routing sets.
+def choose_optimal(ip: NodeId, edges: dict) -> RoutingSet:
+    """Canonical optimal routing set over a link universe.
 
-    rs must hold exactly one shortest route per reachable destination
-    (destinations other than ip with finite distance), with a first hop
-    that actually starts a witnessing shortest path.
+    Runs Dijkstra from ip and then picks, for every node, the
+    lexicographically smallest predecessor consistent with the final
+    distances; the route's next hop is read off the resulting
+    predecessor chain. Deterministic, so repeated runs give identical
+    traces.
     """
-    return is_optimal_over(ip, link_universe(ip, ls, rts, now), rs)
-
-
-def choose_optimal_over(ip: NodeId, edges: dict) -> RoutingSet:
-    """choose_optimal against a prebuilt edge universe."""
     dist = _dijkstra(edges, ip)
     incoming: dict = {}
     for (src, dst), w in edges.items():
@@ -185,25 +184,12 @@ def choose_optimal_over(ip: NodeId, edges: dict) -> RoutingSet:
     return rs
 
 
-def choose_optimal(ip: NodeId, ls: dict, rts: TrSet,
-                   now: TimeValue) -> RoutingSet:
-    """Canonical optimal routing set.
-
-    Runs Dijkstra from ip and then picks, for every node, the
-    lexicographically smallest predecessor consistent with the final
-    distances; the route's next hop is read off the resulting
-    predecessor chain. Deterministic, so repeated runs give identical
-    traces.
-    """
-    return choose_optimal_over(ip, link_universe(ip, ls, rts, now))
-
-
-def update_routing_set(ip: NodeId, ls: dict, rts: TrSet, now: TimeValue,
-                       rs: RoutingSet, rs_candidate: RoutingSet) -> RoutingSet:
+def update_routing_set(ip: NodeId, edges: dict, rs: RoutingSet,
+                       rs_candidate: RoutingSet) -> RoutingSet:
     """Keep rs when it is still optimal, otherwise adopt the candidate."""
-    if not is_optimal(ip, ls, rts, now, rs_candidate):
+    if not is_optimal_over(ip, edges, rs_candidate):
         raise ValueError("candidate routing set is not optimal")
-    if is_optimal(ip, ls, rts, now, rs):
+    if is_optimal_over(ip, edges, rs):
         return rs
     return rs_candidate
 

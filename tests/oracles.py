@@ -9,10 +9,11 @@ merely agreeing with itself.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
-from olsrv2sim import neighborhood, topology
+from olsrv2sim import topology
 from olsrv2sim.cli import Scenario
 from olsrv2sim.messages import INF, Status
 from olsrv2sim.neighborhood import LinkTuple, TwoHopTuple
@@ -175,31 +176,56 @@ def simple_path_dists(edges: dict, source) -> dict:
 # The consistency-check predicate, composed literally
 # ---------------------------------------------------------------------------
 
+def ref_purged_link_set(ls, now):
+    """Unexpired link tuples, MPR flags cleared unless still symmetric."""
+    out = {}
+    for oip, lt in ls.items():
+        if lt.validity_time <= now:
+            continue
+        if lt.symmetric_time <= now:
+            lt = dataclasses.replace(lt, fmpr=False, rmpr=False,
+                                     fmpr_selector=False,
+                                     rmpr_selector=False)
+        out[oip] = lt
+    return out
+
+
+def ref_purged_2hop_set(ls, twohop_set, now):
+    """Unexpired 2-hop tuples whose anchor is a symmetric neighbor."""
+    n1 = ref_symmetric_neighbors(ls, now)
+    return {key: n2 for key, n2 in twohop_set.items()
+            if n2.validity_time > now and n2.one_hop_oip in n1}
+
+
+def ref_unexpired(tuples, now):
+    return {key: t for key, t in tuples.items() if t.validity_time > now}
+
+
 def ref_updates_pending(router) -> bool:
     """Disjunction of the eight maintenance conditions, one by one."""
     now = router.now
-    if neighborhood.purge_link_set(router.ls, now) != router.ls:
+    if ref_purged_link_set(router.ls, now) != router.ls:
         return True
-    if neighborhood.purge_2hop_set(router.ls, router.twohop_set,
-                                   now) != router.twohop_set:
+    if ref_purged_2hop_set(router.ls, router.twohop_set,
+                           now) != router.twohop_set:
         return True
-    if topology.purge_advertising_routers(router.arrs, now) != router.arrs:
+    if ref_unexpired(router.arrs, now) != router.arrs:
         return True
-    if topology.purge_router_topology(router.rts, now) != router.rts:
+    if ref_unexpired(router.rts, now) != router.rts:
         return True
     flagged_f = frozenset(o for o, lt in router.ls.items() if lt.fmpr)
-    if flagged_f not in neighborhood.valid_fmprs(router.ls,
-                                                 router.twohop_set, now):
+    if flagged_f not in ref_all_valid(router.ls, router.twohop_set, now,
+                                      "fmpr"):
         return True
     flagged_r = frozenset(o for o, lt in router.ls.items() if lt.rmpr)
-    if flagged_r not in neighborhood.valid_rmprs(
-            router.ls, router.twohop_set, now, router.bug_mode):
+    if flagged_r not in ref_all_valid(router.ls, router.twohop_set, now,
+                                      "rmpr", router.bug_mode):
         return True
-    if router.ansn != topology.increment_ansn(router.ls, router.prev_ls,
-                                              router.ansn):
+    selectors = {o for o, lt in router.ls.items() if lt.rmpr_selector}
+    if selectors != router.advertised:
         return True
-    return not topology.is_optimal(router.ip, router.ls, router.rts, now,
-                                   router.rs)
+    edges = topology.link_universe(router.ip, router.ls, router.rts, now)
+    return not topology.is_optimal_over(router.ip, edges, router.rs)
 
 
 # ---------------------------------------------------------------------------

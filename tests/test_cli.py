@@ -1,12 +1,15 @@
 """Scenario grammar, render/parse round-trips, and command exit codes."""
+import os
 import subprocess
 import sys
 from argparse import Namespace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import olsrv2sim
 from olsrv2sim.checkers import FIG3_SCENARIO
 from olsrv2sim.cli import (FLAG_NAMES, PARAM_NAMES, Scenario,
                            _apply_cli_overrides, main, parse_scenario,
@@ -80,6 +83,10 @@ BAD_LINES = [
     ("node a\nnode b\nat x linkdown a b\n", 3, "decimal integer"),
     ("teleport a b\n", 1, "unknown directive"),
     ("node a\nnode b\nlink a b 1 oops 2\n", 3, "usage: link"),
+    ("node a\nnode b\nat -5 linkdown a b\n", 3, "event tick must be >= 0"),
+    ("param ticks -3\n", 1, "param ticks must be >= 0"),
+    ("node a\nnode b\nlink a b 1\nlink b a 2 bidi 3\n", 4,
+     "duplicate link a->b"),
 ]
 
 
@@ -111,8 +118,8 @@ def scenarios(draw):
     events = []
     if len(names) >= 2:
         pairs = [(u, v) for u in names for v in names if u != v]
-        for _ in range(draw(st.integers(0, 3))):
-            u, v = draw(st.sampled_from(pairs))
+        for u, v in draw(st.lists(st.sampled_from(pairs), unique=True,
+                                  max_size=3)):
             links.append((u, v, draw(st.integers(1, 9))))
         for _ in range(draw(st.integers(0, 2))):
             u, v = draw(st.sampled_from(pairs))
@@ -143,6 +150,9 @@ def test_cli_overrides():
     assert out.flags["bug_rfc7181"] is True
     # flood-all was already on in the text and --flood-all absent: stays
     assert out.flags["flood_all"] is True
+    args.ticks = -3
+    with pytest.raises(ScenarioError, match="--ticks must be >= 0"):
+        _apply_cli_overrides(s, args)
 
 
 # --- exit codes through main() ------------------------------------------------
@@ -180,6 +190,9 @@ def test_parse_error_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "error: line 2: undeclared node 'b'" in err
+    rc = main(["run", "--scenario", write(tmp_path, MINIMAL), "--ticks", "-3"])
+    assert rc == 2
+    assert "error: --ticks must be >= 0, got -3" in capsys.readouterr().err
 
 
 def test_config_error_exit_two(tmp_path, capsys):
@@ -251,6 +264,21 @@ def test_demo_fig3_modes(capsys):
     out = capsys.readouterr().out
     assert "corrected" in out and "rfc7181" in out
     assert main(["demo", "fig3", "--bug-rfc7181"]) == 1
+
+
+def test_python_m_smoke(tmp_path):
+    """`python -m olsrv2sim` runs the same command line as main()."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(olsrv2sim.__file__).resolve().parents[1])}
+    p = tmp_path / "s.txt"
+    p.write_text(MINIMAL)
+    r = subprocess.run([sys.executable, "-m", "olsrv2sim", "run",
+                        "--scenario", str(p), "--ticks", "5"],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0 and "ev=BROADCAST" in r.stdout
+    r = subprocess.run([sys.executable, "-m", "olsrv2sim"],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 2
 
 
 def test_console_script_smoke(tmp_path):

@@ -15,7 +15,8 @@ from olsrv2sim.messages import (INF, NEG_INF, Hello, MprRole, Status, Tc,
                                 make_hello)
 from olsrv2sim.neighborhood import LinkTuple, TwoHopTuple
 from olsrv2sim.topology import (AdvertisingRouterTuple, Route, TopologyTuple,
-                                choose_optimal)
+                                choose_optimal, link_universe,
+                                rmpr_selectors)
 
 import oracles
 
@@ -100,7 +101,7 @@ def scramble(rng, r):
                                   rng.random() < 0.5, lt.fmpr_selector,
                                   lt.rmpr_selector, lt.in_metric,
                                   lt.out_metric)
-    r.prev_ls = rng.choice([dict(r.ls), {}])
+    r.advertised = rng.choice([rmpr_selectors(r.ls), frozenset()])
     r.arrs = {}
     r.rts = {}
     names = sorted(r.ls) + ["far1", "far2"]
@@ -114,7 +115,7 @@ def scramble(rng, r):
                     oip, dst, now + rng.randint(-5, 40), rng.randint(1, 9))
     pick = rng.random()
     if pick < 0.4:
-        r.rs = choose_optimal(r.ip, r.ls, r.rts, now)
+        r.rs = choose_optimal(r.ip, link_universe(r.ip, r.ls, r.rts, now))
         if r.rs and pick < 0.2:
             d = rng.choice(sorted(r.rs))
             old = r.rs[d]

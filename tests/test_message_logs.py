@@ -6,18 +6,22 @@ from olsrv2sim.message_logs import add_processed_tuple, add_received_tuple
 
 
 def test_add_is_union():
-    ps = add_processed_tuple(set(), "a", 0)
-    ps = add_processed_tuple(ps, "a", 1)
+    ps = set()
+    add_processed_tuple(ps, "a", 0)
+    add_processed_tuple(ps, "a", 1)
     assert ps == {("a", 0), ("a", 1)}
-    assert add_processed_tuple(ps, "a", 0) == ps  # idempotent
-    rxs = add_received_tuple(frozenset(), "b", 5)
-    assert ("b", 5) in rxs
+    add_processed_tuple(ps, "a", 0)  # idempotent
+    assert ps == {("a", 0), ("a", 1)}
+    rxs = set()
+    add_received_tuple(rxs, "b", 5)
+    assert rxs == {("b", 5)}
 
 
 @given(st.sets(st.tuples(st.sampled_from("abc"),
                          st.integers(0, 5))),
        st.sampled_from("abc"), st.integers(0, 5))
 def test_add_never_removes(base, oip, sqn):
-    out = add_received_tuple(base, oip, sqn)
+    out = set(base)
+    add_received_tuple(out, oip, sqn)
     assert base <= out and (oip, sqn) in out
     assert out - base <= {(oip, sqn)}

@@ -1,28 +1,25 @@
 """Link set, 2-hop set, and MPR selection.
 
-MPR correctness is checked three ways: the library's exhaustive
-enumeration against an independently written one (oracles.ref_all_valid),
-the greedy choice against that enumeration, and two hand-computed fixed
+HELLO processing is driven through Router.process_hello, one fixture
+per step of the RFC 6130 section 12 order. MPR correctness is checked
+three ways: the subsets of N1 the library's validity test accepts
+against an independently written enumeration (oracles.ref_all_valid),
+the greedy choice against that family, and two hand-computed fixed
 points (a unit-metric grid center, an asymmetric-metric diamond).
 """
+import itertools
 import random
 
 import pytest
 
-from olsrv2sim.messages import INF, NEG_INF, MprRole, Status
-from olsrv2sim.neighborhood import (LinkTuple, TwoHopTuple, add_2hop_tuples,
-                                    add_link_tuple, choose_fmprs,
+from olsrv2sim.engine import Router, RouterConfig
+from olsrv2sim.messages import INF, NEG_INF, Hello, MprRole, Status
+from olsrv2sim.neighborhood import (LinkTuple, TwoHopTuple, choose_fmprs,
                                     choose_rmprs, is_valid_fmpr_set,
                                     is_valid_rmpr_set, purge_2hop_set,
                                     purge_link_set, render_link_tuple,
-                                    render_twohop_tuple, update_2hop_in_metrics,
-                                    update_2hop_out_metrics, update_2hop_time,
-                                    update_fmpr_selectors, update_fmprs,
-                                    update_heard_time, update_link_out_metrics,
-                                    update_rmpr_selectors, update_rmprs,
-                                    update_symmetric_time,
-                                    update_validity_time, valid_fmprs,
-                                    valid_rmprs)
+                                    render_twohop_tuple, update_fmprs,
+                                    update_rmprs)
 
 import oracles
 
@@ -42,6 +39,29 @@ def n2(one, two, in_m=1, out_m=1, vt=NOW + 20):
     return TwoHopTuple(one, two, vt, in_m, out_m)
 
 
+def receive(ls, ths=None, *, sender="b", vt=8, htime=5, in_metric=1,
+            statuses=None, mprs=None, in_metrics=None, out_metrics=None):
+    """Copies of (ls, ths) after router "me" processes one HELLO at NOW."""
+    cfg = RouterConfig(ip="me", hp_maxjitter=3, tp_maxjitter=3,
+                       h_hold_time=14, t_hold_time=40, l_hold_time=htime,
+                       hello_interval=10, tc_interval=20)
+    r = Router(cfg, jitter_rng=random.Random(0), start_time=NOW)
+    r.ls, r.twohop_set = dict(ls), dict(ths or {})
+    r.process_hello(Hello(sender, vt, statuses or {}, mprs or {},
+                          in_metrics or {}, out_metrics or {}), in_metric)
+    return r.ls, r.twohop_set
+
+
+def valid_family(is_valid, ls, ths, *args):
+    """{S <= N1 : is_valid(S)}: every subset the library predicate accepts."""
+    n1 = sorted(oip for oip, lt in ls.items()
+                if lt.status(NOW) == Status.SYMMETRIC)
+    return {frozenset(combo)
+            for r in range(len(n1) + 1)
+            for combo in itertools.combinations(n1, r)
+            if is_valid(ls, ths, NOW, frozenset(combo), *args)}
+
+
 # --- tuple lifecycle ------------------------------------------------------
 
 def test_status_thresholds_are_strict():
@@ -53,118 +73,114 @@ def test_status_thresholds_are_strict():
 
 
 def test_add_link_tuple():
-    ls = add_link_tuple({}, "b", vtime=6, in_metric=4, now=NOW)
+    ls, _ = receive({}, vt=6, htime=5, in_metric=4)
     lt = ls["b"]
-    assert lt.status(NOW) == Status.LOST
-    assert lt.validity_time == NOW + 6
+    # a fresh tuple, made HEARD by the same HELLO's heard-time refresh
+    assert lt.status(NOW) == Status.HEARD
+    assert lt.symmetric_time == NEG_INF and lt.heard_time == NOW + 6
+    assert lt.validity_time == NOW + 6 + 5
     assert lt.in_metric == 4 and lt.out_metric == INF
     assert not (lt.fmpr or lt.rmpr or lt.fmpr_selector or lt.rmpr_selector)
-    # existing tuples are left alone
-    again = add_link_tuple(ls, "b", vtime=99, in_metric=9, now=NOW)
-    assert again == ls
+    # an existing tuple is not re-created: its in_metric stays
+    again, _ = receive(ls, vt=99, in_metric=9)
+    assert again["b"].in_metric == 4
 
 
 def test_update_link_out_metrics():
     ls = {"b": sym("b", out_m=INF)}
-    out = update_link_out_metrics("me", ls, "b", {"me": 7, "zz": 1})
+    out, _ = receive(ls, in_metrics={"me": 7, "zz": 1})
     assert out["b"].out_metric == 7
-    assert update_link_out_metrics("me", ls, "b", {"zz": 1}) == ls
-    assert update_link_out_metrics("me", ls, "nope", {"me": 7}) == ls
+    out, _ = receive(ls, in_metrics={"zz": 1})
+    assert out["b"].out_metric == INF
+    out, _ = receive(ls, sender="nope", in_metrics={"me": 7})
+    assert out["b"] == ls["b"] and out["nope"].out_metric == 7
 
 
 def test_update_symmetric_time_refresh_and_teardown():
     ls = {"b": sym("b")}
-    out = update_symmetric_time("me", ls, "b", vtime=8,
-                                statuses={"me": Status.HEARD},
-                                htime=5, now=NOW)
+    out, _ = receive(ls, vt=8, htime=5, statuses={"me": Status.HEARD})
     assert out["b"].symmetric_time == NOW + 8
-    # a LOST claim about us tears the symmetric side down
-    out = update_symmetric_time("me", ls, "b", vtime=8,
-                                statuses={"me": Status.LOST},
-                                htime=5, now=NOW)
+    # a LOST claim about us tears the symmetric side down, and the
+    # teardown's now + l_hold_time replaces the old, later validity
+    out, _ = receive(ls, vt=8, htime=5, statuses={"me": Status.LOST})
     assert out["b"].symmetric_time == NEG_INF
-    assert out["b"].validity_time == NOW + 5
+    assert out["b"].validity_time == NOW + 8 + 5 < ls["b"].validity_time
     # but only if the link currently is symmetric
     heard = {"b": sym("b", symmetric_time=NEG_INF)}
-    assert update_symmetric_time("me", heard, "b", 8,
-                                 {"me": Status.LOST}, 5, NOW) == heard
-    # no mention of us: nothing changes
-    assert update_symmetric_time("me", ls, "b", 8, {}, 5, NOW) == ls
+    out, _ = receive(heard, vt=8, htime=5, statuses={"me": Status.LOST})
+    assert out["b"].symmetric_time == NEG_INF
+    assert out["b"].validity_time == heard["b"].validity_time
+    # no mention of us: the symmetric time stays
+    out, _ = receive(ls, vt=8, htime=5)
+    assert out["b"].symmetric_time == ls["b"].symmetric_time
 
 
 def test_update_heard_time_floors_at_symmetric_time():
     ls = {"b": sym("b", symmetric_time=NOW + 50)}
-    out = update_heard_time(ls, "b", vtime=3, now=NOW)
+    out, _ = receive(ls, vt=3)
     assert out["b"].heard_time == NOW + 50
     ls = {"b": sym("b", symmetric_time=NEG_INF)}
-    out = update_heard_time(ls, "b", vtime=3, now=NOW)
+    out, _ = receive(ls, vt=3)
     assert out["b"].heard_time == NOW + 3
 
 
 def test_update_validity_time_never_shrinks():
     ls = {"b": sym("b", heard_time=NOW + 4, validity_time=NOW + 50)}
-    assert update_validity_time(ls, "b", htime=2, now=NOW) == ls
-    ls = {"b": sym("b", heard_time=NOW + 40, validity_time=NOW + 5)}
-    out = update_validity_time(ls, "b", htime=2, now=NOW)
+    out, _ = receive(ls, vt=3, htime=2)
+    assert out["b"].validity_time == NOW + 50
+    ls = {"b": sym("b", heard_time=NOW + 4, validity_time=NOW + 5)}
+    out, _ = receive(ls, vt=40, htime=2)
     assert out["b"].validity_time == NOW + 42
 
 
 def test_selector_updates():
     ls = {"b": sym("b")}
-    got = update_fmpr_selectors("me", ls, "b",
-                                statuses={}, mprs={"me": MprRole.FLOODING},
-                                now=NOW)
+    got, _ = receive(ls, mprs={"me": MprRole.FLOODING})
     assert got["b"].fmpr_selector and not got["b"].rmpr_selector
-    got = update_rmpr_selectors("me", got, "b", statuses={},
-                                mprs={"me": MprRole.FLOOD_ROUTE}, now=NOW)
-    assert got["b"].rmpr_selector
-    # SYMMETRIC listing without a role withdraws the selection
-    got = update_fmpr_selectors("me", got, "b",
-                                statuses={"me": Status.SYMMETRIC}, mprs={},
-                                now=NOW)
+    got, _ = receive(got, mprs={"me": MprRole.FLOOD_ROUTE})
+    assert got["b"].fmpr_selector and got["b"].rmpr_selector
+    # a SYMMETRIC listing withdraws each role it does not announce
+    got, _ = receive(got, statuses={"me": Status.SYMMETRIC},
+                     mprs={"me": MprRole.ROUTING})
     assert not got["b"].fmpr_selector
-    assert got["b"].rmpr_selector  # untouched by the fmpr updater
-    # HEARD listing without a role leaves the flag alone
-    flagged = update_rmpr_selectors("me", got, "b",
-                                    statuses={"me": Status.HEARD}, mprs={},
-                                    now=NOW)
-    assert flagged == got
+    assert got["b"].rmpr_selector
+    swapped, _ = receive(got, statuses={"me": Status.SYMMETRIC},
+                         mprs={"me": MprRole.FLOODING})
+    assert swapped["b"].fmpr_selector and not swapped["b"].rmpr_selector
+    # a HEARD listing without a role leaves the flags alone
+    flagged, _ = receive(got, statuses={"me": Status.HEARD})
+    assert flagged["b"].rmpr_selector and not flagged["b"].fmpr_selector
 
 
 def test_add_2hop_tuples_placeholders():
     ls = {"b": sym("b"), "h": sym("h", symmetric_time=NEG_INF)}
-    ths = add_2hop_tuples("me", ls, {}, "b",
-                          {"x": Status.SYMMETRIC, "me": Status.SYMMETRIC,
-                           "y": Status.HEARD}, NOW)
+    _, ths = receive(ls, vt=8, statuses={"x": Status.SYMMETRIC,
+                                         "me": Status.SYMMETRIC,
+                                         "y": Status.HEARD})
     assert set(ths) == {("b", "x")}
-    assert ths[("b", "x")] == TwoHopTuple("b", "x", NEG_INF, INF, INF)
+    assert ths[("b", "x")] == TwoHopTuple("b", "x", NOW + 8, INF, INF)
     # heard anchor contributes nothing
-    assert add_2hop_tuples("me", ls, {}, "h",
-                           {"x": Status.SYMMETRIC}, NOW) == {}
+    _, ths = receive(ls, sender="h", statuses={"x": Status.SYMMETRIC})
+    assert ths == {}
     # existing rows are preserved, not reset
     seeded = {("b", "x"): n2("b", "x", in_m=3)}
-    again = add_2hop_tuples("me", ls, seeded, "b",
-                            {"x": Status.SYMMETRIC}, NOW)
-    assert again == seeded
+    _, ths = receive(ls, seeded, vt=8, statuses={"x": Status.SYMMETRIC})
+    assert ths == {("b", "x"): n2("b", "x", in_m=3, vt=NOW + 8)}
 
 
 def test_2hop_metric_and_time_updates():
     ls = {"b": sym("b")}
     ths = {("b", "x"): n2("b", "x", in_m=INF, out_m=INF, vt=NEG_INF),
            ("c", "x"): n2("c", "x", in_m=INF, out_m=INF, vt=NEG_INF)}
-    got = update_2hop_in_metrics(ls, ths, "b", {"x": 4, "other": 9}, NOW)
-    assert got[("b", "x")].in_metric == 4
-    assert got[("c", "x")].in_metric == INF
-    got = update_2hop_out_metrics(ls, got, "b", {"x": 6}, NOW)
-    assert got[("b", "x")].out_metric == 6
-    got = update_2hop_time("me", ls, got, "b", 12,
-                           {"x": Status.SYMMETRIC}, NOW)
-    assert got[("b", "x")].validity_time == NOW + 12
-    assert got[("c", "x")].validity_time == NEG_INF
-    # a target now only HEARD by the anchor is not refreshed
-    got2 = update_2hop_time("me", ls, got, "b", 99,
-                            {"x": Status.HEARD}, NOW)
-    assert got2 == got
+    _, got = receive(ls, ths, vt=12, statuses={"x": Status.SYMMETRIC},
+                     in_metrics={"x": 4, "other": 9}, out_metrics={"x": 6})
+    assert got[("b", "x")] == n2("b", "x", in_m=4, out_m=6, vt=NOW + 12)
+    assert got[("c", "x")] == ths[("c", "x")]
+    assert set(got) == set(ths)
+    # a target now only HEARD by the anchor is re-measured, not refreshed
+    _, got2 = receive(ls, got, vt=99, statuses={"x": Status.HEARD},
+                      in_metrics={"x": 5})
+    assert got2[("b", "x")] == n2("b", "x", in_m=5, out_m=6, vt=NOW + 12)
 
 
 def test_purge_link_set_drops_and_strips():
@@ -174,12 +190,15 @@ def test_purge_link_set_drops_and_strips():
         "stale": sym("stale", symmetric_time=NOW, fmpr=True, rmpr=True,
                      fmpr_selector=True, rmpr_selector=True),
     }
-    out = purge_link_set(ls, NOW)
+    out = dict(ls)
+    purge_link_set(out, NOW)
     assert set(out) == {"ok", "stale"}
     assert out["ok"] == ls["ok"]
     st = out["stale"]
     assert not (st.fmpr or st.rmpr or st.fmpr_selector or st.rmpr_selector)
-    assert purge_link_set(out, NOW) == out
+    again = dict(out)
+    purge_link_set(again, NOW)
+    assert again == out
 
 
 def test_purge_2hop_set_follows_anchor_status():
@@ -187,9 +206,10 @@ def test_purge_2hop_set_follows_anchor_status():
     ths = {("b", "x"): n2("b", "x"),
            ("b", "y"): n2("b", "y", vt=NOW),
            ("h", "x"): n2("h", "x")}
-    out = purge_2hop_set(ls, ths, NOW)
-    assert set(out) == {("b", "x")}
-    assert purge_2hop_set(ls, out, NOW) == out
+    purge_2hop_set(ls, ths, NOW)
+    assert ths == {("b", "x"): n2("b", "x")}
+    purge_2hop_set(ls, ths, NOW)
+    assert ths == {("b", "x"): n2("b", "x")}
 
 
 # --- MPR selection against the oracle -------------------------------------
@@ -198,10 +218,10 @@ def test_valid_sets_match_reference_enumeration():
     rng = random.Random(0xA11CE)
     for _ in range(300):
         ls, ths = oracles.random_neighborhood(rng)
-        assert valid_fmprs(ls, ths, NOW) == \
+        assert valid_family(is_valid_fmpr_set, ls, ths) == \
             oracles.ref_all_valid(ls, ths, NOW, "fmpr")
         for bug in (False, True):
-            assert valid_rmprs(ls, ths, NOW, bug) == \
+            assert valid_family(is_valid_rmpr_set, ls, ths, bug) == \
                 oracles.ref_all_valid(ls, ths, NOW, "rmpr", bug)
 
 
@@ -209,11 +229,10 @@ def test_choose_is_always_a_valid_member():
     rng = random.Random(0xBEEF)
     for _ in range(300):
         ls, ths = oracles.random_neighborhood(rng)
-        f_all = valid_fmprs(ls, ths, NOW)
-        assert choose_fmprs(ls, ths, NOW) in f_all
+        assert is_valid_fmpr_set(ls, ths, NOW, choose_fmprs(ls, ths, NOW))
         for bug in (False, True):
-            assert choose_rmprs(ls, ths, NOW, bug) in \
-                valid_rmprs(ls, ths, NOW, bug)
+            assert is_valid_rmpr_set(ls, ths, NOW,
+                                     choose_rmprs(ls, ths, NOW, bug), bug)
 
 
 def test_choose_is_deterministic():
@@ -249,7 +268,8 @@ def test_grid_center_valid_pairs_exactly():
     # only the two opposite pairs cover all four corners; adjacent pairs
     # (say b,f) leave the far corner g reachable through d or h alone
     ls, ths = grid_center_state()
-    twos = {s for s in valid_fmprs(ls, ths, NOW) if len(s) == 2}
+    twos = {s for s in valid_family(is_valid_fmpr_set, ls, ths)
+            if len(s) == 2}
     assert twos == {frozenset({"b", "h"}), frozenset({"d", "f"})}
 
 
@@ -279,7 +299,7 @@ def test_asymmetric_diamond_flips_under_bug_mode():
 
 def test_empty_neighborhood():
     assert choose_fmprs({}, {}, NOW) == frozenset()
-    assert valid_fmprs({}, {}, NOW) == {frozenset()}
+    assert valid_family(is_valid_fmpr_set, {}, {}) == {frozenset()}
     assert is_valid_rmpr_set({}, {}, NOW, set())
     assert not is_valid_rmpr_set({}, {}, NOW, {"ghost"})
 
@@ -290,11 +310,13 @@ def test_update_mprs_keeps_valid_current_flags():
     for x in ("d", "f"):
         flagged[x] = sym(x, fmpr=True)
     # {d,f} is valid, so a different (also valid) proposal changes nothing
-    assert update_fmprs(flagged, ths, NOW, {"b", "h"}) == flagged
+    kept = dict(flagged)
+    update_fmprs(kept, ths, NOW, {"b", "h"})
+    assert kept == flagged
     # invalidate the current flags: now the proposal is installed
     flagged["f"] = sym("f")  # only d flagged -> invalid
-    out = update_fmprs(flagged, ths, NOW, {"b", "h"})
-    assert {o for o, t in out.items() if t.fmpr} == {"b", "h"}
+    update_fmprs(flagged, ths, NOW, {"b", "h"})
+    assert {o for o, t in flagged.items() if t.fmpr} == {"b", "h"}
     with pytest.raises(ValueError):
         update_fmprs(ls, ths, NOW, {"b"})
     with pytest.raises(ValueError):
@@ -303,8 +325,8 @@ def test_update_mprs_keeps_valid_current_flags():
 
 def test_update_rmprs_respects_bug_mode():
     ls, ths = asymmetric_diamond_state()
-    out = update_rmprs(ls, ths, NOW, {"c"}, bug_mode=True)
-    assert {o for o, t in out.items() if t.rmpr} == {"c"}
+    update_rmprs(ls, ths, NOW, {"c"}, bug_mode=True)
+    assert {o for o, t in ls.items() if t.rmpr} == {"c"}
     with pytest.raises(ValueError):
         update_rmprs(ls, ths, NOW, {"c"}, bug_mode=False)
 

@@ -32,17 +32,17 @@ def test_params_validation():
 
 
 def test_ground_truth_check():
-    gt = GroundTruth(nodes={"a"}, range_map={"a": {"zz"}},
-                     metric={("a", "zz"): 1})
-    with pytest.raises(ScenarioError, match="undeclared"):
+    for metric in ({("a", "zz"): 1}, {("zz", "a"): 1}):
+        gt = GroundTruth(nodes={"a"}, metric=metric)
+        with pytest.raises(ScenarioError, match="undeclared"):
+            gt.check()
+    gt = GroundTruth(nodes={"a"}, metric={("a", "a"): 1})
+    with pytest.raises(ScenarioError, match="self-loop"):
         gt.check()
-    gt = GroundTruth(nodes={"a", "b"}, range_map={"a": {"b"}}, metric={})
-    with pytest.raises(ScenarioError, match="does not match"):
-        gt.check()
-    gt = GroundTruth(nodes={"a", "b"}, range_map={"a": {"b"}},
-                     metric={("a", "b"): 0})
+    gt = GroundTruth(nodes={"a", "b"}, metric={("a", "b"): 0})
     with pytest.raises(ScenarioError, match="finite positive"):
         gt.check()
+    GroundTruth(nodes={"a", "b"}, metric={("a", "b"): 1}).check()
 
 
 def test_render_trace_event_frozen():

@@ -11,12 +11,11 @@ import pytest
 from olsrv2sim.messages import INF, NEG_INF, Status
 from olsrv2sim.neighborhood import LinkTuple
 from olsrv2sim.topology import (AdvertisingRouterTuple, Route, TopologyTuple,
-                                _dijkstra, choose_optimal,
-                                choose_optimal_over, increment_ansn,
-                                is_optimal, is_optimal_over, link_universe,
+                                _dijkstra, choose_optimal, increment_ansn,
+                                is_optimal_over, link_universe,
                                 purge_advertising_routers,
                                 purge_router_topology, render_route,
-                                render_topology_tuple, shortest_path_dists,
+                                render_topology_tuple,
                                 update_advertising_routers,
                                 update_router_topology, update_routing_set)
 
@@ -37,40 +36,43 @@ def tt(frm, to, m, vt=NOW + 50):
 # --- information-base updates ----------------------------------------------
 
 def test_update_advertising_routers_replaces_row():
-    arrs = update_advertising_routers({}, "b", mansn=3, vtime=40, now=NOW)
+    arrs = {}
+    update_advertising_routers(arrs, "b", mansn=3, vtime=40, now=NOW)
     assert arrs == {"b": AdvertisingRouterTuple("b", 3, NOW + 40)}
-    arrs = update_advertising_routers(arrs, "b", mansn=4, vtime=10, now=NOW)
-    assert arrs["b"].ansn == 4 and arrs["b"].validity_time == NOW + 10
+    update_advertising_routers(arrs, "b", mansn=4, vtime=10, now=NOW)
+    assert arrs == {"b": AdvertisingRouterTuple("b", 4, NOW + 10)}
 
 
 def test_update_router_topology_replaces_all_rows_of_originator():
     rts = {("b", "x"): tt("b", "x", 1), ("c", "x"): tt("c", "x", 2)}
-    out = update_router_topology("me", rts, "b", vtime=30,
-                                 dests={"y": 5, "me": 1}, now=NOW)
+    update_router_topology("me", rts, "b", vtime=30,
+                           dests={"y": 5, "me": 1}, now=NOW)
     # b's old rows are gone, rows about me are never stored
-    assert set(out) == {("b", "y"), ("c", "x")}
-    assert out[("b", "y")] == tt("b", "y", 5, NOW + 30)
+    assert set(rts) == {("b", "y"), ("c", "x")}
+    assert rts[("b", "y")] == tt("b", "y", 5, NOW + 30)
 
 
 def test_purges():
     arrs = {"a": AdvertisingRouterTuple("a", 1, NOW),
             "b": AdvertisingRouterTuple("b", 1, NOW + 1)}
-    assert set(purge_advertising_routers(arrs, NOW)) == {"b"}
+    purge_advertising_routers(arrs, NOW)
+    assert set(arrs) == {"b"}
     rts = {("a", "x"): tt("a", "x", 1, vt=NOW),
            ("a", "y"): tt("a", "y", 1, vt=NOW + 1)}
-    assert set(purge_router_topology(rts, NOW)) == {("a", "y")}
+    purge_router_topology(rts, NOW)
+    assert set(rts) == {("a", "y")}
 
 
 def test_increment_ansn_tracks_selector_set():
     def with_sel(oip, sel):
         return LinkTuple(oip, NOW + 10, NOW + 10, NOW + 20, False, False,
                          False, sel, 1, 1)
-    prev = {"a": with_sel("a", True), "b": with_sel("b", False)}
+    advertised = frozenset({"a"})
     same = {"a": with_sel("a", True), "b": with_sel("b", False)}
     grew = {"a": with_sel("a", True), "b": with_sel("b", True)}
-    assert increment_ansn(same, prev, 7) == 7
-    assert increment_ansn(grew, prev, 7) == 8
-    assert increment_ansn({}, prev, 7) == 8
+    assert increment_ansn(same, advertised, 7) == 7
+    assert increment_ansn(grew, advertised, 7) == 8
+    assert increment_ansn({}, advertised, 7) == 8
 
 
 # --- the link universe -------------------------------------------------------
@@ -116,11 +118,11 @@ def test_dijkstra_matches_path_enumeration():
         assert got.get(src) == 0
 
 
-def test_shortest_path_dists_excludes_self():
+def test_choose_optimal_excludes_self():
     ls = {"b": sym_link("b", 2)}
     rts = {("b", "me"): tt("b", "me", 1), ("b", "c"): tt("b", "c", 5)}
-    dists = shortest_path_dists("me", ls, rts, NOW)
-    assert dists == {"b": 2, "c": 7}
+    rs = choose_optimal("me", link_universe("me", ls, rts, NOW))
+    assert rs == {"b": Route("b", "b", 2), "c": Route("c", "b", 7)}
 
 
 # --- optimality: library vs simple-path oracle ------------------------------
@@ -183,7 +185,7 @@ def test_optimality_verdicts_match_oracle():
     for _ in range(250):
         names, edges = random_digraph(rng)
         ip = rng.choice(names)
-        rs = choose_optimal_over(ip, edges)
+        rs = choose_optimal(ip, edges)
         assert is_optimal_over(ip, edges, rs)
         assert ref_is_optimal(ip, edges, rs)
         mutated = mutate_routing_set(rng, rs, names)
@@ -195,7 +197,7 @@ def test_choose_optimal_canonical_tiebreak():
     # two equally cheap first hops toward c: the canonical choice walks
     # the lexicographically smallest predecessor chain, hence via a
     edges = {("s", "a"): 1, ("s", "b"): 1, ("a", "c"): 1, ("b", "c"): 1}
-    rs = choose_optimal_over("s", edges)
+    rs = choose_optimal("s", edges)
     assert rs["c"] == Route("c", "a", 2)
     assert rs["a"] == Route("a", "a", 1)
     assert rs["b"] == Route("b", "b", 1)
@@ -216,22 +218,22 @@ def test_is_optimal_rejects_mislabeled_route():
 
 
 def test_update_routing_set_keeps_any_optimal_current():
-    edges = {("s", "a"): 1, ("s", "b"): 1, ("a", "c"): 1, ("b", "c"): 1}
     ls = {"a": sym_link("a", 1), "b": sym_link("b", 1)}
     rts = {("a", "c"): tt("a", "c", 1), ("b", "c"): tt("b", "c", 1)}
-    cand = choose_optimal("s", ls, rts, NOW)
+    edges = link_universe("s", ls, rts, NOW)
+    cand = choose_optimal("s", edges)
     # current uses the other (equally optimal) witness; it must be kept
     current = {"a": Route("a", "a", 1), "b": Route("b", "b", 1),
                "c": Route("c", "b", 2)}
-    assert update_routing_set("s", ls, rts, NOW, current, cand) == current
+    assert update_routing_set("s", edges, current, cand) == current
     stale = {"a": Route("a", "a", 1)}
-    assert update_routing_set("s", ls, rts, NOW, stale, cand) == cand
+    assert update_routing_set("s", edges, stale, cand) == cand
     with pytest.raises(ValueError):
-        update_routing_set("s", ls, rts, NOW, current, stale)
+        update_routing_set("s", edges, current, stale)
 
 
 def test_empty_universe():
-    assert choose_optimal_over("s", {}) == {}
+    assert choose_optimal("s", {}) == {}
     assert is_optimal_over("s", {}, {})
     assert not is_optimal_over("s", {}, {"a": Route("a", "a", 1)})
 
