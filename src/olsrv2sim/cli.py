@@ -245,6 +245,11 @@ def _cmd_check(args) -> int:
     scenario = _apply_cli_overrides(
         parse_scenario(_read(args.scenario)), args)
     net = build_network(scenario)
+    if net.metric_noise:
+        raise ScenarioError(
+            "check compares routes with noiseless ground truth and cannot"
+            f" judge a run with metric_noise {net.metric_noise};"
+            " use run instead")
     window = args.window if args.window is not None else default_window(net)
     report = run_to_convergence(net, window, _ticks(scenario, default=400))
     _write_trace(net, args)

@@ -20,6 +20,18 @@ otherwise occupy the transmitter through the rest of the window. With
 the parameter constraint maxjitter > LB + dB, the two rules together
 guarantee the deadline is never crossed; the engine still checks the
 deadline at every generation and raises if the argument ever fails.
+
+Consistency is restored whenever updates_pending() holds, but step_main
+does not evaluate that predicate before every micro-step. The clock
+enters it only through threshold comparisons (t <= now, t > now)
+against stored times: each link tuple's symmetric, heard and validity
+time, and the validity time of every 2-hop, advertising-router and
+topology tuple. So once it answered False, it stays False until the
+state is written (a HELLO, a maintenance pass, a TC that changes the
+advertised rows) or the clock reaches the smallest stored time that
+was still in the future. The router keeps dirty bits and that "next
+expiry" tick, and re-evaluates only then; the tests run with the full
+predicate asserted against this fast check at every micro-step.
 """
 from __future__ import annotations
 
@@ -125,8 +137,15 @@ class Router:
         self._rng = jitter_rng
         self._hello_fire = self.hello_time - self._rng.randrange(cfg.hp_maxjitter)
         self._tc_fire = self.tc_time - self._rng.randrange(cfg.tp_maxjitter)
+        # what _update_due needs to know whether updates_pending() can
+        # have turned true since it last answered False: writes to the
+        # neighbourhood side, writes to the advertised topology rows, and
+        # the smallest stored time that was still in the future then
+        self._nbr_dirty = True
+        self._topo_dirty = True
+        self._next_expiry: TimeValue = NEG_INF
         # last verified-optimal (edge universe, routing set) pair; purely
-        # a memo for updates_pending, never consulted for results
+        # a memo for _routes_pending, never consulted for results
         self._opt_edges: Optional[dict] = None
         self._opt_rs: Optional[dict] = None
         self.trace: Callable = lambda kind, detail, packet=None: None
@@ -140,7 +159,7 @@ class Router:
         timed sets, "a flagged MPR set fails its distance equality",
         "ansn is stale", and "the routing set is not optimal". The
         equality-based phrasing (set != purge(set)) is what the tests
-        check this against.
+        check this against. step_main asks it through _update_due.
         """
         now = self.now
         for lt in self.ls.values():
@@ -155,12 +174,6 @@ class Router:
             anchor = self.ls.get(n2.one_hop_oip)
             if anchor is None or anchor.status(now) != Status.SYMMETRIC:
                 return True
-        for ar in self.arrs.values():
-            if ar.validity_time <= now:
-                return True
-        for tr in self.rts.values():
-            if tr.validity_time <= now:
-                return True
         flagged_f = frozenset(o for o, lt in self.ls.items() if lt.fmpr)
         if not neighborhood.is_valid_fmpr_set(self.ls, self.twohop_set, now,
                                               flagged_f):
@@ -172,6 +185,21 @@ class Router:
         if self.ansn != topology.increment_ansn(self.ls, self.advertised,
                                                 self.ansn):
             return True
+        return self._routes_pending()
+
+    def _routes_pending(self) -> bool:
+        """The topology-side conditions of updates_pending.
+
+        An advertising-router or topology tuple has expired, or the
+        routing set is not optimal over the link universe.
+        """
+        now = self.now
+        for ar in self.arrs.values():
+            if ar.validity_time <= now:
+                return True
+        for tr in self.rts.values():
+            if tr.validity_time <= now:
+                return True
         edges = topology.link_universe(self.ip, self.ls, self.rts, now)
         if edges == self._opt_edges and self.rs == self._opt_rs:
             return False
@@ -180,9 +208,42 @@ class Router:
             self._opt_edges, self._opt_rs = edges, dict(self.rs)
         return not ok
 
+    def _update_due(self) -> bool:
+        """updates_pending(), re-evaluated only where it can have changed.
+
+        After a False answer nothing is pending until the neighbourhood
+        is written (full check), the clock reaches _next_expiry (full
+        check; >= because a busy router skips ticks) or an accepted TC
+        changes the advertised rows (the topology-side check alone).
+        """
+        if self._nbr_dirty or self.now >= self._next_expiry:
+            pending = self.updates_pending()
+        elif self._topo_dirty:
+            pending = self._routes_pending()
+        else:
+            return False
+        if not pending:
+            self._nbr_dirty = self._topo_dirty = False
+            self._next_expiry = self._expiry_after(self.now)
+        return pending
+
+    def _expiry_after(self, now: TimeValue) -> TimeValue:
+        """The smallest stored time updates_pending compares that is > now."""
+        nxt = INF
+        for lt in self.ls.values():
+            for t in (lt.symmetric_time, lt.heard_time, lt.validity_time):
+                if now < t < nxt:
+                    nxt = t
+        for tuples in (self.twohop_set, self.arrs, self.rts):
+            for tup in tuples.values():
+                if now < tup.validity_time < nxt:
+                    nxt = tup.validity_time
+        return nxt
+
     def run_update_info(self) -> None:
         """Purge, reselect MPRs, refresh ansn, recompute routes (in order)."""
         now = self.now
+        self._nbr_dirty = True
         neighborhood.purge_link_set(self.ls, now)
         neighborhood.purge_2hop_set(self.ls, self.twohop_set, now)
         topology.purge_advertising_routers(self.arrs, now)
@@ -224,6 +285,7 @@ class Router:
             raise EngineDiagnostic("measured in_metric must be finite")
         now, ip, vtime = self.now, self.ip, msg.validity
         htime = self.cfg.l_hold_time
+        self._nbr_dirty = True
         moip = msg.originator
         lt = self.ls.get(moip)
         if lt is None:
@@ -289,9 +351,12 @@ class Router:
             return
         topology.update_advertising_routers(
             self.arrs, msg.originator, msg.ansn, msg.validity, self.now)
-        topology.update_router_topology(
-            self.ip, self.rts, msg.originator, msg.validity, msg.dests,
-            self.now)
+        if topology.update_router_topology(
+                self.ip, self.rts, msg.originator, msg.validity, msg.dests,
+                self.now):
+            self._topo_dirty = True
+        # the rows' new validity time may come before every stored one
+        self._next_expiry = min(self._next_expiry, self.now + msg.validity)
         self._forward_tc(msg)
 
     def _forward_tc(self, msg: Tc) -> None:
@@ -332,7 +397,7 @@ class Router:
             if steps > MICRO_STEP_CAP:
                 raise EngineDiagnostic(
                     f"router {self.ip}: micro-step cap exceeded at t={self.now}")
-            if self.updates_pending():
+            if self._update_due():
                 self.run_update_info()
                 continue
             if self.send_time == self.now:

@@ -75,6 +75,7 @@ class TopologyEvent:
 class InFlight:
     sender: NodeId
     packet: Packet
+    rendered: str  # render_packet(packet), shared by every DELIVER line
     deliver_at: TimeValue
     recipients: frozenset
     # directed metrics sampled when the broadcast started; used as the
@@ -156,8 +157,7 @@ class Network:
             for r in sorted(f.recipients):
                 m = self._measured_metric(f.sender, r, f.metric_snapshot)
                 self.routers[r].enqueue_delivery(f.packet, m)
-                emit(r, "DELIVER",
-                     f"from={f.sender} m={m} pkt={render_packet(f.packet)}",
+                emit(r, "DELIVER", f"from={f.sender} m={m} pkt={f.rendered}",
                      packet=f.packet)
 
         # phase 2: per-router steps
@@ -175,11 +175,12 @@ class Network:
                 snapshot = {r: m for (src, r), m in self.gt.metric.items()
                             if src == nid}
                 recipients = frozenset(snapshot)
-                self.inflights.append(InFlight(nid, packet, self.clock + d,
-                                               recipients, snapshot))
+                rendered = render_packet(packet)
+                self.inflights.append(InFlight(nid, packet, rendered,
+                                               self.clock + d, recipients,
+                                               snapshot))
                 to = ",".join(sorted(recipients))
-                emit(nid, "BROADCAST",
-                     f"d={d} to={{{to}}} pkt={render_packet(packet)}",
+                emit(nid, "BROADCAST", f"d={d} to={{{to}}} pkt={rendered}",
                      packet=packet)
 
         # phase 3: topology events scheduled for this tick

@@ -54,13 +54,18 @@ def update_advertising_routers(arrs: ArSet, moip: NodeId, mansn: Sqn,
 
 def update_router_topology(ip: NodeId, rts: TrSet, moip: NodeId,
                            vtime: TimeValue, dests: dict,
-                           now: TimeValue) -> None:
-    """Replace every advertised row of moip with the new dests map."""
-    for key in [key for key in rts if key[0] == moip]:
-        del rts[key]
-    for d, m in dests.items():
-        if d != ip:
-            rts[(moip, d)] = TopologyTuple(moip, d, now + vtime, m)
+                           now: TimeValue) -> bool:
+    """Replace every advertised row of moip with the new dests map.
+
+    Returns whether moip's (dest, metric) rows changed; False means the
+    message only refreshed their validity time.
+    """
+    old = {key[1]: rts.pop(key).metric
+           for key in [key for key in rts if key[0] == moip]}
+    new = {d: m for d, m in dests.items() if d != ip}
+    for d, m in new.items():
+        rts[(moip, d)] = TopologyTuple(moip, d, now + vtime, m)
+    return new != old
 
 
 def purge_advertising_routers(arrs: ArSet, now: TimeValue) -> None:

@@ -226,6 +226,17 @@ def test_check_nonconvergence_exit_three(tmp_path, capsys):
     assert "no convergence within 10 ticks (window 50)" in cap.err
 
 
+def test_check_refuses_metric_noise(tmp_path, capsys):
+    # noisy measured routes against noiseless ground truth would read as
+    # suboptimal (subopt={(b,3,2)} here), so check refuses the scenario
+    path = write(tmp_path, MINIMAL.replace("1 bidi 1", "2 bidi 2")
+                 + "param metric_noise 3\n")
+    rc = main(["check", "--scenario", path])
+    cap = capsys.readouterr()
+    assert rc == 2 and cap.out == ""
+    assert "cannot judge a run with metric_noise 3" in cap.err
+
+
 def test_check_fig3_verdicts(tmp_path, capsys):
     path = write(tmp_path, FIG3_SCENARIO)
     assert main(["check", "--scenario", path]) == 0

@@ -14,6 +14,7 @@ from olsrv2sim.engine import (ConfigError, EngineDiagnostic, Router,
 from olsrv2sim.messages import (INF, NEG_INF, Hello, MprRole, Status, Tc,
                                 make_hello)
 from olsrv2sim.neighborhood import LinkTuple, TwoHopTuple
+from olsrv2sim.simnet import TopologyEvent, build_network
 from olsrv2sim.topology import (AdvertisingRouterTuple, Route, TopologyTuple,
                                 choose_optimal, link_universe,
                                 rmpr_selectors)
@@ -437,3 +438,108 @@ def test_generated_tc_sequence_numbers_increase_by_one():
         r.now += 1
     got = [int(line.split(" sqn=")[1].split(" ")[0]) for line in seqs]
     assert got == list(range(len(got))) and len(got) >= 5
+
+
+# --- incremental consistency: the fast check before each micro-step ------------
+#
+# conftest.oracle_mode asserts the fast check against updates_pending()
+# at every micro-step; the tests below also assert the protocol effect
+# itself, so they fail on a broken fast path without that mode too.
+
+def silent(r):
+    """Switch periodic generation off, so a step only does maintenance."""
+    r.hello_time = r._hello_fire = r.tc_time = r._tc_fire = INF
+
+
+def mpr_router():
+    """a whose only symmetric neighbour b (symmetric until 105, heard
+    until 115) is its only way to 2-hop c; after the first step b is
+    both kinds of MPR and a has a route to it."""
+    r = mk_router("a", start_time=100)
+    silent(r)
+    r.ls = {"b": LinkTuple("b", 105, 115, 125, False, False, False, False,
+                           1, 1)}
+    r.twohop_set = {("b", "c"): TwoHopTuple("b", "c", 135, 1, 1)}
+    r.step_main()
+    assert r.ls["b"].fmpr and r.ls["b"].rmpr and set(r.rs) == {"b"}
+    return r
+
+
+def test_symmetric_timeout_drops_mprs_and_route_at_that_tick():
+    r = mpr_router()
+    for now in range(101, 110):
+        r.now = now
+        r.step_main()      # no message arrives in between
+        lt = r.ls["b"]
+        still = now < 105
+        assert (lt.fmpr, lt.rmpr, "b" in r.rs) == (still, still, still), now
+        assert (("b", "c") in r.twohop_set) == still, now
+
+
+def test_busy_router_purges_on_first_step_after_its_next_expiry():
+    r = mpr_router()
+    r.now = 104
+    r.step_main()
+    assert r.ls["b"].fmpr
+    r.now = 106            # busy at 105, when b stopped being symmetric
+    r.step_main()
+    assert not r.ls["b"].fmpr and not r.ls["b"].rmpr and not r.rs
+
+
+def test_tc_refresh_with_shorter_validity_purges_on_time():
+    r = mk_router("a", start_time=100)
+    silent(r)
+    r.ls = {"b": LinkTuple("b", 300, 300, 400, False, False, False, False,
+                           1, 1)}
+    r.enqueue_delivery([Tc("b", "b", 40, 0, 0, {"c": 3})], 1)
+    r.step_main()
+    assert r.rts[("b", "c")].validity_time == 140 and "c" in r.rs
+    # identical rows, shorter validity: nothing to recompute, but the
+    # rows now expire at 120 instead of 140
+    r.now = 110
+    r.enqueue_delivery([Tc("b", "b", 10, 1, 0, {"c": 3})], 1)
+    r.step_main()
+    assert r.rts[("b", "c")].validity_time == 120
+    for now in range(111, 125):
+        r.now = now
+        r.step_main()
+        assert (("b", "c") in r.rts) == (now < 120), now
+        assert ("c" in r.rs) == (now < 120), now
+
+
+def churn_events(rng, links, ticks):
+    """Down/up cycles on some directed links, metric changes on others."""
+    links = list(links)
+    rng.shuffle(links)
+    events = []
+    for u, v in links[:3]:
+        t = rng.randrange(30, ticks - 80)
+        events += [TopologyEvent(t, "linkdown", u, v),
+                   TopologyEvent(t + rng.randrange(5, 50), "linkup", u, v,
+                                 rng.randint(1, 8))]
+    for u, v in links[3:5]:
+        events.append(TopologyEvent(rng.randrange(30, ticks - 30), "metric",
+                                    u, v, rng.randint(1, 8)))
+    return tuple(events)
+
+
+@pytest.mark.parametrize("flags", [
+    {}, {"bug_rfc7181": True}, {"flood_all": True},
+    {"process_tc_from_unknown": True},
+])
+def test_fast_check_agrees_with_full_predicate_under_churn(oracle_mode,
+                                                           flags):
+    """Noisy random networks with link churn, with the oracle watching.
+
+    Between them the runs write state through every path: HELLOs, TCs
+    that change rows and TCs that only refresh them, maintenance passes,
+    expiries crossed while busy, and TCs stored from unknown senders.
+    """
+    rng = random.Random(repr(flags))
+    for i in range(2):
+        s = oracles.random_connected_scenario(rng, 6, seed=700 + i)
+        s.params["metric_noise"] = 2
+        s.flags.update(flags)
+        s.events = churn_events(rng, [(u, v) for u, v, _ in s.links], 240)
+        build_network(s).run(240)
+    assert oracle_mode[True] > 50 and oracle_mode[False] > 1000

@@ -45,11 +45,20 @@ def test_update_advertising_routers_replaces_row():
 
 def test_update_router_topology_replaces_all_rows_of_originator():
     rts = {("b", "x"): tt("b", "x", 1), ("c", "x"): tt("c", "x", 2)}
-    update_router_topology("me", rts, "b", vtime=30,
-                           dests={"y": 5, "me": 1}, now=NOW)
+    assert update_router_topology("me", rts, "b", vtime=30,
+                                  dests={"y": 5, "me": 1}, now=NOW)
     # b's old rows are gone, rows about me are never stored
     assert set(rts) == {("b", "y"), ("c", "x")}
     assert rts[("b", "y")] == tt("b", "y", 5, NOW + 30)
+    # the same rows again only refresh the validity time
+    assert not update_router_topology("me", rts, "b", vtime=10,
+                                      dests={"y": 5}, now=NOW + 1)
+    assert rts[("b", "y")] == tt("b", "y", 5, NOW + 11)
+    assert update_router_topology("me", rts, "b", vtime=10,
+                                  dests={"y": 6}, now=NOW + 1)
+    assert update_router_topology("me", rts, "b", vtime=10,
+                                  dests={}, now=NOW + 1)
+    assert set(rts) == {("c", "x")}
 
 
 def test_purges():
