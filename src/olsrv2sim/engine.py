@@ -137,10 +137,8 @@ class Router:
         self._rng = jitter_rng
         self._hello_fire = self.hello_time - self._rng.randrange(cfg.hp_maxjitter)
         self._tc_fire = self.tc_time - self._rng.randrange(cfg.tp_maxjitter)
-        # what _update_due needs to know whether updates_pending() can
-        # have turned true since it last answered False: writes to the
-        # neighbourhood side, writes to the advertised topology rows, and
-        # the smallest stored time that was still in the future then
+        # _update_due's state since its last False answer: was each side
+        # written, and the smallest stored time then still in the future
         self._nbr_dirty = True
         self._topo_dirty = True
         self._next_expiry: TimeValue = NEG_INF
