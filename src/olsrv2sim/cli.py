@@ -13,8 +13,8 @@ Scenario grammar, one directive per line, `#` starts a comment:
 
 All numbers are decimal integers; infinities never appear in input.
 Node ids must be declared before use and match [A-Za-z0-9_-]+. Event
-ticks and the ticks param are non-negative, and each directed link is
-declared once.
+ticks and the ticks and metric_noise params are non-negative, and each
+directed link is declared once.
 
 Exit codes: 0 success (and true verdicts), 1 false verdict,
 2 usage or parse or configuration error, 3 non-convergence.
@@ -114,7 +114,7 @@ def parse_scenario(text: str) -> Scenario:
             if "." in name:
                 want_node(name.split(".", 1)[0], lineno)
             params[name] = want_int(rest[1], lineno, f"param {name}")
-            if base == "ticks" and params[name] < 0:
+            if base in ("ticks", "metric_noise") and params[name] < 0:
                 _fail(lineno, f"param {name} must be >= 0, got {params[name]}")
 
         elif kind == "link":
@@ -212,6 +212,9 @@ def _apply_cli_overrides(scenario: Scenario, args) -> Scenario:
         if args.ticks < 0:
             raise ScenarioError(f"--ticks must be >= 0, got {args.ticks}")
         scenario.params["ticks"] = args.ticks
+    window = getattr(args, "window", None)
+    if window is not None and window < 1:
+        raise ScenarioError(f"--window must be >= 1, got {window}")
     if getattr(args, "bug_rfc7181", False):
         scenario.flags["bug_rfc7181"] = True
     if getattr(args, "flood_all", False):

@@ -21,17 +21,20 @@ the parameter constraint maxjitter > LB + dB, the two rules together
 guarantee the deadline is never crossed; the engine still checks the
 deadline at every generation and raises if the argument ever fails.
 
-Consistency is restored whenever updates_pending() holds, but step_main
-does not evaluate that predicate before every micro-step. The clock
-enters it only through threshold comparisons (t <= now, t > now)
-against stored times: each link tuple's symmetric, heard and validity
-time, and the validity time of every 2-hop, advertising-router and
-topology tuple. So once it answered False, it stays False until the
-state is written (a HELLO, a maintenance pass, a TC that changes the
-advertised rows) or the clock reaches the smallest stored time that
-was still in the future. The router keeps dirty bits and that "next
-expiry" tick, and re-evaluates only then; the tests run with the full
-predicate asserted against this fast check at every micro-step.
+Consistency is restored by a maintenance pass, and the pass is its own
+check: run while nothing is pending, it changes no state (idempotence),
+and after it nothing is pending. The clock enters updates_pending()
+only through threshold comparisons (t <= now, t > now) against stored
+times: each link tuple's symmetric, heard and validity time, and the
+validity time of every 2-hop, advertising-router and topology tuple.
+So after a pass nothing is pending until the state is written (a
+HELLO, or a TC that changes the advertised rows) or the clock reaches
+the smallest stored time that was still in the future. step_main runs
+the pass exactly then: when the dirty bit is set or now has reached
+that "next expiry" tick. The full predicate is the tests' oracle: they
+assert that a skipped pass had nothing pending, that nothing is
+pending after a pass, and that a pass entered with nothing pending
+changes nothing.
 """
 from __future__ import annotations
 
@@ -137,13 +140,12 @@ class Router:
         self._rng = jitter_rng
         self._hello_fire = self.hello_time - self._rng.randrange(cfg.hp_maxjitter)
         self._tc_fire = self.tc_time - self._rng.randrange(cfg.tp_maxjitter)
-        # _update_due's state since its last False answer: was each side
-        # written, and the smallest stored time then still in the future
-        self._nbr_dirty = True
-        self._topo_dirty = True
+        # a write since the last maintenance pass, and the smallest
+        # stored time that was in the future at its end
+        self._dirty = True
         self._next_expiry: TimeValue = NEG_INF
-        # last verified-optimal (edge universe, routing set) pair; purely
-        # a memo for _routes_pending, never consulted for results
+        # last verified-optimal (edge universe, routing set) pair: while
+        # both are unchanged the routing set needs no optimality test
         self._opt_edges: Optional[dict] = None
         self._opt_rs: Optional[dict] = None
         self.trace: Callable = lambda kind, detail, packet=None: None
@@ -157,7 +159,8 @@ class Router:
         timed sets, "a flagged MPR set fails its distance equality",
         "ansn is stale", and "the routing set is not optimal". The
         equality-based phrasing (set != purge(set)) is what the tests
-        check this against. step_main asks it through _update_due.
+        check this against. step_main never asks it: it is the oracle
+        the tests hold the maintenance pass and its scheduling to.
         """
         now = self.now
         for lt in self.ls.values():
@@ -183,15 +186,6 @@ class Router:
         if self.ansn != topology.increment_ansn(self.ls, self.advertised,
                                                 self.ansn):
             return True
-        return self._routes_pending()
-
-    def _routes_pending(self) -> bool:
-        """The topology-side conditions of updates_pending.
-
-        An advertising-router or topology tuple has expired, or the
-        routing set is not optimal over the link universe.
-        """
-        now = self.now
         for ar in self.arrs.values():
             if ar.validity_time <= now:
                 return True
@@ -206,24 +200,12 @@ class Router:
             self._opt_edges, self._opt_rs = edges, dict(self.rs)
         return not ok
 
-    def _update_due(self) -> bool:
-        """updates_pending(), re-evaluated only where it can have changed.
+    def _maintenance_due(self) -> bool:
+        """Was state written, or a stored time reached, since the last pass?
 
-        After a False answer nothing is pending until the neighbourhood
-        is written (full check), the clock reaches _next_expiry (full
-        check; >= because a busy router skips ticks) or an accepted TC
-        changes the advertised rows (the topology-side check alone).
+        >= because a busy router skips ticks.
         """
-        if self._nbr_dirty or self.now >= self._next_expiry:
-            pending = self.updates_pending()
-        elif self._topo_dirty:
-            pending = self._routes_pending()
-        else:
-            return False
-        if not pending:
-            self._nbr_dirty = self._topo_dirty = False
-            self._next_expiry = self._expiry_after(self.now)
-        return pending
+        return self._dirty or self.now >= self._next_expiry
 
     def _expiry_after(self, now: TimeValue) -> TimeValue:
         """The smallest stored time updates_pending compares that is > now."""
@@ -239,31 +221,33 @@ class Router:
         return nxt
 
     def run_update_info(self) -> None:
-        """Purge, reselect MPRs, refresh ansn, recompute routes (in order)."""
+        """Purge, reselect MPRs, refresh ansn, recompute routes (in order).
+
+        Afterwards nothing is pending until the next write or until the
+        clock reaches the new _next_expiry.
+        """
         now = self.now
-        self._nbr_dirty = True
         neighborhood.purge_link_set(self.ls, now)
         neighborhood.purge_2hop_set(self.ls, self.twohop_set, now)
         topology.purge_advertising_routers(self.arrs, now)
         topology.purge_router_topology(self.rts, now)
-        fmprs = neighborhood.choose_fmprs(self.ls, self.twohop_set, now)
-        neighborhood.update_fmprs(self.ls, self.twohop_set, now, fmprs)
-        rmprs = neighborhood.choose_rmprs(self.ls, self.twohop_set, now,
-                                          self.bug_mode)
-        neighborhood.update_rmprs(self.ls, self.twohop_set, now, rmprs,
+        neighborhood.update_fmprs(self.ls, self.twohop_set, now)
+        neighborhood.update_rmprs(self.ls, self.twohop_set, now,
                                   self.bug_mode)
         self.ansn = topology.increment_ansn(self.ls, self.advertised,
                                             self.ansn)
         self.advertised = topology.rmpr_selectors(self.ls)
         edges = topology.link_universe(self.ip, self.ls, self.rts, now)
-        candidate = topology.choose_optimal(self.ip, edges)
-        new_rs = topology.update_routing_set(self.ip, edges, self.rs,
-                                             candidate)
-        if new_rs != self.rs:
-            self.rs = new_rs
-            detail = "; ".join(render_route(self.rs[d])
-                               for d in sorted(self.rs))
-            self.trace("ROUTE_CHANGE", f"rs=[{detail}]")
+        if edges != self._opt_edges or self.rs != self._opt_rs:
+            new_rs = topology.update_routing_set(self.ip, edges, self.rs)
+            if new_rs != self.rs:
+                self.rs = new_rs
+                detail = "; ".join(render_route(self.rs[d])
+                                   for d in sorted(self.rs))
+                self.trace("ROUTE_CHANGE", f"rs=[{detail}]")
+            self._opt_edges, self._opt_rs = edges, dict(self.rs)
+        self._dirty = False
+        self._next_expiry = self._expiry_after(now)
 
     # -- message processing ----------------------------------------------
 
@@ -283,7 +267,7 @@ class Router:
             raise EngineDiagnostic("measured in_metric must be finite")
         now, ip, vtime = self.now, self.ip, msg.validity
         htime = self.cfg.l_hold_time
-        self._nbr_dirty = True
+        self._dirty = True
         moip = msg.originator
         lt = self.ls.get(moip)
         if lt is None:
@@ -352,7 +336,7 @@ class Router:
         if topology.update_router_topology(
                 self.ip, self.rts, msg.originator, msg.validity, msg.dests,
                 self.now):
-            self._topo_dirty = True
+            self._dirty = True
         # the rows' new validity time may come before every stored one
         self._next_expiry = min(self._next_expiry, self.now + msg.validity)
         self._forward_tc(msg)
@@ -395,9 +379,8 @@ class Router:
             if steps > MICRO_STEP_CAP:
                 raise EngineDiagnostic(
                     f"router {self.ip}: micro-step cap exceeded at t={self.now}")
-            if self._update_due():
+            if self._maintenance_due():
                 self.run_update_info()
-                continue
             if self.send_time == self.now:
                 emitted = self.pkt
                 self.pkt = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import AbstractSet, FrozenSet, Iterable
+from typing import AbstractSet, FrozenSet
 
 from .messages import (INF, Metric, NodeId, Status, TimeValue,
                        render_metric, render_time)
@@ -189,18 +189,14 @@ def choose_fmprs(ls: LinkSet, twohop_set: TwoHopSet,
                  now: TimeValue) -> FrozenSet[NodeId]:
     """Deterministic small valid flooding-MPR set (greedy cover)."""
     n1, targets, dist, full = _distance_table(ls, twohop_set, now, "fmpr")
-    picked = _greedy_choose(n1, targets, dist, full)
-    assert _is_valid(picked, n1, targets, dist, full)
-    return picked
+    return _greedy_choose(n1, targets, dist, full)
 
 
 def choose_rmprs(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
                  bug_mode: bool = False) -> FrozenSet[NodeId]:
     n1, targets, dist, full = _distance_table(ls, twohop_set, now, "rmpr",
                                               bug_mode)
-    picked = _greedy_choose(n1, targets, dist, full)
-    assert _is_valid(picked, n1, targets, dist, full)
-    return picked
+    return _greedy_choose(n1, targets, dist, full)
 
 
 def _rewrite_flags(ls: LinkSet, field: str,
@@ -210,29 +206,23 @@ def _rewrite_flags(ls: LinkSet, field: str,
         ls[lt.oip] = dataclasses.replace(lt, **{field: lt.oip in member_oips})
 
 
-def update_fmprs(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
-                 fmprs: Iterable[NodeId]) -> None:
-    """Install fmprs as the flooding-MPR flags if the current flags are stale.
+def _flagged(ls: LinkSet, field: str) -> FrozenSet[NodeId]:
+    return frozenset(oip for oip, lt in ls.items() if getattr(lt, field))
 
-    When the currently flagged set is still valid the link set is kept
-    as-is, even if fmprs differs from it.
-    """
-    members = frozenset(fmprs)
-    if not is_valid_fmpr_set(ls, twohop_set, now, members):
-        raise ValueError("proposed flooding MPR set fails the distance equality")
-    current = frozenset(oip for oip, lt in ls.items() if lt.fmpr)
-    if not is_valid_fmpr_set(ls, twohop_set, now, current):
-        _rewrite_flags(ls, "fmpr", members)
+
+def update_fmprs(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue) -> None:
+    """Keep the flooding-MPR flags while valid, else flag choose_fmprs."""
+    if not is_valid_fmpr_set(ls, twohop_set, now, _flagged(ls, "fmpr")):
+        _rewrite_flags(ls, "fmpr", choose_fmprs(ls, twohop_set, now))
 
 
 def update_rmprs(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
-                 rmprs: Iterable[NodeId], bug_mode: bool = False) -> None:
-    members = frozenset(rmprs)
-    if not is_valid_rmpr_set(ls, twohop_set, now, members, bug_mode):
-        raise ValueError("proposed routing MPR set fails the distance equality")
-    current = frozenset(oip for oip, lt in ls.items() if lt.rmpr)
-    if not is_valid_rmpr_set(ls, twohop_set, now, current, bug_mode):
-        _rewrite_flags(ls, "rmpr", members)
+                 bug_mode: bool = False) -> None:
+    """Keep the routing-MPR flags while valid, else flag choose_rmprs."""
+    if not is_valid_rmpr_set(ls, twohop_set, now, _flagged(ls, "rmpr"),
+                             bug_mode):
+        _rewrite_flags(ls, "rmpr",
+                       choose_rmprs(ls, twohop_set, now, bug_mode))
 
 
 # --- trace rendering ---------------------------------------------------

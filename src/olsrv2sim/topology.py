@@ -189,14 +189,12 @@ def choose_optimal(ip: NodeId, edges: dict) -> RoutingSet:
     return rs
 
 
-def update_routing_set(ip: NodeId, edges: dict, rs: RoutingSet,
-                       rs_candidate: RoutingSet) -> RoutingSet:
-    """Keep rs when it is still optimal, otherwise adopt the candidate."""
-    if not is_optimal_over(ip, edges, rs_candidate):
-        raise ValueError("candidate routing set is not optimal")
+def update_routing_set(ip: NodeId, edges: dict,
+                       rs: RoutingSet) -> RoutingSet:
+    """Keep rs when it is still optimal, otherwise choose_optimal's set."""
     if is_optimal_over(ip, edges, rs):
         return rs
-    return rs_candidate
+    return choose_optimal(ip, edges)
 
 
 # --- trace rendering ---------------------------------------------------

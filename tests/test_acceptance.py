@@ -221,9 +221,9 @@ def test_acceptance_6_consistency_after_every_update():
             net.run(150)
     finally:
         Router.run_update_info = orig
-    # Maintenance runs only while something is inconsistent, so a
-    # converged network stops contributing; the floor just guards
-    # against the wrapper silently not being exercised.
+    # Maintenance runs only after a write or when a stored time is
+    # reached, so a converged network contributes few passes; the floor
+    # just guards against the wrapper silently not being exercised.
     report(calls > 150, "6. information bases are internally consistent"
                         " after every maintenance pass, including under"
                         f" link churn ({calls} passes checked)")

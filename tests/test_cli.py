@@ -85,6 +85,7 @@ BAD_LINES = [
     ("node a\nnode b\nlink a b 1 oops 2\n", 3, "usage: link"),
     ("node a\nnode b\nat -5 linkdown a b\n", 3, "event tick must be >= 0"),
     ("param ticks -3\n", 1, "param ticks must be >= 0"),
+    ("param metric_noise -1\n", 1, "param metric_noise must be >= 0"),
     ("node a\nnode b\nlink a b 1\nlink b a 2 bidi 3\n", 4,
      "duplicate link a->b"),
 ]
@@ -235,6 +236,18 @@ def test_check_refuses_metric_noise(tmp_path, capsys):
     cap = capsys.readouterr()
     assert rc == 2 and cap.out == ""
     assert "cannot judge a run with metric_noise 3" in cap.err
+
+
+@pytest.mark.parametrize("window", ["-5", "0"])
+def test_window_below_one_exit_two(tmp_path, capsys, window):
+    # a window under one tick declares convergence at the first route
+    # change and judges routes that are still settling
+    for argv in (["check", "--scenario", write(tmp_path, MINIMAL)],
+                 ["demo", "fig3"]):
+        rc = main(argv + ["--window", window])
+        cap = capsys.readouterr()
+        assert rc == 2 and cap.out == ""
+        assert f"error: --window must be >= 1, got {window}" in cap.err
 
 
 def test_check_fig3_verdicts(tmp_path, capsys):

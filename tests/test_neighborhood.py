@@ -10,8 +10,6 @@ points (a unit-metric grid center, an asymmetric-metric diamond).
 import itertools
 import random
 
-import pytest
-
 from olsrv2sim.engine import Router, RouterConfig
 from olsrv2sim.messages import INF, NEG_INF, Hello, MprRole, Status
 from olsrv2sim.neighborhood import (LinkTuple, TwoHopTuple, choose_fmprs,
@@ -309,26 +307,24 @@ def test_update_mprs_keeps_valid_current_flags():
     flagged = dict(ls)
     for x in ("d", "f"):
         flagged[x] = sym(x, fmpr=True)
-    # {d,f} is valid, so a different (also valid) proposal changes nothing
+    # {d,f} is valid, so it is kept although choose_fmprs picks {b,h}
+    assert choose_fmprs(flagged, ths, NOW) == {"b", "h"}
     kept = dict(flagged)
-    update_fmprs(kept, ths, NOW, {"b", "h"})
+    update_fmprs(kept, ths, NOW)
     assert kept == flagged
-    # invalidate the current flags: now the proposal is installed
+    # invalidate the current flags: now choose_fmprs's set is flagged
     flagged["f"] = sym("f")  # only d flagged -> invalid
-    update_fmprs(flagged, ths, NOW, {"b", "h"})
+    update_fmprs(flagged, ths, NOW)
     assert {o for o, t in flagged.items() if t.fmpr} == {"b", "h"}
-    with pytest.raises(ValueError):
-        update_fmprs(ls, ths, NOW, {"b"})
-    with pytest.raises(ValueError):
-        update_rmprs(ls, ths, NOW, {"ghost"})
 
 
 def test_update_rmprs_respects_bug_mode():
     ls, ths = asymmetric_diamond_state()
-    update_rmprs(ls, ths, NOW, {"c"}, bug_mode=True)
+    update_rmprs(ls, ths, NOW, bug_mode=True)
     assert {o for o, t in ls.items() if t.rmpr} == {"c"}
-    with pytest.raises(ValueError):
-        update_rmprs(ls, ths, NOW, {"c"}, bug_mode=False)
+    # {c} is invalid in the corrected reading, so it is replaced
+    update_rmprs(ls, ths, NOW, bug_mode=False)
+    assert {o for o, t in ls.items() if t.rmpr} == {"b"}
 
 
 # --- renders ---------------------------------------------------------------
