@@ -226,6 +226,15 @@ def _ticks(scenario: Scenario, default: int = 100) -> int:
     return scenario.params.get("ticks", default)
 
 
+def _warn_late_events(scenario: Scenario, budget: int) -> None:
+    """Name on stderr each event the tick budget never reaches."""
+    for ev in scenario.events:
+        if ev.time >= budget:
+            print(f"warning: event at t={ev.time} ({ev.kind} {ev.src}"
+                  f" {ev.dst}) is at or after the tick budget {budget}"
+                  " and is never applied", file=sys.stderr)
+
+
 def _write_trace(net: Network, args) -> None:
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -236,7 +245,9 @@ def _cmd_run(args) -> int:
     scenario = _apply_cli_overrides(
         parse_scenario(_read(args.scenario)), args)
     net = build_network(scenario)
-    net.run(_ticks(scenario))
+    budget = _ticks(scenario)
+    _warn_late_events(scenario, budget)
+    net.run(budget)
     if args.trace:
         _write_trace(net, args)
     else:
@@ -254,7 +265,9 @@ def _cmd_check(args) -> int:
             f" judge a run with metric_noise {net.metric_noise};"
             " use run instead")
     window = args.window if args.window is not None else default_window(net)
-    report = run_to_convergence(net, window, _ticks(scenario, default=400))
+    budget = _ticks(scenario, default=400)
+    _warn_late_events(scenario, budget)
+    report = run_to_convergence(net, window, budget)
     _write_trace(net, args)
     if not report.converged:
         print(f"error: no convergence within {report.observed_ticks} ticks"

@@ -27,14 +27,23 @@ and after it nothing is pending. The clock enters updates_pending()
 only through threshold comparisons (t <= now, t > now) against stored
 times: each link tuple's symmetric, heard and validity time, and the
 validity time of every 2-hop, advertising-router and topology tuple.
-So after a pass nothing is pending until the state is written (a
-HELLO, or a TC that changes the advertised rows) or the clock reaches
-the smallest stored time that was still in the future. step_main runs
-the pass exactly then: when the dirty bit is set or now has reached
-that "next expiry" tick. The full predicate is the tests' oracle: they
-assert that a skipped pass had nothing pending, that nothing is
-pending after a pass, and that a pass entered with nothing pending
-changes nothing.
+So after a pass nothing is pending until the state is written in a
+way the predicate can see, or the clock reaches the smallest stored
+time that was still in the future.
+
+A write sets the dirty bit only when it can change what a pass does: a
+HELLO that creates the link tuple, changes its status at now, its
+MPR-selector flags or its out_metric, or creates a 2-hop tuple or
+changes its metrics; a TC that changes the advertised rows. Times
+aside, these are the only inputs of updates_pending() the two write.
+Any other write only moves stored times, and lowers the "next expiry"
+tick to each new time that is in the future. A refresh can also move a
+time that next expiry still points at, so when now reaches it the
+smallest stored time after the last pass is looked up again. step_main
+runs the pass when the bit is set or now has reached that time. The
+full predicate is the tests' oracle: they assert that a skipped pass
+had nothing pending, that nothing is pending after a pass, and that a
+pass entered with nothing pending changes nothing.
 """
 from __future__ import annotations
 
@@ -140,9 +149,11 @@ class Router:
         self._rng = jitter_rng
         self._hello_fire = self.hello_time - self._rng.randrange(cfg.hp_maxjitter)
         self._tc_fire = self.tc_time - self._rng.randrange(cfg.tp_maxjitter)
-        # a write since the last maintenance pass, and the smallest
-        # stored time that was in the future at its end
+        # a write since the last maintenance pass that can change what
+        # a pass does, the tick of that pass, and a tick no later than
+        # the smallest stored time after it
         self._dirty = True
+        self._last_pass: TimeValue = NEG_INF
         self._next_expiry: TimeValue = NEG_INF
         # last verified-optimal (edge universe, routing set) pair: while
         # both are unchanged the routing set needs no optimality test
@@ -203,9 +214,19 @@ class Router:
     def _maintenance_due(self) -> bool:
         """Was state written, or a stored time reached, since the last pass?
 
-        >= because a busy router skips ticks.
+        A write that can change what a pass does sets the dirty bit; one
+        that only moves stored times lowers _next_expiry to them. A
+        refresh may since have moved the time _next_expiry was set for,
+        so once now reaches it the smallest stored time after the last
+        pass is looked up again, and the pass runs only if now has
+        reached that one too. >= because a busy router skips ticks.
         """
-        return self._dirty or self.now >= self._next_expiry
+        if self._dirty:
+            return True
+        if self.now < self._next_expiry:
+            return False
+        self._next_expiry = self._expiry_after(self._last_pass)
+        return self.now >= self._next_expiry
 
     def _expiry_after(self, now: TimeValue) -> TimeValue:
         """The smallest stored time updates_pending compares that is > now."""
@@ -247,6 +268,7 @@ class Router:
                 self.trace("ROUTE_CHANGE", f"rs=[{detail}]")
             self._opt_edges, self._opt_rs = edges, dict(self.rs)
         self._dirty = False
+        self._last_pass = now
         self._next_expiry = self._expiry_after(now)
 
     # -- message processing ----------------------------------------------
@@ -267,10 +289,10 @@ class Router:
             raise EngineDiagnostic("measured in_metric must be finite")
         now, ip, vtime = self.now, self.ip, msg.validity
         htime = self.cfg.l_hold_time
-        self._dirty = True
         moip = msg.originator
         lt = self.ls.get(moip)
-        if lt is None:
+        created = lt is None
+        if created:
             lt = LinkTuple(moip, NEG_INF, NEG_INF, now + vtime,
                            False, False, False, False, in_metric, INF)
         sym_time, validity = lt.symmetric_time, lt.validity_time
@@ -290,25 +312,42 @@ class Router:
                 or (keep and lt.fmpr_selector))
         rsel = (role in (MprRole.ROUTING, MprRole.FLOOD_ROUTE)
                 or (keep and lt.rmpr_selector))
-        self.ls[moip] = LinkTuple(
+        new = LinkTuple(
             moip, sym_time, heard_time, max(heard_time + htime, validity),
             lt.fmpr, lt.rmpr, fsel, rsel, lt.in_metric,
             msg.in_metrics.get(ip, lt.out_metric))
-        if sym_time <= now:
-            return
-        ths = self.twohop_set
-        # every address the HELLO names, in message order
-        for x in {**msg.statuses, **msg.in_metrics, **msg.out_metrics}:
-            listed_sym = x != ip and msg.statuses.get(x) == Status.SYMMETRIC
-            n2 = ths.get((moip, x))
-            if n2 is None:
-                if not listed_sym:
-                    continue
-                n2 = TwoHopTuple(moip, x, NEG_INF, INF, INF)
-            ths[(moip, x)] = TwoHopTuple(
-                moip, x, now + vtime if listed_sym else n2.validity_time,
-                msg.in_metrics.get(x, n2.in_metric),
-                msg.out_metrics.get(x, n2.out_metric))
+        self.ls[moip] = new
+        dirty = (created or new.status(now) != lt.status(now)
+                 or fsel != lt.fmpr_selector or rsel != lt.rmpr_selector
+                 or new.out_metric != lt.out_metric)
+        written = [sym_time, heard_time, new.validity_time]
+        if sym_time > now:
+            ths = self.twohop_set
+            # every address the HELLO names, in message order
+            for x in {**msg.statuses, **msg.in_metrics, **msg.out_metrics}:
+                listed_sym = (x != ip
+                              and msg.statuses.get(x) == Status.SYMMETRIC)
+                n2 = ths.get((moip, x))
+                if n2 is None:
+                    if not listed_sym:
+                        continue
+                    dirty = True
+                    n2 = TwoHopTuple(moip, x, NEG_INF, INF, INF)
+                new2 = TwoHopTuple(
+                    moip, x, now + vtime if listed_sym else n2.validity_time,
+                    msg.in_metrics.get(x, n2.in_metric),
+                    msg.out_metrics.get(x, n2.out_metric))
+                ths[(moip, x)] = new2
+                dirty = dirty or (new2.in_metric != n2.in_metric
+                                  or new2.out_metric != n2.out_metric)
+                written.append(new2.validity_time)
+        if dirty:
+            self._dirty = True
+        else:
+            # only times moved: nothing is pending until one is reached
+            for t in written:
+                if now < t < self._next_expiry:
+                    self._next_expiry = t
 
     def process_tc(self, msg: Tc) -> None:
         if not isinstance(msg, Tc):

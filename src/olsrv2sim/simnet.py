@@ -109,9 +109,11 @@ class Network:
         self.gt = gt
         self.routers = routers
         self.events = sorted(events, key=lambda e: (e.time, e.src, e.dst))
+        self._next_event = 0  # index of the first event not yet due
         self.metric_noise = metric_noise
         self.clock: TimeValue = 0
         self.inflights: list = []
+        self._busy_until: dict = {}  # node -> delivery tick of its broadcast
         self.trace: list = []
         self._dur_rng = {n: random.Random(f"{params.seed}/{n}/dur")
                          for n in routers}
@@ -121,8 +123,7 @@ class Network:
     # -- helpers ----------------------------------------------------------
 
     def busy(self, node: NodeId) -> bool:
-        return any(f.sender == node and self.clock < f.deliver_at
-                   for f in self.inflights)
+        return self.clock < self._busy_until.get(node, 0)
 
     def _measured_metric(self, sender: NodeId, recipient: NodeId,
                          snapshot: dict) -> Metric:
@@ -179,14 +180,19 @@ class Network:
                 self.inflights.append(InFlight(nid, packet, rendered,
                                                self.clock + d, recipients,
                                                snapshot))
+                self._busy_until[nid] = self.clock + d
                 to = ",".join(sorted(recipients))
                 emit(nid, "BROADCAST", f"d={d} to={{{to}}} pkt={rendered}",
                      packet=packet)
 
-        # phase 3: topology events scheduled for this tick
-        for ev in self.events:
-            if ev.time == self.clock:
-                self.apply_topology_event(ev, emit)
+        # phase 3: topology events scheduled for this tick; events
+        # is sorted by time, so the due ones start at the cursor
+        evs, i = self.events, self._next_event
+        while i < len(evs) and evs[i].time <= self.clock:
+            if evs[i].time == self.clock:
+                self.apply_topology_event(evs[i], emit)
+            i += 1
+        self._next_event = i
 
         # phase 4: clocks advance
         self.clock += 1

@@ -1,10 +1,12 @@
 """Suite-wide oracle mode for the router's maintenance pass.
 
 Router.step_main runs the pass run_update_info() when
-Router._maintenance_due() says state was written or a stored time was
-reached since the last pass; it never evaluates the full
-updates_pending() predicate. Every test runs with both wrapped, so that
-each micro-step is held to that predicate:
+Router._maintenance_due() says state was written in a way a pass can
+act on, or a stored time was reached, since the last pass; it never
+evaluates the full updates_pending() predicate. A HELLO that only moves
+times later sets no dirty bit, and an expiry tick a refresh has since
+moved is looked up again before a pass runs for it. Every test runs
+with both wrapped, so that each micro-step is held to that predicate:
 
 - a pass is skipped only when nothing is pending;
 - nothing is pending after a pass, and a routing set the pass records
@@ -21,12 +23,7 @@ import pytest
 from olsrv2sim import topology
 from olsrv2sim.engine import Router
 
-
-def _state(r):
-    """The state a maintenance pass may write, in iteration order."""
-    return (list(r.ls.items()), list(r.twohop_set.items()),
-            list(r.arrs.items()), list(r.rts.items()), list(r.rs.items()),
-            r.ansn, r.advertised)
+from oracles import pass_state
 
 
 @pytest.fixture(autouse=True)
@@ -51,7 +48,7 @@ def oracle_mode(monkeypatch):
 
     def checked_run(self):
         idle = not self.updates_pending()
-        before = _state(self) if idle else None
+        before = pass_state(self) if idle else None
         memo = self._opt_edges
         run(self)
         if self._opt_edges is not memo:
@@ -63,7 +60,7 @@ def oracle_mode(monkeypatch):
             f"router {self.ip} at t={self.now}: updates_pending() holds"
             " after a pass")
         if idle:
-            assert _state(self) == before, (
+            assert pass_state(self) == before, (
                 f"router {self.ip} at t={self.now}: a pass with nothing"
                 " pending changed state")
             seen["idle"] += 1

@@ -228,6 +228,13 @@ def ref_updates_pending(router) -> bool:
     return not topology.is_optimal_over(router.ip, edges, router.rs)
 
 
+def pass_state(router):
+    """The state a maintenance pass may write, in iteration order."""
+    return (list(router.ls.items()), list(router.twohop_set.items()),
+            list(router.arrs.items()), list(router.rts.items()),
+            list(router.rs.items()), router.ansn, router.advertised)
+
+
 # ---------------------------------------------------------------------------
 # Random connected scenarios
 # ---------------------------------------------------------------------------

@@ -250,6 +250,30 @@ def test_window_below_one_exit_two(tmp_path, capsys, window):
         assert f"error: --window must be >= 1, got {window}" in cap.err
 
 
+@pytest.mark.parametrize("command,budget", [("run", 6), ("check", 400)])
+def test_events_past_the_budget_warn(tmp_path, capsys, command, budget):
+    # the last tick run is budget - 1, so an event at the budget or later
+    # is never applied: it is named on stderr, and stdout and the exit
+    # code are those of the scenario without it
+    early = MINIMAL + f"at {budget - 1} metric a b 2\n"
+    late = early + (f"at {budget} linkdown a b\n"
+                    f"at {budget + 3} linkup b a 4\n")
+    argv = [command, "--ticks", str(budget), "--scenario"]
+    rc_early = main(argv + [write(tmp_path, early, "early.txt")])
+    cap_early = capsys.readouterr()
+    rc_late = main(argv + [write(tmp_path, late, "late.txt")])
+    cap_late = capsys.readouterr()
+    assert (rc_late, cap_late.out) == (rc_early, cap_early.out)
+    assert "warning" not in cap_early.err
+    warnings = [line for line in cap_late.err.splitlines()
+                if line.startswith("warning:")]
+    assert warnings == [
+        f"warning: event at t={budget} (linkdown a b) is at or after the"
+        f" tick budget {budget} and is never applied",
+        f"warning: event at t={budget + 3} (linkup b a) is at or after the"
+        f" tick budget {budget} and is never applied"]
+
+
 def test_check_fig3_verdicts(tmp_path, capsys):
     path = write(tmp_path, FIG3_SCENARIO)
     assert main(["check", "--scenario", path]) == 0

@@ -509,6 +509,122 @@ def test_tc_refresh_with_shorter_validity_purges_on_time():
         assert ("c" in r.rs) == (now < 120), now
 
 
+def linked_hello(originator="b", vt=14, **kw):
+    """b's HELLO once the link is symmetric: it lists a and 2-hop c."""
+    fields = dict(statuses={"a": Status.SYMMETRIC, "c": Status.SYMMETRIC},
+                  in_metrics={"a": 4, "c": 2}, out_metrics={"a": 4, "c": 6})
+    fields.update(kw)
+    return hello(originator, vt, **fields)
+
+
+def linked_router():
+    """a at t=100, symmetric with b (which lists c) and hearing e, right
+    after a pass: every stored time is 114 or later."""
+    r = mk_router("a", start_time=100)
+    silent(r)
+    r.process_hello(hello(statuses={"a": Status.HEARD}), 4)
+    r.process_hello(linked_hello(), 4)
+    r.process_hello(hello("e"), 4)
+    r.run_update_info()
+    assert not r._dirty and r._next_expiry == 114
+    assert ("b", "c") in r.twohop_set and r.ls["e"].status(100) == Status.HEARD
+    return r
+
+
+def refresh(r):
+    """The HELLOs b and e send next: they only move times later."""
+    r.process_hello(linked_hello(), 4)
+    r.process_hello(hello("e"), 4)
+
+
+def stored_times(r):
+    lts = [(lt.symmetric_time, lt.heard_time, lt.validity_time)
+           for lt in r.ls.values()]
+    return [t for ts in lts for t in ts] + [
+        n2.validity_time for n2 in r.twohop_set.values()]
+
+
+def test_refresh_only_hello_moves_times_not_the_dirty_bit():
+    r = linked_router()
+    r.now = 103
+    refresh(r)
+    assert not r._dirty
+    assert r.ls["b"].symmetric_time == r.twohop_set[("b", "c")].validity_time
+    assert r.ls["b"].symmetric_time == 117 and r.ls["e"].heard_time == 117
+    assert r._next_expiry <= min(t for t in stored_times(r) if t > r.now)
+    # a shorter validity moves b's symmetric time and c's row earlier
+    # than any time stored before; still nothing to do until then
+    r.now = 104
+    r.process_hello(linked_hello(vt=5), 4)
+    assert not r._dirty and r._next_expiry == 109
+    for now in range(105, 112):
+        r.now = now
+        r.step_main()
+        assert (("b", "c") in r.twohop_set) == (now < 109), now
+        assert (r.ls["b"].status(now) == Status.SYMMETRIC) == (now < 109)
+
+
+# Each write a pass can act on, applied at t=103 to linked_router(). A
+# new link tuple with any positive validity also changes status (LOST
+# to HEARD), so only a zero-validity HELLO shows creation on its own.
+HELLO_TRIGGERS = {
+    "creates the link tuple": hello("d", vt=0),
+    "HEARD becomes SYMMETRIC": hello("e", statuses={"a": Status.HEARD}),
+    "LOST downgrade": linked_hello(statuses={"a": Status.LOST}),
+    "selects a as flooding MPR": linked_hello(mprs={"a": MprRole.FLOODING}),
+    "selects a as routing MPR": linked_hello(mprs={"a": MprRole.ROUTING}),
+    "changes out_metric": linked_hello(in_metrics={"a": 9, "c": 2}),
+    "creates a 2-hop tuple": linked_hello(statuses={"a": Status.SYMMETRIC,
+                                                    "c": Status.SYMMETRIC,
+                                                    "d": Status.SYMMETRIC}),
+    "changes a 2-hop in_metric": linked_hello(in_metrics={"a": 4, "c": 3}),
+    "changes a 2-hop out_metric": linked_hello(out_metrics={"a": 4, "c": 7}),
+}
+
+
+@pytest.mark.parametrize("trigger", HELLO_TRIGGERS)
+def test_hello_that_a_pass_can_act_on_sets_the_dirty_bit(trigger):
+    r = linked_router()
+    r.now = 103
+    before = oracles.pass_state(r)
+    r.process_hello(HELLO_TRIGGERS[trigger], 4)
+    assert r._dirty and oracles.pass_state(r) != before
+
+
+def test_stale_expiry_runs_no_pass_until_the_refreshed_time(oracle_mode):
+    r = linked_router()
+    passes = []
+    run = r.run_update_info
+    r.run_update_info = lambda: (passes.append(r.now), run())
+    r.now = 103
+    refresh(r)
+    for now in range(104, 117):
+        r.now = now
+        skipped = oracle_mode[False]
+        r.step_main()
+        assert oracle_mode[False] == skipped + 1, now
+    # the tick the first pass set _next_expiry to has passed; the times
+    # the refresh stored, 117 and later, were looked up instead
+    assert passes == [] and r._next_expiry == 117
+    r.now = 117
+    r.step_main()
+    assert passes == [117]
+    assert ("b", "c") not in r.twohop_set and "c" not in r.rs
+
+
+def test_pass_with_nothing_pending_changes_nothing(oracle_mode):
+    r = linked_router()
+    r.process_tc(tc(originator="b", dests={"c": 2, "x": 5}))
+    r.run_update_info()
+    assert set(r.rs) == {"b", "c", "x"} and r.ls["b"].fmpr
+    before = oracles.pass_state(r)
+    assert not r.updates_pending()
+    idle = oracle_mode["idle"]
+    r.run_update_info()
+    assert oracle_mode["idle"] == idle + 1
+    assert oracles.pass_state(r) == before
+
+
 def churn_events(rng, links, ticks):
     """Down/up cycles on some directed links, metric changes on others."""
     links = list(links)
