@@ -31,19 +31,26 @@ So after a pass nothing is pending until the state is written in a
 way the predicate can see, or the clock reaches the smallest stored
 time that was still in the future.
 
-A write sets the dirty bit only when it can change what a pass does: a
-HELLO that creates the link tuple, changes its status at now, its
-MPR-selector flags or its out_metric, or creates a 2-hop tuple or
-changes its metrics; a TC that changes the advertised rows. Times
-aside, these are the only inputs of updates_pending() the two write.
-Any other write only moves stored times, and lowers the "next expiry"
-tick to each new time that is in the future. A refresh can also move a
-time that next expiry still points at, so when now reaches it the
-smallest stored time after the last pass is looked up again. step_main
-runs the pass when the bit is set or now has reached that time. The
-full predicate is the tests' oracle: they assert that a skipped pass
-had nothing pending, that nothing is pending after a pass, and that a
-pass entered with nothing pending changes nothing.
+A write marks a pass only when it can change what a pass does. A
+HELLO sets the dirty bit, which marks the full pass, when its link
+tuple enters or leaves SYMMETRIC, changes its MPR-selector flags, or
+changes its out_metric while SYMMETRIC; when it creates a link tuple
+that is SYMMETRIC, carries a selector flag or has already expired; or
+when it creates a 2-hop tuple or changes its metrics. A TC that changes
+the advertised rows marks only the pass's topology half (purge the
+advertising-router and topology sets, then recompute routes): neither
+the MPR sets nor ansn read those sets. Times aside, these are the only
+inputs of updates_pending() the two write. Any other write only moves
+stored times, and lowers the "next expiry" tick to each new time that
+is in the future. A refresh can also move a time that next expiry
+still points at, so when now reaches it the smallest stored time after
+the last full pass is looked up again. step_main runs the full pass
+when the bit is set or now has reached that time, and otherwise the
+topology half alone when a TC marked it; the full pass ends with the
+same half. The full predicate is the tests' oracle: they assert that a
+skipped pass had nothing pending, that nothing is pending after a
+pass, full or topology-only, and that a pass entered with nothing
+pending changes nothing.
 """
 from __future__ import annotations
 
@@ -150,9 +157,11 @@ class Router:
         self._hello_fire = self.hello_time - self._rng.randrange(cfg.hp_maxjitter)
         self._tc_fire = self.tc_time - self._rng.randrange(cfg.tp_maxjitter)
         # a write since the last maintenance pass that can change what
-        # a pass does, the tick of that pass, and a tick no later than
+        # the full pass does, one that only its topology half can act
+        # on, the tick of the last full pass, and a tick no later than
         # the smallest stored time after it
         self._dirty = True
+        self._topology_dirty = False
         self._last_pass: TimeValue = NEG_INF
         self._next_expiry: TimeValue = NEG_INF
         # last verified-optimal (edge universe, routing set) pair: while
@@ -200,8 +209,8 @@ class Router:
         for ar in self.arrs.values():
             if ar.validity_time <= now:
                 return True
-        for tr in self.rts.values():
-            if tr.validity_time <= now:
+        for vt, _ in self.rts.values():
+            if vt <= now:
                 return True
         edges = topology.link_universe(self.ip, self.ls, self.rts, now)
         if edges == self._opt_edges and self.rs == self._opt_rs:
@@ -212,13 +221,16 @@ class Router:
         return not ok
 
     def _maintenance_due(self) -> bool:
-        """Was state written, or a stored time reached, since the last pass?
+        """Is the full pass due: was state written that it can act on,
+        or a stored time reached, since the last full pass?
 
-        A write that can change what a pass does sets the dirty bit; one
+        A HELLO that can change what the full pass does sets the dirty
+        bit. A TC that changed rows does not: it marks only the topology
+        half, which step_main runs on its own when this says no. A write
         that only moves stored times lowers _next_expiry to them. A
         refresh may since have moved the time _next_expiry was set for,
         so once now reaches it the smallest stored time after the last
-        pass is looked up again, and the pass runs only if now has
+        full pass is looked up again, and the pass runs only if now has
         reached that one too. >= because a busy router skips ticks.
         """
         if self._dirty:
@@ -235,14 +247,18 @@ class Router:
             for t in (lt.symmetric_time, lt.heard_time, lt.validity_time):
                 if now < t < nxt:
                     nxt = t
-        for tuples in (self.twohop_set, self.arrs, self.rts):
+        for tuples in (self.twohop_set, self.arrs):
             for tup in tuples.values():
                 if now < tup.validity_time < nxt:
                     nxt = tup.validity_time
+        for vt, _ in self.rts.values():
+            if now < vt < nxt:
+                nxt = vt
         return nxt
 
     def run_update_info(self) -> None:
-        """Purge, reselect MPRs, refresh ansn, recompute routes (in order).
+        """The full pass: purge, reselect MPRs, refresh ansn, then the
+        topology half (in order).
 
         Afterwards nothing is pending until the next write or until the
         clock reaches the new _next_expiry.
@@ -250,14 +266,27 @@ class Router:
         now = self.now
         neighborhood.purge_link_set(self.ls, now)
         neighborhood.purge_2hop_set(self.ls, self.twohop_set, now)
-        topology.purge_advertising_routers(self.arrs, now)
-        topology.purge_router_topology(self.rts, now)
         neighborhood.update_fmprs(self.ls, self.twohop_set, now)
         neighborhood.update_rmprs(self.ls, self.twohop_set, now,
                                   self.bug_mode)
         self.ansn = topology.increment_ansn(self.ls, self.advertised,
                                             self.ansn)
         self.advertised = topology.rmpr_selectors(self.ls)
+        self.run_topology_update()
+        self._dirty = False
+        self._last_pass = now
+        self._next_expiry = self._expiry_after(now)
+
+    def run_topology_update(self) -> None:
+        """The topology half of the pass: purge arrs/rts, recompute routes.
+
+        Neither the MPR sets nor ansn read arrs or rts, so after a TC
+        that changed rows, with no other write and no stored time
+        reached, this half alone restores consistency.
+        """
+        now = self.now
+        topology.purge_advertising_routers(self.arrs, now)
+        topology.purge_router_topology(self.rts, now)
         edges = topology.link_universe(self.ip, self.ls, self.rts, now)
         if edges != self._opt_edges or self.rs != self._opt_rs:
             new_rs = topology.update_routing_set(self.ip, edges, self.rs)
@@ -267,9 +296,7 @@ class Router:
                                    for d in sorted(self.rs))
                 self.trace("ROUTE_CHANGE", f"rs=[{detail}]")
             self._opt_edges, self._opt_rs = edges, dict(self.rs)
-        self._dirty = False
-        self._last_pass = now
-        self._next_expiry = self._expiry_after(now)
+        self._topology_dirty = False
 
     # -- message processing ----------------------------------------------
 
@@ -317,9 +344,14 @@ class Router:
             lt.fmpr, lt.rmpr, fsel, rsel, lt.in_metric,
             msg.in_metrics.get(ip, lt.out_metric))
         self.ls[moip] = new
-        dirty = (created or new.status(now) != lt.status(now)
+        # a pass reads a link's status only as "SYMMETRIC or not", and
+        # its out_metric only while it is SYMMETRIC; a created tuple
+        # starts out LOST with no flags and an infinite out_metric
+        sym = new.status(now) == Status.SYMMETRIC
+        dirty = (sym != (lt.status(now) == Status.SYMMETRIC)
                  or fsel != lt.fmpr_selector or rsel != lt.rmpr_selector
-                 or new.out_metric != lt.out_metric)
+                 or (sym and new.out_metric != lt.out_metric)
+                 or new.validity_time <= now)
         written = [sym_time, heard_time, new.validity_time]
         if sym_time > now:
             ths = self.twohop_set
@@ -375,7 +407,7 @@ class Router:
         if topology.update_router_topology(
                 self.ip, self.rts, msg.originator, msg.validity, msg.dests,
                 self.now):
-            self._dirty = True
+            self._topology_dirty = True
         # the rows' new validity time may come before every stored one
         self._next_expiry = min(self._next_expiry, self.now + msg.validity)
         self._forward_tc(msg)
@@ -420,6 +452,8 @@ class Router:
                     f"router {self.ip}: micro-step cap exceeded at t={self.now}")
             if self._maintenance_due():
                 self.run_update_info()
+            elif self._topology_dirty:
+                self.run_topology_update()
             if self.send_time == self.now:
                 emitted = self.pkt
                 self.pkt = []

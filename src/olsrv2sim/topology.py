@@ -1,9 +1,13 @@
 """Topology information base and routing-set computation.
 
-Advertising-router sets are maps oip -> AdvertisingRouterTuple, router
-topology sets are maps (from_oip, dest_oip) -> TopologyTuple, routing
-sets are maps dest -> Route. The update and purge functions change the
-sets they are given in place.
+Advertising-router sets are maps oip -> AdvertisingRouterTuple and
+routing sets are maps dest -> Route. A router topology set is a map
+from_oip -> (validity_time, {dest_oip: metric}): a TC replaces all of
+its originator's rows at once and gives them one validity time, so the
+set is held by originator, an accepted TC costs O(|advertised set|) and
+a purge O(#originators). An originator with no rows has no entry. The
+update and purge functions change the sets they are given in place;
+the rows map stored for an originator is never mutated, only replaced.
 
 Optimality of a routing set is defined over the link universe known to
 one router: its own symmetric links plus every advertised topology row.
@@ -15,13 +19,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import AbstractSet, FrozenSet
+from typing import AbstractSet, FrozenSet, Optional
 
 from .messages import (INF, Metric, NodeId, Sqn, Status, TimeValue,
                        render_metric, render_time)
 
 ArSet = dict      # dict[NodeId, AdvertisingRouterTuple]
-TrSet = dict      # dict[tuple[NodeId, NodeId], TopologyTuple]
+TrSet = dict      # dict[NodeId, tuple[TimeValue, dict[NodeId, Metric]]]
 RoutingSet = dict  # dict[NodeId, Route]
 
 
@@ -30,14 +34,6 @@ class AdvertisingRouterTuple:
     oip: NodeId
     ansn: Sqn
     validity_time: TimeValue
-
-
-@dataclass(frozen=True)
-class TopologyTuple:
-    from_oip: NodeId
-    dest_oip: NodeId
-    validity_time: TimeValue
-    metric: Metric
 
 
 @dataclass(frozen=True)
@@ -60,11 +56,10 @@ def update_router_topology(ip: NodeId, rts: TrSet, moip: NodeId,
     Returns whether moip's (dest, metric) rows changed; False means the
     message only refreshed their validity time.
     """
-    old = {key[1]: rts.pop(key).metric
-           for key in [key for key in rts if key[0] == moip]}
+    old = rts.pop(moip, (None, {}))[1]
     new = {d: m for d, m in dests.items() if d != ip}
-    for d, m in new.items():
-        rts[(moip, d)] = TopologyTuple(moip, d, now + vtime, m)
+    if new:
+        rts[moip] = (now + vtime, new)
     return new != old
 
 
@@ -74,8 +69,8 @@ def purge_advertising_routers(arrs: ArSet, now: TimeValue) -> None:
 
 
 def purge_router_topology(rts: TrSet, now: TimeValue) -> None:
-    for key in [key for key, tr in rts.items() if tr.validity_time <= now]:
-        del rts[key]
+    for oip in [oip for oip, (vt, _) in rts.items() if vt <= now]:
+        del rts[oip]
 
 
 def rmpr_selectors(ls: dict) -> FrozenSet[NodeId]:
@@ -107,8 +102,9 @@ def link_universe(ip: NodeId, ls: dict, rts: TrSet,
         if key not in edges or m < edges[key]:
             edges[key] = m
 
-    for tr in rts.values():
-        add(tr.from_oip, tr.dest_oip, tr.metric)
+    for src, (_, dests) in rts.items():
+        for dst, m in dests.items():
+            add(src, dst, m)
     for lt in ls.values():
         if lt.status(now) == Status.SYMMETRIC:
             add(ip, lt.oip, lt.out_metric)
@@ -133,42 +129,62 @@ def _dijkstra(edges: dict, source: NodeId) -> dict:
     return dist
 
 
-def is_optimal_over(ip: NodeId, edges: dict, rs: RoutingSet) -> bool:
+def is_optimal_over(ip: NodeId, edges: dict, rs: RoutingSet,
+                    dist: Optional[dict] = None) -> bool:
     """Membership test for the set of optimal routing sets over edges.
 
-    edges is a link universe (see link_universe). rs must hold exactly
-    one shortest route per reachable destination (destinations other
-    than ip with finite distance), with a first hop that actually
-    starts a witnessing shortest path.
+    edges is a link universe (see link_universe) and dist, if given,
+    its _dijkstra distances from ip. rs must hold exactly one shortest
+    route per reachable destination (destinations other than ip with
+    finite distance), with a first hop that actually starts a
+    witnessing shortest path. Metrics are positive, so (ip, h) starts a
+    shortest path to d exactly when dist[h] is the metric of (ip, h)
+    and d is reachable from h over tight edges, those (u, v) with
+    dist[u] + w == dist[v]: one Dijkstra answers every route.
     """
-    dist = _dijkstra(edges, ip)
-    reachable = {d for d in dist if d != ip}
-    if set(rs.keys()) != reachable:
+    if dist is None:
+        dist = _dijkstra(edges, ip)
+    if rs.keys() != dist.keys() - {ip}:
         return False
-    via_cache: dict = {}
+    tight: dict = {}
+    for (u, v), w in edges.items():
+        du = dist.get(u)
+        if du is not None and du + w == dist[v]:
+            tight.setdefault(u, []).append(v)
+    reach: dict = {}   # first hop -> nodes its tight paths reach
     for dest, route in rs.items():
+        hop = route.next_hop
         if route.dest != dest or route.metric != dist[dest]:
             return False
-        w = edges.get((ip, route.next_hop))
-        if w is None:
-            return False
-        if route.next_hop not in via_cache:
-            via_cache[route.next_hop] = _dijkstra(edges, route.next_hop)
-        if w + via_cache[route.next_hop].get(dest, INF) != route.metric:
+        seen = reach.get(hop)
+        if seen is None:
+            w = edges.get((ip, hop))
+            if w is None or w != dist[hop]:
+                return False
+            seen = reach[hop] = {hop}
+            todo = [hop]
+            while todo:
+                for v in tight.get(todo.pop(), ()):
+                    if v not in seen:
+                        seen.add(v)
+                        todo.append(v)
+        if dest not in seen:
             return False
     return True
 
 
-def choose_optimal(ip: NodeId, edges: dict) -> RoutingSet:
+def choose_optimal(ip: NodeId, edges: dict,
+                   dist: Optional[dict] = None) -> RoutingSet:
     """Canonical optimal routing set over a link universe.
 
-    Runs Dijkstra from ip and then picks, for every node, the
-    lexicographically smallest predecessor consistent with the final
-    distances; the route's next hop is read off the resulting
-    predecessor chain. Deterministic, so repeated runs give identical
-    traces.
+    Runs Dijkstra from ip, unless its distances come in as dist, and
+    then picks, for every node, the lexicographically smallest
+    predecessor consistent with the final distances; the route's next
+    hop is read off the resulting predecessor chain. Deterministic, so
+    repeated runs give identical traces.
     """
-    dist = _dijkstra(edges, ip)
+    if dist is None:
+        dist = _dijkstra(edges, ip)
     incoming: dict = {}
     for (src, dst), w in edges.items():
         incoming.setdefault(dst, []).append((src, w))
@@ -191,17 +207,24 @@ def choose_optimal(ip: NodeId, edges: dict) -> RoutingSet:
 
 def update_routing_set(ip: NodeId, edges: dict,
                        rs: RoutingSet) -> RoutingSet:
-    """Keep rs when it is still optimal, otherwise choose_optimal's set."""
-    if is_optimal_over(ip, edges, rs):
+    """Keep rs when it is still optimal, otherwise choose_optimal's set.
+
+    One Dijkstra from ip serves both the test and the choice.
+    """
+    dist = _dijkstra(edges, ip)
+    if is_optimal_over(ip, edges, rs, dist):
         return rs
-    return choose_optimal(ip, edges)
+    return choose_optimal(ip, edges, dist)
 
 
 # --- trace rendering ---------------------------------------------------
 
-def render_topology_tuple(tr: TopologyTuple) -> str:
-    return (f"RT {tr.from_oip} -> {tr.dest_oip}"
-            f" m={render_metric(tr.metric)} vt={render_time(tr.validity_time)}")
+def render_topology_tuple(from_oip: NodeId, dest_oip: NodeId,
+                          metric: Metric, validity_time: TimeValue) -> str:
+    """One row of a router topology set: rts[from_oip] holds
+    (validity_time, {..., dest_oip: metric, ...})."""
+    return (f"RT {from_oip} -> {dest_oip}"
+            f" m={render_metric(metric)} vt={render_time(validity_time)}")
 
 
 def render_route(r: Route) -> str:

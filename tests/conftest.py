@@ -1,29 +1,33 @@
-"""Suite-wide oracle mode for the router's maintenance pass.
+"""Suite-wide oracle mode for the router's maintenance passes.
 
-Router.step_main runs the pass run_update_info() when
-Router._maintenance_due() says state was written in a way a pass can
-act on, or a stored time was reached, since the last pass; it never
-evaluates the full updates_pending() predicate. A HELLO that only moves
-times later sets no dirty bit, and an expiry tick a refresh has since
-moved is looked up again before a pass runs for it. Every test runs
-with both wrapped, so that each micro-step is held to that predicate:
+Router.step_main runs the full pass run_update_info() when
+Router._maintenance_due() says state was written in a way the full pass
+can act on, or a stored time was reached, since the last full pass.
+Otherwise, after a TC that changed the advertised rows, it runs only
+the pass's topology half, run_topology_update(). It never evaluates the
+full updates_pending() predicate. A HELLO that only moves times later
+marks no pass, and an expiry tick a refresh has since moved is looked
+up again before a pass runs for it. Every test runs with all three
+wrapped, so that each micro-step is held to that predicate:
 
-- a pass is skipped only when nothing is pending;
+- a pass (full or topology-only) is skipped only when nothing is
+  pending;
 - nothing is pending after a pass, and a routing set the pass records
-  as optimal (the memo both share) is optimal;
+  as optimal (the memo both share) is optimal by the oracle's own
+  one-Dijkstra-per-first-hop test;
 - a pass entered while nothing was pending changes no state.
 
 The last one is why running a pass that is not needed leaves every
-trace unchanged.
+trace unchanged. The topology half the full pass calls is checked as
+part of that pass.
 """
 from collections import Counter
 
 import pytest
 
-from olsrv2sim import topology
 from olsrv2sim.engine import Router
 
-from oracles import pass_state
+from oracles import pass_state, ref_is_optimal_over
 
 
 @pytest.fixture(autouse=True)
@@ -31,40 +35,61 @@ def oracle_mode(monkeypatch):
     """Assert the three facts above at every micro-step.
 
     Yields a Counter a test can read to see the oracle exercised: True
-    for passes run, False for passes skipped, "idle" for passes run
-    while nothing was pending.
+    for full passes run, False for full passes skipped, "idle" for full
+    passes run while nothing was pending, "topology" for topology-only
+    passes and "topology idle" for those run while nothing was pending.
     """
     seen = Counter()
-    due, run = Router._maintenance_due, Router.run_update_info
+    due = Router._maintenance_due
+    run, run_topology = Router.run_update_info, Router.run_topology_update
+    in_full_pass = []
 
     def checked_due(self):
         got = due(self)
-        if not got:
+        if not got and not self._topology_dirty:
             assert not self.updates_pending(), (
                 f"router {self.ip} at t={self.now}: pass skipped while"
                 " updates_pending() holds")
         seen[got] += 1
         return got
 
-    def checked_run(self):
+    def checked(self, pass_fn, kind):
         idle = not self.updates_pending()
         before = pass_state(self) if idle else None
         memo = self._opt_edges
-        run(self)
+        pass_fn(self)
         if self._opt_edges is not memo:
-            assert topology.is_optimal_over(self.ip, self._opt_edges,
-                                            self._opt_rs), (
-                f"router {self.ip} at t={self.now}: the pass recorded a"
+            assert ref_is_optimal_over(self.ip, self._opt_edges,
+                                       self._opt_rs), (
+                f"router {self.ip} at t={self.now}: the {kind} recorded a"
                 " routing set that is not optimal")
         assert not self.updates_pending(), (
             f"router {self.ip} at t={self.now}: updates_pending() holds"
-            " after a pass")
+            f" after a {kind}")
         if idle:
             assert pass_state(self) == before, (
-                f"router {self.ip} at t={self.now}: a pass with nothing"
+                f"router {self.ip} at t={self.now}: a {kind} with nothing"
                 " pending changed state")
+        return idle
+
+    def checked_run(self):
+        in_full_pass.append(self)
+        try:
+            idle = checked(self, run, "pass")
+        finally:
+            in_full_pass.pop()
+        if idle:
             seen["idle"] += 1
+
+    def checked_run_topology(self):
+        if in_full_pass:
+            run_topology(self)
+            return
+        if checked(self, run_topology, "topology-only pass"):
+            seen["topology idle"] += 1
+        seen["topology"] += 1
 
     monkeypatch.setattr(Router, "_maintenance_due", checked_due)
     monkeypatch.setattr(Router, "run_update_info", checked_run)
+    monkeypatch.setattr(Router, "run_topology_update", checked_run_topology)
     yield seen

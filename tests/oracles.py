@@ -173,6 +173,37 @@ def simple_path_dists(edges: dict, source) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Routing-set optimality, one Dijkstra per first hop
+# ---------------------------------------------------------------------------
+
+def ref_is_optimal_over(ip, edges: dict, rs: dict) -> bool:
+    """Is rs one shortest route per reachable destination over edges?
+
+    Each route's first hop h is judged by a Dijkstra run from h itself:
+    the route is optimal when the metric of (ip, h) plus h's own
+    distance to the destination equals ip's distance to it. The library
+    reads the same verdict off the one Dijkstra from ip.
+    """
+    dist = topology._dijkstra(edges, ip)
+    reachable = {d for d in dist if d != ip}
+    if set(rs.keys()) != reachable:
+        return False
+    via_cache = {}
+    for dest, route in rs.items():
+        if route.dest != dest or route.metric != dist[dest]:
+            return False
+        w = edges.get((ip, route.next_hop))
+        if w is None:
+            return False
+        if route.next_hop not in via_cache:
+            via_cache[route.next_hop] = topology._dijkstra(edges,
+                                                           route.next_hop)
+        if w + via_cache[route.next_hop].get(dest, INF) != route.metric:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # The consistency-check predicate, composed literally
 # ---------------------------------------------------------------------------
 
@@ -201,6 +232,11 @@ def ref_unexpired(tuples, now):
     return {key: t for key, t in tuples.items() if t.validity_time > now}
 
 
+def ref_unexpired_topology(rts, now):
+    """The router topology set without originators whose rows expired."""
+    return {oip: entry for oip, entry in rts.items() if entry[0] > now}
+
+
 def ref_updates_pending(router) -> bool:
     """Disjunction of the eight maintenance conditions, one by one."""
     now = router.now
@@ -211,7 +247,7 @@ def ref_updates_pending(router) -> bool:
         return True
     if ref_unexpired(router.arrs, now) != router.arrs:
         return True
-    if ref_unexpired(router.rts, now) != router.rts:
+    if ref_unexpired_topology(router.rts, now) != router.rts:
         return True
     flagged_f = frozenset(o for o, lt in router.ls.items() if lt.fmpr)
     if flagged_f not in ref_all_valid(router.ls, router.twohop_set, now,
@@ -225,7 +261,7 @@ def ref_updates_pending(router) -> bool:
     if selectors != router.advertised:
         return True
     edges = topology.link_universe(router.ip, router.ls, router.rts, now)
-    return not topology.is_optimal_over(router.ip, edges, router.rs)
+    return not ref_is_optimal_over(router.ip, edges, router.rs)
 
 
 def pass_state(router):

@@ -5,17 +5,20 @@ The central test here checks updates_pending() against a literal
 re-composition of its eight conditions (oracles.ref_updates_pending)
 on several hundred randomized router states.
 """
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
+from olsrv2sim import neighborhood
 from olsrv2sim.engine import (ConfigError, EngineDiagnostic, Router,
                               RouterConfig, init_router, validate_config)
 from olsrv2sim.messages import (INF, NEG_INF, Hello, MprRole, Status, Tc,
                                 make_hello)
 from olsrv2sim.neighborhood import LinkTuple, TwoHopTuple
 from olsrv2sim.simnet import TopologyEvent, build_network
-from olsrv2sim.topology import (AdvertisingRouterTuple, Route, TopologyTuple,
+from olsrv2sim.topology import (AdvertisingRouterTuple, Route,
                                 choose_optimal, link_universe,
                                 rmpr_selectors)
 
@@ -110,10 +113,10 @@ def scramble(rng, r):
         if rng.random() < 0.4:
             r.arrs[oip] = AdvertisingRouterTuple(
                 oip, rng.randrange(3), now + rng.randint(-5, 40))
-        for dst in names:
-            if dst != oip and rng.random() < 0.2:
-                r.rts[(oip, dst)] = TopologyTuple(
-                    oip, dst, now + rng.randint(-5, 40), rng.randint(1, 9))
+        dests = {dst: rng.randint(1, 9) for dst in names
+                 if dst != oip and rng.random() < 0.2}
+        if dests:
+            r.rts[oip] = (now + rng.randint(-5, 40), dests)
     pick = rng.random()
     if pick < 0.4:
         r.rs = choose_optimal(r.ip, link_universe(r.ip, r.ls, r.rts, now))
@@ -272,6 +275,11 @@ def tc(originator="x", sender="b", vt=40, seq=0, ansn=0, dests=None):
               dests if dests is not None else {"y": 3})
 
 
+def rows(r):
+    """The (originator, destination) pairs of r's router topology set."""
+    return {(oip, d) for oip, (_, dests) in r.rts.items() for d in dests}
+
+
 def symmetric_selector_router(ip="a"):
     r = mk_router(ip)
     r.ls = {"b": sym("b", fsel=True), "c": sym("c")}
@@ -282,7 +290,7 @@ def test_tc_fresh_message_stored_and_forwarded():
     r = symmetric_selector_router()
     r.process_tc(tc(dests={"y": 3, "a": 9}))
     assert r.arrs["x"].ansn == 0
-    assert set(r.rts) == {("x", "y")}       # rows about self skipped
+    assert r.rts == {"x": (r.now + 40, {"y": 3})}   # rows about self skipped
     assert r.ps == {("x", 0)} and r.rxs == {("x", 0)}
     assert len(r.pkt) == 1
     fwd = r.pkt[0]
@@ -305,7 +313,7 @@ def test_tc_from_nonsymmetric_sender_not_processed():
     # still requires a symmetric sender
     r2 = mk_router("a", process_tc_from_unknown=True)
     r2.process_tc(tc(sender="stranger"))
-    assert "x" in r2.arrs and ("x", "y") in r2.rts
+    assert "x" in r2.arrs and rows(r2) == {("x", "y")}
     assert not r2.pkt
 
 
@@ -316,7 +324,7 @@ def test_tc_duplicate_forwarded_once_never_reprocessed():
     # same (originator, seq) again via another symmetric neighbor:
     # content ignored, and rxs suppresses the second forward
     r.process_tc(tc(sender="c", seq=4, dests={"zzz": 1}))
-    assert set(r.rts) == {("x", "y")}
+    assert rows(r) == {("x", "y")}
     assert len(r.pkt) == 1
 
 
@@ -325,7 +333,7 @@ def test_tc_stale_ansn_ignored_but_forwarded():
     r.process_tc(tc(seq=1, ansn=5, dests={"y": 3}))
     r.process_tc(tc(seq=2, ansn=4, dests={"zzz": 1}))
     assert r.arrs["x"].ansn == 5
-    assert set(r.rts) == {("x", "y")}
+    assert rows(r) == {("x", "y")}
     assert len(r.pkt) == 2          # both were forwardable
     assert r.ps == {("x", 1), ("x", 2)}
 
@@ -334,7 +342,7 @@ def test_tc_equal_ansn_refreshes_content():
     r = symmetric_selector_router()
     r.process_tc(tc(seq=1, ansn=5, dests={"y": 3}))
     r.process_tc(tc(seq=2, ansn=5, dests={"z": 8}))
-    assert set(r.rts) == {("x", "z")}
+    assert rows(r) == {("x", "z")}
 
 
 def test_tc_forwarding_gates():
@@ -495,17 +503,17 @@ def test_tc_refresh_with_shorter_validity_purges_on_time():
                            1, 1)}
     r.enqueue_delivery([Tc("b", "b", 40, 0, 0, {"c": 3})], 1)
     r.step_main()
-    assert r.rts[("b", "c")].validity_time == 140 and "c" in r.rs
+    assert r.rts["b"] == (140, {"c": 3}) and "c" in r.rs
     # identical rows, shorter validity: nothing to recompute, but the
     # rows now expire at 120 instead of 140
     r.now = 110
     r.enqueue_delivery([Tc("b", "b", 10, 1, 0, {"c": 3})], 1)
     r.step_main()
-    assert r.rts[("b", "c")].validity_time == 120
+    assert r.rts["b"] == (120, {"c": 3})
     for now in range(111, 125):
         r.now = now
         r.step_main()
-        assert (("b", "c") in r.rts) == (now < 120), now
+        assert ("b" in r.rts) == (now < 120), now
         assert ("c" in r.rs) == (now < 120), now
 
 
@@ -564,11 +572,16 @@ def test_refresh_only_hello_moves_times_not_the_dirty_bit():
         assert (r.ls["b"].status(now) == Status.SYMMETRIC) == (now < 109)
 
 
-# Each write a pass can act on, applied at t=103 to linked_router(). A
-# new link tuple with any positive validity also changes status (LOST
-# to HEARD), so only a zero-validity HELLO shows creation on its own.
+# Each write a pass can act on, applied at t=103 to linked_router()
+# with no link hold time. A created link tuple marks a pass only when
+# it is SYMMETRIC, selects a as MPR or has already expired, as the one
+# a zero-validity HELLO creates does when there is no hold time.
 HELLO_TRIGGERS = {
     "creates the link tuple": hello("d", vt=0),
+    "creates a SYMMETRIC link tuple": hello("d",
+                                            statuses={"a": Status.HEARD}),
+    "creates a link tuple that selects a": hello(
+        "d", mprs={"a": MprRole.FLOODING}),
     "HEARD becomes SYMMETRIC": hello("e", statuses={"a": Status.HEARD}),
     "LOST downgrade": linked_hello(statuses={"a": Status.LOST}),
     "selects a as flooding MPR": linked_hello(mprs={"a": MprRole.FLOODING}),
@@ -586,9 +599,35 @@ HELLO_TRIGGERS = {
 def test_hello_that_a_pass_can_act_on_sets_the_dirty_bit(trigger):
     r = linked_router()
     r.now = 103
+    r.cfg = dataclasses.replace(r.cfg, l_hold_time=0)
     before = oracles.pass_state(r)
     r.process_hello(HELLO_TRIGGERS[trigger], 4)
     assert r._dirty and oracles.pass_state(r) != before
+
+
+# Writes a pass cannot act on, each at the tick given, right after a
+# pass: a pass reads a link's status only as SYMMETRIC or not, so a
+# created tuple that is neither SYMMETRIC nor selects a nor has expired
+# (zero validity, but the default hold time keeps it) only stores
+# times, and so does a LOST link heard again.
+HELLO_NON_TRIGGERS = {
+    "creates a HEARD link tuple": (103, hello("d")),
+    "creates a LOST link tuple": (103, hello("d", vt=0)),
+    "LOST becomes HEARD": (115, hello("e")),
+}
+
+
+@pytest.mark.parametrize("case", HELLO_NON_TRIGGERS)
+def test_hello_a_pass_cannot_act_on_only_moves_times(case):
+    now, msg = HELLO_NON_TRIGGERS[case]
+    r = linked_router()
+    r.now = now
+    r.run_update_info()
+    before = oracles.pass_state(r)
+    r.process_hello(msg, 4)
+    assert not r._dirty and oracles.pass_state(r) != before
+    assert not r.updates_pending()
+    assert r._next_expiry <= min(t for t in stored_times(r) if t > now)
 
 
 def test_stale_expiry_runs_no_pass_until_the_refreshed_time(oracle_mode):
@@ -623,6 +662,60 @@ def test_pass_with_nothing_pending_changes_nothing(oracle_mode):
     r.run_update_info()
     assert oracle_mode["idle"] == idle + 1
     assert oracles.pass_state(r) == before
+
+
+def count_pass_calls(monkeypatch, names):
+    """Count calls of neighborhood.<name>, except those the oracle's
+    updates_pending() makes."""
+    calls, in_oracle = Counter(), []
+    pending = Router.updates_pending
+
+    def oracle(self):
+        in_oracle.append(self)
+        try:
+            return pending(self)
+        finally:
+            in_oracle.pop()
+
+    monkeypatch.setattr(Router, "updates_pending", oracle)
+    for name in names:
+        def counted(*args, fn=getattr(neighborhood, name), name=name):
+            if not in_oracle:
+                calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(neighborhood, name, counted)
+    return calls
+
+
+def test_changed_rows_tc_runs_only_the_topology_half(oracle_mode,
+                                                     monkeypatch):
+    r = linked_router()
+    r.now = 103
+    calls = count_pass_calls(monkeypatch,
+                             ("is_valid_fmpr_set", "is_valid_rmpr_set"))
+    ls, ansn, advertised = dict(r.ls), r.ansn, r.advertised
+    r.enqueue_delivery([tc(originator="b", dests={"c": 2, "x": 5})], 4)
+    r.step_main()
+    assert set(r.rs) == {"b", "c", "x"}
+    assert oracle_mode["topology"] == 1 and oracle_mode[True] == 0
+    assert not calls
+    assert (r.ls, r.ansn, r.advertised) == (ls, ansn, advertised)
+    # in the same tick, a HELLO that sets the bit: the full pass runs,
+    # reselects MPRs and bumps ansn, and routes follow the new rows
+    r.process_tc(tc(originator="b", seq=1, dests={"c": 2, "y": 5}))
+    r.process_hello(linked_hello(mprs={"a": MprRole.ROUTING}), 4)
+    r.step_main()
+    assert oracle_mode[True] == 1 and oracle_mode["topology"] == 1
+    assert calls == {"is_valid_fmpr_set": 1, "is_valid_rmpr_set": 1}
+    assert set(r.rs) == {"b", "c", "y"} and r.ansn == ansn + 1
+    # a stored time reached in the same tick (e's heard time, 114) also
+    # runs the full pass
+    r.now = 114
+    r.process_tc(tc(originator="b", seq=2, dests={"c": 2, "z": 5}))
+    r.step_main()
+    assert oracle_mode[True] == 2 and oracle_mode["topology"] == 1
+    assert calls == {"is_valid_fmpr_set": 2, "is_valid_rmpr_set": 2}
+    assert set(r.rs) == {"b", "c", "z"}
 
 
 def churn_events(rng, links, ticks):
@@ -661,6 +754,8 @@ def test_fast_check_agrees_with_full_predicate_under_churn(oracle_mode,
         s.flags.update(flags)
         s.events = churn_events(rng, [(u, v) for u, v, _ in s.links], 240)
         build_network(s).run(240)
-    # passes that had work, passes that had none, and skipped passes
+    # passes that had work, passes that had none, skipped passes and
+    # topology-only passes after TCs that changed rows
     assert oracle_mode[True] - oracle_mode["idle"] > 50
     assert oracle_mode["idle"] > 0 and oracle_mode[False] > 1000
+    assert oracle_mode["topology"] > 0

@@ -1,15 +1,16 @@
 """Topology base, shortest paths, and routing-set optimality.
 
 The optimality predicate is cross-checked against a brute-force
-enumeration of simple paths (no Dijkstra, no shared code), both on
-optimal routing sets and on randomly mutated ones.
+enumeration of simple paths (no Dijkstra, no shared code) and against
+the oracles' one-Dijkstra-per-first-hop test, both on optimal routing
+sets and on randomly mutated ones.
 """
 import random
+from collections import Counter
 
 from olsrv2sim.messages import INF, NEG_INF, Status
 from olsrv2sim.neighborhood import LinkTuple
-from olsrv2sim.topology import (AdvertisingRouterTuple, Route, TopologyTuple,
-                                _dijkstra, choose_optimal, increment_ansn,
+from olsrv2sim.topology import (AdvertisingRouterTuple, Route, _dijkstra, choose_optimal, increment_ansn,
                                 is_optimal_over, link_universe,
                                 purge_advertising_routers,
                                 purge_router_topology, render_route,
@@ -27,8 +28,9 @@ def sym_link(oip, out_m, sym_time=NOW + 10):
                      False, False, 1, out_m)
 
 
-def tt(frm, to, m, vt=NOW + 50):
-    return TopologyTuple(frm, to, vt, m)
+def rows(dests, vt=NOW + 50):
+    """One originator's entry in a router topology set."""
+    return (vt, dict(dests))
 
 
 # --- information-base updates ----------------------------------------------
@@ -42,21 +44,24 @@ def test_update_advertising_routers_replaces_row():
 
 
 def test_update_router_topology_replaces_all_rows_of_originator():
-    rts = {("b", "x"): tt("b", "x", 1), ("c", "x"): tt("c", "x", 2)}
+    rts = {"b": rows({"x": 1}), "c": rows({"x": 2})}
     assert update_router_topology("me", rts, "b", vtime=30,
                                   dests={"y": 5, "me": 1}, now=NOW)
     # b's old rows are gone, rows about me are never stored
-    assert set(rts) == {("b", "y"), ("c", "x")}
-    assert rts[("b", "y")] == tt("b", "y", 5, NOW + 30)
+    assert rts == {"b": rows({"y": 5}, NOW + 30), "c": rows({"x": 2})}
     # the same rows again only refresh the validity time
     assert not update_router_topology("me", rts, "b", vtime=10,
                                       dests={"y": 5}, now=NOW + 1)
-    assert rts[("b", "y")] == tt("b", "y", 5, NOW + 11)
+    assert rts["b"] == rows({"y": 5}, NOW + 11)
     assert update_router_topology("me", rts, "b", vtime=10,
                                   dests={"y": 6}, now=NOW + 1)
     assert update_router_topology("me", rts, "b", vtime=10,
                                   dests={}, now=NOW + 1)
-    assert set(rts) == {("c", "x")}
+    assert rts == {"c": rows({"x": 2})}
+    # an originator with no rows left has no entry
+    assert not update_router_topology("me", rts, "d", vtime=10,
+                                      dests={"me": 1}, now=NOW + 1)
+    assert rts == {"c": rows({"x": 2})}
 
 
 def test_purges():
@@ -64,10 +69,10 @@ def test_purges():
             "b": AdvertisingRouterTuple("b", 1, NOW + 1)}
     purge_advertising_routers(arrs, NOW)
     assert set(arrs) == {"b"}
-    rts = {("a", "x"): tt("a", "x", 1, vt=NOW),
-           ("a", "y"): tt("a", "y", 1, vt=NOW + 1)}
+    rts = {"a": rows({"x": 1, "y": 1}, vt=NOW),
+           "b": rows({"y": 1}, vt=NOW + 1)}
     purge_router_topology(rts, NOW)
-    assert set(rts) == {("a", "y")}
+    assert rts == {"b": rows({"y": 1}, vt=NOW + 1)}
 
 
 def test_increment_ansn_tracks_selector_set():
@@ -88,26 +93,31 @@ def test_link_universe_rules():
     ls = {"b": sym_link("b", 9),
           "h": sym_link("h", 2, sym_time=NOW),   # only heard: excluded
           "i": sym_link("i", INF)}               # infinite: excluded
-    rts = {("b", "x"): tt("b", "x", 4),
-           ("me", "b"): tt("me", "b", 3),        # parallel to the own link
-           ("z", "z"): tt("z", "z", 1),          # self loop: excluded
-           ("q", "w"): tt("q", "w", INF)}        # infinite: excluded
+    rts = {"b": rows({"x": 4}),
+           "me": rows({"b": 3}),                 # parallel to the own link
+           "z": rows({"z": 1}),                  # self loop: excluded
+           "q": rows({"w": INF})}                # infinite: excluded
     edges = link_universe("me", ls, rts, NOW)
     assert edges == {("b", "x"): 4, ("me", "b"): 3}
     # the cheaper parallel edge wins in either order
-    rts[("me", "b")] = tt("me", "b", 30)
+    rts["me"] = rows({"b": 30})
     assert link_universe("me", ls, rts, NOW)[("me", "b")] == 9
 
 
-def random_digraph(rng, n=None):
+def random_digraph(rng, n=None, max_metric=9, density=0.4):
     n = n or rng.randint(2, 6)
     names = [chr(ord("a") + i) for i in range(n)]
     edges = {}
     for u in names:
         for v in names:
-            if u != v and rng.random() < 0.4:
-                edges[(u, v)] = rng.randint(1, 9)
+            if u != v and rng.random() < density:
+                edges[(u, v)] = rng.randint(1, max_metric)
     return names, edges
+
+
+def tie_heavy_digraph(rng):
+    """Metrics 1 and 2 on dense edges: many equally short first hops."""
+    return random_digraph(rng, rng.randint(3, 6), max_metric=2, density=0.7)
 
 
 def test_dijkstra_matches_path_enumeration():
@@ -127,7 +137,7 @@ def test_dijkstra_matches_path_enumeration():
 
 def test_choose_optimal_excludes_self():
     ls = {"b": sym_link("b", 2)}
-    rts = {("b", "me"): tt("b", "me", 1), ("b", "c"): tt("b", "c", 5)}
+    rts = {"b": rows({"me": 1, "c": 5})}
     rs = choose_optimal("me", link_universe("me", ls, rts, NOW))
     assert rs == {"b": Route("b", "b", 2), "c": Route("c", "b", 7)}
 
@@ -169,9 +179,9 @@ def ref_is_optimal(ip, edges, rs):
     return True
 
 
-def mutate_routing_set(rng, rs, names):
+def mutate_routing_set(rng, rs, names, edges, ip):
     out = dict(rs)
-    kind = rng.randrange(4)
+    kind = rng.randrange(5)
     if kind == 0 and out:
         out.pop(rng.choice(sorted(out)))
     elif kind == 1:
@@ -180,24 +190,44 @@ def mutate_routing_set(rng, rs, names):
         d = rng.choice(sorted(out))
         r = out[d]
         out[d] = Route(d, r.next_hop, r.metric + rng.choice([-1, 1]))
-    elif out:
+    elif kind == 3 and out:
         d = rng.choice(sorted(out))
         r = out[d]
         out[d] = Route(d, rng.choice(names), r.metric)
+    elif out:
+        # another neighbour of ip at the same metric: optimal exactly
+        # when it also starts a shortest path to d, which is likeliest
+        # for the farthest destinations
+        far = max(r.metric for r in out.values())
+        d = rng.choice(sorted(d for d, r in out.items() if r.metric == far))
+        r = out[d]
+        others = sorted(v for (u, v) in edges if u == ip and v != r.next_hop)
+        if others:
+            out[d] = Route(d, rng.choice(others), r.metric)
     return out
 
 
 def test_optimality_verdicts_match_oracle():
     rng = random.Random(0x0517)
-    for _ in range(250):
-        names, edges = random_digraph(rng)
-        ip = rng.choice(names)
-        rs = choose_optimal(ip, edges)
-        assert is_optimal_over(ip, edges, rs)
-        assert ref_is_optimal(ip, edges, rs)
-        mutated = mutate_routing_set(rng, rs, names)
-        assert is_optimal_over(ip, edges, mutated) == \
-            ref_is_optimal(ip, edges, mutated)
+    verdicts = Counter()
+    for draw in (random_digraph, tie_heavy_digraph):
+        for _ in range(250):
+            names, edges = draw(rng)
+            ip = rng.choice(names)
+            rs = choose_optimal(ip, edges)
+            assert is_optimal_over(ip, edges, rs)
+            assert ref_is_optimal(ip, edges, rs)
+            mutated = mutate_routing_set(rng, rs, names, edges, ip)
+            want = ref_is_optimal(ip, edges, mutated)
+            assert is_optimal_over(ip, edges, mutated) == want
+            assert is_optimal_over(ip, edges, mutated,
+                                   _dijkstra(edges, ip)) == want
+            assert oracles.ref_is_optimal_over(ip, edges, mutated) == want
+            verdicts[want, mutated == rs] += 1
+    # the mutations hit both verdicts, and some changed routing sets
+    # stay optimal: a next hop swapped for a tied one
+    assert verdicts[False, False] > 100 and verdicts[True, True] > 100
+    assert verdicts[True, False] >= 5
 
 
 def test_choose_optimal_canonical_tiebreak():
@@ -226,7 +256,7 @@ def test_is_optimal_rejects_mislabeled_route():
 
 def test_update_routing_set_keeps_any_optimal_current():
     ls = {"a": sym_link("a", 1), "b": sym_link("b", 1)}
-    rts = {("a", "c"): tt("a", "c", 1), ("b", "c"): tt("b", "c", 1)}
+    rts = {"a": rows({"c": 1}), "b": rows({"c": 1})}
     edges = link_universe("s", ls, rts, NOW)
     cand = choose_optimal("s", edges)
     # current uses the other (equally optimal) witness; it must be kept
@@ -247,8 +277,8 @@ def test_empty_universe():
 # --- renders ----------------------------------------------------------------
 
 def test_renders_frozen():
-    assert render_topology_tuple(tt("a", "b", 4, vt=NOW + 7)) == \
+    assert render_topology_tuple("a", "b", 4, NOW + 7) == \
         "RT a -> b m=4 vt=107"
     assert render_route(Route("d", "b", 12)) == "ROUTE d via b m=12"
-    assert render_topology_tuple(tt("a", "b", INF, vt=NEG_INF)) == \
+    assert render_topology_tuple("a", "b", INF, NEG_INF) == \
         "RT a -> b m=inf vt=-inf"
