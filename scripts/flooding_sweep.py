@@ -62,7 +62,7 @@ def measure(k: int, seed: int, flood_all: bool):
     seq = None
     for ev in net.trace:
         if ev.kind == "TC_GEN" and ev.node == center and ev.tick >= settle:
-            seq = int(ev.detail.split(" sqn=")[1].split()[0])
+            seq = ev.payload.seq
             break
     if seq is None:
         return None

@@ -238,7 +238,7 @@ def _warn_late_events(scenario: Scenario, budget: int) -> None:
 def _write_trace(net: Network, args) -> None:
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(net.render_trace())
+            fh.writelines(net.trace_lines())
 
 
 def _cmd_run(args) -> int:
@@ -251,7 +251,7 @@ def _cmd_run(args) -> int:
     if args.trace:
         _write_trace(net, args)
     else:
-        sys.stdout.write(net.render_trace())
+        sys.stdout.writelines(net.trace_lines())
     return 0
 
 
@@ -329,7 +329,7 @@ def _demo_fig2(args) -> int:
         seen = 0
         for ev in net.trace:
             if (ev.kind == "DELIVER" and ev.node == at_node
-                    and ev.detail.startswith(f"from={sender} ")):
+                    and ev.payload[0] == sender):
                 seen += 1
                 if seen == nth:
                     return ev.tick

@@ -62,9 +62,11 @@ from typing import Callable, Optional
 from . import message_logs, neighborhood, topology
 from .messages import (INF, NEG_INF, Hello, MprRole, NodeId, Packet,
                        Status, Tc, TimeValue, forward_tc_message, make_hello,
-                       make_tc, render_message)
+                       make_tc)
+# unused here; bound for the benchmark's tracer, which wraps it by name
+from .messages import render_message  # noqa: F401
 from .neighborhood import LinkSet, LinkTuple, TwoHopSet, TwoHopTuple
-from .topology import RoutingSet, render_route
+from .topology import RoutingSet
 
 MICRO_STEP_CAP = 10 ** 6
 
@@ -168,7 +170,9 @@ class Router:
         # both are unchanged the routing set needs no optimality test
         self._opt_edges: Optional[dict] = None
         self._opt_rs: Optional[dict] = None
-        self.trace: Callable = lambda kind, detail, packet=None: None
+        # trace(kind, payload): the typed event simnet records and
+        # renders only on output (see simnet for each kind's payload)
+        self.trace: Callable = lambda kind, payload: None
 
     # -- consistency ----------------------------------------------------
 
@@ -292,9 +296,8 @@ class Router:
             new_rs = topology.update_routing_set(self.ip, edges, self.rs)
             if new_rs != self.rs:
                 self.rs = new_rs
-                detail = "; ".join(render_route(self.rs[d])
-                                   for d in sorted(self.rs))
-                self.trace("ROUTE_CHANGE", f"rs=[{detail}]")
+                self.trace("ROUTE_CHANGE",
+                           tuple(new_rs[d] for d in sorted(new_rs)))
             self._opt_edges, self._opt_rs = edges, dict(self.rs)
         self._topology_dirty = False
 
@@ -424,7 +427,7 @@ class Router:
             fwd = forward_tc_message(self.ip, msg)
             self.pkt.append(fwd)
             self.send_time = self.now + 1
-            self.trace("TC_FWD", render_message(fwd))
+            self.trace("TC_FWD", fwd)
 
     # -- per-tick step ----------------------------------------------------
 
@@ -484,7 +487,7 @@ class Router:
                 msg = make_hello(self.ip, cfg.h_hold_time, self.ls.values(),
                                  self.now)
                 self.pkt.append(msg)
-                self.trace("HELLO_GEN", render_message(msg), packet=None)
+                self.trace("HELLO_GEN", msg)
                 self.hello_time = self.now + cfg.hello_interval
                 self._hello_fire = (self.hello_time
                                     - self._rng.randrange(cfg.hp_maxjitter))
@@ -499,7 +502,7 @@ class Router:
                 msg = make_tc(self.ip, cfg.t_hold_time, self.sqn, self.ansn,
                               self.ls.values(), self.now)
                 self.pkt.append(msg)
-                self.trace("TC_GEN", render_message(msg), packet=None)
+                self.trace("TC_GEN", msg)
                 self.sqn += 1
                 self.tc_time = self.now + cfg.tc_interval
                 self._tc_fire = (self.tc_time

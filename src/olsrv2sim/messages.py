@@ -156,5 +156,7 @@ def render_message(msg: Message) -> str:
             f" sqn={msg.seq} ansn={msg.ansn} d={_render_map(msg.dests)}")
 
 
-def render_packet(pkt: Packet) -> str:
-    return "[" + "; ".join(render_message(m) for m in pkt) + "]"
+def render_packet(pkt: Packet, message_text=None) -> str:
+    """message_text renders each message (render_message by default),
+    so a caller can reuse the text of a message it has rendered."""
+    return "[" + "; ".join(map(message_text or render_message, pkt)) + "]"

@@ -12,15 +12,31 @@ One tick proceeds in four phases:
 Deliveries all land before any router steps, and every random draw
 comes from a per-node stream, so phase-2 iteration order is not
 protocol-visible (a property the test suite checks by permuting it).
+
+Trace events are typed: each TraceEvent holds the objects its line is
+made of, and text is rendered only on output (Network.trace_lines,
+Network.render_trace, TraceEvent.detail). The payload per kind:
+  HELLO_GEN, TC_GEN, TC_FWD  the generated or forwarded Message;
+  ROUTE_CHANGE               the new routing set, a tuple of Route in
+                             destination order;
+  DELIVER                    (sender, measured metric), and the
+                             delivered Packet as packet;
+  BROADCAST                  (duration, frozenset of recipients), and
+                             the sent Packet as packet;
+  LINK_EVENT                 the TopologyEvent applied.
+Messages and packets are never changed once traced, so an event's line
+is the same whenever it is rendered.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
+from . import messages
 from .engine import EngineDiagnostic, Router, RouterConfig, init_router
 from .messages import INF, Metric, NodeId, Packet, TimeValue, render_packet
+from .topology import render_route
 
 
 class ScenarioError(ValueError):
@@ -75,7 +91,6 @@ class TopologyEvent:
 class InFlight:
     sender: NodeId
     packet: Packet
-    rendered: str  # render_packet(packet), shared by every DELIVER line
     deliver_at: TimeValue
     recipients: frozenset
     # directed metrics sampled when the broadcast started; used as the
@@ -83,15 +98,40 @@ class InFlight:
     metric_snapshot: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     tick: TimeValue
     node: NodeId
     kind: str
-    detail: str
-    # structured payload for BROADCAST/DELIVER so checkers need not
-    # re-parse the rendered detail; not part of the rendered line
-    packet: Optional[Packet] = None
+    payload: object  # per kind, see the module docstring
+    packet: Optional[Packet] = None  # BROADCAST and DELIVER only
+
+    @property
+    def detail(self) -> str:
+        """The rendered text after the kind, for this event alone."""
+        return _render_detail(self, messages.render_message, render_packet)
+
+
+def _render_detail(ev: TraceEvent, message_text, packet_text) -> str:
+    """Render ev's payload; messages and packets go through the two
+    given renderers, so a caller can share their text between events."""
+    kind, p = ev.kind, ev.payload
+    if kind == "DELIVER":
+        sender, m = p
+        return f"from={sender} m={m} pkt={packet_text(ev.packet)}"
+    if kind == "BROADCAST":
+        d, recipients = p
+        to = ",".join(sorted(recipients))
+        return f"d={d} to={{{to}}} pkt={packet_text(ev.packet)}"
+    if kind in ("HELLO_GEN", "TC_GEN", "TC_FWD"):
+        return message_text(p)
+    if kind == "ROUTE_CHANGE":
+        return "rs=[" + "; ".join(map(render_route, p)) + "]"
+    if kind == "LINK_EVENT":
+        if p.kind == "linkdown":
+            return f"linkdown dst={p.dst}"
+        return f"{p.kind} dst={p.dst} m={p.metric}"
+    raise ValueError(f"unknown trace event kind: {kind}")
 
 
 def render_trace_event(ev: TraceEvent) -> str:
@@ -146,8 +186,8 @@ class Network:
         """
         events: list = []
 
-        def emit(node, kind, detail, packet=None):
-            events.append(TraceEvent(self.clock, node, kind, detail, packet))
+        def emit(node, kind, payload, packet=None):
+            events.append(TraceEvent(self.clock, node, kind, payload, packet))
 
         # phase 1: deliveries due now, canonical order by sender
         due = sorted((f for f in self.inflights if f.deliver_at == self.clock),
@@ -158,8 +198,7 @@ class Network:
             for r in sorted(f.recipients):
                 m = self._measured_metric(f.sender, r, f.metric_snapshot)
                 self.routers[r].enqueue_delivery(f.packet, m)
-                emit(r, "DELIVER", f"from={f.sender} m={m} pkt={f.rendered}",
-                     packet=f.packet)
+                emit(r, "DELIVER", (f.sender, m), f.packet)
 
         # phase 2: per-router steps
         order = step_order if step_order is not None else sorted(self.routers)
@@ -167,8 +206,8 @@ class Network:
             if self.busy(nid):
                 continue
             router = self.routers[nid]
-            router.trace = (lambda kind, detail, packet=None, _n=nid:
-                            emit(_n, kind, detail, packet))
+            router.trace = (lambda kind, payload, _n=nid:
+                            emit(_n, kind, payload))
             packet = router.step_main()
             if packet is not None:
                 d = self.params.lb + self._dur_rng[nid].randrange(
@@ -176,14 +215,10 @@ class Network:
                 snapshot = {r: m for (src, r), m in self.gt.metric.items()
                             if src == nid}
                 recipients = frozenset(snapshot)
-                rendered = render_packet(packet)
-                self.inflights.append(InFlight(nid, packet, rendered,
-                                               self.clock + d, recipients,
-                                               snapshot))
+                self.inflights.append(InFlight(nid, packet, self.clock + d,
+                                               recipients, snapshot))
                 self._busy_until[nid] = self.clock + d
-                to = ",".join(sorted(recipients))
-                emit(nid, "BROADCAST", f"d={d} to={{{to}}} pkt={rendered}",
-                     packet=packet)
+                emit(nid, "BROADCAST", (d, recipients), packet)
 
         # phase 3: topology events scheduled for this tick; events
         # is sorted by time, so the due ones start at the cursor
@@ -208,28 +243,52 @@ class Network:
                                 f"{ev.src}->{ev.dst}")
         if ev.kind == "linkup":
             self.gt.metric[(ev.src, ev.dst)] = ev.metric
-            detail = f"linkup dst={ev.dst} m={ev.metric}"
         elif ev.kind == "linkdown":
             self.gt.metric.pop((ev.src, ev.dst), None)
-            detail = f"linkdown dst={ev.dst}"
         elif ev.kind == "metric":
             if (ev.src, ev.dst) not in self.gt.metric:
                 raise ScenarioError(
                     f"metric event on absent link {ev.src}->{ev.dst}"
                     f" at t={ev.time}")
             self.gt.metric[(ev.src, ev.dst)] = ev.metric
-            detail = f"metric dst={ev.dst} m={ev.metric}"
         else:
             raise ScenarioError(f"unknown topology event kind: {ev.kind}")
         if emit is not None:
-            emit(ev.src, "LINK_EVENT", detail)
+            emit(ev.src, "LINK_EVENT", ev)
 
     def run(self, ticks: int) -> None:
         for _ in range(ticks):
             self.tick()
 
+    def trace_lines(self) -> Iterator[str]:
+        """Each trace event's line with its newline, in trace order.
+
+        Every distinct message and packet is rendered once, at its
+        first line, and its text reused by later lines. The memo is
+        keyed by object identity, which is stable because the trace
+        holds every object while the lines are drawn.
+        """
+        msgs: dict = {}
+        pkts: dict = {}
+
+        def message_text(msg) -> str:
+            text = msgs.get(id(msg))
+            if text is None:
+                text = msgs[id(msg)] = messages.render_message(msg)
+            return text
+
+        def packet_text(pkt) -> str:
+            text = pkts.get(id(pkt))
+            if text is None:
+                text = pkts[id(pkt)] = render_packet(pkt, message_text)
+            return text
+
+        for ev in self.trace:
+            yield (f"t={ev.tick} n={ev.node} ev={ev.kind}"
+                   f" {_render_detail(ev, message_text, packet_text)}\n")
+
     def render_trace(self) -> str:
-        return "".join(render_trace_event(ev) + "\n" for ev in self.trace)
+        return "".join(self.trace_lines())
 
 
 def build_network(scenario) -> Network:

@@ -95,7 +95,7 @@ def test_acceptance_3_hello_exchange_stages():
         seen = 0
         for ev in net.trace:
             if (ev.kind == "DELIVER" and ev.node == at_node
-                    and ev.detail.startswith(f"from={sender} ")):
+                    and ev.payload[0] == sender):
                 seen += 1
                 if seen == nth:
                     return ev.tick

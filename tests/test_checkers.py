@@ -85,15 +85,16 @@ def test_count_tc_broadcasts_synthetic():
     the_tc = Tc("e", "e", 9, seq=4, ansn=0, dests={})
     other = Tc("e", "e", 9, seq=5, ansn=0, dests={})
     hello = Hello("a", 9, {}, {}, {}, {})
+    to_b, to_d = frozenset({"b"}), frozenset({"d"})
     trace = [
-        TraceEvent(1, "e", "BROADCAST", "", packet=[hello, the_tc]),
-        TraceEvent(2, "b", "DELIVER", "", packet=[hello, the_tc]),
-        TraceEvent(2, "d", "DELIVER", "", packet=[the_tc]),
-        TraceEvent(3, "b", "BROADCAST", "", packet=[the_tc]),
-        TraceEvent(4, "d", "DELIVER", "", packet=[the_tc]),   # heard twice
-        TraceEvent(4, "e", "DELIVER", "", packet=[other]),    # wrong seq
-        TraceEvent(5, "x", "BROADCAST", "", packet=[hello]),  # no TC at all
-        TraceEvent(5, "q", "HELLO_GEN", "", packet=None),
+        TraceEvent(1, "e", "BROADCAST", (1, to_b), packet=[hello, the_tc]),
+        TraceEvent(2, "b", "DELIVER", ("e", 1), packet=[hello, the_tc]),
+        TraceEvent(2, "d", "DELIVER", ("e", 1), packet=[the_tc]),
+        TraceEvent(3, "b", "BROADCAST", (1, to_d), packet=[the_tc]),
+        TraceEvent(4, "d", "DELIVER", ("b", 1), packet=[the_tc]),  # twice
+        TraceEvent(4, "e", "DELIVER", ("b", 1), packet=[other]),   # wrong seq
+        TraceEvent(5, "x", "BROADCAST", (1, to_d), packet=[hello]),  # no TC
+        TraceEvent(5, "q", "HELLO_GEN", hello),
     ]
     count, coverage = count_tc_broadcasts(trace, "e", 4)
     assert count == 2
@@ -102,7 +103,7 @@ def test_count_tc_broadcasts_synthetic():
 
 
 def rc(tick):
-    return TraceEvent(tick, "a", "ROUTE_CHANGE", "rs=[]")
+    return TraceEvent(tick, "a", "ROUTE_CHANGE", ())
 
 
 def test_detect_convergence_edges():

@@ -14,7 +14,9 @@ from olsrv2sim.checkers import FIG3_SCENARIO
 from olsrv2sim.cli import (FLAG_NAMES, PARAM_NAMES, Scenario,
                            _apply_cli_overrides, main, parse_scenario,
                            render_scenario)
-from olsrv2sim.simnet import ScenarioError, TopologyEvent
+from olsrv2sim.simnet import ScenarioError, TopologyEvent, build_network
+
+from test_acceptance import EVENTFUL_SCENARIO
 
 MINIMAL = """\
 node a
@@ -184,6 +186,21 @@ def test_run_trace_file(tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().out == ""
     assert "ev=BROADCAST" in trace.read_text()
+
+
+def test_run_streams_the_rendered_trace(tmp_path, capsys):
+    """stdout and --trace FILE both hold exactly render_trace()."""
+    s = parse_scenario(EVENTFUL_SCENARIO)
+    net = build_network(s)
+    net.run(s.params["ticks"])
+    want = net.render_trace().encode()
+    path = write(tmp_path, EVENTFUL_SCENARIO)
+    assert main(["run", "--scenario", path]) == 0
+    assert capsys.readouterr().out.encode() == want
+    trace = tmp_path / "out.trace"
+    assert main(["run", "--scenario", path, "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out == ""
+    assert trace.read_bytes() == want
 
 
 def test_parse_error_exit_two(tmp_path, capsys):

@@ -17,7 +17,7 @@ from olsrv2sim.engine import (ConfigError, EngineDiagnostic, Router,
 from olsrv2sim.messages import (INF, NEG_INF, Hello, MprRole, Status, Tc,
                                 make_hello)
 from olsrv2sim.neighborhood import LinkTuple, TwoHopTuple
-from olsrv2sim.simnet import TopologyEvent, build_network
+from olsrv2sim.simnet import TopologyEvent, TraceEvent, build_network
 from olsrv2sim.topology import (AdvertisingRouterTuple, Route,
                                 choose_optimal, link_universe,
                                 rmpr_selectors)
@@ -168,10 +168,12 @@ def test_memo_does_not_mask_mutations():
 def test_run_update_info_traces_route_changes_once():
     r = mk_router(start_time=100)
     events = []
-    r.trace = lambda kind, detail, packet=None: events.append((kind, detail))
+    r.trace = lambda kind, payload: events.append(
+        TraceEvent(r.now, r.ip, kind, payload))
     r.ls = {"b": sym("b", in_m=2, out_m=3, now=100)}
     r.run_update_info()
-    assert events == [("ROUTE_CHANGE", "rs=[ROUTE b via b m=3]")]
+    assert [(ev.kind, ev.detail) for ev in events] == [
+        ("ROUTE_CHANGE", "rs=[ROUTE b via b m=3]")]
     events.clear()
     r.run_update_info()
     assert events == []
@@ -424,7 +426,7 @@ def test_generation_spacing_single_router():
     """Gaps between periodic generations stay within the jitter window."""
     r = init_router(cfg(), 1, 1, 1, seed=9, hello_offset=4, tc_offset=11)
     events = []
-    r.trace = lambda kind, detail, packet=None: events.append((r.now, kind))
+    r.trace = lambda kind, payload: events.append((r.now, kind))
     for _ in range(400):
         r.step_main()
         r.now += 1
@@ -441,13 +443,12 @@ def test_generation_spacing_single_router():
 def test_generated_tc_sequence_numbers_increase_by_one():
     r = init_router(cfg(), 1, 1, 1, seed=3, hello_offset=0, tc_offset=0)
     seqs = []
-    r.trace = (lambda kind, detail, packet=None:
-               seqs.append(detail) if kind == "TC_GEN" else None)
+    r.trace = (lambda kind, payload:
+               seqs.append(payload.seq) if kind == "TC_GEN" else None)
     for _ in range(150):
         r.step_main()
         r.now += 1
-    got = [int(line.split(" sqn=")[1].split(" ")[0]) for line in seqs]
-    assert got == list(range(len(got))) and len(got) >= 5
+    assert seqs == list(range(len(seqs))) and len(seqs) >= 5
 
 
 # --- incremental consistency: when the maintenance pass runs -----------------

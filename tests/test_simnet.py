@@ -1,10 +1,21 @@
-"""Network layer: timed delivery, busy spans, snapshots, topology events."""
+"""Network layer: timed delivery, busy spans, snapshots, topology events,
+typed trace events rendered only on output."""
+import hashlib
+
 import pytest
 
-from olsrv2sim.cli import Scenario
+from olsrv2sim import (checkers, cli, engine, message_logs, messages,
+                       neighborhood, simnet, topology)
+from olsrv2sim.checkers import (check_route_optimality, default_window,
+                                run_to_convergence)
+from olsrv2sim.cli import Scenario, parse_scenario
+from olsrv2sim.messages import Hello, Status
 from olsrv2sim.simnet import (GroundTruth, Network, NetworkParams,
                               ScenarioError, TopologyEvent, TraceEvent,
                               build_network, render_trace_event)
+from olsrv2sim.topology import Route
+
+from test_acceptance import EVENTFUL_SCENARIO
 
 
 def scen(nodes=("a", "b"), links=(("a", "b", 5), ("b", "a", 5)),
@@ -46,8 +57,11 @@ def test_ground_truth_check():
 
 
 def test_render_trace_event_frozen():
-    assert render_trace_event(TraceEvent(3, "a", "DELIVER", "from=b m=1")) \
-        == "t=3 n=a ev=DELIVER from=b m=1"
+    hello = Hello("b", 12, {"a": Status.HEARD}, {}, {"a": 1}, {})
+    assert render_trace_event(TraceEvent(3, "a", "DELIVER", ("b", 1),
+                                         packet=[hello])) \
+        == ("t=3 n=a ev=DELIVER from=b m=1"
+            " pkt=[HELLO o=b vt=12 st={a:HEARD} mpr={} in={a:1} out={}]")
 
 
 def test_broadcast_timing_and_busy_span():
@@ -137,8 +151,7 @@ def test_metric_noise_bounded_and_deterministic():
     for _ in range(2):
         net = build_network(s)
         net.run(40)
-        ms = [int(ev.detail.split(" m=")[1].split(" ")[0])
-              for ev in events_of(net, kind="DELIVER")]
+        ms = [ev.payload[1] for ev in events_of(net, kind="DELIVER")]
         assert ms and all(3 <= m <= 7 for m in ms)
         runs.append(net.render_trace())
     assert runs[0] == runs[1]
@@ -177,3 +190,62 @@ def test_router_set_must_match_nodes():
     net = build_network(scen())
     with pytest.raises(ScenarioError, match="router set"):
         Network(net.params, net.gt, {"a": net.routers["a"]})
+
+
+# --- typed events: rendered only on output -----------------------------------
+
+def check_style_run():
+    """Like `olsrv2-sim check` after the scenario's last event: run to
+    convergence, judge the routes."""
+    net = build_network(parse_scenario(EVENTFUL_SCENARIO))
+    net.run(201)
+    run_to_convergence(net, default_window(net), 400)
+    check_route_optimality(net)
+    return net
+
+
+def test_nothing_is_rendered_before_output(monkeypatch):
+    """With every renderer of a trace line refusing, a checked run
+    completes; restored, its trace is the same as an unpatched run's."""
+    def refuse(*args):
+        raise AssertionError("trace text rendered before output")
+
+    renderers = {"render_message": messages.render_message,
+                 "render_packet": messages.render_packet,
+                 "render_route": topology.render_route}
+    with monkeypatch.context() as mp:
+        patched = []
+        for mod in (checkers, cli, engine, message_logs, messages,
+                    neighborhood, simnet, topology):
+            for name, fn in renderers.items():
+                if getattr(mod, name, None) is fn:
+                    mp.setattr(mod, name, refuse)
+                    patched.append(f"{mod.__name__}.{name}")
+        assert "olsrv2sim.engine.render_message" in patched
+        lazy = check_style_run()
+        with pytest.raises(AssertionError, match="before output"):
+            lazy.render_trace()
+    eager = check_style_run()
+    assert any(ev.kind == "LINK_EVENT" for ev in lazy.trace)
+
+    def sha(net):
+        return hashlib.sha256(net.render_trace().encode()).hexdigest()
+    assert sha(lazy) == sha(eager)
+    # the memoised lines are the lines each event renders on its own
+    assert lazy.render_trace() == "".join(
+        render_trace_event(ev) + "\n" for ev in lazy.trace)
+
+
+def test_route_change_line_survives_in_place_change_to_rs():
+    net = build_network(parse_scenario(EVENTFUL_SCENARIO))
+    while not events_of(net, kind="ROUTE_CHANGE"):
+        net.tick()
+    ev = events_of(net, kind="ROUTE_CHANGE")[-1]
+    r = net.routers[ev.node]
+    line, text = render_trace_event(ev), net.render_trace()
+    assert line.endswith("rs=[" + "; ".join(
+        topology.render_route(r.rs[d]) for d in sorted(r.rs)) + "]")
+    r.rs.clear()
+    r.rs["zz"] = Route("zz", "zz", 1)
+    assert render_trace_event(ev) == line
+    assert net.render_trace() == text
