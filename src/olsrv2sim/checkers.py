@@ -15,14 +15,15 @@ from .topology import _dijkstra
 
 
 def symmetric_universe(gt) -> dict:
-    """Directed edges restricted to pairs that can hear each other.
+    """Ground truth's out-edges restricted to pairs that hear each other.
 
     The protocol only ever routes over links whose reverse direction
     also exists (HELLO exchange in both directions is what makes a
     link SYMMETRIC), so the fair baseline ignores one-way links.
+    Returns an adjacency map a -> {b: metric}, as gt.out is.
     """
-    return {(a, b): m for (a, b), m in gt.metric.items()
-            if (b, a) in gt.metric}
+    return {a: {b: m for b, m in row.items() if a in gt.out.get(b, ())}
+            for a, row in gt.out.items()}
 
 
 def ground_truth_shortest_paths(gt, source: NodeId) -> dict:

@@ -166,8 +166,10 @@ class Router:
         self._topology_dirty = False
         self._last_pass: TimeValue = NEG_INF
         self._next_expiry: TimeValue = NEG_INF
-        # last verified-optimal (edge universe, routing set) pair: while
-        # both are unchanged the routing set needs no optimality test
+        # last verified-optimal (link universe, routing set) pair: while
+        # both are unchanged the routing set needs no optimality test.
+        # The universe holds rts's row maps, which are never mutated, so
+        # == passes over each row not replaced since by identity.
         self._opt_edges: Optional[dict] = None
         self._opt_rs: Optional[dict] = None
         # trace(kind, payload): the typed event simnet records and
@@ -184,7 +186,8 @@ class Router:
         "ansn is stale", and "the routing set is not optimal". The
         equality-based phrasing (set != purge(set)) is what the tests
         check this against. step_main never asks it: it is the oracle
-        the tests hold the maintenance pass and its scheduling to.
+        the tests hold the maintenance pass and its scheduling to. It
+        only reads the optimality memo, so asking it changes no pass.
         """
         now = self.now
         for lt in self.ls.values():
@@ -219,10 +222,7 @@ class Router:
         edges = topology.link_universe(self.ip, self.ls, self.rts, now)
         if edges == self._opt_edges and self.rs == self._opt_rs:
             return False
-        ok = topology.is_optimal_over(self.ip, edges, self.rs)
-        if ok:
-            self._opt_edges, self._opt_rs = edges, dict(self.rs)
-        return not ok
+        return not topology.is_optimal_over(self.ip, edges, self.rs)
 
     def _maintenance_due(self) -> bool:
         """Is the full pass due: was state written that it can act on,

@@ -6,7 +6,6 @@ extended-integer comparison and addition without a custom numeric type.
 """
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Union
@@ -118,7 +117,8 @@ def forward_tc_message(ip: NodeId, msg: Message) -> Tc:
     """
     if not isinstance(msg, Tc):
         raise TypeError(f"only TC messages can be forwarded, got {type(msg).__name__}")
-    return dataclasses.replace(msg, sender=ip)
+    return Tc(originator=msg.originator, sender=ip, validity=msg.validity,
+              seq=msg.seq, ansn=msg.ansn, dests=msg.dests)
 
 
 # --- trace rendering ---------------------------------------------------
@@ -135,25 +135,26 @@ def render_metric(m: Metric) -> str:
     return "inf" if m == INF else str(int(m))
 
 
-def _render_map(d: dict) -> str:
-    parts = []
-    for k in sorted(d):
-        v = d[k]
-        if isinstance(v, (Status, MprRole)):
-            parts.append(f"{k}:{v.value}")
-        else:
-            parts.append(f"{k}:{render_metric(v)}")
-    return "{" + ",".join(parts) + "}"
+def _render_map(d: dict, value) -> str:
+    """d's entries in key order, each value rendered by value."""
+    return "{" + ",".join(f"{k}:{value(d[k])}" for k in sorted(d)) + "}"
+
+
+def _enum_value(v: enum.Enum) -> str:
+    return v.value
 
 
 def render_message(msg: Message) -> str:
     """One-line stable rendering; key sets appear in NodeId order."""
     if isinstance(msg, Hello):
         return (f"HELLO o={msg.originator} vt={render_time(msg.validity)}"
-                f" st={_render_map(msg.statuses)} mpr={_render_map(msg.mprs)}"
-                f" in={_render_map(msg.in_metrics)} out={_render_map(msg.out_metrics)}")
+                f" st={_render_map(msg.statuses, _enum_value)}"
+                f" mpr={_render_map(msg.mprs, _enum_value)}"
+                f" in={_render_map(msg.in_metrics, render_metric)}"
+                f" out={_render_map(msg.out_metrics, render_metric)}")
     return (f"TC o={msg.originator} s={msg.sender} vt={render_time(msg.validity)}"
-            f" sqn={msg.seq} ansn={msg.ansn} d={_render_map(msg.dests)}")
+            f" sqn={msg.seq} ansn={msg.ansn}"
+            f" d={_render_map(msg.dests, render_metric)}")
 
 
 def render_packet(pkt: Packet, message_text=None) -> str:

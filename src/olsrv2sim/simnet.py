@@ -26,6 +26,10 @@ Network.render_trace, TraceEvent.detail). The payload per kind:
   LINK_EVENT                 the TopologyEvent applied.
 Messages and packets are never changed once traced, so an event's line
 is the same whenever it is rendered.
+
+Ground truth is held by sender, sender -> {recipient: metric}, so a
+broadcast reads its recipients and their metrics off the sender's row
+in O(degree).
 """
 from __future__ import annotations
 
@@ -61,21 +65,22 @@ class NetworkParams:
 class GroundTruth:
     """Who can hear whom, and at what directed link metric.
 
-    b hears a exactly when (a, b) is a key of metric.
+    b hears a exactly when b is a key of out[a].
     """
 
     nodes: set
-    metric: dict      # (NodeId, NodeId) -> Metric
+    out: dict      # NodeId -> {NodeId: Metric}
 
     def check(self) -> None:
-        for (a, b), m in self.metric.items():
-            if a not in self.nodes or b not in self.nodes:
-                raise ScenarioError(
-                    f"link {a}->{b} mentions an undeclared node")
-            if a == b:
-                raise ScenarioError(f"self-loop link on {a}")
-            if m == INF or m < 1:
-                raise ScenarioError(f"metric {a}->{b} must be a finite positive integer")
+        for a, row in self.out.items():
+            for b, m in row.items():
+                if a not in self.nodes or b not in self.nodes:
+                    raise ScenarioError(
+                        f"link {a}->{b} mentions an undeclared node")
+                if a == b:
+                    raise ScenarioError(f"self-loop link on {a}")
+                if m == INF or m < 1:
+                    raise ScenarioError(f"metric {a}->{b} must be a finite positive integer")
 
 
 @dataclass(frozen=True)
@@ -145,6 +150,8 @@ class Network:
         gt.check()
         if set(routers) != gt.nodes:
             raise ScenarioError("router set does not match declared nodes")
+        for n in gt.nodes:  # a row per node, for broadcasts and events
+            gt.out.setdefault(n, {})
         self.params = params
         self.gt = gt
         self.routers = routers
@@ -167,8 +174,7 @@ class Network:
 
     def _measured_metric(self, sender: NodeId, recipient: NodeId,
                          snapshot: dict) -> Metric:
-        m = self.gt.metric.get((sender, recipient),
-                               snapshot.get(recipient))
+        m = self.gt.out[sender].get(recipient, snapshot.get(recipient))
         if self.metric_noise:
             lo = max(1, m - self.metric_noise)
             hi = m + self.metric_noise
@@ -212,8 +218,7 @@ class Network:
             if packet is not None:
                 d = self.params.lb + self._dur_rng[nid].randrange(
                     self.params.delta_b + 1)
-                snapshot = {r: m for (src, r), m in self.gt.metric.items()
-                            if src == nid}
+                snapshot = dict(self.gt.out[nid])
                 recipients = frozenset(snapshot)
                 self.inflights.append(InFlight(nid, packet, self.clock + d,
                                                recipients, snapshot))
@@ -241,16 +246,17 @@ class Network:
         if ev.src not in self.gt.nodes or ev.dst not in self.gt.nodes:
             raise ScenarioError(f"topology event references unknown node: "
                                 f"{ev.src}->{ev.dst}")
+        row = self.gt.out[ev.src]
         if ev.kind == "linkup":
-            self.gt.metric[(ev.src, ev.dst)] = ev.metric
+            row[ev.dst] = ev.metric
         elif ev.kind == "linkdown":
-            self.gt.metric.pop((ev.src, ev.dst), None)
+            row.pop(ev.dst, None)
         elif ev.kind == "metric":
-            if (ev.src, ev.dst) not in self.gt.metric:
+            if ev.dst not in row:
                 raise ScenarioError(
                     f"metric event on absent link {ev.src}->{ev.dst}"
                     f" at t={ev.time}")
-            self.gt.metric[(ev.src, ev.dst)] = ev.metric
+            row[ev.dst] = ev.metric
         else:
             raise ScenarioError(f"unknown topology event kind: {ev.kind}")
         if emit is not None:
@@ -315,12 +321,12 @@ def build_network(scenario) -> Network:
     params = NetworkParams(lb=lb, delta_b=delta_b,
                            node_count=len(nodes), seed=seed)
 
-    metric = {}
+    out: dict = {}
     for (src, dst, m) in scenario.links:
         if src not in node_set or dst not in node_set:
             raise ScenarioError(f"dangling link endpoint: {src}->{dst}")
-        metric[(src, dst)] = m
-    gt = GroundTruth(nodes=node_set, metric=metric)
+        out.setdefault(src, {})[dst] = m
+    gt = GroundTruth(nodes=node_set, out=out)
 
     events = []
     for ev in scenario.events:

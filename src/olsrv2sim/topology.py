@@ -7,11 +7,15 @@ its originator's rows at once and gives them one validity time, so the
 set is held by originator, an accepted TC costs O(|advertised set|) and
 a purge O(#originators). An originator with no rows has no entry. The
 update and purge functions change the sets they are given in place;
-the rows map stored for an originator is never mutated, only replaced.
+the rows map stored for an originator is never mutated, and it is
+replaced only when its rows change.
 
 Optimality of a routing set is defined over the link universe known to
 one router: its own symmetric links plus every advertised topology row.
-The underlying model quantifies over all paths in that universe; here
+Every graph here is an adjacency map src -> {dst: metric}, and the link
+universe is the topology set's own row maps plus the router's own row,
+so two universes whose rows were not replaced compare by identity. The
+underlying model quantifies over all paths in that universe; here
 membership testing and construction run Dijkstra, and the brute-force
 path enumeration lives in the test suite as an oracle.
 """
@@ -58,9 +62,10 @@ def update_router_topology(ip: NodeId, rts: TrSet, moip: NodeId,
     """
     old = rts.pop(moip, (None, {}))[1]
     new = {d: m for d, m in dests.items() if d != ip}
+    changed = new != old
     if new:
-        rts[moip] = (now + vtime, new)
-    return new != old
+        rts[moip] = (now + vtime, new if changed else old)
+    return changed
 
 
 def purge_advertising_routers(arrs: ArSet, now: TimeValue) -> None:
@@ -88,40 +93,29 @@ def increment_ansn(ls: dict, advertised: AbstractSet[NodeId],
 
 def link_universe(ip: NodeId, ls: dict, rts: TrSet,
                   now: TimeValue) -> dict:
-    """Known directed edges (src, dst) -> metric, min over parallel rows.
+    """Known out-edges as an adjacency map src -> {dst: metric}.
 
-    Edges with infinite metric are kept out: a destination whose every
-    path crosses one counts as unreachable.
+    Every originator's rows are rts's own maps, shared and not copied;
+    ip's row holds its symmetric links of finite metric. Rows may keep
+    infinite or self-loop entries: neither ever shortens a path, so a
+    destination whose every path crosses an infinite one is unreachable.
+    rts never holds rows of ip itself (process_tc drops own TCs).
     """
-    edges: dict = {}
-
-    def add(src, dst, m):
-        if m == INF or src == dst:
-            return
-        key = (src, dst)
-        if key not in edges or m < edges[key]:
-            edges[key] = m
-
-    for src, (_, dests) in rts.items():
-        for dst, m in dests.items():
-            add(src, dst, m)
-    for lt in ls.values():
-        if lt.status(now) == Status.SYMMETRIC:
-            add(ip, lt.oip, lt.out_metric)
+    edges = {src: dests for src, (_, dests) in rts.items()}
+    edges[ip] = {lt.oip: lt.out_metric for lt in ls.values()
+                 if lt.out_metric != INF
+                 and lt.status(now) == Status.SYMMETRIC}
     return edges
 
 
 def _dijkstra(edges: dict, source: NodeId) -> dict:
-    adj: dict = {}
-    for (src, dst), m in edges.items():
-        adj.setdefault(src, []).append((dst, m))
     dist = {source: 0}
     heap = [(0, source)]
     while heap:
         d, u = heapq.heappop(heap)
-        if d > dist.get(u, INF):
+        if d > dist[u]:
             continue
-        for v, w in adj.get(u, ()):
+        for v, w in edges.get(u, {}).items():
             nd = d + w
             if nd < dist.get(v, INF):
                 dist[v] = nd
@@ -146,11 +140,7 @@ def is_optimal_over(ip: NodeId, edges: dict, rs: RoutingSet,
         dist = _dijkstra(edges, ip)
     if rs.keys() != dist.keys() - {ip}:
         return False
-    tight: dict = {}
-    for (u, v), w in edges.items():
-        du = dist.get(u)
-        if du is not None and du + w == dist[v]:
-            tight.setdefault(u, []).append(v)
+    own = edges.get(ip, {})
     reach: dict = {}   # first hop -> nodes its tight paths reach
     for dest, route in rs.items():
         hop = route.next_hop
@@ -158,14 +148,16 @@ def is_optimal_over(ip: NodeId, edges: dict, rs: RoutingSet,
             return False
         seen = reach.get(hop)
         if seen is None:
-            w = edges.get((ip, hop))
+            w = own.get(hop)
             if w is None or w != dist[hop]:
                 return False
             seen = reach[hop] = {hop}
             todo = [hop]
             while todo:
-                for v in tight.get(todo.pop(), ()):
-                    if v not in seen:
+                u = todo.pop()
+                du = dist[u]
+                for v, w in edges.get(u, {}).items():
+                    if v not in seen and du + w == dist.get(v):
                         seen.add(v)
                         todo.append(v)
         if dest not in seen:
@@ -185,15 +177,11 @@ def choose_optimal(ip: NodeId, edges: dict,
     """
     if dist is None:
         dist = _dijkstra(edges, ip)
-    incoming: dict = {}
-    for (src, dst), w in edges.items():
-        incoming.setdefault(dst, []).append((src, w))
     pred: dict = {}
-    for v in dist:
-        if v == ip:
-            continue
-        pred[v] = min(u for u, w in incoming[v]
-                      if dist.get(u, INF) + w == dist[v])
+    for u, du in dist.items():
+        for v, w in edges.get(u, {}).items():
+            if du + w == dist.get(v) and (v not in pred or u < pred[v]):
+                pred[v] = u
     rs: RoutingSet = {}
     for dest in dist:
         if dest == ip:

@@ -13,8 +13,8 @@ wrapped, so that each micro-step is held to that predicate:
 - a pass (full or topology-only) is skipped only when nothing is
   pending;
 - nothing is pending after a pass, and a routing set the pass records
-  as optimal (the memo both share) is optimal by the oracle's own
-  one-Dijkstra-per-first-hop test;
+  as optimal (the memo it writes and updates_pending() only reads) is
+  optimal by the oracle's own one-Dijkstra-per-first-hop test;
 - a pass entered while nothing was pending changes no state.
 
 The last one is why running a pass that is not needed leaves every

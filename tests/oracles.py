@@ -148,17 +148,15 @@ def random_neighborhood(rng: random.Random, max_n1: int = 6, now: int = 100):
 # ---------------------------------------------------------------------------
 
 def simple_path_dists(edges: dict, source) -> dict:
-    """Min-cost simple path to every node, by trying all of them."""
-    adj = {}
-    nodes = set()
-    for (u, v), w in edges.items():
-        adj.setdefault(u, []).append((v, w))
-        nodes.add(u)
-        nodes.add(v)
+    """Min-cost simple path to every node of the adjacency map edges
+    (src -> {dst: metric}), by trying all of them."""
+    nodes = set(edges)
+    for row in edges.values():
+        nodes.update(row)
     best = {source: 0}
 
     def walk(u, cost, seen):
-        for v, w in adj.get(u, ()):
+        for v, w in edges.get(u, {}).items():
             if v in seen:
                 continue
             c = cost + w
@@ -177,7 +175,8 @@ def simple_path_dists(edges: dict, source) -> dict:
 # ---------------------------------------------------------------------------
 
 def ref_is_optimal_over(ip, edges: dict, rs: dict) -> bool:
-    """Is rs one shortest route per reachable destination over edges?
+    """Is rs one shortest route per reachable destination over edges,
+    an adjacency map src -> {dst: metric}?
 
     Each route's first hop h is judged by a Dijkstra run from h itself:
     the route is optimal when the metric of (ip, h) plus h's own
@@ -192,7 +191,7 @@ def ref_is_optimal_over(ip, edges: dict, rs: dict) -> bool:
     for dest, route in rs.items():
         if route.dest != dest or route.metric != dist[dest]:
             return False
-        w = edges.get((ip, route.next_hop))
+        w = edges.get(ip, {}).get(route.next_hop)
         if w is None:
             return False
         if route.next_hop not in via_cache:

@@ -18,15 +18,13 @@ import oracles
 
 
 def test_symmetric_universe_drops_one_way_links():
-    gt = SimpleNamespace(metric={("a", "b"): 2, ("b", "a"): 7,
-                                 ("a", "c"): 1})
-    assert symmetric_universe(gt) == {("a", "b"): 2, ("b", "a"): 7}
+    gt = SimpleNamespace(out={"a": {"b": 2, "c": 1}, "b": {"a": 7}})
+    assert symmetric_universe(gt) == {"a": {"b": 2}, "b": {"a": 7}}
 
 
 def test_ground_truth_shortest_paths_small_case():
-    gt = SimpleNamespace(metric={("a", "b"): 2, ("b", "a"): 7,
-                                 ("b", "c"): 1, ("c", "b"): 1,
-                                 ("a", "x"): 1})  # x unreachable (one-way)
+    gt = SimpleNamespace(out={"a": {"b": 2, "x": 1}, "b": {"a": 7, "c": 1},
+                              "c": {"b": 1}})  # x unreachable (one-way)
     assert ground_truth_shortest_paths(gt, "a") == {"b": 2, "c": 3}
 
 
@@ -35,12 +33,12 @@ def test_ground_truth_shortest_paths_vs_enumeration():
     for _ in range(500):
         n = rng.randint(2, 8)
         names = [f"r{i}" for i in range(n)]
-        metric = {}
+        out = {}
         for u in names:
             for v in names:
                 if u != v and rng.random() < 0.25:
-                    metric[(u, v)] = rng.randint(1, 9)
-        gt = SimpleNamespace(metric=metric)
+                    out.setdefault(u, {})[v] = rng.randint(1, 9)
+        gt = SimpleNamespace(out=out)
         src = rng.choice(names)
         want = {d: m for d, m in
                 oracles.simple_path_dists(symmetric_universe(gt), src).items()

@@ -165,6 +165,21 @@ def test_memo_does_not_mask_mutations():
     assert r.rs == {"b": Route("b", "b", 1)}
 
 
+def test_updates_pending_leaves_the_memo_untouched():
+    """The oracle only reads the memo: a memo it wrote would spare the
+    next pass the optimality test that a run never asking it makes."""
+    r = mk_router(start_time=100)
+    r.ls = {"b": sym("b", now=100)}
+    r.run_update_info()
+    edges, rs = r._opt_edges, r._opt_rs
+    assert not r.updates_pending()
+    assert r._opt_edges is edges and r._opt_rs is rs
+    # without a memo it proves the routing set optimal, and records nothing
+    r._opt_edges = r._opt_rs = None
+    assert not r.updates_pending()
+    assert r._opt_edges is None and r._opt_rs is None
+
+
 def test_run_update_info_traces_route_changes_once():
     r = mk_router(start_time=100)
     events = []

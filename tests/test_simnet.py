@@ -43,17 +43,17 @@ def test_params_validation():
 
 
 def test_ground_truth_check():
-    for metric in ({("a", "zz"): 1}, {("zz", "a"): 1}):
-        gt = GroundTruth(nodes={"a"}, metric=metric)
+    for out in ({"a": {"zz": 1}}, {"zz": {"a": 1}}):
+        gt = GroundTruth(nodes={"a"}, out=out)
         with pytest.raises(ScenarioError, match="undeclared"):
             gt.check()
-    gt = GroundTruth(nodes={"a"}, metric={("a", "a"): 1})
+    gt = GroundTruth(nodes={"a"}, out={"a": {"a": 1}})
     with pytest.raises(ScenarioError, match="self-loop"):
         gt.check()
-    gt = GroundTruth(nodes={"a", "b"}, metric={("a", "b"): 0})
+    gt = GroundTruth(nodes={"a", "b"}, out={"a": {"b": 0}})
     with pytest.raises(ScenarioError, match="finite positive"):
         gt.check()
-    GroundTruth(nodes={"a", "b"}, metric={("a", "b"): 1}).check()
+    GroundTruth(nodes={"a", "b"}, out={"a": {"b": 1}}).check()
 
 
 def test_render_trace_event_frozen():

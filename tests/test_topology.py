@@ -93,15 +93,45 @@ def test_link_universe_rules():
     ls = {"b": sym_link("b", 9),
           "h": sym_link("h", 2, sym_time=NOW),   # only heard: excluded
           "i": sym_link("i", INF)}               # infinite: excluded
-    rts = {"b": rows({"x": 4}),
-           "me": rows({"b": 3}),                 # parallel to the own link
-           "z": rows({"z": 1}),                  # self loop: excluded
-           "q": rows({"w": INF})}                # infinite: excluded
+    rts = {"b": rows({"x": 4, "w": INF}),        # infinite row: kept
+           "x": rows({"x": 1}),                  # self loop: kept
+           "z": rows({"z": 1}),                  # unreachable self loop
+           "q": rows({"w": INF})}                # unreachable infinite row
     edges = link_universe("me", ls, rts, NOW)
-    assert edges == {("b", "x"): 4, ("me", "b"): 3}
-    # the cheaper parallel edge wins in either order
-    rts["me"] = rows({"b": 30})
-    assert link_universe("me", ls, rts, NOW)[("me", "b")] == 9
+    assert edges == {"me": {"b": 9}, "b": {"x": 4, "w": INF},
+                     "x": {"x": 1}, "z": {"z": 1}, "q": {"w": INF}}
+    # the rows are rts's own maps, shared and not copied
+    assert all(edges[o] is dests for o, (_, dests) in rts.items())
+    # infinite rows, self loops and the excluded own links yield no route
+    assert _dijkstra(edges, "me") == {"me": 0, "b": 9, "x": 13}
+    rs = choose_optimal("me", edges)
+    assert rs == {"b": Route("b", "b", 9), "x": Route("x", "b", 13)}
+    assert is_optimal_over("me", edges, rs)
+    assert oracles.ref_is_optimal_over("me", edges, rs)
+    for bad in ({**rs, "w": Route("w", "b", INF)},
+                {**rs, "x": Route("x", "i", 13)},
+                {**rs, "h": Route("h", "h", 2)}):
+        assert not is_optimal_over("me", edges, bad)
+        assert not oracles.ref_is_optimal_over("me", edges, bad)
+
+
+def test_topology_rows_are_replaced_never_mutated():
+    rts = {}
+    assert update_router_topology("me", rts, "b", vtime=30,
+                                  dests={"x": 1}, now=NOW)
+    first = rts["b"][1]
+    edges = link_universe("me", {}, rts, NOW)
+    assert edges["b"] is first
+    # a refresh keeps the map, so the universe still compares by identity
+    assert not update_router_topology("me", rts, "b", vtime=30,
+                                      dests={"x": 1}, now=NOW + 1)
+    assert rts["b"][1] is first
+    # a change installs a new map and leaves the old one as it was
+    assert update_router_topology("me", rts, "b", vtime=30,
+                                  dests={"x": 2, "y": 1}, now=NOW + 2)
+    assert rts["b"][1] is not first
+    assert first == {"x": 1} and edges == {"b": {"x": 1}, "me": {}}
+    assert link_universe("me", {}, rts, NOW)["b"] is rts["b"][1]
 
 
 def random_digraph(rng, n=None, max_metric=9, density=0.4):
@@ -111,7 +141,7 @@ def random_digraph(rng, n=None, max_metric=9, density=0.4):
     for u in names:
         for v in names:
             if u != v and rng.random() < density:
-                edges[(u, v)] = rng.randint(1, max_metric)
+                edges.setdefault(u, {})[v] = rng.randint(1, max_metric)
     return names, edges
 
 
@@ -146,13 +176,10 @@ def test_choose_optimal_excludes_self():
 
 def _first_hop_dists(edges, source):
     """(best cost per node, best cost per (node, first hop)) by brute force."""
-    adj = {}
-    for (u, v), w in edges.items():
-        adj.setdefault(u, []).append((v, w))
     best, best_via = {}, {}
 
     def walk(u, cost, seen, first):
-        for v, w in adj.get(u, ()):
+        for v, w in edges.get(u, {}).items():
             if v in seen:
                 continue
             c = cost + w
@@ -201,7 +228,7 @@ def mutate_routing_set(rng, rs, names, edges, ip):
         far = max(r.metric for r in out.values())
         d = rng.choice(sorted(d for d, r in out.items() if r.metric == far))
         r = out[d]
-        others = sorted(v for (u, v) in edges if u == ip and v != r.next_hop)
+        others = sorted(v for v in edges.get(ip, {}) if v != r.next_hop)
         if others:
             out[d] = Route(d, rng.choice(others), r.metric)
     return out
@@ -233,7 +260,7 @@ def test_optimality_verdicts_match_oracle():
 def test_choose_optimal_canonical_tiebreak():
     # two equally cheap first hops toward c: the canonical choice walks
     # the lexicographically smallest predecessor chain, hence via a
-    edges = {("s", "a"): 1, ("s", "b"): 1, ("a", "c"): 1, ("b", "c"): 1}
+    edges = {"s": {"a": 1, "b": 1}, "a": {"c": 1}, "b": {"c": 1}}
     rs = choose_optimal("s", edges)
     assert rs["c"] == Route("c", "a", 2)
     assert rs["a"] == Route("a", "a", 1)
@@ -241,7 +268,7 @@ def test_choose_optimal_canonical_tiebreak():
 
 
 def test_is_optimal_rejects_wrong_first_hop():
-    edges = {("s", "a"): 1, ("s", "b"): 5, ("a", "b"): 1}
+    edges = {"s": {"a": 1, "b": 5}, "a": {"b": 1}}
     good = {"a": Route("a", "a", 1), "b": Route("b", "a", 2)}
     bad = {"a": Route("a", "a", 1), "b": Route("b", "b", 2)}
     assert is_optimal_over("s", edges, good)
@@ -250,7 +277,7 @@ def test_is_optimal_rejects_wrong_first_hop():
 
 
 def test_is_optimal_rejects_mislabeled_route():
-    edges = {("s", "a"): 1}
+    edges = {"s": {"a": 1}}
     assert not is_optimal_over("s", edges, {"a": Route("x", "a", 1)})
 
 
