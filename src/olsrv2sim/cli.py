@@ -3,7 +3,8 @@
 Scenario grammar, one directive per line, `#` starts a comment:
 
     node <id>
-    param <name> <int>            (or  param <node>.<name> <int>)
+    param <name> <int>            (or  param <node>.<name> <int>,
+                                   for a per-router param)
     link <src> <dst> <metric> [bidi <metric>]
     at <tick> linkup <src> <dst> <metric>
     at <tick> linkdown <src> <dst>
@@ -42,6 +43,9 @@ PARAM_NAMES = frozenset({
     "hp_maxjitter", "tp_maxjitter", "hello_interval", "tc_interval",
     "h_hold_time", "t_hold_time", "l_hold_time",
 })
+# read once for the whole network, so never spelled <node>.<name>
+NETWORK_PARAMS = frozenset({"lb", "delta_b", "seed", "ticks",
+                            "metric_noise"})
 FLAG_NAMES = frozenset({"bug_rfc7181", "flood_all",
                         "process_tc_from_unknown"})
 
@@ -113,6 +117,9 @@ def parse_scenario(text: str) -> Scenario:
                 _fail(lineno, f"unknown param {base!r}")
             if "." in name:
                 want_node(name.split(".", 1)[0], lineno)
+                if base in NETWORK_PARAMS:
+                    _fail(lineno, f"param {base} is network-wide;"
+                                  f" it has no per-node form {name!r}")
             params[name] = want_int(rest[1], lineno, f"param {name}")
             if base in ("ticks", "metric_noise") and params[name] < 0:
                 _fail(lineno, f"param {name} must be >= 0, got {params[name]}")

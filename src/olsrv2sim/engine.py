@@ -385,48 +385,58 @@ class Router:
                     self._next_expiry = t
 
     def process_tc(self, msg: Tc) -> None:
+        """Process a TC, then forward it; each step at most once per
+        (originator, seq).
+
+        The process step stores the rows of a TC not processed before
+        (not in ps), when its sender is a SYMMETRIC neighbor or
+        process_tc_from_unknown is set. The forward step records a TC
+        from a SYMMETRIC sender as received (rxs) and, if that sender
+        selected us as flooding MPR or flood_all is set, queues a copy.
+
+        A copy already in rxs returns at once, before the sender's link
+        is read, and writes nothing: rxs is a subset of ps. A key
+        enters rxs only in the forward step, which is reached only with
+        a SYMMETRIC sender, and with such a sender the process step has
+        put the key in ps by then. So both steps would drop the copy
+        anyway. Otherwise the sender's status is read once and serves
+        both steps.
+        """
         if not isinstance(msg, Tc):
             raise TypeError("process_tc requires a TC message")
-        if msg.originator == self.ip:
+        moip, seq = msg.originator, msg.seq
+        if moip == self.ip:
             return  # own message echoed back; drop without forwarding
-        sender_lt = self.ls.get(msg.sender)
-        sender_sym = (sender_lt is not None
-                      and sender_lt.status(self.now) == Status.SYMMETRIC)
-        if not sender_sym and not self.process_tc_from_unknown:
-            self._forward_tc(msg)
-            return
-        key = (msg.originator, msg.seq)
-        if key in self.ps:
-            self._forward_tc(msg)
-            return
-        message_logs.add_processed_tuple(self.ps, msg.originator, msg.seq)
-        ar = self.arrs.get(msg.originator)
-        if ar is not None and ar.ansn > msg.ansn:
-            # known newer advertisement; message content is out of date
-            self._forward_tc(msg)
-            return
-        topology.update_advertising_routers(
-            self.arrs, msg.originator, msg.ansn, msg.validity, self.now)
-        if topology.update_router_topology(
-                self.ip, self.rts, msg.originator, msg.validity, msg.dests,
-                self.now):
-            self._topology_dirty = True
-        # the rows' new validity time may come before every stored one
-        self._next_expiry = min(self._next_expiry, self.now + msg.validity)
-        self._forward_tc(msg)
-
-    def _forward_tc(self, msg: Tc) -> None:
-        sender_lt = self.ls.get(msg.sender)
-        if sender_lt is None or sender_lt.status(self.now) != Status.SYMMETRIC:
-            return
-        key = (msg.originator, msg.seq)
+        key = (moip, seq)
         if key in self.rxs:
             return
-        message_logs.add_received_tuple(self.rxs, msg.originator, msg.seq)
+        now = self.now
+        sender_lt = self.ls.get(msg.sender)
+        sender_sym = (sender_lt is not None
+                      and sender_lt.status(now) == Status.SYMMETRIC)
+        if ((sender_sym or self.process_tc_from_unknown)
+                and key not in self.ps):
+            message_logs.add_processed_tuple(self.ps, moip, seq)
+            ar = self.arrs.get(moip)
+            # a known newer advertisement makes the content out of date
+            if ar is None or ar.ansn <= msg.ansn:
+                topology.update_advertising_routers(
+                    self.arrs, moip, msg.ansn, msg.validity, now)
+                if topology.update_router_topology(
+                        self.ip, self.rts, moip, msg.validity, msg.dests,
+                        now):
+                    self._topology_dirty = True
+                # the rows' new validity time may come before every
+                # stored one
+                self._next_expiry = min(self._next_expiry,
+                                        now + msg.validity)
+        if not sender_sym:
+            return
+        message_logs.add_received_tuple(self.rxs, moip, seq)
         if self.flood_all or sender_lt.fmpr_selector:
             fwd = forward_tc_message(self.ip, msg)
             self.pkt.append(fwd)
-            self.send_time = self.now + 1
+            self.send_time = now + 1
             self.trace("TC_FWD", fwd)
 
     # -- per-tick step ----------------------------------------------------

@@ -152,9 +152,20 @@ def render_message(msg: Message) -> str:
                 f" mpr={_render_map(msg.mprs, _enum_value)}"
                 f" in={_render_map(msg.in_metrics, render_metric)}"
                 f" out={_render_map(msg.out_metrics, render_metric)}")
-    return (f"TC o={msg.originator} s={msg.sender} vt={render_time(msg.validity)}"
-            f" sqn={msg.seq} ansn={msg.ansn}"
-            f" d={_render_map(msg.dests, render_metric)}")
+    return render_tc_head(msg) + render_dests(msg.dests)
+
+
+def render_tc_head(msg: Tc) -> str:
+    """A TC's line up to its advertised map, which follows "d="."""
+    return (f"TC o={msg.originator} s={msg.sender}"
+            f" vt={render_time(msg.validity)} sqn={msg.seq}"
+            f" ansn={msg.ansn} d=")
+
+
+def render_dests(dests: dict) -> str:
+    """A TC's advertised map. Forwarded copies share their original's
+    dests, so a caller can render it once per origination."""
+    return _render_map(dests, render_metric)
 
 
 def render_packet(pkt: Packet, message_text=None) -> str:

@@ -25,7 +25,9 @@ Network.render_trace, TraceEvent.detail). The payload per kind:
                              the sent Packet as packet;
   LINK_EVENT                 the TopologyEvent applied.
 Messages and packets are never changed once traced, so an event's line
-is the same whenever it is rendered.
+is the same whenever it is rendered. Each router's trace callback is
+bound once, when the Network is built; it records into the current
+tick's events, which join the trace in node order at the tick's end.
 
 Ground truth is held by sender, sender -> {recipient: metric}, so a
 broadcast reads its recipients and their metrics off the sender's row
@@ -35,11 +37,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import messages
 from .engine import EngineDiagnostic, Router, RouterConfig, init_router
-from .messages import INF, Metric, NodeId, Packet, TimeValue, render_packet
+from .messages import (INF, Metric, NodeId, Packet, Tc, TimeValue,
+                       render_packet)
 from .topology import render_route
 
 
@@ -103,8 +107,7 @@ class InFlight:
     metric_snapshot: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     tick: TimeValue
     node: NodeId
     kind: str
@@ -115,6 +118,17 @@ class TraceEvent:
     def detail(self) -> str:
         """The rendered text after the kind, for this event alone."""
         return _render_detail(self, messages.render_message, render_packet)
+
+
+_NODE = attrgetter("node")
+
+
+class _TickEvents(list):
+    """The events of the tick being run, in emission order, and that
+    tick. Routers' emitters hold this and not the Network, so a
+    network forms no reference cycle and is freed once dropped."""
+
+    tick: TimeValue = 0
 
 
 def _render_detail(ev: TraceEvent, message_text, packet_text) -> str:
@@ -162,12 +176,25 @@ class Network:
         self.inflights: list = []
         self._busy_until: dict = {}  # node -> delivery tick of its broadcast
         self.trace: list = []
+        self._tick_events = _TickEvents()
+        for nid, router in routers.items():
+            router.trace = self._emitter(nid)
         self._dur_rng = {n: random.Random(f"{params.seed}/{n}/dur")
                          for n in routers}
         self._noise_rng = {n: random.Random(f"{params.seed}/{n}/noise")
                            for n in routers}
 
     # -- helpers ----------------------------------------------------------
+
+    def _emitter(self, node: NodeId):
+        """The router's trace(kind, payload): records a TraceEvent of
+        node at the current tick."""
+        events = self._tick_events
+        append = events.append
+
+        def emit(kind: str, payload) -> None:
+            append(TraceEvent(events.tick, node, kind, payload))
+        return emit
 
     def busy(self, node: NodeId) -> bool:
         return self.clock < self._busy_until.get(node, 0)
@@ -190,7 +217,9 @@ class Network:
         the permutation-invariance test and must be a permutation of
         the node ids.
         """
-        events: list = []
+        events = self._tick_events
+        events.clear()  # drop anything traced outside a tick
+        events.tick = self.clock
 
         def emit(node, kind, payload, packet=None):
             events.append(TraceEvent(self.clock, node, kind, payload, packet))
@@ -211,10 +240,7 @@ class Network:
         for nid in order:
             if self.busy(nid):
                 continue
-            router = self.routers[nid]
-            router.trace = (lambda kind, payload, _n=nid:
-                            emit(_n, kind, payload))
-            packet = router.step_main()
+            packet = self.routers[nid].step_main()
             if packet is not None:
                 d = self.params.lb + self._dur_rng[nid].randrange(
                     self.params.delta_b + 1)
@@ -239,7 +265,7 @@ class Network:
         for router in self.routers.values():
             router.now += 1
 
-        events.sort(key=lambda e: e.node)  # stable: keeps emission order
+        events.sort(key=_NODE)  # stable: keeps emission order
         self.trace.extend(events)
 
     def apply_topology_event(self, ev: TopologyEvent, emit=None) -> None:
@@ -270,17 +296,29 @@ class Network:
         """Each trace event's line with its newline, in trace order.
 
         Every distinct message and packet is rendered once, at its
-        first line, and its text reused by later lines. The memo is
-        keyed by object identity, which is stable because the trace
-        holds every object while the lines are drawn.
+        first line, and its text reused by later lines. A TC's
+        advertised map is rendered once per origination: forwarded
+        copies share the original's dests dict, so only their heads
+        are rendered anew. The memos are keyed by object identity,
+        which is stable because the trace holds every object while the
+        lines are drawn.
         """
         msgs: dict = {}
         pkts: dict = {}
+        dests: dict = {}
 
         def message_text(msg) -> str:
             text = msgs.get(id(msg))
             if text is None:
-                text = msgs[id(msg)] = messages.render_message(msg)
+                if type(msg) is Tc:
+                    d = dests.get(id(msg.dests))
+                    if d is None:
+                        d = dests[id(msg.dests)] = messages.render_dests(
+                            msg.dests)
+                    text = messages.render_tc_head(msg) + d
+                else:
+                    text = messages.render_message(msg)
+                msgs[id(msg)] = text
             return text
 
         def packet_text(pkt) -> str:

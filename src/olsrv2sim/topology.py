@@ -57,14 +57,23 @@ def update_router_topology(ip: NodeId, rts: TrSet, moip: NodeId,
                            now: TimeValue) -> bool:
     """Replace every advertised row of moip with the new dests map.
 
-    Returns whether moip's (dest, metric) rows changed; False means the
-    message only refreshed their validity time.
+    Entries about ip itself are dropped. Returns whether moip's (dest,
+    metric) rows changed; False means the message only refreshed their
+    validity time. dests is compared with the stored row in place, and
+    a refresh keeps the stored row map itself: only changed rows are
+    copied into a new map.
     """
     old = rts.pop(moip, (None, {}))[1]
-    new = {d: m for d, m in dests.items() if d != ip}
-    changed = new != old
-    if new:
-        rts[moip] = (now + vtime, new if changed else old)
+    # a stored row map never holds ip, so it equals dests minus ip
+    # exactly when it is as large and each of its rows is in dests
+    changed = (len(dests) - (ip in dests) != len(old)
+               or not old.items() <= dests.items())
+    if changed:
+        new = {d: m for d, m in dests.items() if d != ip}
+        if new:
+            rts[moip] = (now + vtime, new)
+    elif old:
+        rts[moip] = (now + vtime, old)
     return changed
 
 

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 import olsrv2sim
 from olsrv2sim.checkers import FIG3_SCENARIO
-from olsrv2sim.cli import (FLAG_NAMES, PARAM_NAMES, Scenario,
-                           _apply_cli_overrides, main, parse_scenario,
-                           render_scenario)
+from olsrv2sim.cli import (FLAG_NAMES, NETWORK_PARAMS, PARAM_NAMES,
+                           Scenario, _apply_cli_overrides, main,
+                           parse_scenario, render_scenario)
 from olsrv2sim.simnet import ScenarioError, TopologyEvent, build_network
 
 from test_acceptance import EVENTFUL_SCENARIO
@@ -90,6 +90,13 @@ BAD_LINES = [
     ("param metric_noise -1\n", 1, "param metric_noise must be >= 0"),
     ("node a\nnode b\nlink a b 1\nlink b a 2 bidi 3\n", 4,
      "duplicate link a->b"),
+    # network-wide params have no per-node form
+    ("node a\nparam a.lb 50\n", 2, "param lb is network-wide"),
+    ("node a\nparam a.delta_b 1\n", 2, "param delta_b is network-wide"),
+    ("node a\nparam a.seed 9\n", 2, "param seed is network-wide"),
+    ("node a\nparam a.ticks 7\n", 2, "param ticks is network-wide"),
+    ("node a\nnode b\nparam b.metric_noise 3\n", 3,
+     "param metric_noise is network-wide"),
 ]
 
 
@@ -115,7 +122,7 @@ def scenarios(draw):
         params[p] = draw(st.integers(0, 500))
     if draw(st.booleans()):
         node = draw(st.sampled_from(names))
-        p = draw(st.sampled_from(sorted(PARAM_NAMES)))
+        p = draw(st.sampled_from(sorted(PARAM_NAMES - NETWORK_PARAMS)))
         params[f"{node}.{p}"] = draw(st.integers(0, 500))
     links = []
     events = []

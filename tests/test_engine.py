@@ -345,6 +345,32 @@ def test_tc_duplicate_forwarded_once_never_reprocessed():
     assert len(r.pkt) == 1
 
 
+def tc_state(r):
+    """Everything process_tc may write, the trace aside."""
+    return (oracles.pass_state(r), set(r.ps), set(r.rxs), list(r.pkt),
+            r.send_time, r._dirty, r._topology_dirty, r._next_expiry)
+
+
+@pytest.mark.parametrize("from_unknown", [False, True])
+def test_tc_copy_already_received_changes_nothing(from_unknown):
+    """A copy whose key is in rxs is dropped whole: it would reach the
+    process step only with its key in ps, and rxs stops the forward."""
+    r = mk_router("a", process_tc_from_unknown=from_unknown)
+    r.ls = {"b": sym("b", fsel=True), "c": sym("c", fsel=True)}
+    r.process_tc(tc(seq=4, ansn=1, dests={"y": 3}))
+    assert ("x", 4) in r.rxs and len(r.pkt) == 1
+    traced = []
+    r.trace = lambda kind, payload: traced.append(kind)
+    before = tc_state(r)
+    senders = ["c", "stranger"] if from_unknown else ["c"]
+    for sender in senders:
+        # newer ansn and other rows: taken, they would show
+        r.process_tc(tc(sender=sender, seq=4, ansn=2, vt=90,
+                        dests={"zzz": 1}))
+        assert tc_state(r) == before
+    assert traced == []
+
+
 def test_tc_stale_ansn_ignored_but_forwarded():
     r = symmetric_selector_router()
     r.process_tc(tc(seq=1, ansn=5, dests={"y": 3}))
@@ -748,6 +774,30 @@ def churn_events(rng, links, ticks):
         events.append(TopologyEvent(rng.randrange(30, ticks - 30), "metric",
                                     u, v, rng.randint(1, 8)))
     return tuple(events)
+
+
+@pytest.mark.parametrize("flood_all", [False, True])
+@pytest.mark.parametrize("from_unknown", [False, True])
+def test_received_log_within_processed_log(flood_all, from_unknown):
+    """rxs <= ps at every router after every tick, the fact process_tc's
+    early drop of an already received copy rests on."""
+    rng = random.Random(f"rxs/{flood_all}/{from_unknown}")
+    for i in range(3):
+        s = oracles.random_connected_scenario(rng, rng.randint(4, 8),
+                                              seed=800 + i)
+        s.flags.update(flood_all=flood_all,
+                       process_tc_from_unknown=from_unknown)
+        if i:  # the first runs without churn
+            s.events = churn_events(rng, [(u, v) for u, v, _ in s.links],
+                                    200)
+        net = build_network(s)
+        for _ in range(200):
+            net.tick()
+            for r in net.routers.values():
+                assert r.rxs <= r.ps, (
+                    f"router {r.ip} at t={net.clock}:"
+                    f" {sorted(r.rxs - r.ps)} received, not processed")
+        assert any(r.rxs for r in net.routers.values())
 
 
 @pytest.mark.parametrize("flags", [

@@ -1,6 +1,8 @@
 """Network layer: timed delivery, busy spans, snapshots, topology events,
 typed trace events rendered only on output."""
+import gc
 import hashlib
+import weakref
 
 import pytest
 
@@ -211,6 +213,8 @@ def test_nothing_is_rendered_before_output(monkeypatch):
         raise AssertionError("trace text rendered before output")
 
     renderers = {"render_message": messages.render_message,
+                 "render_tc_head": messages.render_tc_head,
+                 "render_dests": messages.render_dests,
                  "render_packet": messages.render_packet,
                  "render_route": topology.render_route}
     with monkeypatch.context() as mp:
@@ -222,6 +226,8 @@ def test_nothing_is_rendered_before_output(monkeypatch):
                     mp.setattr(mod, name, refuse)
                     patched.append(f"{mod.__name__}.{name}")
         assert "olsrv2sim.engine.render_message" in patched
+        assert {"olsrv2sim.messages.render_tc_head",
+                "olsrv2sim.messages.render_dests"} <= set(patched)
         lazy = check_style_run()
         with pytest.raises(AssertionError, match="before output"):
             lazy.render_trace()
@@ -234,6 +240,41 @@ def test_nothing_is_rendered_before_output(monkeypatch):
     # the memoised lines are the lines each event renders on its own
     assert lazy.render_trace() == "".join(
         render_trace_event(ev) + "\n" for ev in lazy.trace)
+
+
+def test_tc_map_rendered_once_per_origination(monkeypatch):
+    """Forwarded copies share their original's advertised map, so the
+    trace renders one map per generated TC, and every copy's line is
+    still the one it renders on its own."""
+    net = check_style_run()
+    render_dests, calls = messages.render_dests, []
+
+    def counted(dests):
+        calls.append(dests)
+        return render_dests(dests)
+
+    monkeypatch.setattr(messages, "render_dests", counted)
+    text = net.render_trace()
+    assert len(calls) == len(events_of(net, kind="TC_GEN"))
+    assert len(events_of(net, kind="TC_FWD")) > len(calls)
+    monkeypatch.undo()
+    assert text == "".join(render_trace_event(ev) + "\n"
+                           for ev in net.trace)
+
+
+def test_dropped_network_is_freed_without_the_cycle_collector():
+    """Routers' trace emitters hold no reference back to the network,
+    so dropping a network frees it at once, ticked or not."""
+    gc.disable()
+    try:
+        for ticks in (0, 30):
+            net = build_network(parse_scenario(EVENTFUL_SCENARIO))
+            net.run(ticks)
+            ref = weakref.ref(net)
+            del net
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_route_change_line_survives_in_place_change_to_rs():

@@ -8,6 +8,8 @@ sets and on randomly mutated ones.
 import random
 from collections import Counter
 
+import pytest
+
 from olsrv2sim.messages import INF, NEG_INF, Status
 from olsrv2sim.neighborhood import LinkTuple
 from olsrv2sim.topology import (AdvertisingRouterTuple, Route, _dijkstra, choose_optimal, increment_ansn,
@@ -62,6 +64,37 @@ def test_update_router_topology_replaces_all_rows_of_originator():
     assert not update_router_topology("me", rts, "d", vtime=10,
                                       dests={"me": 1}, now=NOW + 1)
     assert rts == {"c": rows({"x": 2})}
+
+
+VERDICTS = [
+    # (stored rows or None, dests, changed, rows after or None)
+    ({"x": 1, "y": 2}, {"y": 2, "me": 4, "x": 1}, False, {"x": 1, "y": 2}),
+    ({"x": 1, "y": 2}, {"x": 1, "z": 2}, True, {"x": 1, "z": 2}),
+    ({"x": 1, "y": 2}, {"x": 1, "y": 3}, True, {"x": 1, "y": 3}),
+    ({"x": 1}, {"x": 1, "me": 1, "y": 1}, True, {"x": 1, "y": 1}),
+    ({"x": 1}, {"me": 1}, True, None),
+    (None, {}, False, None),
+    (None, {"me": 2}, False, None),
+    (None, {"x": INF}, True, {"x": INF}),
+]
+
+
+@pytest.mark.parametrize("stored,dests,changed,after", VERDICTS)
+def test_update_router_topology_verdict(stored, dests, changed, after):
+    rts = {"c": rows({"x": 2})}
+    old = None
+    if stored is not None:
+        rts["b"] = rows(stored)
+        old = rts["b"][1]
+    got = update_router_topology("me", rts, "b", vtime=30, dests=dests,
+                                 now=NOW)
+    assert got is changed
+    assert rts.get("b") == (None if after is None else (NOW + 30, after))
+    assert rts["c"] == rows({"x": 2})
+    if after is not None:
+        # a refresh keeps the stored map; a change never stores dests
+        assert (rts["b"][1] is old) is not changed
+        assert rts["b"][1] is not dests
 
 
 def test_purges():
