@@ -1,12 +1,12 @@
 """One router's protocol state machine.
 
 The router advances in discrete ticks under a lock-step scheduler (see
-simnet). Within a tick all intranode work is zero-time: the step drains
-delivered packets, restores information-base consistency, processes
-messages, and possibly generates HELLO/TC messages. Starting a
-broadcast is the only action that consumes time, so a step that reaches
-the broadcast guard ends immediately and the node stays transmission-
-busy until the packet is delivered.
+simnet). Within a tick all intranode work is zero-time: the step
+restores information-base consistency, processes the queued messages,
+and possibly generates HELLO/TC messages. Starting a broadcast is the
+only action that consumes time, so a step that reaches the broadcast
+guard ends immediately and the node stays transmission-busy until the
+packet is delivered.
 
 Scheduling of periodic generation deserves a note. The protocol guard
 admits any tick in [deadline - maxjitter, deadline]; we draw a jitter J
@@ -145,7 +145,7 @@ class Router:
         self.ps: set = set()
         self.rxs: set = set()
         self.pkt: Packet = []
-        self.mqueue: deque = deque()  # (message, measured in_metric)
+        self.mqueue: deque = deque()  # QUEUE: (message, measured in_metric)
         self.now: TimeValue = start_time
         self.hello_time: TimeValue = start_time + hello_offset
         self.tc_time: TimeValue = start_time + tc_offset
@@ -154,7 +154,6 @@ class Router:
         self.ansn = 0
         self.advertised = frozenset()  # rmpr selectors at the last pass
 
-        self.inbox: list = []  # QUEUE process: delivered (packet, metric)
         self._rng = jitter_rng
         self._hello_fire = self.hello_time - self._rng.randrange(cfg.hp_maxjitter)
         self._tc_fire = self.tc_time - self._rng.randrange(cfg.tp_maxjitter)
@@ -442,8 +441,9 @@ class Router:
     # -- per-tick step ----------------------------------------------------
 
     def enqueue_delivery(self, packet: Packet, in_metric) -> None:
-        """QUEUE process: accept a delivered packet; never blocks."""
-        self.inbox.append((packet, in_metric))
+        """QUEUE process: queue a delivered packet's messages; never blocks."""
+        for m in packet:
+            self.mqueue.append((m, in_metric))
 
     def step_main(self) -> Optional[Packet]:
         """Run one tick of zero-time work; return a packet if one is emitted.
@@ -452,11 +452,6 @@ class Router:
         starts now and the caller must keep this node busy for the
         drawn duration. Nothing else happens in such a step.
         """
-        for packet, metric in self.inbox:
-            for m in packet:
-                self.mqueue.append((m, metric))
-        self.inbox.clear()
-
         steps = 0
         while True:
             steps += 1

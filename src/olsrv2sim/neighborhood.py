@@ -78,57 +78,53 @@ def purge_2hop_set(ls: LinkSet, twohop_set: TwoHopSet,
 
 # --- MPR validity and selection -----------------------------------------
 #
-# Both MPR flavours share one skeleton. N1 is the set of symmetric
-# 1-hop neighbors, N2 the 2-hop tuples anchored at N1 members, and a
-# candidate subset M <= N1 is valid when it preserves the distance
-# d(t, .) from this router to every 2-hop target t:
+# Both MPR flavours share one distance table and differ only in its
+# weights. N1 is the set of symmetric 1-hop neighbors, N2 the 2-hop
+# tuples anchored at N1 members, and a candidate subset M <= N1 is
+# valid when it preserves the distance d(t, .) from this router to
+# every 2-hop target t. A path is a 1-hop leg into a neighbor x,
+# followed for t != x by a 2-hop leg from x to t:
 #
-#   flooding: d counts hops, so preserved distances are 1 or 2;
-#   routing:  d sums in_metrics (d1 into the anchor, d2 into the target).
+#   flooding: each leg weighs 1, so preserved distances are 1 or 2;
+#   routing:  the 1-hop leg weighs x's in_metric, the 2-hop leg the
+#             tuple's in_metric (its out_metric under bug_mode).
 #
 # Since d(t, S) = min over x in S of d(t, {x}), validity reduces to a
 # covering condition: every target with finite d(t, N1) needs some
-# member achieving that minimum. choose_* exploits this for a greedy
-# polynomial pick; the test suite checks it against an exhaustive
-# enumeration (practical for |N1| <= 6).
+# member achieving that minimum. The greedy pick exploits this for a
+# polynomial choice; the test suite checks it against an exhaustive
+# enumeration (practical for |N1| <= 6). A pass builds the table once
+# per flavour and chooses anew only when the flagged set is invalid.
 
 def _n1_oips(ls: LinkSet, now: TimeValue) -> FrozenSet[NodeId]:
     return frozenset(oip for oip, lt in ls.items()
                      if lt.status(now) == Status.SYMMETRIC)
 
 
-def _n2_tuples(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
-               n1: AbstractSet[NodeId]) -> list:
-    return [n2 for n2 in twohop_set.values() if n2.one_hop_oip in n1]
-
-
 def _distance_table(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
-                    flavour: str, bug_mode: bool = False):
-    """Per-target single-neighbor distances plus the N1-wide minimum.
+                    routing: bool, bug_mode: bool = False):
+    """Per-target single-neighbor distances plus the N1-wide minimum,
+    under the routing weights or, when routing is false, the flooding
+    ones.
 
     Returns (n1, targets, dist, full) where dist[(x, t)] is d(t, {x})
-    and full[t] is d(t, N1). One pass over the 2-hop set; this sits on
-    the engine's consistency-check hot path.
+    and full[t] is d(t, N1). One pass over the 2-hop set.
     """
     n1 = _n1_oips(ls, now)
-    n2s = _n2_tuples(ls, twohop_set, now, n1)
+    n2s = [n2 for n2 in twohop_set.values() if n2.one_hop_oip in n1]
     targets = sorted({n2.two_hop_oip for n2 in n2s})
-    dist = {}
-    if flavour == "fmpr":
-        for t in targets:
-            for x in n1:
-                dist[(x, t)] = 1 if x == t else INF
-        for n2 in n2s:
-            key = (n2.one_hop_oip, n2.two_hop_oip)
-            dist[key] = min(dist[key], 2)
-    else:
-        for t in targets:
-            for x in n1:
-                dist[(x, t)] = ls[x].in_metric if x == t else INF
-        for n2 in n2s:
-            key = (n2.one_hop_oip, n2.two_hop_oip)
-            d2 = n2.out_metric if bug_mode else n2.in_metric
-            dist[key] = min(dist[key], ls[n2.one_hop_oip].in_metric + d2)
+    dist = {(x, t): INF for t in targets for x in n1}
+    for x in n1.intersection(targets):
+        dist[(x, x)] = ls[x].in_metric if routing else 1
+    for n2 in n2s:
+        x = n2.one_hop_oip
+        if routing:
+            d = ls[x].in_metric + (n2.out_metric if bug_mode
+                                   else n2.in_metric)
+        else:
+            d = 2  # two legs of weight 1
+        key = (x, n2.two_hop_oip)
+        dist[key] = min(dist[key], d)
     full = {}
     for t in targets:
         full[t] = min([INF] + [dist[(x, t)] for x in n1])
@@ -147,16 +143,14 @@ def _is_valid(member_oips: AbstractSet[NodeId], n1, targets, dist, full) -> bool
 
 def is_valid_fmpr_set(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
                       member_oips: AbstractSet[NodeId]) -> bool:
-    n1, targets, dist, full = _distance_table(ls, twohop_set, now, "fmpr")
-    return _is_valid(member_oips, n1, targets, dist, full)
+    return _is_valid(member_oips, *_distance_table(ls, twohop_set, now, False))
 
 
 def is_valid_rmpr_set(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
                       member_oips: AbstractSet[NodeId],
                       bug_mode: bool = False) -> bool:
-    n1, targets, dist, full = _distance_table(ls, twohop_set, now, "rmpr",
-                                              bug_mode)
-    return _is_valid(member_oips, n1, targets, dist, full)
+    return _is_valid(member_oips, *_distance_table(ls, twohop_set, now, True,
+                                                   bug_mode))
 
 
 def _greedy_choose(n1, targets, dist, full) -> FrozenSet[NodeId]:
@@ -188,41 +182,37 @@ def _greedy_choose(n1, targets, dist, full) -> FrozenSet[NodeId]:
 def choose_fmprs(ls: LinkSet, twohop_set: TwoHopSet,
                  now: TimeValue) -> FrozenSet[NodeId]:
     """Deterministic small valid flooding-MPR set (greedy cover)."""
-    n1, targets, dist, full = _distance_table(ls, twohop_set, now, "fmpr")
-    return _greedy_choose(n1, targets, dist, full)
+    return _greedy_choose(*_distance_table(ls, twohop_set, now, False))
 
 
 def choose_rmprs(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
                  bug_mode: bool = False) -> FrozenSet[NodeId]:
-    n1, targets, dist, full = _distance_table(ls, twohop_set, now, "rmpr",
-                                              bug_mode)
-    return _greedy_choose(n1, targets, dist, full)
+    return _greedy_choose(*_distance_table(ls, twohop_set, now, True,
+                                           bug_mode))
 
 
-def _rewrite_flags(ls: LinkSet, field: str,
-                   member_oips: AbstractSet[NodeId]) -> None:
+def _update_flags(ls: LinkSet, field: str, table) -> None:
+    """Keep the flags in field while they form a valid set under the
+    distance table, else flag the greedy pick instead."""
+    if _is_valid({oip for oip, lt in ls.items() if getattr(lt, field)},
+                 *table):
+        return
+    chosen = _greedy_choose(*table)
     for lt in [lt for lt in ls.values()
-               if getattr(lt, field) != (lt.oip in member_oips)]:
-        ls[lt.oip] = dataclasses.replace(lt, **{field: lt.oip in member_oips})
-
-
-def _flagged(ls: LinkSet, field: str) -> FrozenSet[NodeId]:
-    return frozenset(oip for oip, lt in ls.items() if getattr(lt, field))
+               if getattr(lt, field) != (lt.oip in chosen)]:
+        ls[lt.oip] = dataclasses.replace(lt, **{field: lt.oip in chosen})
 
 
 def update_fmprs(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue) -> None:
     """Keep the flooding-MPR flags while valid, else flag choose_fmprs."""
-    if not is_valid_fmpr_set(ls, twohop_set, now, _flagged(ls, "fmpr")):
-        _rewrite_flags(ls, "fmpr", choose_fmprs(ls, twohop_set, now))
+    _update_flags(ls, "fmpr", _distance_table(ls, twohop_set, now, False))
 
 
 def update_rmprs(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
                  bug_mode: bool = False) -> None:
     """Keep the routing-MPR flags while valid, else flag choose_rmprs."""
-    if not is_valid_rmpr_set(ls, twohop_set, now, _flagged(ls, "rmpr"),
-                             bug_mode):
-        _rewrite_flags(ls, "rmpr",
-                       choose_rmprs(ls, twohop_set, now, bug_mode))
+    _update_flags(ls, "rmpr", _distance_table(ls, twohop_set, now, True,
+                                              bug_mode))
 
 
 # --- trace rendering ---------------------------------------------------

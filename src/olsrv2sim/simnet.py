@@ -31,13 +31,16 @@ tick's events, which join the trace in node order at the tick's end.
 
 Ground truth is held by sender, sender -> {recipient: metric}, so a
 broadcast reads its recipients and their metrics off the sender's row
-in O(degree).
+in O(degree). Broadcasts in flight are held by delivery tick, as
+tick -> [(sender, packet, snapshot)]: snapshot copies the sender's row
+at send time, so its keys are the recipients and its metrics the
+fallback measurement for a link that vanishes mid-flight.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import messages
@@ -55,7 +58,6 @@ class ScenarioError(ValueError):
 class NetworkParams:
     lb: int
     delta_b: int
-    node_count: int
     seed: int
 
     def __post_init__(self):
@@ -96,17 +98,6 @@ class TopologyEvent:
     metric: Optional[Metric] = None
 
 
-@dataclass
-class InFlight:
-    sender: NodeId
-    packet: Packet
-    deliver_at: TimeValue
-    recipients: frozenset
-    # directed metrics sampled when the broadcast started; used as the
-    # fallback measurement if the link vanishes mid-flight
-    metric_snapshot: dict = field(default_factory=dict)
-
-
 class TraceEvent(NamedTuple):
     tick: TimeValue
     node: NodeId
@@ -121,6 +112,7 @@ class TraceEvent(NamedTuple):
 
 
 _NODE = attrgetter("node")
+_SENDER = itemgetter(0)
 
 
 class _TickEvents(list):
@@ -170,10 +162,26 @@ class Network:
         self.gt = gt
         self.routers = routers
         self.events = sorted(events, key=lambda e: (e.time, e.src, e.dst))
+        # check every event once, replayed over the links that are up:
+        # a linkup needs its link absent, a linkdown or metric present
+        up = {(a, b) for a, row in gt.out.items() for b in row}
+        for ev in self.events:
+            link = (ev.src, ev.dst)
+            if ev.src not in gt.nodes or ev.dst not in gt.nodes:
+                raise ScenarioError(f"topology event references unknown"
+                                    f" node: {ev.src}->{ev.dst}")
+            if (ev.kind == "linkup") == (link in up):
+                state = "present" if link in up else "absent"
+                raise ScenarioError(f"{ev.kind} event on {state} link"
+                                    f" {ev.src}->{ev.dst} at t={ev.time}")
+            if ev.kind == "linkup":
+                up.add(link)
+            elif ev.kind == "linkdown":
+                up.remove(link)
         self._next_event = 0  # index of the first event not yet due
         self.metric_noise = metric_noise
         self.clock: TimeValue = 0
-        self.inflights: list = []
+        self.inflights: dict = {}  # tick -> [(sender, packet, snapshot)]
         self._busy_until: dict = {}  # node -> delivery tick of its broadcast
         self.trace: list = []
         self._tick_events = _TickEvents()
@@ -225,15 +233,12 @@ class Network:
             events.append(TraceEvent(self.clock, node, kind, payload, packet))
 
         # phase 1: deliveries due now, canonical order by sender
-        due = sorted((f for f in self.inflights if f.deliver_at == self.clock),
-                     key=lambda f: f.sender)
-        self.inflights = [f for f in self.inflights
-                          if f.deliver_at != self.clock]
-        for f in due:
-            for r in sorted(f.recipients):
-                m = self._measured_metric(f.sender, r, f.metric_snapshot)
-                self.routers[r].enqueue_delivery(f.packet, m)
-                emit(r, "DELIVER", (f.sender, m), f.packet)
+        due = self.inflights.pop(self.clock, ())
+        for sender, packet, snapshot in sorted(due, key=_SENDER):
+            for r in sorted(snapshot):
+                m = self._measured_metric(sender, r, snapshot)
+                self.routers[r].enqueue_delivery(packet, m)
+                emit(r, "DELIVER", (sender, m), packet)
 
         # phase 2: per-router steps
         order = step_order if step_order is not None else sorted(self.routers)
@@ -245,11 +250,10 @@ class Network:
                 d = self.params.lb + self._dur_rng[nid].randrange(
                     self.params.delta_b + 1)
                 snapshot = dict(self.gt.out[nid])
-                recipients = frozenset(snapshot)
-                self.inflights.append(InFlight(nid, packet, self.clock + d,
-                                               recipients, snapshot))
+                self.inflights.setdefault(self.clock + d, []).append(
+                    (nid, packet, snapshot))
                 self._busy_until[nid] = self.clock + d
-                emit(nid, "BROADCAST", (d, recipients), packet)
+                emit(nid, "BROADCAST", (d, frozenset(snapshot)), packet)
 
         # phase 3: topology events scheduled for this tick; events
         # is sorted by time, so the due ones start at the cursor
@@ -269,20 +273,12 @@ class Network:
         self.trace.extend(events)
 
     def apply_topology_event(self, ev: TopologyEvent, emit=None) -> None:
-        if ev.src not in self.gt.nodes or ev.dst not in self.gt.nodes:
-            raise ScenarioError(f"topology event references unknown node: "
-                                f"{ev.src}->{ev.dst}")
+        """Apply one event, already checked against the links it meets."""
         row = self.gt.out[ev.src]
-        if ev.kind == "linkup":
+        if ev.kind in ("linkup", "metric"):
             row[ev.dst] = ev.metric
         elif ev.kind == "linkdown":
-            row.pop(ev.dst, None)
-        elif ev.kind == "metric":
-            if ev.dst not in row:
-                raise ScenarioError(
-                    f"metric event on absent link {ev.src}->{ev.dst}"
-                    f" at t={ev.time}")
-            row[ev.dst] = ev.metric
+            del row[ev.dst]
         else:
             raise ScenarioError(f"unknown topology event kind: {ev.kind}")
         if emit is not None:
@@ -346,7 +342,6 @@ def build_network(scenario) -> Network:
     if len(set(nodes)) != len(nodes):
         dupes = sorted({n for n in nodes if nodes.count(n) > 1})
         raise ScenarioError(f"duplicate node id: {', '.join(dupes)}")
-    node_set = set(nodes)
 
     def param(name, default, node=None):
         if node is not None and f"{node}.{name}" in scenario.params:
@@ -356,22 +351,12 @@ def build_network(scenario) -> Network:
     lb = param("lb", 1)
     delta_b = param("delta_b", 0)
     seed = param("seed", 1)
-    params = NetworkParams(lb=lb, delta_b=delta_b,
-                           node_count=len(nodes), seed=seed)
+    params = NetworkParams(lb=lb, delta_b=delta_b, seed=seed)
 
     out: dict = {}
     for (src, dst, m) in scenario.links:
-        if src not in node_set or dst not in node_set:
-            raise ScenarioError(f"dangling link endpoint: {src}->{dst}")
         out.setdefault(src, {})[dst] = m
-    gt = GroundTruth(nodes=node_set, out=out)
-
-    events = []
-    for ev in scenario.events:
-        if ev.src not in node_set or ev.dst not in node_set:
-            raise ScenarioError(f"topology event references unknown node: "
-                                f"{ev.src}->{ev.dst}")
-        events.append(ev)
+    gt = GroundTruth(nodes=set(nodes), out=out)
 
     flags = dict(scenario.flags)
     routers = {}
@@ -402,5 +387,5 @@ def build_network(scenario) -> Network:
             flood_all=flags.get("flood_all", False),
             process_tc_from_unknown=flags.get("process_tc_from_unknown",
                                               False))
-    return Network(params, gt, routers, events,
+    return Network(params, gt, routers, scenario.events,
                    metric_noise=param("metric_noise", 0))

@@ -281,7 +281,7 @@ def test_events_past_the_budget_warn(tmp_path, capsys, command, budget):
     # code are those of the scenario without it
     early = MINIMAL + f"at {budget - 1} metric a b 2\n"
     late = early + (f"at {budget} linkdown a b\n"
-                    f"at {budget + 3} linkup b a 4\n")
+                    f"at {budget + 3} linkup a b 4\n")
     argv = [command, "--ticks", str(budget), "--scenario"]
     rc_early = main(argv + [write(tmp_path, early, "early.txt")])
     cap_early = capsys.readouterr()
@@ -294,8 +294,27 @@ def test_events_past_the_budget_warn(tmp_path, capsys, command, budget):
     assert warnings == [
         f"warning: event at t={budget} (linkdown a b) is at or after the"
         f" tick budget {budget} and is never applied",
-        f"warning: event at t={budget + 3} (linkup b a) is at or after the"
+        f"warning: event at t={budget + 3} (linkup a b) is at or after the"
         f" tick budget {budget} and is never applied"]
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("events,message", [
+    ("at 3 linkdown a b\nat 5 linkdown a b\n",
+     "linkdown event on absent link a->b at t=5"),
+    ("at 3 linkup a b 2\n", "linkup event on present link a->b at t=3"),
+    ("at 3 linkdown b a\nat 4 metric b a 2\n",
+     "metric event on absent link b->a at t=4"),
+    # checked at set-up, so past the tick budget too
+    ("at 900 linkup b a 2\n", "linkup event on present link b->a at t=900"),
+])
+def test_redundant_link_event_exit_two(tmp_path, capsys, command, events,
+                                       message):
+    rc = main([command, "--ticks", "20", "--scenario",
+               write(tmp_path, MINIMAL + events)])
+    cap = capsys.readouterr()
+    assert rc == 2 and cap.out == ""
+    assert cap.err == f"error: {message}\n"
 
 
 def test_check_fig3_verdicts(tmp_path, capsys):

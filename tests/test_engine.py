@@ -733,8 +733,7 @@ def test_changed_rows_tc_runs_only_the_topology_half(oracle_mode,
                                                      monkeypatch):
     r = linked_router()
     r.now = 103
-    calls = count_pass_calls(monkeypatch,
-                             ("is_valid_fmpr_set", "is_valid_rmpr_set"))
+    calls = count_pass_calls(monkeypatch, ("update_fmprs", "update_rmprs"))
     ls, ansn, advertised = dict(r.ls), r.ansn, r.advertised
     r.enqueue_delivery([tc(originator="b", dests={"c": 2, "x": 5})], 4)
     r.step_main()
@@ -748,7 +747,7 @@ def test_changed_rows_tc_runs_only_the_topology_half(oracle_mode,
     r.process_hello(linked_hello(mprs={"a": MprRole.ROUTING}), 4)
     r.step_main()
     assert oracle_mode[True] == 1 and oracle_mode["topology"] == 1
-    assert calls == {"is_valid_fmpr_set": 1, "is_valid_rmpr_set": 1}
+    assert calls == {"update_fmprs": 1, "update_rmprs": 1}
     assert set(r.rs) == {"b", "c", "y"} and r.ansn == ansn + 1
     # a stored time reached in the same tick (e's heard time, 114) also
     # runs the full pass
@@ -756,7 +755,7 @@ def test_changed_rows_tc_runs_only_the_topology_half(oracle_mode,
     r.process_tc(tc(originator="b", seq=2, dests={"c": 2, "z": 5}))
     r.step_main()
     assert oracle_mode[True] == 2 and oracle_mode["topology"] == 1
-    assert calls == {"is_valid_fmpr_set": 2, "is_valid_rmpr_set": 2}
+    assert calls == {"update_fmprs": 2, "update_rmprs": 2}
     assert set(r.rs) == {"b", "c", "z"}
 
 

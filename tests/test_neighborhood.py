@@ -7,6 +7,7 @@ against an independently written enumeration (oracles.ref_all_valid),
 the greedy choice against that family, and two hand-computed fixed
 points (a unit-metric grid center, an asymmetric-metric diamond).
 """
+import dataclasses
 import itertools
 import random
 
@@ -325,6 +326,35 @@ def test_update_rmprs_respects_bug_mode():
     # {c} is invalid in the corrected reading, so it is replaced
     update_rmprs(ls, ths, NOW, bug_mode=False)
     assert {o for o, t in ls.items() if t.rmpr} == {"b"}
+
+
+def test_update_mprs_against_the_references():
+    """On random neighborhoods, in both bug modes: the update keeps the
+    flagged set when the reference finds it valid and flags choose_*'s
+    set otherwise, the result is valid by the reference enumeration, and
+    no other field of a link tuple changes."""
+    rng = random.Random(0x0FF1CE)
+    for _ in range(200):
+        ls, ths = oracles.random_neighborhood(rng)
+        for bug in (False, True):
+            for field, update, chosen in (
+                    ("fmpr", lambda x: update_fmprs(x, ths, NOW),
+                     choose_fmprs(ls, ths, NOW)),
+                    ("rmpr", lambda x: update_rmprs(x, ths, NOW, bug),
+                     choose_rmprs(ls, ths, NOW, bug))):
+                before = {o for o, t in ls.items() if getattr(t, field)}
+                updated = dict(ls)
+                update(updated)
+                after = {o for o, t in updated.items() if getattr(t, field)}
+                valid = oracles.ref_mpr_valid(ls, ths, NOW, field, bug,
+                                              before)
+                assert after == (before if valid else chosen)
+                assert after in oracles.ref_all_valid(ls, ths, NOW, field,
+                                                      bug)
+                assert {o: dataclasses.replace(t, **{field: False})
+                        for o, t in updated.items()} == \
+                    {o: dataclasses.replace(t, **{field: False})
+                     for o, t in ls.items()}
 
 
 # --- renders ---------------------------------------------------------------

@@ -2,6 +2,7 @@
 typed trace events rendered only on output."""
 import gc
 import hashlib
+import random
 import weakref
 
 import pytest
@@ -17,7 +18,9 @@ from olsrv2sim.simnet import (GroundTruth, Network, NetworkParams,
                               build_network, render_trace_event)
 from olsrv2sim.topology import Route
 
+import oracles
 from test_acceptance import EVENTFUL_SCENARIO
+from test_engine import churn_events
 
 
 def scen(nodes=("a", "b"), links=(("a", "b", 5), ("b", "a", 5)),
@@ -39,9 +42,9 @@ def events_of(net, node=None, kind=None):
 
 def test_params_validation():
     with pytest.raises(ScenarioError, match="0 < LB"):
-        NetworkParams(lb=0, delta_b=0, node_count=2, seed=1)
+        NetworkParams(lb=0, delta_b=0, seed=1)
     with pytest.raises(ScenarioError, match="ΔB >= 0"):
-        NetworkParams(lb=1, delta_b=-1, node_count=2, seed=1)
+        NetworkParams(lb=1, delta_b=-1, seed=1)
 
 
 def test_ground_truth_check():
@@ -136,9 +139,32 @@ def test_metric_change_mid_flight_wins_over_snapshot():
 def test_metric_event_on_absent_link_rejected():
     s = scen(events=(TopologyEvent(2, "metric", "b", "a", 9),
                      TopologyEvent(1, "linkdown", "b", "a")))
-    net = build_network(s)
     with pytest.raises(ScenarioError, match="absent link b->a at t=2"):
-        net.run(4)
+        build_network(s)
+
+
+def test_link_events_replayed_at_set_up():
+    """Each event is checked against the links it will meet, in the
+    order the ticks apply them (same-tick events in scenario order)."""
+    s = scen(events=(TopologyEvent(6, "metric", "a", "b", 3),
+                     TopologyEvent(4, "linkdown", "a", "b"),
+                     TopologyEvent(4, "linkup", "a", "b", 2)))
+    net = build_network(s)
+    net.run(7)
+    assert net.gt.out["a"] == {"b": 3}
+    for events, message in (
+            ((TopologyEvent(4, "linkup", "a", "b", 2),
+              TopologyEvent(4, "linkdown", "a", "b")),
+             "linkup event on present link a->b at t=4"),
+            ((TopologyEvent(2, "linkdown", "b", "a"),
+              TopologyEvent(7, "linkdown", "b", "a")),
+             "linkdown event on absent link b->a at t=7"),
+            ((TopologyEvent(1, "linkdown", "b", "a"),
+              TopologyEvent(3, "linkup", "b", "a", 4),
+              TopologyEvent(500, "linkup", "b", "a", 4)),
+             "linkup event on present link b->a at t=500")):
+        with pytest.raises(ScenarioError, match=message):
+            build_network(scen(events=events))
 
 
 def test_unknown_event_kind_rejected():
@@ -163,10 +189,63 @@ def test_metric_noise_bounded_and_deterministic():
 def test_build_network_rejects_bad_scenarios():
     with pytest.raises(ScenarioError, match="duplicate node id: a"):
         build_network(scen(nodes=("a", "b", "a")))
-    with pytest.raises(ScenarioError, match="dangling link endpoint"):
+    with pytest.raises(ScenarioError, match="undeclared node"):
         build_network(scen(links=(("a", "zz", 1),)))
     with pytest.raises(ScenarioError, match="unknown node"):
         build_network(scen(events=(TopologyEvent(0, "linkup", "a", "zz", 1),)))
+
+
+class FixedDraw:
+    """A duration stream that always draws the same value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def randrange(self, stop):
+        return self.value
+
+
+def test_broadcasts_landing_on_one_tick_are_delivered_in_sender_order():
+    """b starts a 3-tick broadcast at t=0, a a 2-tick one at t=1. Both
+    land at t=3, and c is handed a's first, although b's was sent
+    first."""
+    s = scen(nodes=("a", "b", "c"), links=(("a", "c", 1), ("b", "c", 2)),
+             params={"lb": 1, "delta_b": 2, "hp_maxjitter": 4,
+                     "tp_maxjitter": 4}, offsets={})
+    net = build_network(s)
+    for r in net.routers.values():  # nothing generated before t=10
+        r.hello_time = r._hello_fire = r.tc_time = r._tc_fire = 10
+    for nid, start, draw in (("a", 1, 1), ("b", 0, 2)):
+        net.routers[nid].pkt = [Hello(nid, 12, {}, {}, {}, {})]
+        net.routers[nid].send_time = start
+        net._dur_rng[nid] = FixedDraw(draw)
+    net.run(2)
+    assert [(ev.tick, ev.node, ev.payload)
+            for ev in events_of(net, kind="BROADCAST")] == [
+        (0, "b", (3, frozenset({"c"}))), (1, "a", (2, frozenset({"c"})))]
+    assert [sender for sender, _, _ in net.inflights[3]] == ["b", "a"]
+    net.run(2)
+    assert [(ev.tick, ev.payload) for ev in events_of(net, "c", "DELIVER")] \
+        == [(3, ("a", 1)), (3, ("b", 2))]
+    assert not net.inflights
+
+
+def test_inflights_hold_only_ticks_still_to_come():
+    """After every tick of random churn runs, each broadcast in flight
+    lands at the current tick or later: a tick's list leaves the map
+    when it is delivered."""
+    rng = random.Random("inflights")
+    held = 0
+    for i in range(3):
+        s = oracles.random_connected_scenario(rng, rng.randint(4, 8),
+                                              seed=900 + i)
+        s.events = churn_events(rng, [(u, v) for u, v, _ in s.links], 200)
+        net = build_network(s)
+        for _ in range(200):
+            net.tick()
+            assert all(t >= net.clock for t in net.inflights), net.clock
+            held = max(held, sum(map(len, net.inflights.values())))
+    assert held > 1
 
 
 def test_build_network_per_node_param_overrides():
