@@ -411,8 +411,9 @@ class Router:
             return
         now = self.now
         sender_lt = self.ls.get(msg.sender)
+        # SYMMETRIC, as LinkTuple.status reads it
         sender_sym = (sender_lt is not None
-                      and sender_lt.status(now) == Status.SYMMETRIC)
+                      and sender_lt.symmetric_time > now)
         if ((sender_sym or self.process_tc_from_unknown)
                 and key not in self.ps):
             message_logs.add_processed_tuple(self.ps, moip, seq)
@@ -442,8 +443,7 @@ class Router:
 
     def enqueue_delivery(self, packet: Packet, in_metric) -> None:
         """QUEUE process: queue a delivered packet's messages; never blocks."""
-        for m in packet:
-            self.mqueue.append((m, in_metric))
+        self.mqueue.extend([(m, in_metric) for m in packet])
 
     def step_main(self) -> Optional[Packet]:
         """Run one tick of zero-time work; return a packet if one is emitted.

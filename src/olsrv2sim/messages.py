@@ -7,8 +7,7 @@ extended-integer comparison and addition without a custom numeric type.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Union
 
 if TYPE_CHECKING:
     from .neighborhood import LinkTuple
@@ -38,8 +37,7 @@ class MprRole(enum.Enum):
     FLOOD_ROUTE = "FLOOD_ROUTE"
 
 
-@dataclass(frozen=True)
-class Hello:
+class Hello(NamedTuple):
     """1-hop broadcast carrying the sender's neighborhood view.
 
     The four maps are keyed by neighbor NodeId; the underlying sets of
@@ -55,8 +53,7 @@ class Hello:
     out_metrics: dict[NodeId, Metric]
 
 
-@dataclass(frozen=True)
-class Tc:
+class Tc(NamedTuple):
     """Topology control message: advertised links, flooded network-wide."""
 
     originator: NodeId
@@ -113,12 +110,12 @@ def make_tc(ip: NodeId, vtime: TimeValue, sqn: Sqn, ansn: Sqn,
 def forward_tc_message(ip: NodeId, msg: Message) -> Tc:
     """Stamp a TC with a new sender address before rebroadcast.
 
-    Partial: only TCs are ever forwarded.
+    The copy shares msg's dests dict: trace rendering renders that map
+    once per origination. Partial: only TCs are ever forwarded.
     """
     if not isinstance(msg, Tc):
         raise TypeError(f"only TC messages can be forwarded, got {type(msg).__name__}")
-    return Tc(originator=msg.originator, sender=ip, validity=msg.validity,
-              seq=msg.seq, ansn=msg.ansn, dests=msg.dests)
+    return msg._replace(sender=ip)
 
 
 # --- trace rendering ---------------------------------------------------

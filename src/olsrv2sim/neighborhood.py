@@ -7,13 +7,12 @@ the map form is equivalent and keeps uniqueness structural.
 
 The purge and MPR-flag updates change the sets they are given in
 place; Router.process_hello writes the HELLO's rows directly. The
-tuples themselves are frozen, so a changed row is a new tuple.
+tuples themselves are immutable NamedTuples, so a changed row is a new
+tuple (built with _replace), and tuples compare as plain tuples.
 """
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-from typing import AbstractSet, FrozenSet
+from typing import AbstractSet, FrozenSet, NamedTuple
 
 from .messages import (INF, Metric, NodeId, Status, TimeValue,
                        render_metric, render_time)
@@ -22,8 +21,7 @@ LinkSet = dict  # dict[NodeId, LinkTuple]
 TwoHopSet = dict  # dict[tuple[NodeId, NodeId], TwoHopTuple]
 
 
-@dataclass(frozen=True)
-class LinkTuple:
+class LinkTuple(NamedTuple):
     """One row of the link set, fields in wire order lt1..lt10."""
 
     oip: NodeId
@@ -45,8 +43,7 @@ class LinkTuple:
         return Status.LOST
 
 
-@dataclass(frozen=True)
-class TwoHopTuple:
+class TwoHopTuple(NamedTuple):
     one_hop_oip: NodeId
     two_hop_oip: NodeId
     validity_time: TimeValue
@@ -62,9 +59,8 @@ def purge_link_set(ls: LinkSet, now: TimeValue) -> None:
              if lt.status(now) != Status.SYMMETRIC
              and (lt.fmpr or lt.rmpr or lt.fmpr_selector or lt.rmpr_selector)]
     for lt in stale:
-        ls[lt.oip] = dataclasses.replace(lt, fmpr=False, rmpr=False,
-                                         fmpr_selector=False,
-                                         rmpr_selector=False)
+        ls[lt.oip] = lt._replace(fmpr=False, rmpr=False,
+                                 fmpr_selector=False, rmpr_selector=False)
 
 
 def purge_2hop_set(ls: LinkSet, twohop_set: TwoHopSet,
@@ -200,7 +196,7 @@ def _update_flags(ls: LinkSet, field: str, table) -> None:
     chosen = _greedy_choose(*table)
     for lt in [lt for lt in ls.values()
                if getattr(lt, field) != (lt.oip in chosen)]:
-        ls[lt.oip] = dataclasses.replace(lt, **{field: lt.oip in chosen})
+        ls[lt.oip] = lt._replace(**{field: lt.oip in chosen})
 
 
 def update_fmprs(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue) -> None:

@@ -161,6 +161,7 @@ class Network:
         self.params = params
         self.gt = gt
         self.routers = routers
+        self._step_order = sorted(routers)  # phase 2's order
         self.events = sorted(events, key=lambda e: (e.time, e.src, e.dst))
         # check every event once, replayed over the links that are up:
         # a linkup needs its link absent, a linkdown or metric present
@@ -241,7 +242,7 @@ class Network:
                 emit(r, "DELIVER", (sender, m), packet)
 
         # phase 2: per-router steps
-        order = step_order if step_order is not None else sorted(self.routers)
+        order = step_order if step_order is not None else self._step_order
         for nid in order:
             if self.busy(nid):
                 continue

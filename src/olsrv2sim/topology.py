@@ -8,7 +8,9 @@ set is held by originator, an accepted TC costs O(|advertised set|) and
 a purge O(#originators). An originator with no rows has no entry. The
 update and purge functions change the sets they are given in place;
 the rows map stored for an originator is never mutated, and it is
-replaced only when its rows change.
+replaced only when its rows change. AdvertisingRouterTuple and Route
+are immutable NamedTuples and compare as plain tuples: both hold three
+fields, so nothing may compare one with the other.
 
 Optimality of a routing set is defined over the link universe known to
 one router: its own symmetric links plus every advertised topology row.
@@ -22,8 +24,7 @@ path enumeration lives in the test suite as an oracle.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import AbstractSet, FrozenSet, Optional
+from typing import AbstractSet, FrozenSet, NamedTuple, Optional
 
 from .messages import (INF, Metric, NodeId, Sqn, Status, TimeValue,
                        render_metric, render_time)
@@ -33,15 +34,13 @@ TrSet = dict      # dict[NodeId, tuple[TimeValue, dict[NodeId, Metric]]]
 RoutingSet = dict  # dict[NodeId, Route]
 
 
-@dataclass(frozen=True)
-class AdvertisingRouterTuple:
+class AdvertisingRouterTuple(NamedTuple):
     oip: NodeId
     ansn: Sqn
     validity_time: TimeValue
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     dest: NodeId
     next_hop: NodeId
     metric: Metric

@@ -9,7 +9,6 @@ merely agreeing with itself.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 
@@ -213,9 +212,8 @@ def ref_purged_link_set(ls, now):
         if lt.validity_time <= now:
             continue
         if lt.symmetric_time <= now:
-            lt = dataclasses.replace(lt, fmpr=False, rmpr=False,
-                                     fmpr_selector=False,
-                                     rmpr_selector=False)
+            lt = lt._replace(fmpr=False, rmpr=False,
+                             fmpr_selector=False, rmpr_selector=False)
         out[oip] = lt
     return out
 

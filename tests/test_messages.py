@@ -7,7 +7,8 @@ from olsrv2sim.messages import (INF, NEG_INF, Hello, MprRole, Status, Tc,
                                 forward_tc_message, make_hello, make_tc,
                                 render_message, render_metric, render_packet,
                                 render_time)
-from olsrv2sim.neighborhood import LinkTuple
+from olsrv2sim.neighborhood import LinkTuple, TwoHopTuple
+from olsrv2sim.topology import AdvertisingRouterTuple, Route
 
 
 def lt(oip, sym, heard, fmpr=False, rmpr=False, fsel=False, rsel=False,
@@ -87,8 +88,33 @@ def test_forward_replaces_sender_only():
     assert f.sender == "b"
     assert (f.originator, f.validity, f.seq, f.ansn, f.dests) == \
         ("a", 1, 5, 6, {"x": 2})
+    # the trace renders a TC's advertised map once per origination,
+    # keyed by the identity of the dests dict its copies share
+    assert f.dests is t.dests
+    assert t.sender == "a"
     with pytest.raises(TypeError):
         forward_tc_message("b", make_hello("a", 1, [], 0))
+
+
+@pytest.mark.parametrize("record", [
+    Hello(originator="a", validity=6, statuses={"b": Status.HEARD},
+          mprs={}, in_metrics={"b": 1}, out_metrics={}),
+    Tc(originator="a", sender="a", validity=1, seq=5, ansn=6,
+       dests={"x": 2}),
+    lt("b", 10, 10),
+    TwoHopTuple("b", "c", 10, 1, 2),
+    AdvertisingRouterTuple("a", 3, 10),
+    Route("c", "b", 2),
+], ids=lambda r: type(r).__name__)
+def test_records_are_immutable(record):
+    field = record._fields[0]
+    old = tuple(record)
+    with pytest.raises(AttributeError):
+        setattr(record, field, "z")
+    new = record._replace(**{field: "z"})
+    assert type(new) is type(record) and new is not record
+    assert getattr(new, field) == "z" and new != record
+    assert tuple(record) == old
 
 
 @given(st.dictionaries(st.sampled_from("abcdefgh"),

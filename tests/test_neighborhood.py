@@ -7,7 +7,6 @@ against an independently written enumeration (oracles.ref_all_valid),
 the greedy choice against that family, and two hand-computed fixed
 points (a unit-metric grid center, an asymmetric-metric diamond).
 """
-import dataclasses
 import itertools
 import random
 
@@ -351,9 +350,9 @@ def test_update_mprs_against_the_references():
                 assert after == (before if valid else chosen)
                 assert after in oracles.ref_all_valid(ls, ths, NOW, field,
                                                       bug)
-                assert {o: dataclasses.replace(t, **{field: False})
+                assert {o: t._replace(**{field: False})
                         for o, t in updated.items()} == \
-                    {o: dataclasses.replace(t, **{field: False})
+                    {o: t._replace(**{field: False})
                      for o, t in ls.items()}
 
 
