@@ -1,12 +1,12 @@
 """One router's protocol state machine.
 
 The router advances in discrete ticks under a lock-step scheduler (see
-simnet). Within a tick all intranode work is zero-time: the step
-restores information-base consistency, processes the queued messages,
-and possibly generates HELLO/TC messages. Starting a broadcast is the
-only action that consumes time, so a step that reaches the broadcast
-guard ends immediately and the node stays transmission-busy until the
-packet is delivered.
+simnet). Within a tick all intranode work is zero-time: the step makes
+one pass decision, then either starts the due broadcast or drains its
+queue of delivered packets message by message and possibly generates
+HELLO/TC messages. Starting a broadcast is the only action that
+consumes time, so such a step ends at once and the node stays
+transmission-busy until the packet is delivered.
 
 Scheduling of periodic generation deserves a note. The protocol guard
 admits any tick in [deadline - maxjitter, deadline]; we draw a jitter J
@@ -47,15 +47,16 @@ still points at, so when now reaches it the smallest stored time after
 the last full pass is looked up again. step_main runs the full pass
 when the bit is set or now has reached that time, and otherwise the
 topology half alone when a TC marked it; the full pass ends with the
-same half. The full predicate is the tests' oracle: they assert that a
-skipped pass had nothing pending, that nothing is pending after a
-pass, full or topology-only, and that a pass entered with nothing
-pending changes nothing.
+same half. It decides once per step: after that, a write moves next
+expiry only past now, so only the two marks can make a pass due, and
+the step checks them after each message. The full predicate is the
+tests' oracle: they assert that a skipped pass had nothing pending,
+that nothing is pending after a pass, full or topology-only, and that
+a pass entered with nothing pending changes nothing.
 """
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -67,8 +68,6 @@ from .messages import (INF, NEG_INF, Hello, MprRole, NodeId, Packet,
 from .messages import render_message  # noqa: F401
 from .neighborhood import LinkSet, LinkTuple, TwoHopSet, TwoHopTuple
 from .topology import RoutingSet
-
-MICRO_STEP_CAP = 10 ** 6
 
 
 class ConfigError(ValueError):
@@ -145,7 +144,7 @@ class Router:
         self.ps: set = set()
         self.rxs: set = set()
         self.pkt: Packet = []
-        self.mqueue: deque = deque()  # QUEUE: (message, measured in_metric)
+        self.mqueue: list = []  # QUEUE: (packet, measured in_metric)
         self.now: TimeValue = start_time
         self.hello_time: TimeValue = start_time + hello_offset
         self.tc_time: TimeValue = start_time + tc_offset
@@ -442,40 +441,40 @@ class Router:
     # -- per-tick step ----------------------------------------------------
 
     def enqueue_delivery(self, packet: Packet, in_metric) -> None:
-        """QUEUE process: queue a delivered packet's messages; never blocks."""
-        self.mqueue.extend([(m, in_metric) for m in packet])
+        """QUEUE process: queue a delivered packet with its measured
+        in_metric; never blocks. The only writer of mqueue."""
+        self.mqueue.append((packet, in_metric))
 
     def step_main(self) -> Optional[Packet]:
         """Run one tick of zero-time work; return a packet if one is emitted.
 
         Returning a packet means the broadcast guard fired: transmission
         starts now and the caller must keep this node busy for the
-        drawn duration. Nothing else happens in such a step.
+        drawn duration. Nothing else happens in such a step. Otherwise
+        the step drains the queue taken at its start, with a pass after
+        each message that marked one, then generates.
         """
-        steps = 0
-        while True:
-            steps += 1
-            if steps > MICRO_STEP_CAP:
-                raise EngineDiagnostic(
-                    f"router {self.ip}: micro-step cap exceeded at t={self.now}")
-            if self._maintenance_due():
-                self.run_update_info()
-            elif self._topology_dirty:
-                self.run_topology_update()
-            if self.send_time == self.now:
-                emitted = self.pkt
-                self.pkt = []
-                self.send_time = INF
-                return emitted
-            if self.mqueue:
-                msg, metric = self.mqueue.popleft()
-                if isinstance(msg, Hello):
+        if self._maintenance_due():
+            self.run_update_info()
+        elif self._topology_dirty:
+            self.run_topology_update()
+        if self.send_time == self.now:
+            emitted, self.pkt, self.send_time = self.pkt, [], INF
+            return emitted
+        queue, self.mqueue = self.mqueue, []
+        ip, rxs = self.ip, self.rxs
+        for packet, metric in queue:
+            for msg in packet:
+                if type(msg) is Hello:
                     self.process_hello(msg, metric)
+                elif msg.originator == ip or (msg.originator, msg.seq) in rxs:
+                    continue  # process_tc would return at once
                 else:
                     self.process_tc(msg)
-                continue
-            break
-
+                if self._dirty:
+                    self.run_update_info()
+                elif self._topology_dirty:
+                    self.run_topology_update()
         self._maybe_generate()
         return None
 

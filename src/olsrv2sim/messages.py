@@ -115,7 +115,7 @@ def forward_tc_message(ip: NodeId, msg: Message) -> Tc:
     """
     if not isinstance(msg, Tc):
         raise TypeError(f"only TC messages can be forwarded, got {type(msg).__name__}")
-    return msg._replace(sender=ip)
+    return Tc(msg.originator, ip, msg.validity, msg.seq, msg.ansn, msg.dests)
 
 
 # --- trace rendering ---------------------------------------------------

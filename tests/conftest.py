@@ -1,17 +1,21 @@
 """Suite-wide oracle mode for the router's maintenance passes.
 
-Router.step_main runs the full pass run_update_info() when
-Router._maintenance_due() says state was written in a way the full pass
-can act on, or a stored time was reached, since the last full pass.
-Otherwise, after a TC that changed the advertised rows, it runs only
-the pass's topology half, run_topology_update(). It never evaluates the
-full updates_pending() predicate. A HELLO that only moves times later
-marks no pass, and an expiry tick a refresh has since moved is looked
-up again before a pass runs for it. Every test runs with all three
-wrapped, so that each micro-step is held to that predicate:
+Router.step_main decides once, at its start, whether to run the full
+pass run_update_info(): Router._maintenance_due() says state was
+written in a way the full pass can act on, or a stored time was
+reached, since the last full pass. Otherwise, after a TC that changed
+the advertised rows, it runs only the pass's topology half,
+run_topology_update(). After each queued message it runs the full
+pass if the dirty bit is set, else the topology half if a TC marked
+it. It never evaluates the full updates_pending() predicate. A HELLO
+that only moves times later marks no pass, and an expiry tick a
+refresh has since moved is looked up again before a pass runs for it.
+Every test runs with the step, both passes and the message handlers
+wrapped, so that each step is held to that predicate:
 
 - a pass (full or topology-only) is skipped only when nothing is
-  pending;
+  pending: within a step, nothing is pending on entry to
+  process_hello() or process_tc(), nor when the step returns;
 - nothing is pending after a pass, and a routing set the pass records
   as optimal (the memo it writes and updates_pending() only reads) is
   optimal by the oracle's own one-Dijkstra-per-first-hop test;
@@ -32,26 +36,44 @@ from oracles import pass_state, ref_is_optimal_over
 
 @pytest.fixture(autouse=True)
 def oracle_mode(monkeypatch):
-    """Assert the three facts above at every micro-step.
+    """Assert the three facts above at every step.
 
     Yields a Counter a test can read to see the oracle exercised: True
-    for full passes run, False for full passes skipped, "idle" for full
-    passes run while nothing was pending, "topology" for topology-only
-    passes and "topology idle" for those run while nothing was pending.
+    for full passes run by a step, False for steps that ran none,
+    "idle" for full passes run while nothing was pending, "topology"
+    for topology-only passes and "topology idle" for those run while
+    nothing was pending.
     """
     seen = Counter()
-    due = Router._maintenance_due
+    step = Router.step_main
     run, run_topology = Router.run_update_info, Router.run_topology_update
-    in_full_pass = []
+    in_step, in_full_pass = [], []
 
-    def checked_due(self):
-        got = due(self)
-        if not got and not self._topology_dirty:
-            assert not self.updates_pending(), (
-                f"router {self.ip} at t={self.now}: pass skipped while"
-                " updates_pending() holds")
-        seen[got] += 1
-        return got
+    def assert_consistent(self, where):
+        assert not self.updates_pending(), (
+            f"router {self.ip} at t={self.now}: pass skipped while"
+            f" updates_pending() holds, {where}")
+
+    def checked_step(self):
+        in_step.append(self)
+        full = seen[True]
+        try:
+            out = step(self)
+        finally:
+            in_step.pop()
+        if seen[True] == full:
+            seen[False] += 1
+        # generation writes nothing the predicate reads, so this is
+        # also the check on entry to _maybe_generate()
+        assert_consistent(self, "at the end of the step")
+        return out
+
+    def checked_handler(handle, kind):
+        def checked(self, *args):
+            if in_step:
+                assert_consistent(self, f"before a {kind}")
+            return handle(self, *args)
+        return checked
 
     def checked(self, pass_fn, kind):
         idle = not self.updates_pending()
@@ -80,6 +102,8 @@ def oracle_mode(monkeypatch):
             in_full_pass.pop()
         if idle:
             seen["idle"] += 1
+        if in_step:
+            seen[True] += 1
 
     def checked_run_topology(self):
         if in_full_pass:
@@ -89,7 +113,11 @@ def oracle_mode(monkeypatch):
             seen["topology idle"] += 1
         seen["topology"] += 1
 
-    monkeypatch.setattr(Router, "_maintenance_due", checked_due)
+    monkeypatch.setattr(Router, "step_main", checked_step)
+    monkeypatch.setattr(Router, "process_hello",
+                        checked_handler(Router.process_hello, "HELLO"))
+    monkeypatch.setattr(Router, "process_tc",
+                        checked_handler(Router.process_tc, "TC"))
     monkeypatch.setattr(Router, "run_update_info", checked_run)
     monkeypatch.setattr(Router, "run_topology_update", checked_run_topology)
     yield seen

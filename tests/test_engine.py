@@ -1,5 +1,5 @@
 """Router state machine: consistency predicate, message pipelines,
-micro-step scheduling, periodic generation.
+step scheduling, periodic generation.
 
 The central test here checks updates_pending() against a literal
 re-composition of its eight conditions (oracles.ref_updates_pending)
@@ -407,7 +407,7 @@ def test_tc_type_check():
         r.process_tc(hello())
 
 
-# --- step_main micro-loop -------------------------------------------------------
+# --- step_main: one pass decision, then emit or drain ------------------------
 
 def quiet(r):
     """Push periodic generation far into the future."""
@@ -417,12 +417,20 @@ def quiet(r):
     r._tc_fire = r.tc_time
 
 
-def test_step_drains_inbox_and_processes():
+def test_step_drains_queue_and_processes():
     r = mk_router("a")
     quiet(r)
-    r.enqueue_delivery([hello()], 5)
+    r.ls = {"b": sym("b", fsel=True), "c": sym("c")}
+    # two packets delivered in one tick: a HELLO and a fresh TC from
+    # MPR selector b, then a second copy of that TC (via c) and a's own
+    r.enqueue_delivery([hello("d"), tc(seq=3)], 5)
+    r.enqueue_delivery([tc(sender="c", seq=3), tc(originator="a", seq=9)],
+                       5)
     assert r.step_main() is None
-    assert not r.mqueue and "b" in r.ls
+    assert not r.mqueue and "d" in r.ls
+    assert "x" in r.rts and r.ps == r.rxs == {("x", 3)}
+    # the fresh TC is forwarded exactly once, its copy and a's own not
+    assert r.pkt == [tc(sender="a", seq=3)] and r.send_time == r.now + 1
 
 
 def test_step_broadcast_preempts_processing():
@@ -430,13 +438,15 @@ def test_step_broadcast_preempts_processing():
     quiet(r)
     r.pkt = [tc(originator="q", sender="a")]
     r.send_time = r.now
-    r.enqueue_delivery([hello()], 5)
+    queued = [([hello()], 5), ([hello("c"), tc()], 3)]
+    for packet, metric in queued:
+        r.enqueue_delivery(packet, metric)
     out = r.step_main()
     assert out is not None and out[0].originator == "q"
     assert r.send_time == INF and r.pkt == []
-    # the delivered HELLO is still queued for the next tick
-    assert len(r.mqueue) == 1
-    assert "b" not in r.ls
+    # both delivered packets are still queued for the next step
+    assert r.mqueue == queued
+    assert "b" not in r.ls and "c" not in r.ls
 
 
 def test_step_piggyback_generates_early():
@@ -494,7 +504,7 @@ def test_generated_tc_sequence_numbers_increase_by_one():
 
 # --- incremental consistency: when the maintenance pass runs -----------------
 #
-# conftest.oracle_mode holds every micro-step to updates_pending(); the
+# conftest.oracle_mode holds every step to updates_pending(); the
 # tests below also assert the protocol effect itself, so they fail on a
 # broken schedule without that mode too.
 
