@@ -18,11 +18,14 @@ ticks and the ticks and metric_noise params are non-negative, and each
 directed link is declared once.
 
 Exit codes: 0 success (and true verdicts), 1 false verdict,
-2 usage or parse or configuration error, 3 non-convergence.
+2 usage or parse or configuration error (an unwritable --trace file
+among them), 3 non-convergence, 4 stdout closed by its reader.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -242,10 +245,19 @@ def _warn_late_events(scenario: Scenario, budget: int) -> None:
                   " and is never applied", file=sys.stderr)
 
 
+def _open_trace(path):
+    """The --trace file, opened before anything runs (or no file)."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ScenarioError(f"cannot write trace {path}: {exc}") from exc
+
+
 def _write_trace(net: Network, args) -> None:
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.writelines(net.trace_lines())
+        args.trace.writelines(net.trace_chunks())
 
 
 def _cmd_run(args) -> int:
@@ -255,10 +267,7 @@ def _cmd_run(args) -> int:
     budget = _ticks(scenario)
     _warn_late_events(scenario, budget)
     net.run(budget)
-    if args.trace:
-        _write_trace(net, args)
-    else:
-        sys.stdout.writelines(net.trace_lines())
+    (args.trace or sys.stdout).writelines(net.trace_chunks())
     return 0
 
 
@@ -285,14 +294,6 @@ def _cmd_check(args) -> int:
     for ip in sorted(reports):
         print(render_optimality_report(reports[ip]))
     return 0 if all(r.verdict for r in reports.values()) else 1
-
-
-def _cmd_demo(args) -> int:
-    if args.figure == "fig1":
-        return _demo_fig1(args)
-    if args.figure == "fig2":
-        return _demo_fig2(args)
-    return _demo_fig3(args)
 
 
 def _demo_fig1(args) -> int:
@@ -410,8 +411,7 @@ def _demo_fig3(args) -> int:
             print("  " + render_optimality_report(rep))
 
     active = "rfc7181" if getattr(args, "bug_rfc7181", False) else "corrected"
-    if args.trace:
-        _write_trace(results[active]["net"], args)
+    _write_trace(results[active]["net"], args)
     return 0 if results[active]["verdict"] else 1
 
 
@@ -461,18 +461,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    name = args.figure if args.command == "demo" else args.command
+    command = {"run": _cmd_run, "check": _cmd_check, "fig1": _demo_fig1,
+               "fig2": _demo_fig2, "fig3": _demo_fig3}[name]
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        return _cmd_demo(args)
+        with _open_trace(args.trace) as args.trace:
+            return command(args)
     except (ScenarioError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EngineDiagnostic as exc:
         print(f"diagnostic: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader left: the flush at exit goes to devnull, not raises
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 4
 
 
 if __name__ == "__main__":

@@ -21,6 +21,14 @@ the parameter constraint maxjitter > LB + dB, the two rules together
 guarantee the deadline is never crossed; the engine still checks the
 deadline at every generation and raises if the argument ever fails.
 
+A generated HELLO equal to the router's last one, or TC map equal to
+its last map, is replaced by that object, which the trace renders once
+(see simnet). Equal is key for key in order, as process_hello walks a
+HELLO's names in order: make_hello fills the four maps in one walk of
+the link set and statuses names every link, so equal HELLOs whose
+statuses share their order share it in every map. Built messages are
+never mutated.
+
 Consistency is restored by a maintenance pass, and the pass is its own
 check: run while nothing is pending, it changes no state (idempotence),
 and after it nothing is pending. The clock enters updates_pending()
@@ -152,6 +160,7 @@ class Router:
         self.sqn = 0
         self.ansn = 0
         self.advertised = frozenset()  # rmpr selectors at the last pass
+        self._hello, self._tc_map = None, {}  # the last HELLO and TC map
 
         self._rng = jitter_rng
         self._hello_fire = self.hello_time - self._rng.randrange(cfg.hp_maxjitter)
@@ -490,6 +499,10 @@ class Router:
                         f"router {self.ip}: HELLO deadline missed at t={self.now}")
                 msg = make_hello(self.ip, cfg.h_hold_time, self.ls.values(),
                                  self.now)
+                if msg == self._hello and (
+                        list(msg.statuses) == list(self._hello.statuses)):
+                    msg = self._hello
+                self._hello = msg
                 self.pkt.append(msg)
                 self.trace("HELLO_GEN", msg)
                 self.hello_time = self.now + cfg.hello_interval
@@ -505,6 +518,10 @@ class Router:
                         f"router {self.ip}: TC deadline missed at t={self.now}")
                 msg = make_tc(self.ip, cfg.t_hold_time, self.sqn, self.ansn,
                               self.ls.values(), self.now)
+                if msg.dests == self._tc_map and (
+                        list(msg.dests) == list(self._tc_map)):
+                    msg = msg._replace(dests=self._tc_map)
+                self._tc_map = msg.dests
                 self.pkt.append(msg)
                 self.trace("TC_GEN", msg)
                 self.sqn += 1

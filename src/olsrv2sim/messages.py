@@ -75,7 +75,8 @@ def make_hello(ip: NodeId, vtime: TimeValue, ls: Iterable[LinkTuple],
     statuses covers every tuple (including LOST ones, so the neighbor can
     tear down its own symmetric record); in_metrics covers non-LOST
     tuples; out_metrics only SYMMETRIC ones. mprs announces flooding
-    and/or routing selection per flagged neighbor.
+    and/or routing selection per flagged neighbor. All four maps are
+    filled in one walk of ls, so each lists its names in ls's order.
     """
     statuses: dict[NodeId, Status] = {}
     mprs: dict[NodeId, MprRole] = {}
@@ -110,8 +111,8 @@ def make_tc(ip: NodeId, vtime: TimeValue, sqn: Sqn, ansn: Sqn,
 def forward_tc_message(ip: NodeId, msg: Message) -> Tc:
     """Stamp a TC with a new sender address before rebroadcast.
 
-    The copy shares msg's dests dict: trace rendering renders that map
-    once per origination. Partial: only TCs are ever forwarded.
+    The copy shares msg's dests dict, and the trace renders what
+    follows its sender once. Partial: only TCs are ever forwarded.
     """
     if not isinstance(msg, Tc):
         raise TypeError(f"only TC messages can be forwarded, got {type(msg).__name__}")
@@ -149,19 +150,23 @@ def render_message(msg: Message) -> str:
                 f" mpr={_render_map(msg.mprs, _enum_value)}"
                 f" in={_render_map(msg.in_metrics, render_metric)}"
                 f" out={_render_map(msg.out_metrics, render_metric)}")
-    return render_tc_head(msg) + render_dests(msg.dests)
+    return render_tc_head(msg) + render_tc_tail(msg, render_dests(msg.dests))
 
 
 def render_tc_head(msg: Tc) -> str:
-    """A TC's line up to its advertised map, which follows "d="."""
-    return (f"TC o={msg.originator} s={msg.sender}"
-            f" vt={render_time(msg.validity)} sqn={msg.seq}"
-            f" ansn={msg.ansn} d=")
+    """A TC's text up to its sender, the part a forwarded copy changes."""
+    return f"TC o={msg.originator} s={msg.sender}"
+
+
+def render_tc_tail(msg: Tc, dests_text: str) -> str:
+    """A TC's text after its sender: one origination's copies share it."""
+    return (f" vt={render_time(msg.validity)} sqn={msg.seq}"
+            f" ansn={msg.ansn} d={dests_text}")
 
 
 def render_dests(dests: dict) -> str:
-    """A TC's advertised map. Forwarded copies share their original's
-    dests, so a caller can render it once per origination."""
+    """A TC's advertised map; copies and unchanged originations share
+    one map object, so a caller can render it once per object."""
     return _render_map(dests, render_metric)
 
 

@@ -14,7 +14,7 @@ comes from a per-node stream, so phase-2 iteration order is not
 protocol-visible (a property the test suite checks by permuting it).
 
 Trace events are typed: each TraceEvent holds the objects its line is
-made of, and text is rendered only on output (Network.trace_lines,
+made of, and text is rendered only on output (Network.trace_chunks,
 Network.render_trace, TraceEvent.detail). The payload per kind:
   HELLO_GEN, TC_GEN, TC_FWD  the generated or forwarded Message;
   ROUTE_CHANGE               the new routing set, a tuple of Route in
@@ -25,9 +25,10 @@ Network.render_trace, TraceEvent.detail). The payload per kind:
                              the sent Packet as packet;
   LINK_EVENT                 the TopologyEvent applied.
 Messages and packets are never changed once traced, so an event's line
-is the same whenever it is rendered. Each router's trace callback is
-bound once, when the Network is built; it records into the current
-tick's events, which join the trace in node order at the tick's end.
+is the same whenever it is rendered, and text that lines share is
+rendered once (see _Texts). Each router's trace callback is bound once,
+when the Network is built; it records into the current tick's events,
+which join the trace in node order at the tick's end.
 
 Ground truth is held by sender, sender -> {recipient: metric}, so a
 broadcast reads its recipients and their metrics off the sender's row
@@ -108,7 +109,7 @@ class TraceEvent(NamedTuple):
     @property
     def detail(self) -> str:
         """The rendered text after the kind, for this event alone."""
-        return _render_detail(self, messages.render_message, render_packet)
+        return "".join(_render_detail(self, _Texts()))
 
 
 _NODE = attrgetter("node")
@@ -123,25 +124,50 @@ class _TickEvents(list):
     tick: TimeValue = 0
 
 
-def _render_detail(ev: TraceEvent, message_text, packet_text) -> str:
-    """Render ev's payload; messages and packets go through the two
-    given renderers, so a caller can share their text between events."""
+class _Texts(dict):
+    """Text shared by trace lines, rendered once per pass over a trace:
+    per object for a HELLO, a packet or a TC map, per origination for a
+    TC's text after its sender. Ids are stable and distinct, as the trace
+    holds every object; no text is empty, so get() is falsy on a miss."""
+
+    def message(self, msg) -> str:
+        if type(msg) is Tc:
+            return messages.render_tc_head(msg) + self.tc_tail(msg)
+        return self.get(id(msg)) or self.setdefault(
+            id(msg), messages.render_message(msg))
+
+    def tc_tail(self, msg: Tc) -> str:
+        key = (msg.originator, msg.validity, msg.seq, msg.ansn, id(msg.dests))
+        return self.get(key) or self.setdefault(key, messages.render_tc_tail(
+            msg, self.get(id(msg.dests)) or self.setdefault(
+                id(msg.dests), messages.render_dests(msg.dests))))
+
+    def packet(self, pkt: Packet) -> str:
+        return self.get(id(pkt)) or self.setdefault(
+            id(pkt), render_packet(pkt, self.message))
+
+
+def _render_detail(ev: TraceEvent, texts: _Texts) -> tuple:
+    """ev's text after the kind, as (head, shared): this line's own text,
+    then the packet's or message's text from texts ("" if none)."""
     kind, p = ev.kind, ev.payload
     if kind == "DELIVER":
         sender, m = p
-        return f"from={sender} m={m} pkt={packet_text(ev.packet)}"
+        return f"from={sender} m={m} pkt=", texts.packet(ev.packet)
     if kind == "BROADCAST":
         d, recipients = p
         to = ",".join(sorted(recipients))
-        return f"d={d} to={{{to}}} pkt={packet_text(ev.packet)}"
-    if kind in ("HELLO_GEN", "TC_GEN", "TC_FWD"):
-        return message_text(p)
+        return f"d={d} to={{{to}}} pkt=", texts.packet(ev.packet)
+    if kind == "HELLO_GEN":
+        return "", texts.message(p)
+    if kind in ("TC_GEN", "TC_FWD"):
+        return messages.render_tc_head(p), texts.tc_tail(p)
     if kind == "ROUTE_CHANGE":
-        return "rs=[" + "; ".join(map(render_route, p)) + "]"
+        return "rs=[" + "; ".join(map(render_route, p)) + "]", ""
     if kind == "LINK_EVENT":
         if p.kind == "linkdown":
-            return f"linkdown dst={p.dst}"
-        return f"{p.kind} dst={p.dst} m={p.metric}"
+            return f"linkdown dst={p.dst}", ""
+        return f"{p.kind} dst={p.dst} m={p.metric}", ""
     raise ValueError(f"unknown trace event kind: {kind}")
 
 
@@ -289,47 +315,18 @@ class Network:
         for _ in range(ticks):
             self.tick()
 
-    def trace_lines(self) -> Iterator[str]:
-        """Each trace event's line with its newline, in trace order.
-
-        Every distinct message and packet is rendered once, at its
-        first line, and its text reused by later lines. A TC's
-        advertised map is rendered once per origination: forwarded
-        copies share the original's dests dict, so only their heads
-        are rendered anew. The memos are keyed by object identity,
-        which is stable because the trace holds every object while the
-        lines are drawn.
-        """
-        msgs: dict = {}
-        pkts: dict = {}
-        dests: dict = {}
-
-        def message_text(msg) -> str:
-            text = msgs.get(id(msg))
-            if text is None:
-                if type(msg) is Tc:
-                    d = dests.get(id(msg.dests))
-                    if d is None:
-                        d = dests[id(msg.dests)] = messages.render_dests(
-                            msg.dests)
-                    text = messages.render_tc_head(msg) + d
-                else:
-                    text = messages.render_message(msg)
-                msgs[id(msg)] = text
-            return text
-
-        def packet_text(pkt) -> str:
-            text = pkts.get(id(pkt))
-            if text is None:
-                text = pkts[id(pkt)] = render_packet(pkt, message_text)
-            return text
-
+    def trace_chunks(self) -> Iterator[str]:
+        """The trace's text in chunks: per event, its line's head, the
+        shared text it ends in (never copied into a line), a newline."""
+        texts = _Texts()
         for ev in self.trace:
-            yield (f"t={ev.tick} n={ev.node} ev={ev.kind}"
-                   f" {_render_detail(ev, message_text, packet_text)}\n")
+            head, shared = _render_detail(ev, texts)
+            yield f"t={ev.tick} n={ev.node} ev={ev.kind} {head}"
+            yield shared
+            yield "\n"
 
     def render_trace(self) -> str:
-        return "".join(self.trace_lines())
+        return "".join(self.trace_chunks())
 
 
 def build_network(scenario) -> Network:

@@ -1,12 +1,15 @@
 """Scenario grammar, render/parse round-trips, and command exit codes."""
+import contextlib
+import io
 import os
+import random
 import subprocess
 import sys
 from argparse import Namespace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import olsrv2sim
@@ -14,9 +17,12 @@ from olsrv2sim.checkers import FIG3_SCENARIO
 from olsrv2sim.cli import (FLAG_NAMES, NETWORK_PARAMS, PARAM_NAMES,
                            Scenario, _apply_cli_overrides, main,
                            parse_scenario, render_scenario)
-from olsrv2sim.simnet import ScenarioError, TopologyEvent, build_network
+from olsrv2sim.simnet import (Network, ScenarioError, TopologyEvent,
+                              build_network, render_trace_event)
 
+import oracles
 from test_acceptance import EVENTFUL_SCENARIO
+from test_engine import churn_events
 
 MINIMAL = """\
 node a
@@ -210,6 +216,55 @@ def test_run_streams_the_rendered_trace(tmp_path, capsys):
     assert trace.read_bytes() == want
 
 
+@pytest.mark.parametrize("mode", [
+    {"flood_all": True}, {"bug_rfc7181": True},
+    {"process_tc_from_unknown": True}, {"metric_noise": 2},
+], ids=lambda mode: "-".join(map(str, next(iter(mode.items())))))
+# no shrinking: a smaller seed is no simpler network, and each example
+# runs a whole scenario twice
+@settings(max_examples=3, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(seed=st.integers(0, 2**32 - 1))
+def test_rendered_trace_is_each_events_line(tmp_path_factory, mode, seed):
+    """On random networks with link churn, render_trace() is every
+    event's own line in order, and `run` writes exactly that text."""
+    rng = random.Random(seed)
+    s = oracles.random_connected_scenario(rng, rng.randint(4, 7), seed=seed,
+                                          ticks=240)
+    s.events = churn_events(rng, [(u, v) for u, v, _ in s.links], 240)
+    for name, value in mode.items():
+        (s.params if name == "metric_noise" else s.flags)[name] = value
+    net = build_network(s)
+    net.run(s.params["ticks"])
+    text = net.render_trace()
+    assert text == "".join(render_trace_event(ev) + "\n" for ev in net.trace)
+    path = write(tmp_path_factory.mktemp("oracle"), render_scenario(s))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["run", "--scenario", path]) == 0
+    assert out.getvalue().encode() == text.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "SCENARIO"], ["check", "--scenario", "SCENARIO"],
+    ["demo", "fig1"],
+])
+def test_unwritable_trace_file_exit_two_before_any_tick(tmp_path, capsys,
+                                                        monkeypatch, argv):
+    """An unwritable --trace path is refused at once: one error line,
+    exit 2, and not a single tick run."""
+    ticks = []
+    monkeypatch.setattr(Network, "tick", lambda self, *a: ticks.append(1))
+    scenario = write(tmp_path, MINIMAL)
+    bad = tmp_path / "no" / "such" / "dir" / "x.trace"
+    argv = [scenario if a == "SCENARIO" else a for a in argv]
+    assert main(argv + ["--trace", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and ticks == []
+    assert err.startswith(f"error: cannot write trace {bad}: ")
+    assert err.count("\n") == 1
+
+
 def test_parse_error_exit_two(tmp_path, capsys):
     rc = main(["run", "--scenario", write(tmp_path, "node a\nlink a b 1\n")])
     err = capsys.readouterr().err
@@ -370,6 +425,24 @@ def test_python_m_smoke(tmp_path):
     r = subprocess.run([sys.executable, "-m", "olsrv2sim"],
                        capture_output=True, text=True, env=env)
     assert r.returncode == 2
+
+
+def test_reader_closing_early_stops_the_run_quietly(tmp_path):
+    """`run | head -c 100`: once the reader closes the pipe, the run
+    stops with exit 4 and writes no traceback."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(olsrv2sim.__file__).resolve().parents[1])}
+    # about 200 kB of trace, more than a pipe and stdout's buffer hold
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "olsrv2sim", "run", "--ticks", "400",
+         "--scenario", write(tmp_path, EVENTFUL_SCENARIO)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 4
+    assert head.startswith(b"t=0 n=") and err == b""
 
 
 def test_console_script_smoke(tmp_path):

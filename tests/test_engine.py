@@ -502,6 +502,36 @@ def test_generated_tc_sequence_numbers_increase_by_one():
     assert seqs == list(range(len(seqs))) and len(seqs) >= 5
 
 
+def test_generation_reuses_only_content_equal_in_order():
+    """An unchanged HELLO is the last HELLO object and an unchanged TC
+    map the last map; the same names in another order are new objects,
+    since process_hello walks a HELLO's names in message order."""
+    r = mk_router("a")
+
+    def generate():
+        """A HELLO and a TC generated now."""
+        out = []
+        r.trace = lambda kind, payload: out.append(payload)
+        r.hello_time = r._hello_fire = r.tc_time = r._tc_fire = r.now
+        r._maybe_generate()
+        r.now += 1
+        return out
+
+    def selector(oip):
+        return LinkTuple(oip, 30, 30, 60, False, False, False, True, 1, 1)
+
+    r.ls = {"b": selector("b"), "c": selector("c")}
+    hello, tc = generate()
+    again, tc_again = generate()
+    assert again is hello and tc_again.dests is tc.dests
+    assert tc_again is not tc and tc_again.seq == tc.seq + 1
+    r.ls = {"c": r.ls["c"], "b": r.ls["b"]}
+    reordered, tc_reordered = generate()
+    assert reordered == hello and reordered is not hello
+    assert tc_reordered.dests == tc.dests
+    assert tc_reordered.dests is not tc.dests
+
+
 # --- incremental consistency: when the maintenance pass runs -----------------
 #
 # conftest.oracle_mode holds every step to updates_pending(); the

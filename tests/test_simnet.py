@@ -293,6 +293,7 @@ def test_nothing_is_rendered_before_output(monkeypatch):
 
     renderers = {"render_message": messages.render_message,
                  "render_tc_head": messages.render_tc_head,
+                 "render_tc_tail": messages.render_tc_tail,
                  "render_dests": messages.render_dests,
                  "render_packet": messages.render_packet,
                  "render_route": topology.render_route}
@@ -306,6 +307,7 @@ def test_nothing_is_rendered_before_output(monkeypatch):
                     patched.append(f"{mod.__name__}.{name}")
         assert "olsrv2sim.engine.render_message" in patched
         assert {"olsrv2sim.messages.render_tc_head",
+                "olsrv2sim.messages.render_tc_tail",
                 "olsrv2sim.messages.render_dests"} <= set(patched)
         lazy = check_style_run()
         with pytest.raises(AssertionError, match="before output"):
@@ -321,10 +323,12 @@ def test_nothing_is_rendered_before_output(monkeypatch):
         render_trace_event(ev) + "\n" for ev in lazy.trace)
 
 
-def test_tc_map_rendered_once_per_origination(monkeypatch):
-    """Forwarded copies share their original's advertised map, so the
-    trace renders one map per generated TC, and every copy's line is
-    still the one it renders on its own."""
+def test_tc_map_rendered_once_per_map_object(monkeypatch):
+    """Forwarded copies share their original's advertised map, and an
+    origination whose map is unchanged carries the last one on, so the
+    trace renders each distinct map object once, fewer maps than TCs
+    generated, and every copy's line is still the one it renders on its
+    own."""
     net = check_style_run()
     render_dests, calls = messages.render_dests, []
 
@@ -334,11 +338,42 @@ def test_tc_map_rendered_once_per_origination(monkeypatch):
 
     monkeypatch.setattr(messages, "render_dests", counted)
     text = net.render_trace()
-    assert len(calls) == len(events_of(net, kind="TC_GEN"))
+    gen = events_of(net, kind="TC_GEN")
+    assert len(calls) == len({id(ev.payload.dests) for ev in gen}) < len(gen)
+    assert len({id(d) for d in calls}) == len(calls)
     assert len(events_of(net, kind="TC_FWD")) > len(calls)
     monkeypatch.undo()
     assert text == "".join(render_trace_event(ev) + "\n"
                            for ev in net.trace)
+
+
+@pytest.mark.parametrize("kind", ["HELLO_GEN", "TC_GEN"])
+def test_generation_reuses_an_unchanged_advertisement(kind):
+    """A HELLO equal, key for key in the same order, to its router's last
+    HELLO is that same object, and one that differs is a new object; the
+    same holds for a TC's map and its router's last map."""
+    s = parse_scenario(EVENTFUL_SCENARIO)
+    net = build_network(s)
+    net.run(s.params["ticks"])
+
+    def content(msg):
+        """The generated object, and its content with maps in order."""
+        if kind == "TC_GEN":
+            return msg.dests, list(msg.dests.items())
+        return msg, [*msg[:2], *(list(d.items()) for d in msg[2:])]
+
+    last, seen, reused = {}, set(), 0
+    gen = events_of(net, kind=kind)
+    for ev in gen:
+        obj, ordered = content(ev.payload)
+        if ev.node in last and last[ev.node][1] == ordered:
+            assert obj is last[ev.node][0]
+            reused += 1
+        else:
+            assert id(obj) not in seen  # the trace holds every one
+        seen.add(id(obj))
+        last[ev.node] = obj, ordered
+    assert 0 < reused < len(gen) - len(net.routers)
 
 
 def test_dropped_network_is_freed_without_the_cycle_collector():
