@@ -26,9 +26,11 @@ def symmetric_universe(gt) -> dict:
             for a, row in gt.out.items()}
 
 
-def ground_truth_shortest_paths(gt, source: NodeId) -> dict:
-    """Best metric-distance from source to every reachable node."""
-    dist = _dijkstra(symmetric_universe(gt), source)
+def ground_truth_shortest_paths(gt, source: NodeId,
+                                universe: Optional[dict] = None) -> dict:
+    """Best metric-distance from source to every reachable node (over
+    universe, symmetric_universe(gt) if the caller has built it)."""
+    dist = _dijkstra(universe or symmetric_universe(gt), source)
     return {d: m for d, m in dist.items() if d != source and m != INF}
 
 
@@ -52,8 +54,9 @@ def render_optimality_report(rep: OptimalityReport) -> str:
 def check_route_optimality(net: Network) -> dict:
     """Compare every router's routing set against ground truth."""
     reports = {}
+    universe = symmetric_universe(net.gt)
     for ip in sorted(net.routers):
-        oracle = ground_truth_shortest_paths(net.gt, ip)
+        oracle = ground_truth_shortest_paths(net.gt, ip, universe)
         found = {r.dest: r.metric for r in net.routers[ip].rs.values()}
         missing = tuple(sorted(set(oracle) - set(found)))
         subopt = tuple(sorted(

@@ -173,12 +173,14 @@ class Router:
         self._topology_dirty = False
         self._last_pass: TimeValue = NEG_INF
         self._next_expiry: TimeValue = NEG_INF
-        # last verified-optimal (link universe, routing set) pair: while
-        # both are unchanged the routing set needs no optimality test.
-        # The universe holds rts's row maps, which are never mutated, so
-        # == passes over each row not replaced since by identity.
+        # last verified-optimal (link universe, routing set) pair and the
+        # universe's distances from ip, which the next pass repairs over
+        # the rows that changed (topology.repair_distances). The universe
+        # holds rts's row maps, which are never mutated, so a row not
+        # replaced since compares by identity.
         self._opt_edges: Optional[dict] = None
         self._opt_rs: Optional[dict] = None
+        self._opt_dist: Optional[dict] = None
         # trace(kind, payload): the typed event simnet records and
         # renders only on output (see simnet for each kind's payload)
         self.trace: Callable = lambda kind, payload: None
@@ -298,15 +300,28 @@ class Router:
         now = self.now
         topology.purge_advertising_routers(self.arrs, now)
         topology.purge_router_topology(self.rts, now)
-        edges = topology.link_universe(self.ip, self.ls, self.rts, now)
-        if edges != self._opt_edges or self.rs != self._opt_rs:
-            new_rs = topology.update_routing_set(self.ip, edges, self.rs)
-            if new_rs != self.rs:
-                self.rs = new_rs
-                self.trace("ROUTE_CHANGE",
-                           tuple(new_rs[d] for d in sorted(new_rs)))
-            self._opt_edges, self._opt_rs = edges, dict(self.rs)
         self._topology_dirty = False
+        ip, rs = self.ip, self.rs
+        edges = topology.link_universe(ip, self.ls, self.rts, now)
+        dist = None
+        if self._opt_edges is not None and rs == self._opt_rs:
+            dist = topology.repair_distances(self._opt_edges, edges,
+                                             self._opt_dist)
+            if dist is self._opt_dist:
+                # the distances hold, so rs is still optimal
+                self._opt_edges = edges
+                return
+        if dist is None:
+            dist = topology._dijkstra(edges, ip)
+            new_rs = topology.update_routing_set(ip, edges, rs, dist)
+        else:  # a distance fell, so rs is not optimal
+            new_rs = topology.choose_optimal(ip, edges, dist)
+        if new_rs != rs:
+            self.rs = new_rs
+            self.trace("ROUTE_CHANGE",
+                       tuple(new_rs[d] for d in sorted(new_rs)))
+        self._opt_edges, self._opt_rs = edges, dict(self.rs)
+        self._opt_dist = dist
 
     # -- message processing ----------------------------------------------
 

@@ -20,10 +20,15 @@ so two universes whose rows were not replaced compare by identity. The
 underlying model quantifies over all paths in that universe; here
 membership testing and construction run Dijkstra, and the brute-force
 path enumeration lives in the test suite as an oracle.
+
+repair_distances carries one universe's distances to the next unless
+a tight edge was lost or lengthened, lowering only what fell
+(Ramalingam & Reps, J. Algorithms, 1996).
 """
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from typing import AbstractSet, FrozenSet, NamedTuple, Optional
 
 from .messages import (INF, Metric, NodeId, Sqn, Status, TimeValue,
@@ -117,8 +122,12 @@ def link_universe(ip: NodeId, ls: dict, rts: TrSet,
 
 
 def _dijkstra(edges: dict, source: NodeId) -> dict:
-    dist = {source: 0}
-    heap = [(0, source)]
+    return _lower(edges, {source: 0}, [(0, source)])
+
+
+def _lower(edges: dict, dist: dict, heap: list) -> dict:
+    """Dijkstra's loop: heap holds (dist[u], u) for each u whose edges
+    are still to be relaxed; returns dist, lowered to the end."""
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
@@ -201,13 +210,48 @@ def choose_optimal(ip: NodeId, edges: dict,
     return rs
 
 
-def update_routing_set(ip: NodeId, edges: dict,
-                       rs: RoutingSet) -> RoutingSet:
+def repair_distances(old: dict, edges: dict, dist: dict) -> Optional[dict]:
+    """Carry dist, old's _dijkstra distances, over to edges, or say no.
+
+    None: an edge (u, v) of old with u reachable was tight, dist[u] + w
+    == dist[v], and is gone or longer in edges, so a distance may grow.
+    Else the changed edges out of reachable nodes that shorten a
+    distance seed a Dijkstra that only lowers distances, and its new
+    dict is returned: a routing set optimal over old is then not
+    optimal over edges. With no such edge, dist itself: the distances
+    hold and the tight edges only grew, so such a set stays optimal.
+    A row compares by identity, then by value; a purged row counts as
+    every edge of it removed.
+    """
+    seeds: dict = {}
+    purged = dict.fromkeys(old.keys() - edges.keys(), {})
+    for src, row in chain(edges.items(), purged.items()):
+        before = old.get(src)
+        if row is before or row == before or src not in dist:
+            continue
+        du = dist[src]
+        if before and any(du + w == dist.get(v) and row.get(v, INF) > w
+                          for v, w in before.items()):
+            return None
+        for v, w in row.items():
+            if du + w < seeds.get(v, dist.get(v, INF)):
+                seeds[v] = du + w
+    if not seeds:
+        return dist
+    heap = [(d, v) for v, d in seeds.items()]
+    heapq.heapify(heap)
+    return _lower(edges, {**dist, **seeds}, heap)
+
+
+def update_routing_set(ip: NodeId, edges: dict, rs: RoutingSet,
+                       dist: Optional[dict] = None) -> RoutingSet:
     """Keep rs when it is still optimal, otherwise choose_optimal's set.
 
-    One Dijkstra from ip serves both the test and the choice.
+    One Dijkstra from ip, unless its distances come in as dist, serves
+    both the test and the choice.
     """
-    dist = _dijkstra(edges, ip)
+    if dist is None:
+        dist = _dijkstra(edges, ip)
     if is_optimal_over(ip, edges, rs, dist):
         return rs
     return choose_optimal(ip, edges, dist)

@@ -18,17 +18,20 @@ wrapped, so that each step is held to that predicate:
   process_hello() or process_tc(), nor when the step returns;
 - nothing is pending after a pass, and a routing set the pass records
   as optimal (the memo it writes and updates_pending() only reads) is
-  optimal by the oracle's own one-Dijkstra-per-first-hop test;
+  optimal by the oracle's own one-Dijkstra-per-first-hop test, and the
+  distances it records are a full Dijkstra's over the recorded universe;
 - a pass entered while nothing was pending changes no state.
 
 The last one is why running a pass that is not needed leaves every
 trace unchanged. The topology half the full pass calls is checked as
-part of that pass.
+part of that pass. Only the passes carry the memo's distances over to
+new rows (topology.repair_distances); updates_pending() never does.
 """
 from collections import Counter
 
 import pytest
 
+from olsrv2sim import topology
 from olsrv2sim.engine import Router
 
 from oracles import pass_state, ref_is_optimal_over
@@ -42,12 +45,14 @@ def oracle_mode(monkeypatch):
     for full passes run by a step, False for steps that ran none,
     "idle" for full passes run while nothing was pending, "topology"
     for topology-only passes and "topology idle" for those run while
-    nothing was pending.
+    nothing was pending, and "keep", "repair" and "fall back" for what
+    repair_distances decided.
     """
     seen = Counter()
     step = Router.step_main
     run, run_topology = Router.run_update_info, Router.run_topology_update
-    in_step, in_full_pass = [], []
+    repair = topology.repair_distances
+    in_step, in_full_pass, in_topology = [], [], []
 
     def assert_consistent(self, where):
         assert not self.updates_pending(), (
@@ -85,6 +90,10 @@ def oracle_mode(monkeypatch):
                                        self._opt_rs), (
                 f"router {self.ip} at t={self.now}: the {kind} recorded a"
                 " routing set that is not optimal")
+            assert self._opt_dist == topology._dijkstra(self._opt_edges,
+                                                        self.ip), (
+                f"router {self.ip} at t={self.now}: the {kind} recorded"
+                " distances that are not the universe's")
         assert not self.updates_pending(), (
             f"router {self.ip} at t={self.now}: updates_pending() holds"
             f" after a {kind}")
@@ -106,12 +115,23 @@ def oracle_mode(monkeypatch):
             seen[True] += 1
 
     def checked_run_topology(self):
-        if in_full_pass:
-            run_topology(self)
-            return
-        if checked(self, run_topology, "topology-only pass"):
-            seen["topology idle"] += 1
-        seen["topology"] += 1
+        in_topology.append(self)
+        try:
+            if in_full_pass:
+                run_topology(self)
+                return
+            if checked(self, run_topology, "topology-only pass"):
+                seen["topology idle"] += 1
+            seen["topology"] += 1
+        finally:
+            in_topology.pop()
+
+    def checked_repair(old, edges, dist):
+        assert in_topology, "distances repaired outside a pass"
+        out = repair(old, edges, dist)
+        seen["fall back" if out is None else
+             "keep" if out is dist else "repair"] += 1
+        return out
 
     monkeypatch.setattr(Router, "step_main", checked_step)
     monkeypatch.setattr(Router, "process_hello",
@@ -120,4 +140,5 @@ def oracle_mode(monkeypatch):
                         checked_handler(Router.process_tc, "TC"))
     monkeypatch.setattr(Router, "run_update_info", checked_run)
     monkeypatch.setattr(Router, "run_topology_update", checked_run_topology)
+    monkeypatch.setattr(topology, "repair_distances", checked_repair)
     yield seen

@@ -18,7 +18,7 @@ from olsrv2sim.messages import (INF, NEG_INF, Hello, MprRole, Status, Tc,
                                 make_hello)
 from olsrv2sim.neighborhood import LinkTuple, TwoHopTuple
 from olsrv2sim.simnet import TopologyEvent, TraceEvent, build_network
-from olsrv2sim.topology import (AdvertisingRouterTuple, Route,
+from olsrv2sim.topology import (AdvertisingRouterTuple, Route, _dijkstra,
                                 choose_optimal, link_universe,
                                 rmpr_selectors)
 
@@ -178,6 +178,41 @@ def test_updates_pending_leaves_the_memo_untouched():
     r._opt_edges = r._opt_rs = None
     assert not r.updates_pending()
     assert r._opt_edges is None and r._opt_rs is None
+
+
+def slack_router():
+    """a, symmetric with b and c at metric 1, after a pass over rows
+    b -> d (1) and c -> d (5): the route to d runs via b, so c -> d is
+    slack."""
+    r = mk_router(start_time=100)
+    r.ls = {"b": sym("b", now=100), "c": sym("c", now=100)}
+    r.rts = {"b": (140, {"d": 1}), "c": (140, {"d": 5})}
+    r.run_update_info()
+    assert r.rs["d"] == Route("d", "b", 2)
+    return r
+
+
+def test_routing_set_mutated_after_a_pass_is_rechosen():
+    """Only a routing set the memo proved optimal may keep the memo's
+    distances: a change to slack rows alone would keep any other."""
+    r = slack_router()
+    r.rs["d"] = Route("d", "b", 7)  # wrong metric
+    r.rts["c"] = (140, {"d": 6})    # a new map: rows are never mutated
+    r.run_topology_update()
+    assert r.rs == choose_optimal("a", link_universe("a", r.ls, r.rts, 100))
+    assert r.rs["d"] == Route("d", "b", 2)
+
+
+def test_reset_memo_never_pairs_stale_distances_with_new_rows():
+    r = slack_router()
+    stale = r._opt_dist
+    r._opt_edges = r._opt_rs = None   # as scramble() leaves a router
+    # b -> d is gone: under the stale distances it was tight
+    r.rts["b"] = (140, {"e": 1})
+    r.run_topology_update()
+    assert r._opt_dist is not stale
+    assert r._opt_dist == _dijkstra(r._opt_edges, "a")
+    assert r.rs["d"] == Route("d", "c", 6) and r.rs["e"].metric == 2
 
 
 def test_run_update_info_traces_route_changes_once():
@@ -864,3 +899,5 @@ def test_fast_check_agrees_with_full_predicate_under_churn(oracle_mode,
     assert oracle_mode[True] - oracle_mode["idle"] > 50
     assert oracle_mode["idle"] > 0 and oracle_mode[False] > 1000
     assert oracle_mode["topology"] > 0
+    # passes that kept the distances, repaired them and recomputed them
+    assert min(oracle_mode[k] for k in ("keep", "repair", "fall back")) > 0

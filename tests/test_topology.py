@@ -9,14 +9,17 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from olsrv2sim.messages import INF, NEG_INF, Status
 from olsrv2sim.neighborhood import LinkTuple
-from olsrv2sim.topology import (AdvertisingRouterTuple, Route, _dijkstra, choose_optimal, increment_ansn,
+from olsrv2sim.topology import (AdvertisingRouterTuple, Route, _dijkstra,
+                                choose_optimal, increment_ansn,
                                 is_optimal_over, link_universe,
                                 purge_advertising_routers,
                                 purge_router_topology, render_route,
-                                render_topology_tuple,
+                                render_topology_tuple, repair_distances,
                                 update_advertising_routers,
                                 update_router_topology, update_routing_set)
 
@@ -332,6 +335,107 @@ def test_empty_universe():
     assert choose_optimal("s", {}) == {}
     assert is_optimal_over("s", {}, {})
     assert not is_optimal_over("s", {}, {"a": Route("a", "a", 1)})
+
+
+# --- distances carried across passes -----------------------------------------
+
+def test_repair_distances_outcomes():
+    old = {"s": {"a": 1, "b": 1}, "a": {"c": 2}, "b": {"c": 4}}
+    dist = _dijkstra(old, "s")
+    assert dist == {"s": 0, "a": 1, "b": 1, "c": 3}
+    # the own row rebuilt with the same rows, and a slack edge longer
+    new = {**old, "s": {"a": 1, "b": 1}, "b": {"c": 5}}
+    assert repair_distances(old, new, dist) is dist
+    # a slack edge that now ties becomes tight: the distances hold
+    assert repair_distances(old, {**old, "b": {"c": 2}}, dist) is dist
+    # a tight edge or a slack one made shorter: c falls to 2
+    for new in ({**old, "a": {"c": 1}}, {**old, "b": {"c": 1}}):
+        got = repair_distances(old, new, dist)
+        assert got == _dijkstra(new, "s") and got["c"] == 2
+    # a new row out of a reachable node reaches a new destination
+    new = {**old, "b": {"c": 4, "d": 1}, "d": {"c": 1}}
+    got = repair_distances(old, new, dist)
+    assert got == _dijkstra(new, "s") == {**dist, "d": 2}
+    assert dist == _dijkstra(old, "s")  # the given distances stay
+    # a tight edge lengthened, or its row purged: start again
+    assert repair_distances(old, {**old, "a": {"c": 3}}, dist) is None
+    assert repair_distances(old, {"s": old["s"], "b": old["b"]},
+                            dist) is None
+    # rows out of an unreachable node count for nothing
+    far = {**old, "x": {"c": 1}}
+    assert repair_distances(old, far, dist) is dist
+    assert repair_distances(far, old, dist) is dist
+
+
+NODES = "sabcdx"   # s is the router; x is often unreachable
+WEIGHTS = st.sampled_from([1, 2, 3, 4, INF])
+ROWS = st.dictionaries(st.sampled_from(NODES), WEIGHTS, max_size=4)
+
+
+def tight_reach(edges, dist, hop):
+    """Nodes reached from hop over tight edges under dist."""
+    seen, todo = {hop}, [hop]
+    while todo:
+        u = todo.pop()
+        for v, w in edges.get(u, {}).items():
+            if v not in seen and dist[u] + w == dist.get(v):
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
+@st.composite
+def universe_edits(draw):
+    """(old universe, new universe, an optimal routing set over old).
+
+    The new universe shares old's row maps except where an edit
+    replaced or dropped a row or added one; the own row s is always a
+    new map, as link_universe builds it. The routing set picks a random
+    optimal first hop per destination, not choose_optimal's.
+    """
+    old = draw(st.dictionaries(st.sampled_from(NODES), ROWS, min_size=2,
+                               max_size=6))
+    old["s"] = dict(old.get("s", {}))
+    new = dict(old)
+    for src in draw(st.lists(st.sampled_from(NODES), min_size=1,
+                             max_size=4)):
+        row = new.get(src, {})
+        edit = draw(st.sampled_from(["drop", "replace", "set", "lower"]))
+        if edit == "drop":
+            new.pop(src, None)
+        elif edit == "replace":
+            new[src] = draw(ROWS)
+        elif edit == "set" or not row:
+            new[src] = {**row, draw(st.sampled_from(NODES)): draw(WEIGHTS)}
+        else:  # one of the row's own edges made shorter
+            dst = draw(st.sampled_from(sorted(row)))
+            new[src] = {**row, dst: draw(st.integers(1, min(row[dst], 4)))}
+    new["s"] = dict(new.get("s", {}))
+    dist = _dijkstra(old, "s")
+    own = old["s"]
+    hops = sorted(h for h, w in own.items() if h != "s" and w == dist.get(h))
+    reach = {h: tight_reach(old, dist, h) for h in hops}
+    rs = {d: Route(d, draw(st.sampled_from(
+              [h for h in hops if d in reach[h]])), m)
+          for d, m in sorted(dist.items()) if d != "s"}
+    return old, new, rs
+
+
+@settings(max_examples=400, deadline=None)
+@given(universe_edits())
+def test_repaired_distances_are_dijkstras(case):
+    old, new, rs = case
+    assert oracles.ref_is_optimal_over("s", old, rs)
+    dist = _dijkstra(old, "s")
+    before = dict(dist)
+    got = repair_distances(old, new, dist)
+    assert dist == before
+    if got is None:
+        return
+    assert got == _dijkstra(new, "s")
+    # kept distances keep every optimal routing set optimal; repaired
+    # ones leave none of them optimal
+    assert oracles.ref_is_optimal_over("s", new, rs) == (got is dist)
 
 
 # --- renders ----------------------------------------------------------------
