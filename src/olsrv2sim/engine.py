@@ -34,7 +34,7 @@ check: run while nothing is pending, it changes no state (idempotence),
 and after it nothing is pending. The clock enters updates_pending()
 only through threshold comparisons (t <= now, t > now) against stored
 times: each link tuple's symmetric, heard and validity time, and the
-validity time of every 2-hop, advertising-router and topology tuple.
+validity time of every 2-hop tuple and topology-set entry.
 So after a pass nothing is pending until the state is written in a
 way the predicate can see, or the clock reaches the smallest stored
 time that was still in the future.
@@ -46,11 +46,11 @@ changes its out_metric while SYMMETRIC; when it creates a link tuple
 that is SYMMETRIC, carries a selector flag or has already expired; or
 when it creates a 2-hop tuple or changes its metrics. A TC that changes
 the advertised rows marks only the pass's topology half (purge the
-advertising-router and topology sets, then recompute routes): neither
-the MPR sets nor ansn read those sets. Times aside, these are the only
-inputs of updates_pending() the two write. Any other write only moves
-stored times, and lowers the "next expiry" tick to each new time that
-is in the future. A refresh can also move a time that next expiry
+topology set, then recompute routes): neither the MPR sets nor ansn
+read that set. Times aside, these are the only inputs of
+updates_pending() the two write. Any other write only moves stored
+times, and lowers the "next expiry" tick to each new time that is in
+the future. A refresh can also move a time that next expiry
 still points at, so when now reaches it the smallest stored time after
 the last full pass is looked up again. step_main runs the full pass
 when the bit is set or now has reached that time, and otherwise the
@@ -146,8 +146,7 @@ class Router:
         # sigma: the mutable protocol variables
         self.ls: LinkSet = {}
         self.twohop_set: TwoHopSet = {}
-        self.arrs: dict = {}
-        self.rts: dict = {}
+        self.rts: dict = {}  # originator -> (validity, ansn, rows)
         self.rs: RoutingSet = {}
         self.ps: set = set()
         self.rxs: set = set()
@@ -190,7 +189,7 @@ class Router:
     def updates_pending(self) -> bool:
         """True when any information-base maintenance act would change state.
 
-        Equivalent to disjoining "purge would shrink a set" for the four
+        Equivalent to disjoining "purge would shrink a set" for the three
         timed sets, "a flagged MPR set fails its distance equality",
         "ansn is stale", and "the routing set is not optimal". The
         equality-based phrasing (set != purge(set)) is what the tests
@@ -222,10 +221,7 @@ class Router:
         if self.ansn != topology.increment_ansn(self.ls, self.advertised,
                                                 self.ansn):
             return True
-        for ar in self.arrs.values():
-            if ar.validity_time <= now:
-                return True
-        for vt, _ in self.rts.values():
+        for vt, _, _ in self.rts.values():
             if vt <= now:
                 return True
         edges = topology.link_universe(self.ip, self.ls, self.rts, now)
@@ -260,11 +256,10 @@ class Router:
             for t in (lt.symmetric_time, lt.heard_time, lt.validity_time):
                 if now < t < nxt:
                     nxt = t
-        for tuples in (self.twohop_set, self.arrs):
-            for tup in tuples.values():
-                if now < tup.validity_time < nxt:
-                    nxt = tup.validity_time
-        for vt, _ in self.rts.values():
+        for n2 in self.twohop_set.values():
+            if now < n2.validity_time < nxt:
+                nxt = n2.validity_time
+        for vt, _, _ in self.rts.values():
             if now < vt < nxt:
                 nxt = vt
         return nxt
@@ -291,14 +286,13 @@ class Router:
         self._next_expiry = self._expiry_after(now)
 
     def run_topology_update(self) -> None:
-        """The topology half of the pass: purge arrs/rts, recompute routes.
+        """The topology half of the pass: purge rts, recompute routes.
 
-        Neither the MPR sets nor ansn read arrs or rts, so after a TC
+        Neither the MPR sets nor ansn read rts, so after a TC
         that changed rows, with no other write and no stored time
         reached, this half alone restores consistency.
         """
         now = self.now
-        topology.purge_advertising_routers(self.arrs, now)
         topology.purge_router_topology(self.rts, now)
         self._topology_dirty = False
         ip, rs = self.ip, self.rs
@@ -440,14 +434,12 @@ class Router:
         if ((sender_sym or self.process_tc_from_unknown)
                 and key not in self.ps):
             message_logs.add_processed_tuple(self.ps, moip, seq)
-            ar = self.arrs.get(moip)
+            entry = self.rts.get(moip)
             # a known newer advertisement makes the content out of date
-            if ar is None or ar.ansn <= msg.ansn:
-                topology.update_advertising_routers(
-                    self.arrs, moip, msg.ansn, msg.validity, now)
+            if entry is None or entry[1] <= msg.ansn:
                 if topology.update_router_topology(
-                        self.ip, self.rts, moip, msg.validity, msg.dests,
-                        now):
+                        self.ip, self.rts, moip, msg.ansn, msg.validity,
+                        msg.dests, now):
                     self._topology_dirty = True
                 # the rows' new validity time may come before every
                 # stored one

@@ -1,16 +1,17 @@
 """Topology information base and routing-set computation.
 
-Advertising-router sets are maps oip -> AdvertisingRouterTuple and
-routing sets are maps dest -> Route. A router topology set is a map
-from_oip -> (validity_time, {dest_oip: metric}): a TC replaces all of
-its originator's rows at once and gives them one validity time, so the
-set is held by originator, an accepted TC costs O(|advertised set|) and
-a purge O(#originators). An originator with no rows has no entry. The
-update and purge functions change the sets they are given in place;
-the rows map stored for an originator is never mutated, and it is
-replaced only when its rows change. AdvertisingRouterTuple and Route
-are immutable NamedTuples and compare as plain tuples: both hold three
-fields, so nothing may compare one with the other.
+Routing sets are maps dest -> Route. A router topology set is a map
+from_oip -> (validity_time, ansn, {dest_oip: metric}): it holds both
+RFC 7181 sets, the advertising remote routers and their topology rows,
+since a TC replaces all of its originator's rows and its ansn at once
+and gives them one validity time. So the set is held by originator, an
+accepted TC that carries the stored map again costs O(1), any other
+O(|advertised set|), and a purge O(#originators). An
+originator that advertises nothing but the receiver still has an
+entry, with an empty row map, so its ansn is remembered. The update
+and purge functions change the set they are given in place; a stored
+row map is never mutated, and it is the TC's own map unless that map
+names the receiver. Route is an immutable NamedTuple.
 
 Optimality of a routing set is defined over the link universe known to
 one router: its own symmetric links plus every advertised topology row.
@@ -34,15 +35,8 @@ from typing import AbstractSet, FrozenSet, NamedTuple, Optional
 from .messages import (INF, Metric, NodeId, Sqn, Status, TimeValue,
                        render_metric, render_time)
 
-ArSet = dict      # dict[NodeId, AdvertisingRouterTuple]
-TrSet = dict      # dict[NodeId, tuple[TimeValue, dict[NodeId, Metric]]]
+TrSet = dict      # dict[NodeId, tuple[TimeValue, Sqn, dict[NodeId, Metric]]]
 RoutingSet = dict  # dict[NodeId, Route]
-
-
-class AdvertisingRouterTuple(NamedTuple):
-    oip: NodeId
-    ansn: Sqn
-    validity_time: TimeValue
 
 
 class Route(NamedTuple):
@@ -51,43 +45,37 @@ class Route(NamedTuple):
     metric: Metric
 
 
-def update_advertising_routers(arrs: ArSet, moip: NodeId, mansn: Sqn,
-                               vtime: TimeValue, now: TimeValue) -> None:
-    arrs[moip] = AdvertisingRouterTuple(moip, mansn, now + vtime)
-
-
 def update_router_topology(ip: NodeId, rts: TrSet, moip: NodeId,
-                           vtime: TimeValue, dests: dict,
+                           mansn: Sqn, vtime: TimeValue, dests: dict,
                            now: TimeValue) -> bool:
-    """Replace every advertised row of moip with the new dests map.
+    """Replace moip's ansn and every advertised row with the new ones.
 
     Entries about ip itself are dropped. Returns whether moip's (dest,
     metric) rows changed; False means the message only refreshed their
-    validity time. dests is compared with the stored row in place, and
-    a refresh keeps the stored row map itself: only changed rows are
-    copied into a new map.
+    validity time and ansn. Messages' maps are never mutated, so dests
+    itself becomes the stored row unless it names ip: then a refresh
+    keeps the stored row and a change stores a copy without ip.
     """
-    old = rts.pop(moip, (None, {}))[1]
-    # a stored row map never holds ip, so it equals dests minus ip
-    # exactly when it is as large and each of its rows is in dests
-    changed = (len(dests) - (ip in dests) != len(old)
-               or not old.items() <= dests.items())
-    if changed:
-        new = {d: m for d, m in dests.items() if d != ip}
-        if new:
-            rts[moip] = (now + vtime, new)
-    elif old:
-        rts[moip] = (now + vtime, old)
+    entry = rts.get(moip)
+    old = {} if entry is None else entry[2]
+    row = dests
+    if old is dests:
+        changed = False
+    elif ip not in dests:
+        changed = old != dests
+    else:
+        # a stored row never holds ip, so it equals dests minus ip
+        # exactly when it is as large and each of its rows is in dests
+        changed = (len(dests) - 1 != len(old)
+                   or not old.items() <= dests.items())
+        row = ({d: m for d, m in dests.items() if d != ip} if changed
+               else old)
+    rts[moip] = (now + vtime, mansn, row)
     return changed
 
 
-def purge_advertising_routers(arrs: ArSet, now: TimeValue) -> None:
-    for oip in [oip for oip, ar in arrs.items() if ar.validity_time <= now]:
-        del arrs[oip]
-
-
 def purge_router_topology(rts: TrSet, now: TimeValue) -> None:
-    for oip in [oip for oip, (vt, _) in rts.items() if vt <= now]:
+    for oip in [oip for oip, (vt, _, _) in rts.items() if vt <= now]:
         del rts[oip]
 
 
@@ -110,11 +98,12 @@ def link_universe(ip: NodeId, ls: dict, rts: TrSet,
 
     Every originator's rows are rts's own maps, shared and not copied;
     ip's row holds its symmetric links of finite metric. Rows may keep
-    infinite or self-loop entries: neither ever shortens a path, so a
-    destination whose every path crosses an infinite one is unreachable.
-    rts never holds rows of ip itself (process_tc drops own TCs).
+    infinite or self-loop entries, and a row may be empty: none of
+    these ever shortens a path, so a destination whose every path
+    crosses an infinite one is unreachable. rts never holds rows of ip
+    itself (process_tc drops own TCs).
     """
-    edges = {src: dests for src, (_, dests) in rts.items()}
+    edges = {src: dests for src, (_, _, dests) in rts.items()}
     edges[ip] = {lt.oip: lt.out_metric for lt in ls.values()
                  if lt.out_metric != INF
                  and lt.status(now) == Status.SYMMETRIC}
@@ -262,7 +251,7 @@ def update_routing_set(ip: NodeId, edges: dict, rs: RoutingSet,
 def render_topology_tuple(from_oip: NodeId, dest_oip: NodeId,
                           metric: Metric, validity_time: TimeValue) -> str:
     """One row of a router topology set: rts[from_oip] holds
-    (validity_time, {..., dest_oip: metric, ...})."""
+    (validity_time, ansn, {..., dest_oip: metric, ...})."""
     return (f"RT {from_oip} -> {dest_oip}"
             f" m={render_metric(metric)} vt={render_time(validity_time)}")
 

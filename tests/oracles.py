@@ -225,24 +225,18 @@ def ref_purged_2hop_set(ls, twohop_set, now):
             if n2.validity_time > now and n2.one_hop_oip in n1}
 
 
-def ref_unexpired(tuples, now):
-    return {key: t for key, t in tuples.items() if t.validity_time > now}
-
-
 def ref_unexpired_topology(rts, now):
-    """The router topology set without originators whose rows expired."""
+    """The router topology set without originators whose entry expired."""
     return {oip: entry for oip, entry in rts.items() if entry[0] > now}
 
 
 def ref_updates_pending(router) -> bool:
-    """Disjunction of the eight maintenance conditions, one by one."""
+    """Disjunction of the seven maintenance conditions, one by one."""
     now = router.now
     if ref_purged_link_set(router.ls, now) != router.ls:
         return True
     if ref_purged_2hop_set(router.ls, router.twohop_set,
                            now) != router.twohop_set:
-        return True
-    if ref_unexpired(router.arrs, now) != router.arrs:
         return True
     if ref_unexpired_topology(router.rts, now) != router.rts:
         return True
@@ -264,8 +258,53 @@ def ref_updates_pending(router) -> bool:
 def pass_state(router):
     """The state a maintenance pass may write, in iteration order."""
     return (list(router.ls.items()), list(router.twohop_set.items()),
-            list(router.arrs.items()), list(router.rts.items()),
+            list(router.rts.items()),
             list(router.rs.items()), router.ansn, router.advertised)
+
+
+# ---------------------------------------------------------------------------
+# RFC 7181's two topology sets, held apart
+# ---------------------------------------------------------------------------
+
+class RefTopologySets:
+    """The Advertising Remote Router Set and the Router Topology Set as
+    two maps, as RFC 7181 and the T-AWN model keep them.
+
+    arrs maps an originator to (ansn, validity time). rts maps it to
+    (validity time, rows): a copy of the TC's map without the receiver
+    ip, and an originator with no rows has no entry there.
+    """
+
+    def __init__(self, ip):
+        self.ip, self.arrs, self.rts = ip, {}, {}
+
+    def purge(self, now):
+        for oip in list(self.arrs):
+            if self.arrs[oip][1] <= now:
+                del self.arrs[oip]
+        for oip in list(self.rts):
+            if self.rts[oip][0] <= now:
+                del self.rts[oip]
+
+    def receive(self, moip, ansn, vtime, dests, now):
+        """Apply one TC; return (accepted, rows changed)."""
+        if moip in self.arrs and self.arrs[moip][0] > ansn:
+            return False, False
+        self.arrs[moip] = (ansn, now + vtime)
+        before = self.rts.pop(moip, (None, {}))[1]
+        rows = {}
+        for dest, metric in dests.items():
+            if dest != self.ip:
+                rows[dest] = metric
+        if rows:
+            self.rts[moip] = (now + vtime, rows)
+        return True, rows != before
+
+    def edges(self, own_row):
+        """The link universe: every stored row plus ip's own."""
+        out = {oip: dict(rows) for oip, (_, rows) in self.rts.items()}
+        out[self.ip] = dict(own_row)
+        return out
 
 
 # ---------------------------------------------------------------------------

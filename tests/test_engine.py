@@ -2,7 +2,7 @@
 step scheduling, periodic generation.
 
 The central test here checks updates_pending() against a literal
-re-composition of its eight conditions (oracles.ref_updates_pending)
+re-composition of its seven conditions (oracles.ref_updates_pending)
 on several hundred randomized router states.
 """
 import dataclasses
@@ -18,9 +18,8 @@ from olsrv2sim.messages import (INF, NEG_INF, Hello, MprRole, Status, Tc,
                                 make_hello)
 from olsrv2sim.neighborhood import LinkTuple, TwoHopTuple
 from olsrv2sim.simnet import TopologyEvent, TraceEvent, build_network
-from olsrv2sim.topology import (AdvertisingRouterTuple, Route, _dijkstra,
-                                choose_optimal, link_universe,
-                                rmpr_selectors)
+from olsrv2sim.topology import (Route, _dijkstra, choose_optimal,
+                                link_universe, rmpr_selectors)
 
 import oracles
 
@@ -106,17 +105,15 @@ def scramble(rng, r):
                                   lt.rmpr_selector, lt.in_metric,
                                   lt.out_metric)
     r.advertised = rng.choice([rmpr_selectors(r.ls), frozenset()])
-    r.arrs = {}
     r.rts = {}
     names = sorted(r.ls) + ["far1", "far2"]
     for oip in names:
-        if rng.random() < 0.4:
-            r.arrs[oip] = AdvertisingRouterTuple(
-                oip, rng.randrange(3), now + rng.randint(-5, 40))
+        ansn = rng.randrange(3)
         dests = {dst: rng.randint(1, 9) for dst in names
                  if dst != oip and rng.random() < 0.2}
-        if dests:
-            r.rts[oip] = (now + rng.randint(-5, 40), dests)
+        # an originator may also be known with no rows at all
+        if dests or rng.random() < 0.4:
+            r.rts[oip] = (now + rng.randint(-5, 40), ansn, dests)
     pick = rng.random()
     if pick < 0.4:
         r.rs = choose_optimal(r.ip, link_universe(r.ip, r.ls, r.rts, now))
@@ -186,7 +183,7 @@ def slack_router():
     slack."""
     r = mk_router(start_time=100)
     r.ls = {"b": sym("b", now=100), "c": sym("c", now=100)}
-    r.rts = {"b": (140, {"d": 1}), "c": (140, {"d": 5})}
+    r.rts = {"b": (140, 0, {"d": 1}), "c": (140, 0, {"d": 5})}
     r.run_update_info()
     assert r.rs["d"] == Route("d", "b", 2)
     return r
@@ -197,7 +194,7 @@ def test_routing_set_mutated_after_a_pass_is_rechosen():
     distances: a change to slack rows alone would keep any other."""
     r = slack_router()
     r.rs["d"] = Route("d", "b", 7)  # wrong metric
-    r.rts["c"] = (140, {"d": 6})    # a new map: rows are never mutated
+    r.rts["c"] = (140, 0, {"d": 6})    # a new map: rows are never mutated
     r.run_topology_update()
     assert r.rs == choose_optimal("a", link_universe("a", r.ls, r.rts, 100))
     assert r.rs["d"] == Route("d", "b", 2)
@@ -208,7 +205,7 @@ def test_reset_memo_never_pairs_stale_distances_with_new_rows():
     stale = r._opt_dist
     r._opt_edges = r._opt_rs = None   # as scramble() leaves a router
     # b -> d is gone: under the stale distances it was tight
-    r.rts["b"] = (140, {"e": 1})
+    r.rts["b"] = (140, 0, {"e": 1})
     r.run_topology_update()
     assert r._opt_dist is not stale
     assert r._opt_dist == _dijkstra(r._opt_edges, "a")
@@ -329,7 +326,7 @@ def tc(originator="x", sender="b", vt=40, seq=0, ansn=0, dests=None):
 
 def rows(r):
     """The (originator, destination) pairs of r's router topology set."""
-    return {(oip, d) for oip, (_, dests) in r.rts.items() for d in dests}
+    return {(oip, d) for oip, (_, _, dests) in r.rts.items() for d in dests}
 
 
 def symmetric_selector_router(ip="a"):
@@ -341,8 +338,7 @@ def symmetric_selector_router(ip="a"):
 def test_tc_fresh_message_stored_and_forwarded():
     r = symmetric_selector_router()
     r.process_tc(tc(dests={"y": 3, "a": 9}))
-    assert r.arrs["x"].ansn == 0
-    assert r.rts == {"x": (r.now + 40, {"y": 3})}   # rows about self skipped
+    assert r.rts == {"x": (r.now + 40, 0, {"y": 3})}   # rows about self skipped
     assert r.ps == {("x", 0)} and r.rxs == {("x", 0)}
     assert len(r.pkt) == 1
     fwd = r.pkt[0]
@@ -353,19 +349,19 @@ def test_tc_fresh_message_stored_and_forwarded():
 def test_tc_own_originator_dropped_silently():
     r = symmetric_selector_router()
     r.process_tc(tc(originator="a"))
-    assert not r.arrs and not r.rts and not r.pkt
+    assert not r.rts and not r.pkt
     assert not r.ps and not r.rxs
 
 
 def test_tc_from_nonsymmetric_sender_not_processed():
     r = symmetric_selector_router()
     r.process_tc(tc(sender="stranger"))
-    assert not r.arrs and not r.rts and not r.pkt and not r.ps
+    assert not r.rts and not r.pkt and not r.ps
     # opting in to promiscuous processing stores it, but forwarding
     # still requires a symmetric sender
     r2 = mk_router("a", process_tc_from_unknown=True)
     r2.process_tc(tc(sender="stranger"))
-    assert "x" in r2.arrs and rows(r2) == {("x", "y")}
+    assert "x" in r2.rts and rows(r2) == {("x", "y")}
     assert not r2.pkt
 
 
@@ -410,7 +406,7 @@ def test_tc_stale_ansn_ignored_but_forwarded():
     r = symmetric_selector_router()
     r.process_tc(tc(seq=1, ansn=5, dests={"y": 3}))
     r.process_tc(tc(seq=2, ansn=4, dests={"zzz": 1}))
-    assert r.arrs["x"].ansn == 5
+    assert r.rts["x"][1] == 5
     assert rows(r) == {("x", "y")}
     assert len(r.pkt) == 2          # both were forwardable
     assert r.ps == {("x", 1), ("x", 2)}
@@ -428,7 +424,7 @@ def test_tc_forwarding_gates():
     r = mk_router("a")
     r.ls = {"b": sym("b", fsel=False)}
     r.process_tc(tc())
-    assert "x" in r.arrs and not r.pkt
+    assert "x" in r.rts and not r.pkt
     # flood_all overrides the selector gate
     r = mk_router("a", flood_all=True)
     r.ls = {"b": sym("b", fsel=False)}
@@ -620,18 +616,41 @@ def test_tc_refresh_with_shorter_validity_purges_on_time():
                            1, 1)}
     r.enqueue_delivery([Tc("b", "b", 40, 0, 0, {"c": 3})], 1)
     r.step_main()
-    assert r.rts["b"] == (140, {"c": 3}) and "c" in r.rs
+    assert r.rts["b"] == (140, 0, {"c": 3}) and "c" in r.rs
     # identical rows, shorter validity: nothing to recompute, but the
     # rows now expire at 120 instead of 140
     r.now = 110
     r.enqueue_delivery([Tc("b", "b", 10, 1, 0, {"c": 3})], 1)
     r.step_main()
-    assert r.rts["b"] == (120, {"c": 3})
+    assert r.rts["b"] == (120, 0, {"c": 3})
     for now in range(111, 125):
         r.now = now
         r.step_main()
         assert ("b" in r.rts) == (now < 120), now
         assert ("c" in r.rs) == (now < 120), now
+
+
+def test_tc_naming_only_the_receiver_keeps_its_ansn_until_expiry():
+    """An originator that advertises only the receiver keeps an entry
+    with no rows: its ansn rejects older content until the entry
+    expires at now + validity, and then a lower ansn is taken."""
+    r = mk_router("a", start_time=100)
+    silent(r)
+    r.ls = {"b": LinkTuple("b", 300, 300, 400, False, False, False, False,
+                           1, 1)}
+    r.enqueue_delivery([Tc("b", "b", 40, 0, 5, {"a": 2})], 1)
+    r.step_main()
+    assert r.rts == {"b": (140, 5, {})}
+    assert r._expiry_after(r.now) == 140
+    r.now = 139
+    r.enqueue_delivery([Tc("b", "b", 40, 1, 4, {"c": 3})], 1)
+    r.step_main()
+    assert r.rts == {"b": (140, 5, {})} and "c" not in r.rs
+    r.now = 140
+    r.enqueue_delivery([Tc("b", "b", 40, 2, 4, {"c": 3})], 1)
+    r.step_main()
+    assert r.rts == {"b": (180, 4, {"c": 3})} and "c" in r.rs
+    assert r.ps == {("b", 0), ("b", 1), ("b", 2)}
 
 
 def linked_hello(originator="b", vt=14, **kw):

@@ -8,7 +8,7 @@ from olsrv2sim.messages import (INF, NEG_INF, Hello, MprRole, Status, Tc,
                                 render_message, render_metric, render_packet,
                                 render_time)
 from olsrv2sim.neighborhood import LinkTuple, TwoHopTuple
-from olsrv2sim.topology import AdvertisingRouterTuple, Route
+from olsrv2sim.topology import Route
 
 
 def lt(oip, sym, heard, fmpr=False, rmpr=False, fsel=False, rsel=False,
@@ -103,7 +103,6 @@ def test_forward_replaces_sender_only():
        dests={"x": 2}),
     lt("b", 10, 10),
     TwoHopTuple("b", "c", 10, 1, 2),
-    AdvertisingRouterTuple("a", 3, 10),
     Route("c", "b", 2),
 ], ids=lambda r: type(r).__name__)
 def test_records_are_immutable(record):

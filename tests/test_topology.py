@@ -12,16 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from olsrv2sim.messages import INF, NEG_INF, Status
+from olsrv2sim.engine import Router, RouterConfig
+from olsrv2sim.messages import INF, NEG_INF, Status, Tc
 from olsrv2sim.neighborhood import LinkTuple
-from olsrv2sim.topology import (AdvertisingRouterTuple, Route, _dijkstra,
-                                choose_optimal, increment_ansn,
-                                is_optimal_over, link_universe,
-                                purge_advertising_routers,
-                                purge_router_topology, render_route,
-                                render_topology_tuple, repair_distances,
-                                update_advertising_routers,
-                                update_router_topology, update_routing_set)
+from olsrv2sim.topology import (Route, _dijkstra, choose_optimal,
+                                increment_ansn, is_optimal_over,
+                                link_universe, purge_router_topology,
+                                render_route, render_topology_tuple,
+                                repair_distances, update_router_topology,
+                                update_routing_set)
 
 import oracles
 
@@ -33,44 +32,47 @@ def sym_link(oip, out_m, sym_time=NOW + 10):
                      False, False, 1, out_m)
 
 
-def rows(dests, vt=NOW + 50):
+def rows(dests, vt=NOW + 50, ansn=0):
     """One originator's entry in a router topology set."""
-    return (vt, dict(dests))
+    return (vt, ansn, dict(dests))
 
 
 # --- information-base updates ----------------------------------------------
 
-def test_update_advertising_routers_replaces_row():
-    arrs = {}
-    update_advertising_routers(arrs, "b", mansn=3, vtime=40, now=NOW)
-    assert arrs == {"b": AdvertisingRouterTuple("b", 3, NOW + 40)}
-    update_advertising_routers(arrs, "b", mansn=4, vtime=10, now=NOW)
-    assert arrs == {"b": AdvertisingRouterTuple("b", 4, NOW + 10)}
+def test_update_router_topology_replaces_ansn_and_validity():
+    rts = {}
+    update_router_topology("me", rts, "b", mansn=3, vtime=40, dests={},
+                           now=NOW)
+    assert rts == {"b": rows({}, NOW + 40, ansn=3)}
+    update_router_topology("me", rts, "b", mansn=4, vtime=10, dests={},
+                           now=NOW)
+    assert rts == {"b": rows({}, NOW + 10, ansn=4)}
 
 
 def test_update_router_topology_replaces_all_rows_of_originator():
     rts = {"b": rows({"x": 1}), "c": rows({"x": 2})}
-    assert update_router_topology("me", rts, "b", vtime=30,
+    assert update_router_topology("me", rts, "b", mansn=0, vtime=30,
                                   dests={"y": 5, "me": 1}, now=NOW)
     # b's old rows are gone, rows about me are never stored
     assert rts == {"b": rows({"y": 5}, NOW + 30), "c": rows({"x": 2})}
     # the same rows again only refresh the validity time
-    assert not update_router_topology("me", rts, "b", vtime=10,
+    assert not update_router_topology("me", rts, "b", mansn=0, vtime=10,
                                       dests={"y": 5}, now=NOW + 1)
     assert rts["b"] == rows({"y": 5}, NOW + 11)
-    assert update_router_topology("me", rts, "b", vtime=10,
+    assert update_router_topology("me", rts, "b", mansn=0, vtime=10,
                                   dests={"y": 6}, now=NOW + 1)
-    assert update_router_topology("me", rts, "b", vtime=10,
+    assert update_router_topology("me", rts, "b", mansn=0, vtime=10,
                                   dests={}, now=NOW + 1)
-    assert rts == {"c": rows({"x": 2})}
-    # an originator with no rows left has no entry
-    assert not update_router_topology("me", rts, "d", vtime=10,
+    # an originator with no rows left keeps its entry, and so its ansn
+    assert rts == {"b": rows({}, NOW + 11), "c": rows({"x": 2})}
+    assert not update_router_topology("me", rts, "d", mansn=2, vtime=10,
                                       dests={"me": 1}, now=NOW + 1)
-    assert rts == {"c": rows({"x": 2})}
+    assert rts == {"b": rows({}, NOW + 11), "c": rows({"x": 2}),
+                   "d": rows({}, NOW + 11, ansn=2)}
 
 
 VERDICTS = [
-    # (stored rows or None, dests, changed, rows after or None)
+    # (stored rows or None, dests, changed, rows after or None for none)
     ({"x": 1, "y": 2}, {"y": 2, "me": 4, "x": 1}, False, {"x": 1, "y": 2}),
     ({"x": 1, "y": 2}, {"x": 1, "z": 2}, True, {"x": 1, "z": 2}),
     ({"x": 1, "y": 2}, {"x": 1, "y": 3}, True, {"x": 1, "y": 3}),
@@ -88,27 +90,32 @@ def test_update_router_topology_verdict(stored, dests, changed, after):
     old = None
     if stored is not None:
         rts["b"] = rows(stored)
-        old = rts["b"][1]
-    got = update_router_topology("me", rts, "b", vtime=30, dests=dests,
-                                 now=NOW)
+        old = rts["b"][2]
+    got = update_router_topology("me", rts, "b", mansn=7, vtime=30,
+                                 dests=dests, now=NOW)
     assert got is changed
-    assert rts.get("b") == (None if after is None else (NOW + 30, after))
+    assert rts["b"] == rows(after or {}, NOW + 30, ansn=7)
     assert rts["c"] == rows({"x": 2})
-    if after is not None:
-        # a refresh keeps the stored map; a change never stores dests
-        assert (rts["b"][1] is old) is not changed
-        assert rts["b"][1] is not dests
+    row = rts["b"][2]
+    if "me" not in dests:
+        # the stored row is the message's own map
+        assert row is dests
+    else:
+        # a new entry or a change stores a copy; a refresh keeps the
+        # stored map
+        assert "me" not in row and row is not dests
+        if old is not None:
+            assert (row is old) is not changed
 
 
 def test_purges():
-    arrs = {"a": AdvertisingRouterTuple("a", 1, NOW),
-            "b": AdvertisingRouterTuple("b", 1, NOW + 1)}
-    purge_advertising_routers(arrs, NOW)
-    assert set(arrs) == {"b"}
     rts = {"a": rows({"x": 1, "y": 1}, vt=NOW),
-           "b": rows({"y": 1}, vt=NOW + 1)}
+           "b": rows({"y": 1}, vt=NOW + 1),
+           "c": rows({}, vt=NOW, ansn=1),
+           "d": rows({}, vt=NOW + 1, ansn=1)}
     purge_router_topology(rts, NOW)
-    assert rts == {"b": rows({"y": 1}, vt=NOW + 1)}
+    assert rts == {"b": rows({"y": 1}, vt=NOW + 1),
+                   "d": rows({}, vt=NOW + 1, ansn=1)}
 
 
 def test_increment_ansn_tracks_selector_set():
@@ -132,12 +139,13 @@ def test_link_universe_rules():
     rts = {"b": rows({"x": 4, "w": INF}),        # infinite row: kept
            "x": rows({"x": 1}),                  # self loop: kept
            "z": rows({"z": 1}),                  # unreachable self loop
-           "q": rows({"w": INF})}                # unreachable infinite row
+           "q": rows({"w": INF}),                # unreachable infinite row
+           "e": rows({})}                        # no rows: kept empty
     edges = link_universe("me", ls, rts, NOW)
     assert edges == {"me": {"b": 9}, "b": {"x": 4, "w": INF},
-                     "x": {"x": 1}, "z": {"z": 1}, "q": {"w": INF}}
+                     "x": {"x": 1}, "z": {"z": 1}, "q": {"w": INF}, "e": {}}
     # the rows are rts's own maps, shared and not copied
-    assert all(edges[o] is dests for o, (_, dests) in rts.items())
+    assert all(edges[o] is dests for o, (_, _, dests) in rts.items())
     # infinite rows, self loops and the excluded own links yield no route
     assert _dijkstra(edges, "me") == {"me": 0, "b": 9, "x": 13}
     rs = choose_optimal("me", edges)
@@ -153,21 +161,28 @@ def test_link_universe_rules():
 
 def test_topology_rows_are_replaced_never_mutated():
     rts = {}
-    assert update_router_topology("me", rts, "b", vtime=30,
-                                  dests={"x": 1}, now=NOW)
-    first = rts["b"][1]
+    assert update_router_topology("me", rts, "b", mansn=0, vtime=30,
+                                  dests={"x": 1, "me": 1}, now=NOW)
+    first = rts["b"][2]
     edges = link_universe("me", {}, rts, NOW)
     assert edges["b"] is first
     # a refresh keeps the map, so the universe still compares by identity
-    assert not update_router_topology("me", rts, "b", vtime=30,
-                                      dests={"x": 1}, now=NOW + 1)
-    assert rts["b"][1] is first
-    # a change installs a new map and leaves the old one as it was
-    assert update_router_topology("me", rts, "b", vtime=30,
-                                  dests={"x": 2, "y": 1}, now=NOW + 2)
-    assert rts["b"][1] is not first
+    assert not update_router_topology("me", rts, "b", mansn=0, vtime=30,
+                                      dests={"x": 1, "me": 2}, now=NOW + 1)
+    assert rts["b"][2] is first
+    # a change installs a new map and leaves the old one as it was; a
+    # map that does not name me is stored itself
+    third = {"x": 2, "y": 1}
+    assert update_router_topology("me", rts, "b", mansn=0, vtime=30,
+                                  dests=third, now=NOW + 2)
+    assert rts["b"][2] is third
     assert first == {"x": 1} and edges == {"b": {"x": 1}, "me": {}}
-    assert link_universe("me", {}, rts, NOW)["b"] is rts["b"][1]
+    assert link_universe("me", {}, rts, NOW)["b"] is third
+    # the same map again is a refresh found by identity
+    assert not update_router_topology("me", rts, "b", mansn=0, vtime=30,
+                                      dests=third, now=NOW + 3)
+    assert rts["b"] == (NOW + 33, 0, third) and rts["b"][2] is third
+    assert third == {"x": 2, "y": 1}
 
 
 def random_digraph(rng, n=None, max_metric=9, density=0.4):
@@ -436,6 +451,70 @@ def test_repaired_distances_are_dijkstras(case):
     # kept distances keep every optimal routing set optimal; repaired
     # ones leave none of them optimal
     assert oracles.ref_is_optimal_over("s", new, rs) == (got is dist)
+
+
+# --- one topology set against RFC 7181's two ---------------------------------
+
+TC_DESTS = st.dictionaries(st.sampled_from(["me", "b", "x", "y", "z"]),
+                           st.integers(1, 9), max_size=4)
+
+
+@st.composite
+def tc_sequences(draw):
+    """TCs in time order, as (originator, ansn, dests, now, validity).
+
+    A TC may carry its originator's previous map object again, as an
+    originator does while its advertisement is unchanged; a map may
+    name the receiver me.
+    """
+    now, last, out = NOW, {}, []
+    for _ in range(draw(st.integers(1, 14))):
+        moip = draw(st.sampled_from("bxy"))
+        if moip in last and draw(st.booleans()):
+            dests = last[moip]
+        else:
+            dests = last[moip] = draw(TC_DESTS)
+        now += draw(st.integers(0, 12))
+        out.append((moip, draw(st.integers(0, 3)), dests, now,
+                    draw(st.integers(1, 30))))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(tc_sequences())
+def test_one_topology_set_matches_the_two_sets(tcs):
+    """Router.process_tc over the one originator-keyed set agrees with
+    oracles.RefTopologySets, an Advertising Remote Router Set and a
+    Router Topology Set of filtered copies, on every verdict, entry and
+    distance."""
+    r = Router(RouterConfig("me", hp_maxjitter=3, tp_maxjitter=3,
+                            h_hold_time=14, t_hold_time=40, l_hold_time=10,
+                            hello_interval=10, tc_interval=20),
+               jitter_rng=random.Random(0))
+    far = NOW + 10**6
+    own = {"b": 2, "y": 5}
+    r.ls = {oip: LinkTuple(oip, far, far, far, False, False, False, False,
+                           1, m) for oip, m in own.items()}
+    ref = oracles.RefTopologySets("me")
+    for seq, (moip, ansn, dests, now, vtime) in enumerate(tcs):
+        r.now = now
+        purge_router_topology(r.rts, now)
+        ref.purge(now)
+        r._topology_dirty, r._next_expiry = False, INF
+        r.process_tc(Tc(moip, "b", vtime, seq, ansn, dests))
+        accepted, changed = ref.receive(moip, ansn, vtime, dests, now)
+        # an accepted TC lowers the next expiry to its validity time
+        assert (r._next_expiry == now + vtime) is accepted
+        assert r._topology_dirty is changed
+        if accepted and "me" not in dests:
+            assert r.rts[moip][2] is dests
+        assert r.rts.keys() == ref.arrs.keys()
+        for oip, (vt, stored_ansn, row) in r.rts.items():
+            assert (stored_ansn, vt) == ref.arrs[oip]
+            assert (vt, row) == ref.rts.get(oip, (vt, {}))
+        got = _dijkstra(link_universe("me", r.ls, r.rts, now), "me")
+        want = oracles.simple_path_dists(ref.edges(own), "me")
+        assert got == {n: d for n, d in want.items() if d < INF}
 
 
 # --- renders ----------------------------------------------------------------
