@@ -29,6 +29,26 @@ the link set and statuses names every link, so equal HELLOs whose
 statuses share their order share it in every map. Built messages are
 never mutated.
 
+A HELLO is built only when the view of the link set make_hello reads
+may have changed since the last build: per link tuple, in ls order,
+oip, status(now), the MPR flags, in_metric unless LOST and out_metric
+if SYMMETRIC. Three writes mark it: process_hello creating a tuple,
+or changing a tuple's status at the write or its out_metric, and any
+full pass (the purge and the MPR-flag updates are the only other
+writers of ls). Otherwise a status changes only when the clock
+reaches a symmetric or heard time. A lower bound on the next such time after the last build is
+kept, lowered to each such time process_hello writes; once now
+reaches it, the smallest such time after the last build is looked up
+again, and the HELLO is rebuilt only if now has reached that one too.
+Else the last HELLO is sent again. A receiver remembers per
+originator the last HELLO whose 2-hop walk ran and the names it lists
+SYMMETRIC. Given that object again over a SYMMETRIC link, it only
+refreshes those names' 2-hop tuples, re-creating any purged since:
+messages are never mutated, only the originator's HELLOs write its
+2-hop tuples, and a walk skipped while the link was not SYMMETRIC
+wrote nothing, so every other tuple the HELLO names already holds its
+metrics.
+
 Consistency is restored by a maintenance pass, and the pass is its own
 check: run while nothing is pending, it changes no state (idempotence),
 and after it nothing is pending. The clock enters updates_pending()
@@ -160,6 +180,15 @@ class Router:
         self.ansn = 0
         self.advertised = frozenset()  # rmpr selectors at the last pass
         self._hello, self._tc_map = None, {}  # the last HELLO and TC map
+        # a write since the last HELLO build that can change its view,
+        # the tick of that build, and a tick no later than the smallest
+        # symmetric or heard time after it
+        self._hello_stale = True
+        self._hello_built: TimeValue = NEG_INF
+        self._hello_due: TimeValue = NEG_INF
+        # originator -> (the last HELLO whose 2-hop walk ran, the names
+        # it lists SYMMETRIC)
+        self._walked: dict = {}
 
         self._rng = jitter_rng
         self._hello_fire = self.hello_time - self._rng.randrange(cfg.hp_maxjitter)
@@ -264,14 +293,36 @@ class Router:
                 nxt = vt
         return nxt
 
+    def _hello_changed(self) -> bool:
+        """May the HELLO make_hello builds now differ from the last one?
+
+        Like _maintenance_due: a marked write says yes; else once now
+        reaches _hello_due, the smallest symmetric or heard time after
+        the last build is looked up again, and only a time now has
+        reached changes a status.
+        """
+        if self._hello_stale:
+            return True
+        if self.now < self._hello_due:
+            return False
+        built, nxt = self._hello_built, INF
+        for lt in self.ls.values():
+            for t in (lt.symmetric_time, lt.heard_time):
+                if built < t < nxt:
+                    nxt = t
+        self._hello_due = nxt
+        return self.now >= nxt
+
     def run_update_info(self) -> None:
         """The full pass: purge, reselect MPRs, refresh ansn, then the
         topology half (in order).
 
         Afterwards nothing is pending until the next write or until the
-        clock reaches the new _next_expiry.
+        clock reaches the new _next_expiry. The pass may rewrite ls, so
+        the next HELLO is built.
         """
         now = self.now
+        self._hello_stale = True
         neighborhood.purge_link_set(self.ls, now)
         neighborhood.purge_2hop_set(self.ls, self.twohop_set, now)
         neighborhood.update_fmprs(self.ls, self.twohop_set, now)
@@ -366,32 +417,64 @@ class Router:
         # a pass reads a link's status only as "SYMMETRIC or not", and
         # its out_metric only while it is SYMMETRIC; a created tuple
         # starts out LOST with no flags and an infinite out_metric
-        sym = new.status(now) == Status.SYMMETRIC
-        dirty = (sym != (lt.status(now) == Status.SYMMETRIC)
+        status = new.status(now)
+        sym = status == Status.SYMMETRIC
+        old_status = lt.status(now)
+        dirty = (sym != (old_status == Status.SYMMETRIC)
                  or fsel != lt.fmpr_selector or rsel != lt.rmpr_selector
                  or (sym and new.out_metric != lt.out_metric)
                  or new.validity_time <= now)
+        # what this router's next HELLO says of the link
+        if (created or status != old_status
+                or new.out_metric != lt.out_metric):
+            self._hello_stale = True
+        for t in (sym_time, heard_time):
+            if now < t < self._hello_due:
+                self._hello_due = t
         written = [sym_time, heard_time, new.validity_time]
         if sym_time > now:
             ths = self.twohop_set
-            # every address the HELLO names, in message order
-            for x in {**msg.statuses, **msg.in_metrics, **msg.out_metrics}:
-                listed_sym = (x != ip
-                              and msg.statuses.get(x) == Status.SYMMETRIC)
-                n2 = ths.get((moip, x))
-                if n2 is None:
-                    if not listed_sym:
-                        continue
-                    dirty = True
-                    n2 = TwoHopTuple(moip, x, NEG_INF, INF, INF)
-                new2 = TwoHopTuple(
-                    moip, x, now + vtime if listed_sym else n2.validity_time,
-                    msg.in_metrics.get(x, n2.in_metric),
-                    msg.out_metrics.get(x, n2.out_metric))
-                ths[(moip, x)] = new2
-                dirty = dirty or (new2.in_metric != n2.in_metric
-                                  or new2.out_metric != n2.out_metric)
-                written.append(new2.validity_time)
+            walked = self._walked.get(moip)
+            if walked is not None and walked[0] is msg:
+                # a repeat: the other tuples it names hold its metrics
+                vt = now + vtime
+                for x in walked[1]:
+                    n2 = ths.get((moip, x))
+                    if n2 is None:  # purged since: re-create it
+                        dirty = True
+                        ths[(moip, x)] = TwoHopTuple(
+                            moip, x, vt, msg.in_metrics.get(x, INF),
+                            msg.out_metrics.get(x, INF))
+                    else:
+                        ths[(moip, x)] = TwoHopTuple(
+                            moip, x, vt, n2.in_metric, n2.out_metric)
+                if walked[1]:
+                    written.append(vt)
+            else:
+                listed = []
+                # every address the HELLO names, in message order
+                for x in {**msg.statuses, **msg.in_metrics,
+                          **msg.out_metrics}:
+                    listed_sym = (x != ip and msg.statuses.get(x)
+                                  == Status.SYMMETRIC)
+                    n2 = ths.get((moip, x))
+                    if n2 is None:
+                        if not listed_sym:
+                            continue
+                        dirty = True
+                        n2 = TwoHopTuple(moip, x, NEG_INF, INF, INF)
+                    if listed_sym:
+                        listed.append(x)
+                    new2 = TwoHopTuple(
+                        moip, x,
+                        now + vtime if listed_sym else n2.validity_time,
+                        msg.in_metrics.get(x, n2.in_metric),
+                        msg.out_metrics.get(x, n2.out_metric))
+                    ths[(moip, x)] = new2
+                    dirty = dirty or (new2.in_metric != n2.in_metric
+                                      or new2.out_metric != n2.out_metric)
+                    written.append(new2.validity_time)
+                self._walked[moip] = (msg, listed)
         if dirty:
             self._dirty = True
         else:
@@ -504,12 +587,15 @@ class Router:
                 if self.now > self.hello_time:
                     raise EngineDiagnostic(
                         f"router {self.ip}: HELLO deadline missed at t={self.now}")
-                msg = make_hello(self.ip, cfg.h_hold_time, self.ls.values(),
-                                 self.now)
-                if msg == self._hello and (
-                        list(msg.statuses) == list(self._hello.statuses)):
-                    msg = self._hello
-                self._hello = msg
+                if self._hello_changed():
+                    msg = make_hello(self.ip, cfg.h_hold_time,
+                                     self.ls.values(), self.now)
+                    if msg != self._hello or (
+                            list(msg.statuses) != list(self._hello.statuses)):
+                        self._hello = msg
+                    self._hello_stale = False
+                    self._hello_built, self._hello_due = self.now, NEG_INF
+                msg = self._hello
                 self.pkt.append(msg)
                 self.trace("HELLO_GEN", msg)
                 self.hello_time = self.now + cfg.hello_interval

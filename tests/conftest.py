@@ -26,6 +26,16 @@ The last one is why running a pass that is not needed leaves every
 trace unchanged. The topology half the full pass calls is checked as
 part of that pass. Only the passes carry the memo's distances over to
 new rows (topology.repair_distances); updates_pending() never does.
+
+The two HELLO shortcuts are held to the full computation too:
+
+- whenever generation sends the last HELLO again without building one
+  (Router._hello_changed() says no), make_hello builds a HELLO equal
+  to it whose statuses list the same names in the same order;
+- whenever a HELLO arrives that is the object its originator's last
+  2-hop walk ran on, the receipt leaves the link set, the 2-hop set
+  (key order included), the dirty bit and the next expiry exactly as
+  the full walk does on a copy (oracles.full_hello_receipt).
 """
 from collections import Counter
 
@@ -33,8 +43,10 @@ import pytest
 
 from olsrv2sim import topology
 from olsrv2sim.engine import Router
+from olsrv2sim.messages import make_hello
 
-from oracles import pass_state, ref_is_optimal_over
+from oracles import (full_hello_receipt, hello_receipt_state, pass_state,
+                     ref_is_optimal_over)
 
 
 @pytest.fixture(autouse=True)
@@ -45,11 +57,15 @@ def oracle_mode(monkeypatch):
     for full passes run by a step, False for steps that ran none,
     "idle" for full passes run while nothing was pending, "topology"
     for topology-only passes and "topology idle" for those run while
-    nothing was pending, and "keep", "repair" and "fall back" for what
-    repair_distances decided.
+    nothing was pending, "keep", "repair" and "fall back" for what
+    repair_distances decided, "hello reused" for HELLOs sent again
+    without a build and "hello repeat" for repeat receipts that took
+    the shortcut.
     """
     seen = Counter()
     step = Router.step_main
+    hello_changed, process_hello = (Router._hello_changed,
+                                    Router.process_hello)
     run, run_topology = Router.run_update_info, Router.run_topology_update
     repair = topology.repair_distances
     in_step, in_full_pass, in_topology = [], [], []
@@ -79,6 +95,32 @@ def oracle_mode(monkeypatch):
                 assert_consistent(self, f"before a {kind}")
             return handle(self, *args)
         return checked
+
+    def checked_hello_changed(self):
+        changed = hello_changed(self)
+        if not changed:
+            built = make_hello(self.ip, self.cfg.h_hold_time,
+                               self.ls.values(), self.now)
+            assert built == self._hello and (
+                list(built.statuses) == list(self._hello.statuses)), (
+                f"router {self.ip} at t={self.now}: the last HELLO was"
+                f" sent again, but make_hello builds {built}")
+            seen["hello reused"] += 1
+        return changed
+
+    def checked_process_hello(self, msg, in_metric):
+        if in_step:
+            assert_consistent(self, "before a HELLO")
+        walked = self._walked.get(getattr(msg, "originator", None))
+        if walked is None or walked[0] is not msg:
+            return process_hello(self, msg, in_metric)
+        want = full_hello_receipt(self, process_hello, msg, in_metric)
+        process_hello(self, msg, in_metric)
+        assert hello_receipt_state(self) == want, (
+            f"router {self.ip} at t={self.now}: a repeat of"
+            f" {msg.originator}'s HELLO differs from the full walk")
+        if self.ls[msg.originator].symmetric_time > self.now:
+            seen["hello repeat"] += 1
 
     def checked(self, pass_fn, kind):
         idle = not self.updates_pending()
@@ -134,8 +176,8 @@ def oracle_mode(monkeypatch):
         return out
 
     monkeypatch.setattr(Router, "step_main", checked_step)
-    monkeypatch.setattr(Router, "process_hello",
-                        checked_handler(Router.process_hello, "HELLO"))
+    monkeypatch.setattr(Router, "_hello_changed", checked_hello_changed)
+    monkeypatch.setattr(Router, "process_hello", checked_process_hello)
     monkeypatch.setattr(Router, "process_tc",
                         checked_handler(Router.process_tc, "TC"))
     monkeypatch.setattr(Router, "run_update_info", checked_run)

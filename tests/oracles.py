@@ -9,6 +9,7 @@ merely agreeing with itself.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 
@@ -260,6 +261,29 @@ def pass_state(router):
     return (list(router.ls.items()), list(router.twohop_set.items()),
             list(router.rts.items()),
             list(router.rs.items()), router.ansn, router.advertised)
+
+
+# ---------------------------------------------------------------------------
+# A repeated HELLO, walked in full
+# ---------------------------------------------------------------------------
+
+def hello_receipt_state(router):
+    """The state a HELLO receipt may write, in iteration order."""
+    return (list(router.ls.items()), list(router.twohop_set.items()),
+            router._dirty, router._next_expiry)
+
+
+def full_hello_receipt(router, process_hello, msg, in_metric):
+    """hello_receipt_state after process_hello(msg, in_metric) walks
+    msg's names in full, run on a copy of router that has forgotten
+    which HELLOs it walked. Unlike the rest of this module this is the
+    library's own full walk: it is what a repeat receipt's shortcut
+    must equal."""
+    ref = copy.copy(router)
+    ref.ls, ref.twohop_set = dict(router.ls), dict(router.twohop_set)
+    ref._walked = {}
+    process_hello(ref, msg, in_metric)
+    return hello_receipt_state(ref)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from olsrv2sim import engine
 from olsrv2sim.checkers import FIG1_SCENARIO
 from olsrv2sim.cli import parse_scenario
 from olsrv2sim.simnet import build_network
+from test_acceptance import EVENTFUL_SCENARIO
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -37,6 +38,25 @@ def test_layer_tracer_finds_every_wrapped_name():
     assert engine.Router.__dict__["step_main"] is before
     assert tracer.stats["engine.Router.step_main"].calls > 0
     assert tracer.stats["engine.Router.process_tc"].calls > 0
+
+
+def test_traced_call_counts_repeat():
+    """bench/run.py fails every operation of a traced pass whose call
+    counts differ from the first traced pass's. Generation skips
+    make_hello while the last HELLO still holds, so its count depends on
+    router state; two runs of one scenario must still count alike."""
+    counts = []
+    for _ in range(2):
+        tracer = run.layer_tracer()
+        with tracer.installed():
+            s = parse_scenario(EVENTFUL_SCENARIO)
+            net = build_network(s)
+            net.run(s.params["ticks"])
+        counts.append({label: stat.calls
+                       for label, stat in tracer.stats.items()})
+    assert counts[0] == counts[1]
+    hellos = sum(e.kind == "HELLO_GEN" for e in net.trace)
+    assert 0 < counts[0]["engine.make_hello"] < hellos
 
 
 def test_routers_hold_sized_message_logs():

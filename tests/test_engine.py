@@ -551,16 +551,93 @@ def test_generation_reuses_only_content_equal_in_order():
     def selector(oip):
         return LinkTuple(oip, 30, 30, 60, False, False, False, True, 1, 1)
 
+    # ls is replaced wholesale here, which none of the router's writers
+    # does, so each replacement marks the HELLO's view as a writer would
     r.ls = {"b": selector("b"), "c": selector("c")}
+    r._hello_stale = True
     hello, tc = generate()
     again, tc_again = generate()
     assert again is hello and tc_again.dests is tc.dests
     assert tc_again is not tc and tc_again.seq == tc.seq + 1
     r.ls = {"c": r.ls["c"], "b": r.ls["b"]}
+    r._hello_stale = True
     reordered, tc_reordered = generate()
     assert reordered == hello and reordered is not hello
     assert tc_reordered.dests == tc.dests
     assert tc_reordered.dests is not tc.dests
+
+
+def generated_hello(r):
+    """The HELLO r generates now, with TC generation off."""
+    out = []
+    r.trace = lambda kind, payload: out.append(payload)
+    r.tc_time = r._tc_fire = INF
+    r.hello_time = r._hello_fire = r.now
+    r._maybe_generate()
+    (msg,) = out
+    return msg
+
+
+def test_hello_rebuilt_when_a_symmetric_time_passes(oracle_mode):
+    """With no message in between, b's symmetric time passing still
+    changes what a's HELLO says of b: the clock alone forces a build."""
+    r = mk_router("a")
+    r.process_hello(hello(statuses={"a": Status.HEARD}), 4)
+    r.now = 2
+    r.process_hello(hello(), 4)  # heard until 16, SYMMETRIC until 14
+    r.now = 3
+    first = generated_hello(r)
+    assert first.statuses == {"b": Status.SYMMETRIC}
+    r.now = 13
+    assert generated_hello(r) is first
+    assert oracle_mode["hello reused"] == 1
+    r.now = 14
+    heard = generated_hello(r)
+    assert heard is not first
+    assert heard.statuses == {"b": Status.HEARD} and not heard.out_metrics
+
+
+def test_repeated_hello_recreates_a_purged_2hop_tuple(oracle_mode):
+    """The same HELLO object again, after a pass purged one of the 2-hop
+    tuples it lists, re-creates that tuple and marks a pass."""
+    r = mk_router("a", start_time=100)
+    silent(r)
+    r.process_hello(hello(statuses={"a": Status.HEARD}), 4)
+    msg = linked_hello()
+    r.process_hello(msg, 4)
+    r.run_update_info()
+    # c's tuple expires early and is purged while b stays SYMMETRIC
+    r.now = 101
+    r.twohop_set[("b", "c")] = r.twohop_set[("b", "c")]._replace(
+        validity_time=101)
+    r.run_update_info()
+    assert ("b", "c") not in r.twohop_set and not r._dirty
+    r.now = 102
+    r.process_hello(msg, 4)
+    assert oracle_mode["hello repeat"] == 1
+    assert r.twohop_set == {("b", "c"): TwoHopTuple("b", "c", 116, 2, 6)}
+    assert r._dirty and r.ls["b"].status(102) == Status.SYMMETRIC
+
+
+def test_hello_first_heard_before_the_link_is_symmetric_is_walked_later(
+        oracle_mode):
+    """A HELLO received while the link is not SYMMETRIC writes no 2-hop
+    tuple; the same object received once the link is writes them."""
+    r = mk_router("a", start_time=100)
+    silent(r)
+    msg = hello(statuses={"c": Status.SYMMETRIC}, in_metrics={"c": 2},
+                out_metrics={"c": 6})
+    r.process_hello(msg, 4)
+    assert r.ls["b"].status(100) == Status.HEARD and not r.twohop_set
+    r.now = 101
+    r.process_hello(hello(statuses={"a": Status.HEARD}), 4)
+    r.now = 102
+    r.process_hello(msg, 4)
+    assert r.twohop_set == {("b", "c"): TwoHopTuple("b", "c", 116, 2, 6)}
+    r.now = 103
+    r.process_hello(msg, 4)
+    assert oracle_mode["hello repeat"] == 1
+    assert r.twohop_set == {("b", "c"): TwoHopTuple("b", "c", 117, 2, 6)}
 
 
 # --- incremental consistency: when the maintenance pass runs -----------------
@@ -766,6 +843,36 @@ def test_hello_a_pass_cannot_act_on_only_moves_times(case):
     assert r._next_expiry <= min(t for t in stored_times(r) if t > now)
 
 
+# Each HELLO write that changes what a's next HELLO says, applied to
+# linked_router() at the first tick, and the tick a's next HELLO is
+# generated, with no pass in between: the HELLO a generated at the
+# first tick can no longer be sent again. A tuple created LOST changes
+# no status at the write; a shorter validity changes b's status only
+# when the clock reaches the time it stored.
+HELLO_VIEW_WRITES = {
+    "creates a LOST link tuple": (103, 103, hello("d", vt=0)),
+    "LOST becomes HEARD": (115, 115, hello("e")),
+    "HEARD becomes SYMMETRIC": (103, 103,
+                                hello("e", statuses={"a": Status.HEARD})),
+    "changes out_metric": (103, 103,
+                           linked_hello(in_metrics={"a": 9, "c": 2})),
+    "shortens a symmetric time": (103, 108, linked_hello(vt=5)),
+}
+
+
+@pytest.mark.parametrize("case", HELLO_VIEW_WRITES)
+def test_hello_rebuilt_after_a_write_it_reads(case, oracle_mode):
+    now, then, msg = HELLO_VIEW_WRITES[case]
+    r = linked_router()
+    r.now = now
+    last = generated_hello(r)
+    assert generated_hello(r) is last
+    r.process_hello(msg, 4)
+    r.now = then
+    new = generated_hello(r)
+    assert new != last and new == make_hello("a", 14, r.ls.values(), then)
+
+
 def test_stale_expiry_runs_no_pass_until_the_refreshed_time(oracle_mode):
     r = linked_router()
     passes = []
@@ -920,3 +1027,5 @@ def test_fast_check_agrees_with_full_predicate_under_churn(oracle_mode,
     assert oracle_mode["topology"] > 0
     # passes that kept the distances, repaired them and recomputed them
     assert min(oracle_mode[k] for k in ("keep", "repair", "fall back")) > 0
+    # HELLOs sent again without a build, and repeat receipts
+    assert oracle_mode["hello reused"] > 0 and oracle_mode["hello repeat"] > 0
