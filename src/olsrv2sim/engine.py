@@ -36,18 +36,16 @@ if SYMMETRIC. Three writes mark it: process_hello creating a tuple,
 or changing a tuple's status at the write or its out_metric, and any
 full pass (the purge and the MPR-flag updates are the only other
 writers of ls). Otherwise a status changes only when the clock
-reaches a symmetric or heard time. A lower bound on the next such time after the last build is
-kept, lowered to each such time process_hello writes; once now
-reaches it, the smallest such time after the last build is looked up
-again, and the HELLO is rebuilt only if now has reached that one too.
-Else the last HELLO is sent again. A receiver remembers per
-originator the last HELLO whose 2-hop walk ran and the names it lists
-SYMMETRIC. Given that object again over a SYMMETRIC link, it only
-refreshes those names' 2-hop tuples, re-creating any purged since:
-messages are never mutated, only the originator's HELLOs write its
-2-hop tuples, and a walk skipped while the link was not SYMMETRIC
-wrote nothing, so every other tuple the HELLO names already holds its
-metrics.
+reaches a symmetric or heard time, and the first step at or after a
+stored time runs the full pass before it generates (see below): the
+pass is the HELLO's clock. Without a mark the last HELLO is sent
+again. A receiver remembers per originator the last HELLO whose 2-hop
+walk ran and the names it lists SYMMETRIC. Given that object again
+over a SYMMETRIC link, it only refreshes those names' 2-hop tuples,
+re-creating any purged since: messages are never mutated, only the
+originator's HELLOs write its 2-hop tuples, and a walk skipped while
+the link was not SYMMETRIC wrote nothing, so every other tuple the
+HELLO names already holds its metrics.
 
 Consistency is restored by a maintenance pass, and the pass is its own
 check: run while nothing is pending, it changes no state (idempotence),
@@ -59,28 +57,30 @@ So after a pass nothing is pending until the state is written in a
 way the predicate can see, or the clock reaches the smallest stored
 time that was still in the future.
 
-A write marks a pass only when it can change what a pass does. A
-HELLO sets the dirty bit, which marks the full pass, when its link
-tuple enters or leaves SYMMETRIC, changes its MPR-selector flags, or
-changes its out_metric while SYMMETRIC; when it creates a link tuple
-that is SYMMETRIC, carries a selector flag or has already expired; or
-when it creates a 2-hop tuple or changes its metrics. A TC that changes
-the advertised rows marks only the pass's topology half (purge the
-topology set, then recompute routes): neither the MPR sets nor ansn
-read that set. Times aside, these are the only inputs of
-updates_pending() the two write. Any other write only moves stored
-times, and lowers the "next expiry" tick to each new time that is in
-the future. A refresh can also move a time that next expiry
-still points at, so when now reaches it the smallest stored time after
-the last full pass is looked up again. step_main runs the full pass
-when the bit is set or now has reached that time, and otherwise the
-topology half alone when a TC marked it; the full pass ends with the
-same half. It decides once per step: after that, a write moves next
-expiry only past now, so only the two marks can make a pass due, and
-the step checks them after each message. The full predicate is the
-tests' oracle: they assert that a skipped pass had nothing pending,
-that nothing is pending after a pass, full or topology-only, and that
-a pass entered with nothing pending changes nothing.
+A write marks a pass only when it can change what a pass does. A HELLO
+sets the dirty bit, which marks the full pass, when its link tuple
+enters or leaves SYMMETRIC, changes its MPR-selector flags, or changes
+its out_metric while SYMMETRIC; when it creates a link tuple that is
+SYMMETRIC, carries a selector flag or has already expired; or when it
+creates a 2-hop tuple or changes its metrics. A TC that changes the
+advertised rows marks only the pass's topology half, which recomputes
+routes over the rows: neither the MPR sets nor ansn read them. The
+full pass purges the topology set before that half, and a
+topology-only pass meets no expired row, since the clock reaching a
+row's validity time makes the full pass due. Times aside, these are
+the only inputs of updates_pending() the two write. Any other write
+only moves stored times, and lowers the "next expiry" tick to each new
+time that is in the future. A refresh can also move a time that next
+expiry still points at, so when now reaches it the smallest stored
+time after the last full pass is looked up again. step_main runs the
+full pass when the bit is set or now has reached that time, and
+otherwise the topology half alone when a TC marked it; the full pass
+ends with the same half. It decides once per step: after that, a write
+moves next expiry only past now, so only the two marks can make a pass
+due, and the step checks them after each message. The full predicate
+is the tests' oracle: they assert that a skipped pass had nothing
+pending, that nothing is pending after a pass, full or topology-only,
+and that a pass entered with nothing pending changes nothing.
 """
 from __future__ import annotations
 
@@ -180,12 +180,8 @@ class Router:
         self.ansn = 0
         self.advertised = frozenset()  # rmpr selectors at the last pass
         self._hello, self._tc_map = None, {}  # the last HELLO and TC map
-        # a write since the last HELLO build that can change its view,
-        # the tick of that build, and a tick no later than the smallest
-        # symmetric or heard time after it
+        # a write or a full pass since the last HELLO build
         self._hello_stale = True
-        self._hello_built: TimeValue = NEG_INF
-        self._hello_due: TimeValue = NEG_INF
         # originator -> (the last HELLO whose 2-hop walk ran, the names
         # it lists SYMMETRIC)
         self._walked: dict = {}
@@ -293,33 +289,14 @@ class Router:
                 nxt = vt
         return nxt
 
-    def _hello_changed(self) -> bool:
-        """May the HELLO make_hello builds now differ from the last one?
-
-        Like _maintenance_due: a marked write says yes; else once now
-        reaches _hello_due, the smallest symmetric or heard time after
-        the last build is looked up again, and only a time now has
-        reached changes a status.
-        """
-        if self._hello_stale:
-            return True
-        if self.now < self._hello_due:
-            return False
-        built, nxt = self._hello_built, INF
-        for lt in self.ls.values():
-            for t in (lt.symmetric_time, lt.heard_time):
-                if built < t < nxt:
-                    nxt = t
-        self._hello_due = nxt
-        return self.now >= nxt
-
     def run_update_info(self) -> None:
-        """The full pass: purge, reselect MPRs, refresh ansn, then the
-        topology half (in order).
+        """The full pass: purge the neighbourhood sets, reselect MPRs,
+        refresh ansn, purge rts, then the topology half (in order).
 
         Afterwards nothing is pending until the next write or until the
-        clock reaches the new _next_expiry. The pass may rewrite ls, so
-        the next HELLO is built.
+        clock reaches the new _next_expiry. The pass may rewrite ls, and
+        a status may have changed since the last HELLO build because the
+        clock reached a stored time, so the next HELLO is built.
         """
         now = self.now
         self._hello_stale = True
@@ -331,20 +308,22 @@ class Router:
         self.ansn = topology.increment_ansn(self.ls, self.advertised,
                                             self.ansn)
         self.advertised = topology.rmpr_selectors(self.ls)
+        topology.purge_router_topology(self.rts, now)
         self.run_topology_update()
         self._dirty = False
         self._last_pass = now
         self._next_expiry = self._expiry_after(now)
 
     def run_topology_update(self) -> None:
-        """The topology half of the pass: purge rts, recompute routes.
+        """The topology half of the pass: recompute routes over rts.
 
-        Neither the MPR sets nor ansn read rts, so after a TC
-        that changed rows, with no other write and no stored time
-        reached, this half alone restores consistency.
+        Neither the MPR sets nor ansn read rts, so after a TC that
+        changed rows, with no other write and no stored time reached,
+        this half alone restores consistency. It acts only on rows: no
+        row has expired, as a reached validity time runs the full pass,
+        which purges rts first.
         """
         now = self.now
-        topology.purge_router_topology(self.rts, now)
         self._topology_dirty = False
         ip, rs = self.ip, self.rs
         edges = topology.link_universe(ip, self.ls, self.rts, now)
@@ -428,9 +407,6 @@ class Router:
         if (created or status != old_status
                 or new.out_metric != lt.out_metric):
             self._hello_stale = True
-        for t in (sym_time, heard_time):
-            if now < t < self._hello_due:
-                self._hello_due = t
         written = [sym_time, heard_time, new.validity_time]
         if sym_time > now:
             ths = self.twohop_set
@@ -587,14 +563,13 @@ class Router:
                 if self.now > self.hello_time:
                     raise EngineDiagnostic(
                         f"router {self.ip}: HELLO deadline missed at t={self.now}")
-                if self._hello_changed():
+                if self._hello_stale:
                     msg = make_hello(self.ip, cfg.h_hold_time,
                                      self.ls.values(), self.now)
                     if msg != self._hello or (
                             list(msg.statuses) != list(self._hello.statuses)):
                         self._hello = msg
                     self._hello_stale = False
-                    self._hello_built, self._hello_due = self.now, NEG_INF
                 msg = self._hello
                 self.pkt.append(msg)
                 self.trace("HELLO_GEN", msg)

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from typing import AbstractSet, FrozenSet, NamedTuple
 
-from .messages import (INF, Metric, NodeId, Status, TimeValue,
-                       render_metric, render_time)
+from .messages import INF, Metric, NodeId, Status, TimeValue
 
 LinkSet = dict  # dict[NodeId, LinkTuple]
 TwoHopSet = dict  # dict[tuple[NodeId, NodeId], TwoHopTuple]
@@ -209,23 +208,3 @@ def update_rmprs(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
     """Keep the routing-MPR flags while valid, else flag choose_rmprs."""
     _update_flags(ls, "rmpr", _distance_table(ls, twohop_set, now, True,
                                               bug_mode))
-
-
-# --- trace rendering ---------------------------------------------------
-
-def _render_flag(b: bool) -> str:
-    return "T" if b else "F"
-
-
-def render_link_tuple(lt: LinkTuple) -> str:
-    return (f"LINK {lt.oip} st={render_time(lt.symmetric_time)}"
-            f" ht={render_time(lt.heard_time)} vt={render_time(lt.validity_time)}"
-            f" fmpr={_render_flag(lt.fmpr)} rmpr={_render_flag(lt.rmpr)}"
-            f" fsel={_render_flag(lt.fmpr_selector)} rsel={_render_flag(lt.rmpr_selector)}"
-            f" in={render_metric(lt.in_metric)} out={render_metric(lt.out_metric)}")
-
-
-def render_twohop_tuple(n2: TwoHopTuple) -> str:
-    return (f"N2 {n2.one_hop_oip} {n2.two_hop_oip}"
-            f" vt={render_time(n2.validity_time)}"
-            f" in={render_metric(n2.in_metric)} out={render_metric(n2.out_metric)}")

@@ -190,13 +190,16 @@ class Network:
         self._step_order = sorted(routers)  # phase 2's order
         self.events = sorted(events, key=lambda e: (e.time, e.src, e.dst))
         # check every event once, replayed over the links that are up:
-        # a linkup needs its link absent, a linkdown or metric present
+        # its kind must be known, a linkup needs its link absent, a
+        # linkdown or metric present
         up = {(a, b) for a, row in gt.out.items() for b in row}
         for ev in self.events:
             link = (ev.src, ev.dst)
             if ev.src not in gt.nodes or ev.dst not in gt.nodes:
                 raise ScenarioError(f"topology event references unknown"
                                     f" node: {ev.src}->{ev.dst}")
+            if ev.kind not in ("linkup", "linkdown", "metric"):
+                raise ScenarioError(f"unknown topology event kind: {ev.kind}")
             if (ev.kind == "linkup") == (link in up):
                 state = "present" if link in up else "absent"
                 raise ScenarioError(f"{ev.kind} event on {state} link"

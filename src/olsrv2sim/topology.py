@@ -33,7 +33,7 @@ from itertools import chain
 from typing import AbstractSet, FrozenSet, NamedTuple, Optional
 
 from .messages import (INF, Metric, NodeId, Sqn, Status, TimeValue,
-                       render_metric, render_time)
+                       render_metric)
 
 TrSet = dict      # dict[NodeId, tuple[TimeValue, Sqn, dict[NodeId, Metric]]]
 RoutingSet = dict  # dict[NodeId, Route]
@@ -247,14 +247,6 @@ def update_routing_set(ip: NodeId, edges: dict, rs: RoutingSet,
 
 
 # --- trace rendering ---------------------------------------------------
-
-def render_topology_tuple(from_oip: NodeId, dest_oip: NodeId,
-                          metric: Metric, validity_time: TimeValue) -> str:
-    """One row of a router topology set: rts[from_oip] holds
-    (validity_time, ansn, {..., dest_oip: metric, ...})."""
-    return (f"RT {from_oip} -> {dest_oip}"
-            f" m={render_metric(metric)} vt={render_time(validity_time)}")
-
 
 def render_route(r: Route) -> str:
     return f"ROUTE {r.dest} via {r.next_hop} m={render_metric(r.metric)}"

@@ -20,18 +20,21 @@ wrapped, so that each step is held to that predicate:
   as optimal (the memo it writes and updates_pending() only reads) is
   optimal by the oracle's own one-Dijkstra-per-first-hop test, and the
   distances it records are a full Dijkstra's over the recorded universe;
-- a pass entered while nothing was pending changes no state.
+- a pass entered while nothing was pending changes no state;
+- a topology-only pass meets no expired topology-set entry: only the
+  full pass purges rts, and a reached validity time makes it due.
 
-The last one is why running a pass that is not needed leaves every
+The third one is why running a pass that is not needed leaves every
 trace unchanged. The topology half the full pass calls is checked as
 part of that pass. Only the passes carry the memo's distances over to
 new rows (topology.repair_distances); updates_pending() never does.
 
 The two HELLO shortcuts are held to the full computation too:
 
-- whenever generation sends the last HELLO again without building one
-  (Router._hello_changed() says no), make_hello builds a HELLO equal
-  to it whose statuses list the same names in the same order;
+- whenever generation (Router._maybe_generate()) sends the last HELLO
+  again without building one, because no write and no full pass
+  marked it stale since the last build, make_hello builds a HELLO
+  equal to it whose statuses list the same names in the same order;
 - whenever a HELLO arrives that is the object its originator's last
   2-hop walk ran on, the receipt leaves the link set, the 2-hop set
   (key order included), the dirty bit and the next expiry exactly as
@@ -51,7 +54,7 @@ from oracles import (full_hello_receipt, hello_receipt_state, pass_state,
 
 @pytest.fixture(autouse=True)
 def oracle_mode(monkeypatch):
-    """Assert the three facts above at every step.
+    """Assert the facts above at every step.
 
     Yields a Counter a test can read to see the oracle exercised: True
     for full passes run by a step, False for steps that ran none,
@@ -64,8 +67,7 @@ def oracle_mode(monkeypatch):
     """
     seen = Counter()
     step = Router.step_main
-    hello_changed, process_hello = (Router._hello_changed,
-                                    Router.process_hello)
+    generate, process_hello = Router._maybe_generate, Router.process_hello
     run, run_topology = Router.run_update_info, Router.run_topology_update
     repair = topology.repair_distances
     in_step, in_full_pass, in_topology = [], [], []
@@ -96,9 +98,12 @@ def oracle_mode(monkeypatch):
             return handle(self, *args)
         return checked
 
-    def checked_hello_changed(self):
-        changed = hello_changed(self)
-        if not changed:
+    def checked_generate(self):
+        # a call sends at most one HELLO, and sending one moves
+        # hello_time; generation writes nothing make_hello reads
+        reused, deadline = not self._hello_stale, self.hello_time
+        generate(self)
+        if reused and self.hello_time != deadline:
             built = make_hello(self.ip, self.cfg.h_hold_time,
                                self.ls.values(), self.now)
             assert built == self._hello and (
@@ -106,7 +111,6 @@ def oracle_mode(monkeypatch):
                 f"router {self.ip} at t={self.now}: the last HELLO was"
                 f" sent again, but make_hello builds {built}")
             seen["hello reused"] += 1
-        return changed
 
     def checked_process_hello(self, msg, in_metric):
         if in_step:
@@ -162,6 +166,11 @@ def oracle_mode(monkeypatch):
             if in_full_pass:
                 run_topology(self)
                 return
+            expired = sorted(o for o, (vt, _, _) in self.rts.items()
+                             if vt <= self.now)
+            assert not expired, (
+                f"router {self.ip} at t={self.now}: a topology-only pass"
+                f" met the expired entries of {expired}")
             if checked(self, run_topology, "topology-only pass"):
                 seen["topology idle"] += 1
             seen["topology"] += 1
@@ -176,7 +185,7 @@ def oracle_mode(monkeypatch):
         return out
 
     monkeypatch.setattr(Router, "step_main", checked_step)
-    monkeypatch.setattr(Router, "_hello_changed", checked_hello_changed)
+    monkeypatch.setattr(Router, "_maybe_generate", checked_generate)
     monkeypatch.setattr(Router, "process_hello", checked_process_hello)
     monkeypatch.setattr(Router, "process_tc",
                         checked_handler(Router.process_tc, "TC"))

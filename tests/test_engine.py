@@ -568,19 +568,23 @@ def test_generation_reuses_only_content_equal_in_order():
 
 
 def generated_hello(r):
-    """The HELLO r generates now, with TC generation off."""
+    """The HELLO r's step generates now, with TC generation off and
+    the last generation's broadcast taken as sent."""
     out = []
-    r.trace = lambda kind, payload: out.append(payload)
+    r.trace = (lambda kind, payload:
+               out.append(payload) if kind == "HELLO_GEN" else None)
+    r.pkt, r.send_time = [], INF
     r.tc_time = r._tc_fire = INF
     r.hello_time = r._hello_fire = r.now
-    r._maybe_generate()
+    assert r.step_main() is None
     (msg,) = out
     return msg
 
 
 def test_hello_rebuilt_when_a_symmetric_time_passes(oracle_mode):
     """With no message in between, b's symmetric time passing still
-    changes what a's HELLO says of b: the clock alone forces a build."""
+    changes what a's HELLO says of b: the full pass the clock makes due
+    at that tick forces a build."""
     r = mk_router("a")
     r.process_hello(hello(statuses={"a": Status.HEARD}), 4)
     r.now = 2
@@ -844,11 +848,12 @@ def test_hello_a_pass_cannot_act_on_only_moves_times(case):
 
 
 # Each HELLO write that changes what a's next HELLO says, applied to
-# linked_router() at the first tick, and the tick a's next HELLO is
-# generated, with no pass in between: the HELLO a generated at the
-# first tick can no longer be sent again. A tuple created LOST changes
-# no status at the write; a shorter validity changes b's status only
-# when the clock reaches the time it stored.
+# linked_router() at the first tick, and the tick of the step that
+# generates a's next HELLO: the HELLO a generated at the first tick can
+# no longer be sent again. A tuple created LOST changes no status at
+# the write, and neither it nor LOST becoming HEARD marks a pass; a
+# shorter validity changes b's status only when the clock reaches the
+# time it stored, which runs the full pass.
 HELLO_VIEW_WRITES = {
     "creates a LOST link tuple": (103, 103, hello("d", vt=0)),
     "LOST becomes HEARD": (115, 115, hello("e")),

@@ -15,8 +15,7 @@ from olsrv2sim.messages import INF, NEG_INF, Hello, MprRole, Status
 from olsrv2sim.neighborhood import (LinkTuple, TwoHopTuple, choose_fmprs,
                                     choose_rmprs, is_valid_fmpr_set,
                                     is_valid_rmpr_set, purge_2hop_set,
-                                    purge_link_set, render_link_tuple,
-                                    render_twohop_tuple, update_fmprs,
+                                    purge_link_set, update_fmprs,
                                     update_rmprs)
 
 import oracles
@@ -354,18 +353,3 @@ def test_update_mprs_against_the_references():
                         for o, t in updated.items()} == \
                     {o: t._replace(**{field: False})
                      for o, t in ls.items()}
-
-
-# --- renders ---------------------------------------------------------------
-
-def test_render_link_tuple_frozen():
-    lt = LinkTuple("b", NOW + 10, NEG_INF, NOW + 20, True, False, False,
-                   True, 3, INF)
-    assert render_link_tuple(lt) == (
-        "LINK b st=110 ht=-inf vt=120 fmpr=T rmpr=F fsel=F rsel=T"
-        " in=3 out=inf")
-
-
-def test_render_twohop_tuple_frozen():
-    assert render_twohop_tuple(n2("b", "x", in_m=2, out_m=INF)) == \
-        "N2 b x vt=120 in=2 out=inf"

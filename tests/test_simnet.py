@@ -162,7 +162,9 @@ def test_link_events_replayed_at_set_up():
             ((TopologyEvent(1, "linkdown", "b", "a"),
               TopologyEvent(3, "linkup", "b", "a", 4),
               TopologyEvent(500, "linkup", "b", "a", 4)),
-             "linkup event on present link b->a at t=500")):
+             "linkup event on present link b->a at t=500"),
+            ((TopologyEvent(20, "flap", "a", "b"),),
+             "unknown topology event kind: flap")):
         with pytest.raises(ScenarioError, match=message):
             build_network(scen(events=events))
 

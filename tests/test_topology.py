@@ -13,14 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olsrv2sim.engine import Router, RouterConfig
-from olsrv2sim.messages import INF, NEG_INF, Status, Tc
+from olsrv2sim.messages import INF, Status, Tc
 from olsrv2sim.neighborhood import LinkTuple
 from olsrv2sim.topology import (Route, _dijkstra, choose_optimal,
                                 increment_ansn, is_optimal_over,
                                 link_universe, purge_router_topology,
-                                render_route, render_topology_tuple,
-                                repair_distances, update_router_topology,
-                                update_routing_set)
+                                render_route, repair_distances,
+                                update_router_topology, update_routing_set)
 
 import oracles
 
@@ -520,8 +519,4 @@ def test_one_topology_set_matches_the_two_sets(tcs):
 # --- renders ----------------------------------------------------------------
 
 def test_renders_frozen():
-    assert render_topology_tuple("a", "b", 4, NOW + 7) == \
-        "RT a -> b m=4 vt=107"
     assert render_route(Route("d", "b", 12)) == "ROUTE d via b m=12"
-    assert render_topology_tuple("a", "b", INF, NEG_INF) == \
-        "RT a -> b m=inf vt=-inf"
