@@ -88,10 +88,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import message_logs, neighborhood, topology
+from . import neighborhood, topology
 from .messages import (INF, NEG_INF, Hello, MprRole, NodeId, Packet,
-                       Status, Tc, TimeValue, forward_tc_message, make_hello,
-                       make_tc)
+                       Status, Tc, TimeValue, make_hello, make_tc)
 # unused here; bound for the benchmark's tracer, which wraps it by name
 from .messages import render_message  # noqa: F401
 from .neighborhood import LinkSet, LinkTuple, TwoHopSet, TwoHopTuple
@@ -266,11 +265,11 @@ class Router:
         so once now reaches it the smallest stored time after the last
         full pass is looked up again, and the pass runs only if now has
         reached that one too. >= because a busy router skips ticks.
+        step_main asks only once the bit is set or now has reached
+        _next_expiry, so without the bit this always looks it up.
         """
         if self._dirty:
             return True
-        if self.now < self._next_expiry:
-            return False
         self._next_expiry = self._expiry_after(self._last_pass)
         return self.now >= self._next_expiry
 
@@ -468,6 +467,8 @@ class Router:
         process_tc_from_unknown is set. The forward step records a TC
         from a SYMMETRIC sender as received (rxs) and, if that sender
         selected us as flooding MPR or flood_all is set, queues a copy.
+        Both logs take the one (originator, seq) key built here, and the
+        copy is built here too: msg with us as sender, sharing its dests.
 
         A copy already in rxs returns at once, before the sender's link
         is read, and writes nothing: rxs is a subset of ps. A key
@@ -492,7 +493,7 @@ class Router:
                       and sender_lt.symmetric_time > now)
         if ((sender_sym or self.process_tc_from_unknown)
                 and key not in self.ps):
-            message_logs.add_processed_tuple(self.ps, moip, seq)
+            self.ps.add(key)
             entry = self.rts.get(moip)
             # a known newer advertisement makes the content out of date
             if entry is None or entry[1] <= msg.ansn:
@@ -502,13 +503,14 @@ class Router:
                     self._topology_dirty = True
                 # the rows' new validity time may come before every
                 # stored one
-                self._next_expiry = min(self._next_expiry,
-                                        now + msg.validity)
+                vt = now + msg.validity
+                if vt < self._next_expiry:
+                    self._next_expiry = vt
         if not sender_sym:
             return
-        message_logs.add_received_tuple(self.rxs, moip, seq)
+        self.rxs.add(key)
         if self.flood_all or sender_lt.fmpr_selector:
-            fwd = forward_tc_message(self.ip, msg)
+            fwd = Tc(moip, self.ip, msg.validity, seq, msg.ansn, msg.dests)
             self.pkt.append(fwd)
             self.send_time = now + 1
             self.trace("TC_FWD", fwd)
@@ -527,9 +529,12 @@ class Router:
         starts now and the caller must keep this node busy for the
         drawn duration. Nothing else happens in such a step. Otherwise
         the step drains the queue taken at its start, with a pass after
-        each message that marked one, then generates.
+        each message that marked one, then generates. It asks
+        _maintenance_due() only once the dirty bit is set or now has
+        reached _next_expiry.
         """
-        if self._maintenance_due():
+        if ((self._dirty or self.now >= self._next_expiry)
+                and self._maintenance_due()):
             self.run_update_info()
         elif self._topology_dirty:
             self.run_topology_update()

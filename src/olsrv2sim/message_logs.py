@@ -4,6 +4,8 @@ Processed and received sets are plain sets of (originator, sqn) pairs,
 added to in place. Neither set expires entries; the model defines no
 expiry, and at desk scale the unbounded growth is an accepted
 fidelity-over-practicality trade (documented in the README).
+Router.process_tc adds its key itself; the two functions here are
+bound for the benchmark's tracer, which wraps them by name.
 """
 from __future__ import annotations
 

@@ -108,17 +108,6 @@ def make_tc(ip: NodeId, vtime: TimeValue, sqn: Sqn, ansn: Sqn,
               ansn=ansn, dests=dests)
 
 
-def forward_tc_message(ip: NodeId, msg: Message) -> Tc:
-    """Stamp a TC with a new sender address before rebroadcast.
-
-    The copy shares msg's dests dict, and the trace renders what
-    follows its sender once. Partial: only TCs are ever forwarded.
-    """
-    if not isinstance(msg, Tc):
-        raise TypeError(f"only TC messages can be forwarded, got {type(msg).__name__}")
-    return Tc(msg.originator, ip, msg.validity, msg.seq, msg.ansn, msg.dests)
-
-
 # --- trace rendering ---------------------------------------------------
 
 def render_time(t: TimeValue) -> str:

@@ -2,7 +2,10 @@
 
 One tick proceeds in four phases:
   1. every in-flight transmission due now is delivered into the
-     recipients' queues (canonical order: by sender, then recipient);
+     recipients' queues (canonical order: by sender, then recipient),
+     each at the metric on the sender's row, or the send-time
+     snapshot's for a link gone mid-flight, perturbed by the
+     recipient's noise stream when metric_noise is set;
   2. every non-busy router runs step_main, in ascending NodeId order;
      an emitted packet becomes a new in-flight transmission and the
      sender stays busy until its delivery tick;
@@ -26,9 +29,11 @@ Network.render_trace, TraceEvent.detail). The payload per kind:
   LINK_EVENT                 the TopologyEvent applied.
 Messages and packets are never changed once traced, so an event's line
 is the same whenever it is rendered, and text that lines share is
-rendered once (see _Texts). Each router's trace callback is bound once,
-when the Network is built; it records into the current tick's events,
-which join the trace in node order at the tick's end.
+rendered once (see _Texts): a TC's text serves its own line and its
+packet's. Each router's trace callback is bound once, when the Network
+is built; it and the tick record into the current tick's events, which
+join the trace in node order at the tick's end. Both build each event
+with _event, from all five fields.
 
 Ground truth is held by sender, sender -> {recipient: metric}, so a
 broadcast reads its recipients and their metrics off the sender's row
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -112,6 +118,9 @@ class TraceEvent(NamedTuple):
         return "".join(_render_detail(self, _Texts()))
 
 
+# A TraceEvent from a tuple of all five fields, built in C: NamedTuple's
+# generated __new__ runs Python code, once per delivery and message.
+_event = partial(tuple.__new__, TraceEvent)
 _NODE = attrgetter("node")
 _SENDER = itemgetter(0)
 
@@ -127,14 +136,22 @@ class _TickEvents(list):
 class _Texts(dict):
     """Text shared by trace lines, rendered once per pass over a trace:
     per object for a HELLO, a packet or a TC map, per origination for a
-    TC's text after its sender. Ids are stable and distinct, as the trace
+    TC's text after its sender, and per TC from its own line until its
+    one packet is rendered. Ids are stable and distinct, as the trace
     holds every object; no text is empty, so get() is falsy on a miss."""
 
     def message(self, msg) -> str:
         if type(msg) is Tc:
-            return messages.render_tc_head(msg) + self.tc_tail(msg)
+            return self.pop(id(msg), None) or (
+                messages.render_tc_head(msg) + self.tc_tail(msg))
         return self.get(id(msg)) or self.setdefault(
             id(msg), messages.render_message(msg))
+
+    def tc_line(self, msg: Tc) -> tuple:
+        """A TC line's (head, tail); its whole text waits for its packet."""
+        head, tail = messages.render_tc_head(msg), self.tc_tail(msg)
+        self[id(msg)] = head + tail
+        return head, tail
 
     def tc_tail(self, msg: Tc) -> str:
         key = (msg.originator, msg.validity, msg.seq, msg.ansn, id(msg.dests))
@@ -161,7 +178,7 @@ def _render_detail(ev: TraceEvent, texts: _Texts) -> tuple:
     if kind == "HELLO_GEN":
         return "", texts.message(p)
     if kind in ("TC_GEN", "TC_FWD"):
-        return messages.render_tc_head(p), texts.tc_tail(p)
+        return texts.tc_line(p)
     if kind == "ROUTE_CHANGE":
         return "rs=[" + "; ".join(map(render_route, p)) + "]", ""
     if kind == "LINK_EVENT":
@@ -212,7 +229,7 @@ class Network:
         self.metric_noise = metric_noise
         self.clock: TimeValue = 0
         self.inflights: dict = {}  # tick -> [(sender, packet, snapshot)]
-        self._busy_until: dict = {}  # node -> delivery tick of its broadcast
+        self._busy_until = dict.fromkeys(routers, 0)  # node -> delivery tick
         self.trace: list = []
         self._tick_events = _TickEvents()
         for nid, router in routers.items():
@@ -231,20 +248,11 @@ class Network:
         append = events.append
 
         def emit(kind: str, payload) -> None:
-            append(TraceEvent(events.tick, node, kind, payload))
+            append(_event((events.tick, node, kind, payload, None)))
         return emit
 
     def busy(self, node: NodeId) -> bool:
         return self.clock < self._busy_until.get(node, 0)
-
-    def _measured_metric(self, sender: NodeId, recipient: NodeId,
-                         snapshot: dict) -> Metric:
-        m = self.gt.out[sender].get(recipient, snapshot.get(recipient))
-        if self.metric_noise:
-            lo = max(1, m - self.metric_noise)
-            hi = m + self.metric_noise
-            m = self._noise_rng[recipient].randint(lo, hi)
-        return m
 
     # -- one global tick ---------------------------------------------------
 
@@ -257,40 +265,46 @@ class Network:
         """
         events = self._tick_events
         events.clear()  # drop anything traced outside a tick
-        events.tick = self.clock
-
-        def emit(node, kind, payload, packet=None):
-            events.append(TraceEvent(self.clock, node, kind, payload, packet))
+        clock = events.tick = self.clock
+        append = events.append
+        routers, out = self.routers, self.gt.out
 
         # phase 1: deliveries due now, canonical order by sender
-        due = self.inflights.pop(self.clock, ())
+        noise = self.metric_noise
+        due = self.inflights.pop(clock, ())
         for sender, packet, snapshot in sorted(due, key=_SENDER):
+            row = out[sender]
             for r in sorted(snapshot):
-                m = self._measured_metric(sender, r, snapshot)
-                self.routers[r].enqueue_delivery(packet, m)
-                emit(r, "DELIVER", (sender, m), packet)
+                m = row.get(r, snapshot[r])
+                if noise:
+                    m = self._noise_rng[r].randint(max(1, m - noise),
+                                                   m + noise)
+                routers[r].enqueue_delivery(packet, m)
+                append(_event((clock, r, "DELIVER", (sender, m), packet)))
 
         # phase 2: per-router steps
+        busy_until = self._busy_until
         order = step_order if step_order is not None else self._step_order
         for nid in order:
-            if self.busy(nid):
+            if clock < busy_until[nid]:
                 continue
-            packet = self.routers[nid].step_main()
+            packet = routers[nid].step_main()
             if packet is not None:
                 d = self.params.lb + self._dur_rng[nid].randrange(
                     self.params.delta_b + 1)
-                snapshot = dict(self.gt.out[nid])
-                self.inflights.setdefault(self.clock + d, []).append(
+                snapshot = dict(out[nid])
+                self.inflights.setdefault(clock + d, []).append(
                     (nid, packet, snapshot))
-                self._busy_until[nid] = self.clock + d
-                emit(nid, "BROADCAST", (d, frozenset(snapshot)), packet)
+                busy_until[nid] = clock + d
+                append(_event((clock, nid, "BROADCAST",
+                               (d, frozenset(snapshot)), packet)))
 
         # phase 3: topology events scheduled for this tick; events
         # is sorted by time, so the due ones start at the cursor
         evs, i = self.events, self._next_event
-        while i < len(evs) and evs[i].time <= self.clock:
-            if evs[i].time == self.clock:
-                self.apply_topology_event(evs[i], emit)
+        while i < len(evs) and evs[i].time <= clock:
+            if evs[i].time == clock:
+                self.apply_topology_event(evs[i])
             i += 1
         self._next_event = i
 
@@ -302,17 +316,16 @@ class Network:
         events.sort(key=_NODE)  # stable: keeps emission order
         self.trace.extend(events)
 
-    def apply_topology_event(self, ev: TopologyEvent, emit=None) -> None:
-        """Apply one event, already checked against the links it meets."""
+    def apply_topology_event(self, ev: TopologyEvent) -> None:
+        """Apply one event, already checked against the links it meets,
+        and trace it at the current tick."""
         row = self.gt.out[ev.src]
-        if ev.kind in ("linkup", "metric"):
-            row[ev.dst] = ev.metric
-        elif ev.kind == "linkdown":
+        if ev.kind == "linkdown":
             del row[ev.dst]
-        else:
-            raise ScenarioError(f"unknown topology event kind: {ev.kind}")
-        if emit is not None:
-            emit(ev.src, "LINK_EVENT", ev)
+        else:  # linkup or metric: the constructor rejects other kinds
+            row[ev.dst] = ev.metric
+        self._tick_events.append(
+            _event((self.clock, ev.src, "LINK_EVENT", ev, None)))
 
     def run(self, ticks: int) -> None:
         for _ in range(ticks):

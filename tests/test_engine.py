@@ -346,6 +346,20 @@ def test_tc_fresh_message_stored_and_forwarded():
     assert r.send_time == r.now + 1
 
 
+def test_tc_forward_replaces_sender_only():
+    r = symmetric_selector_router()
+    t = tc(originator="x", sender="b", vt=1, seq=5, ansn=6, dests={"y": 2})
+    r.process_tc(t)
+    (f,) = r.pkt
+    assert type(f) is Tc and f.sender == "a"
+    assert (f.originator, f.validity, f.seq, f.ansn, f.dests) == \
+        ("x", 1, 5, 6, {"y": 2})
+    # the trace renders a TC's advertised map once per origination,
+    # keyed by the identity of the dests dict its copies share
+    assert f.dests is t.dests
+    assert t.sender == "b"
+
+
 def test_tc_own_originator_dropped_silently():
     r = symmetric_selector_router()
     r.process_tc(tc(originator="a"))

@@ -4,9 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from olsrv2sim.messages import (INF, NEG_INF, Hello, MprRole, Status, Tc,
-                                forward_tc_message, make_hello, make_tc,
-                                render_message, render_metric, render_packet,
-                                render_time)
+                                make_hello, make_tc, render_message,
+                                render_metric, render_packet, render_time)
 from olsrv2sim.neighborhood import LinkTuple, TwoHopTuple
 from olsrv2sim.topology import Route
 
@@ -79,21 +78,6 @@ def test_make_tc_advertises_symmetric_selectors_only():
     assert t.dests == {"a": 4}
     assert (t.originator, t.sender, t.validity, t.seq, t.ansn) == \
         ("me", "me", 50, 9, 2)
-
-
-def test_forward_replaces_sender_only():
-    t = Tc(originator="a", sender="a", validity=1, seq=5, ansn=6,
-           dests={"x": 2})
-    f = forward_tc_message("b", t)
-    assert f.sender == "b"
-    assert (f.originator, f.validity, f.seq, f.ansn, f.dests) == \
-        ("a", 1, 5, 6, {"x": 2})
-    # the trace renders a TC's advertised map once per origination,
-    # keyed by the identity of the dests dict its copies share
-    assert f.dests is t.dests
-    assert t.sender == "a"
-    with pytest.raises(TypeError):
-        forward_tc_message("b", make_hello("a", 1, [], 0))
 
 
 @pytest.mark.parametrize("record", [

@@ -169,12 +169,6 @@ def test_link_events_replayed_at_set_up():
             build_network(scen(events=events))
 
 
-def test_unknown_event_kind_rejected():
-    net = build_network(scen())
-    with pytest.raises(ScenarioError, match="unknown topology event kind"):
-        net.apply_topology_event(TopologyEvent(0, "teleport", "a", "b"))
-
-
 def test_metric_noise_bounded_and_deterministic():
     s = scen(params={"metric_noise": 2})
     runs = []

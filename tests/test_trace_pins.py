@@ -3,7 +3,8 @@
 Each case runs one scenario for its tick budget and hashes
 render_trace(). The cases reach what the benchmark's own pins do not:
 classical flooding, the RFC 7181 metric reading, link churn with a
-metric event, and measurement noise. A change that keeps behaviour
+metric event, measurement noise, and TCs stored from senders that are
+not SYMMETRIC neighbours. A change that keeps behaviour
 keeps every hash; a change that alters a trace on purpose must say why
 and update the hash here.
 """
@@ -18,12 +19,21 @@ from olsrv2sim.simnet import build_network
 
 import oracles
 from test_acceptance import EVENTFUL_SCENARIO
+from test_engine import churn_events
 
 
 def noisy_random_scenario():
     s = oracles.random_connected_scenario(random.Random(2024), 7, seed=77,
                                           ticks=250)
     s.params["metric_noise"] = 2
+    return s
+
+
+def unknown_sender_churn_scenario():
+    rng = random.Random(2025)
+    s = oracles.random_connected_scenario(rng, 7, seed=78, ticks=250)
+    s.flags["process_tc_from_unknown"] = True
+    s.events = churn_events(rng, [(u, v) for u, v, _ in s.links], 250)
     return s
 
 
@@ -57,6 +67,9 @@ CASES = {
     "random-noise2": (
         noisy_random_scenario,
         "1cc4ff106e3b0806b0a2c1730012f6dd01ece50140b7b6ed01067709cc7cd334"),
+    "random-churn-from-unknown": (
+        unknown_sender_churn_scenario,
+        "52c1e5e56ba7f10cec3110e598d2ca484d7073ee68dcdc4e63342aeb4a11bbf5"),
 }
 
 
