@@ -86,6 +86,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from . import neighborhood, topology
@@ -95,6 +96,10 @@ from .messages import (INF, NEG_INF, Hello, MprRole, NodeId, Packet,
 from .messages import render_message  # noqa: F401
 from .neighborhood import LinkSet, LinkTuple, TwoHopSet, TwoHopTuple
 from .topology import RoutingSet
+
+# A forwarded Tc from a tuple of all six fields, built in C: NamedTuple's
+# generated __new__ runs Python code, once per forwarded copy.
+_tc = partial(tuple.__new__, Tc)
 
 
 class ConfigError(ValueError):
@@ -196,14 +201,17 @@ class Router:
         self._topology_dirty = False
         self._last_pass: TimeValue = NEG_INF
         self._next_expiry: TimeValue = NEG_INF
-        # last verified-optimal (link universe, routing set) pair and the
-        # universe's distances from ip, which the next pass repairs over
-        # the rows that changed (topology.repair_distances). The universe
-        # holds rts's row maps, which are never mutated, so a row not
-        # replaced since compares by identity.
-        self._opt_edges: Optional[dict] = None
-        self._opt_rs: Optional[dict] = None
-        self._opt_dist: Optional[dict] = None
+        # the link universe, kept live (topology.link_universe): rts's
+        # row maps by originator, and ip's own row as the last pass
+        # built it. A TC that changes a row or adds an originator, and
+        # the purge, write it here too, recording in _changed the row as
+        # it stood at the last pass, or None. The memo
+        # (topology.RouteMemo) holds what the last pass proved, and the
+        # next carries it over _changed (topology.update_routes). A new
+        # router has no memo: its first pass builds the universe from rts.
+        self._edges: dict = {}
+        self._changed: dict = {}
+        self._opt: Optional[topology.RouteMemo] = None
         # trace(kind, payload): the typed event simnet records and
         # renders only on output (see simnet for each kind's payload)
         self.trace: Callable = lambda kind, payload: None
@@ -219,7 +227,8 @@ class Router:
         equality-based phrasing (set != purge(set)) is what the tests
         check this against. step_main never asks it: it is the oracle
         the tests hold the maintenance pass and its scheduling to. It
-        only reads the optimality memo, so asking it changes no pass.
+        only reads the live universe and the optimality memo, so asking
+        it changes no pass.
         """
         now = self.now
         for lt in self.ls.values():
@@ -249,8 +258,17 @@ class Router:
             if vt <= now:
                 return True
         edges = topology.link_universe(self.ip, self.ls, self.rts, now)
-        if edges == self._opt_edges and self.rs == self._opt_rs:
-            return False
+        if self._opt is not None and self.rs == self._opt.rs:
+            # the universe as it stood at the last pass, which proved
+            # the memo's routing set optimal over it
+            proved = dict(self._edges)
+            for src, row in self._changed.items():
+                if row is None:
+                    proved.pop(src, None)
+                else:
+                    proved[src] = row
+            if edges == proved:
+                return False
         return not topology.is_optimal_over(self.ip, edges, self.rs)
 
     def _maintenance_due(self) -> bool:
@@ -307,7 +325,9 @@ class Router:
         self.ansn = topology.increment_ansn(self.ls, self.advertised,
                                             self.ansn)
         self.advertised = topology.rmpr_selectors(self.ls)
-        topology.purge_router_topology(self.rts, now)
+        edges, changed = self._edges, self._changed
+        for oip in topology.purge_router_topology(self.rts, now):
+            changed.setdefault(oip, edges.pop(oip, None))
         self.run_topology_update()
         self._dirty = False
         self._last_pass = now
@@ -321,30 +341,29 @@ class Router:
         this half alone restores consistency. It acts only on rows: no
         row has expired, as a reached validity time runs the full pass,
         which purges rts first.
+
+        The routes are carried over the rows written since the last
+        pass, and over ip's own row, rebuilt here in O(degree) and
+        recorded when it differs (topology.update_routes). Without a
+        memo the universe is first built from rts (link_universe).
         """
-        now = self.now
         self._topology_dirty = False
-        ip, rs = self.ip, self.rs
-        edges = topology.link_universe(ip, self.ls, self.rts, now)
-        dist = None
-        if self._opt_edges is not None and rs == self._opt_rs:
-            dist = topology.repair_distances(self._opt_edges, edges,
-                                             self._opt_dist)
-            if dist is self._opt_dist:
-                # the distances hold, so rs is still optimal
-                self._opt_edges = edges
-                return
-        if dist is None:
-            dist = topology._dijkstra(edges, ip)
-            new_rs = topology.update_routing_set(ip, edges, rs, dist)
-        else:  # a distance fell, so rs is not optimal
-            new_rs = topology.choose_optimal(ip, edges, dist)
-        if new_rs != rs:
+        ip, rs, edges, changed = self.ip, self.rs, self._edges, self._changed
+        self._changed = {}
+        if self._opt is None:
+            edges = self._edges = topology.link_universe(ip, self.ls,
+                                                         self.rts, self.now)
+        else:
+            own = topology.own_row(self.ls, self.now)
+            if own != edges[ip]:
+                changed[ip] = edges[ip]
+                edges[ip] = own
+        new_rs, self._opt = topology.update_routes(ip, edges, changed, rs,
+                                                   self._opt)
+        if new_rs is not rs and new_rs != rs:
             self.rs = new_rs
             self.trace("ROUTE_CHANGE",
-                       tuple(new_rs[d] for d in sorted(new_rs)))
-        self._opt_edges, self._opt_rs = edges, dict(self.rs)
-        self._opt_dist = dist
+                       tuple(map(new_rs.__getitem__, sorted(new_rs))))
 
     # -- message processing ----------------------------------------------
 
@@ -497,10 +516,17 @@ class Router:
             entry = self.rts.get(moip)
             # a known newer advertisement makes the content out of date
             if entry is None or entry[1] <= msg.ansn:
-                if topology.update_router_topology(
-                        self.ip, self.rts, moip, msg.ansn, msg.validity,
-                        msg.dests, now):
+                changed = topology.update_router_topology(
+                    self.ip, self.rts, moip, msg.ansn, msg.validity,
+                    msg.dests, now)
+                if changed:
                     self._topology_dirty = True
+                if changed or entry is None:
+                    # the stored row enters the live universe, and
+                    # _changed keeps the row it had at the last pass
+                    edges = self._edges
+                    self._changed.setdefault(moip, edges.get(moip))
+                    edges[moip] = self.rts[moip][2]
                 # the rows' new validity time may come before every
                 # stored one
                 vt = now + msg.validity
@@ -510,7 +536,8 @@ class Router:
             return
         self.rxs.add(key)
         if self.flood_all or sender_lt.fmpr_selector:
-            fwd = Tc(moip, self.ip, msg.validity, seq, msg.ansn, msg.dests)
+            fwd = _tc((moip, self.ip, msg.validity, seq, msg.ansn,
+                       msg.dests))
             self.pkt.append(fwd)
             self.send_time = now + 1
             self.trace("TC_FWD", fwd)

@@ -47,6 +47,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -121,6 +122,7 @@ class TraceEvent(NamedTuple):
 # A TraceEvent from a tuple of all five fields, built in C: NamedTuple's
 # generated __new__ runs Python code, once per delivery and message.
 _event = partial(tuple.__new__, TraceEvent)
+_RENDER_BATCH = 3000  # chunks, three per event (Network.render_trace)
 _NODE = attrgetter("node")
 _SENDER = itemgetter(0)
 
@@ -342,7 +344,13 @@ class Network:
             yield "\n"
 
     def render_trace(self) -> str:
-        return "".join(self.trace_chunks())
+        """The trace's text. "".join(self.trace_chunks()) would hold a
+        list of every chunk, one object per head, so this joins batches
+        of _RENDER_BATCH chunks and then the batches: beside the
+        batches' text, only one batch of chunks is held at a time."""
+        chunks = self.trace_chunks()
+        return "".join(iter(lambda: "".join(islice(chunks, _RENDER_BATCH)),
+                            ""))
 
 
 def build_network(scenario) -> Network:

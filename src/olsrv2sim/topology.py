@@ -16,15 +16,20 @@ names the receiver. Route is an immutable NamedTuple.
 Optimality of a routing set is defined over the link universe known to
 one router: its own symmetric links plus every advertised topology row.
 Every graph here is an adjacency map src -> {dst: metric}, and the link
-universe is the topology set's own row maps plus the router's own row,
-so two universes whose rows were not replaced compare by identity. The
-underlying model quantifies over all paths in that universe; here
+universe is the topology set's own row maps plus the router's own row.
+The underlying model quantifies over all paths in that universe; here
 membership testing and construction run Dijkstra, and the brute-force
 path enumeration lives in the test suite as an oracle.
 
-repair_distances carries one universe's distances to the next unless
-a tight edge was lost or lengthened, lowering only what fell
-(Ramalingam & Reps, J. Algorithms, 1996).
+A router keeps its universe live from one pass to the next, with the
+rows replaced since the last pass recorded as they stood then, and a
+RouteMemo of that pass: the distances, choose_optimal's predecessors
+and the routing set proved optimal. update_routes carries the memo over
+the recorded rows only. repair_distances keeps the distances unless a
+tight edge was lost or lengthened, lowering only what fell (Ramalingam
+& Reps, J. Algorithms, 1996); predecessors then rescans the out-edges
+of the nodes whose distance fell and of the changed rows, the only
+sources of a tight edge that was not tight before.
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ import heapq
 from itertools import chain
 from typing import AbstractSet, FrozenSet, NamedTuple, Optional
 
-from .messages import (INF, Metric, NodeId, Sqn, Status, TimeValue,
+from .messages import (INF, Metric, NodeId, Sqn, TimeValue,
                        render_metric)
 
 TrSet = dict      # dict[NodeId, tuple[TimeValue, Sqn, dict[NodeId, Metric]]]
@@ -74,9 +79,12 @@ def update_router_topology(ip: NodeId, rts: TrSet, moip: NodeId,
     return changed
 
 
-def purge_router_topology(rts: TrSet, now: TimeValue) -> None:
-    for oip in [oip for oip, (vt, _, _) in rts.items() if vt <= now]:
+def purge_router_topology(rts: TrSet, now: TimeValue) -> list:
+    """Drop every originator whose entry expired; return them."""
+    gone = [oip for oip, (vt, _, _) in rts.items() if vt <= now]
+    for oip in gone:
         del rts[oip]
+    return gone
 
 
 def rmpr_selectors(ls: dict) -> FrozenSet[NodeId]:
@@ -92,41 +100,53 @@ def increment_ansn(ls: dict, advertised: AbstractSet[NodeId],
 
 # --- shortest paths over the known link universe -----------------------
 
+def own_row(ls: dict, now: TimeValue) -> dict:
+    """The router's own row of its link universe: its symmetric links
+    of finite metric, in O(degree). symmetric_time > now is SYMMETRIC,
+    as LinkTuple.status reads it."""
+    return {lt.oip: lt.out_metric for lt in ls.values()
+            if lt.out_metric != INF and lt.symmetric_time > now}
+
+
 def link_universe(ip: NodeId, ls: dict, rts: TrSet,
                   now: TimeValue) -> dict:
     """Known out-edges as an adjacency map src -> {dst: metric}.
 
     Every originator's rows are rts's own maps, shared and not copied;
-    ip's row holds its symmetric links of finite metric. Rows may keep
-    infinite or self-loop entries, and a row may be empty: none of
-    these ever shortens a path, so a destination whose every path
-    crosses an infinite one is unreachable. rts never holds rows of ip
-    itself (process_tc drops own TCs).
+    ip's row is own_row. Rows may keep infinite or self-loop entries,
+    and a row may be empty: none of these ever shortens a path, so a
+    destination whose every path crosses an infinite one is
+    unreachable. rts never holds rows of ip itself (process_tc drops
+    own TCs).
     """
     edges = {src: dests for src, (_, _, dests) in rts.items()}
-    edges[ip] = {lt.oip: lt.out_metric for lt in ls.values()
-                 if lt.out_metric != INF
-                 and lt.status(now) == Status.SYMMETRIC}
+    edges[ip] = own_row(ls, now)
     return edges
 
 
 def _dijkstra(edges: dict, source: NodeId) -> dict:
-    return _lower(edges, {source: 0}, [(0, source)])
+    dist = {source: 0}
+    _lower(edges, dist, [(0, source)])
+    return dist
 
 
-def _lower(edges: dict, dist: dict, heap: list) -> dict:
+def _lower(edges: dict, dist: dict, heap: list) -> list:
     """Dijkstra's loop: heap holds (dist[u], u) for each u whose edges
-    are still to be relaxed; returns dist, lowered to the end."""
+    are still to be relaxed. Lowers dist in place to the end and
+    returns the nodes it settled, each once: a node is pushed only as
+    its distance falls, so only its last push settles it."""
+    settled = []
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
+        settled.append(u)
         for v, w in edges.get(u, {}).items():
             nd = d + w
             if nd < dist.get(v, INF):
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    return dist
+    return settled
 
 
 def is_optimal_over(ip: NodeId, edges: dict, rs: RoutingSet,
@@ -171,6 +191,57 @@ def is_optimal_over(ip: NodeId, edges: dict, rs: RoutingSet,
     return True
 
 
+def predecessors(edges: dict, dist: dict, pred: dict, sources) -> dict:
+    """Fold the tight edges out of sources into pred and return it.
+
+    pred is choose_optimal's predecessor map over dist: for each node v
+    of dist but the source, the lexicographically smallest u with
+    dist[u] + w == dist[v] for an edge (u, v) of weight w. Given an
+    empty pred and every node of dist as sources, this is the full
+    scan; given the last pass's map, the sources must hold every node
+    whose tight out-edges may be new (see update_routes).
+    """
+    for u in sources:
+        du = dist.get(u)
+        if du is None:
+            continue
+        for v, w in edges.get(u, {}).items():
+            if du + w == dist.get(v) and (v not in pred or u < pred[v]):
+                pred[v] = u
+    return pred
+
+
+def routes(ip: NodeId, dist: dict, pred: dict,
+           rs: RoutingSet) -> RoutingSet:
+    """choose_optimal's routing set, read off its predecessors pred.
+
+    A destination's next hop is the first node after ip on its
+    predecessor chain; each chain is walked once, as far as the first
+    node whose hop is known. Routes follow dist's order, and a route of
+    rs with the same next hop and metric is reused.
+    """
+    hop: dict = {}
+    out: RoutingSet = {}
+    for dest, m in dist.items():
+        if dest == ip:
+            continue
+        h = hop.get(dest)
+        if h is None:
+            path = [dest]
+            u = pred[dest]
+            while u != ip and u not in hop:
+                path.append(u)
+                u = pred[u]
+            h = path[-1] if u == ip else hop[u]
+            for v in path:
+                hop[v] = h
+        r = rs.get(dest)
+        if r is None or r.next_hop != h or r.metric != m:
+            r = Route(dest, h, m)
+        out[dest] = r
+    return out
+
+
 def choose_optimal(ip: NodeId, edges: dict,
                    dist: Optional[dict] = None) -> RoutingSet:
     """Canonical optimal routing set over a link universe.
@@ -183,39 +254,31 @@ def choose_optimal(ip: NodeId, edges: dict,
     """
     if dist is None:
         dist = _dijkstra(edges, ip)
-    pred: dict = {}
-    for u, du in dist.items():
-        for v, w in edges.get(u, {}).items():
-            if du + w == dist.get(v) and (v not in pred or u < pred[v]):
-                pred[v] = u
-    rs: RoutingSet = {}
-    for dest in dist:
-        if dest == ip:
-            continue
-        hop = dest
-        while pred[hop] != ip:
-            hop = pred[hop]
-        rs[dest] = Route(dest=dest, next_hop=hop, metric=dist[dest])
-    return rs
+    return routes(ip, dist, predecessors(edges, dist, {}, dist), {})
 
 
-def repair_distances(old: dict, edges: dict, dist: dict) -> Optional[dict]:
-    """Carry dist, old's _dijkstra distances, over to edges, or say no.
+def repair_distances(edges: dict, changed: dict,
+                     dist: dict) -> Optional[tuple]:
+    """Carry dist over the rows in changed to edges, or say no.
 
-    None: an edge (u, v) of old with u reachable was tight, dist[u] + w
-    == dist[v], and is gone or longer in edges, so a distance may grow.
-    Else the changed edges out of reachable nodes that shorten a
-    distance seed a Dijkstra that only lowers distances, and its new
-    dict is returned: a routing set optimal over old is then not
-    optimal over edges. With no such edge, dist itself: the distances
-    hold and the tight edges only grew, so such a set stays optimal.
-    A row compares by identity, then by value; a purged row counts as
-    every edge of it removed.
+    dist is the _dijkstra distances of the universe as it stood before
+    the rows in changed were replaced: changed maps each such source to
+    its row then, or None if it had none, and a source edges no longer
+    holds was purged, every edge of its row removed. A row compares by
+    identity, then by value.
+
+    None: an edge (u, v) of an old row with u reachable was tight,
+    dist[u] + w == dist[v], and is gone or longer in edges, so a
+    distance may grow. Else (distances, the nodes whose distance fell):
+    the changed edges out of reachable nodes that shorten a distance
+    seed a Dijkstra that only lowers distances, into a new dict, and a
+    routing set optimal before is then not optimal. With no such edge,
+    dist itself and no node: the distances hold and the tight edges
+    only grew, so such a set stays optimal.
     """
     seeds: dict = {}
-    purged = dict.fromkeys(old.keys() - edges.keys(), {})
-    for src, row in chain(edges.items(), purged.items()):
-        before = old.get(src)
+    for src, before in changed.items():
+        row = edges.get(src, {})
         if row is before or row == before or src not in dist:
             continue
         du = dist[src]
@@ -226,10 +289,11 @@ def repair_distances(old: dict, edges: dict, dist: dict) -> Optional[dict]:
             if du + w < seeds.get(v, dist.get(v, INF)):
                 seeds[v] = du + w
     if not seeds:
-        return dist
+        return dist, ()
     heap = [(d, v) for v, d in seeds.items()]
     heapq.heapify(heap)
-    return _lower(edges, {**dist, **seeds}, heap)
+    lowered = {**dist, **seeds}
+    return lowered, _lower(edges, lowered, heap)
 
 
 def update_routing_set(ip: NodeId, edges: dict, rs: RoutingSet,
@@ -244,6 +308,50 @@ def update_routing_set(ip: NodeId, edges: dict, rs: RoutingSet,
     if is_optimal_over(ip, edges, rs, dist):
         return rs
     return choose_optimal(ip, edges, dist)
+
+
+class RouteMemo(NamedTuple):
+    """What a pass proved, for the next one to carry over: the
+    universe's distances from ip, choose_optimal's predecessors over
+    them, and a copy of the routing set, optimal over that universe."""
+    dist: dict
+    pred: dict
+    rs: RoutingSet
+
+
+def update_routes(ip: NodeId, edges: dict, changed: dict, rs: RoutingSet,
+                  memo: Optional[RouteMemo]) -> tuple:
+    """(The routing set over edges, the memo for the next pass).
+
+    edges is the live universe and changed its rows replaced since the
+    last pass, as repair_distances takes them. A memo whose routing set
+    is rs is carried over changed, and its predecessors are moved in
+    place:
+    - if the distances hold, rs and the memo stay; the only new tight
+      edges leave changed rows, and they may move a predecessor;
+    - if some fell, a node whose distance fell takes its predecessor
+      from the nodes that fell and the changed rows, and every other
+      node keeps the smaller of its old one and theirs: its old tight
+      in-edges stay tight. The routes are read off the predecessors.
+    Otherwise (no memo, rs is not the memo's, or a tight edge was lost
+    or lengthened) a full Dijkstra, update_routing_set and a full
+    predecessor scan.
+    """
+    if memo is not None and rs == memo.rs:
+        out = repair_distances(edges, changed, memo.dist)
+        if out is not None:
+            dist, fell = out
+            pred = memo.pred
+            for v in fell:
+                pred.pop(v, None)
+            predecessors(edges, dist, pred, chain(fell, changed))
+            if dist is memo.dist:
+                return rs, memo
+            rs = routes(ip, dist, pred, rs)
+            return rs, RouteMemo(dist, pred, dict(rs))
+    dist = _dijkstra(edges, ip)
+    rs = update_routing_set(ip, edges, rs, dist)
+    return rs, RouteMemo(dist, predecessors(edges, dist, {}, dist), dict(rs))
 
 
 # --- trace rendering ---------------------------------------------------

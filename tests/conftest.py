@@ -16,18 +16,28 @@ wrapped, so that each step is held to that predicate:
 - a pass (full or topology-only) is skipped only when nothing is
   pending: within a step, nothing is pending on entry to
   process_hello() or process_tc(), nor when the step returns;
-- nothing is pending after a pass, and a routing set the pass records
-  as optimal (the memo it writes and updates_pending() only reads) is
-  optimal by the oracle's own one-Dijkstra-per-first-hop test, and the
-  distances it records are a full Dijkstra's over the recorded universe;
+- nothing is pending after a pass, and what the pass leaves for the
+  next one to carry over equals the full computation: the live
+  universe (Router._edges) is link_universe over rts with no row left
+  recorded as changed, and the memo (Router._opt, which
+  updates_pending() only reads) holds that universe's full Dijkstra
+  distances, the predecessors a full scan picks (the smallest tight
+  in-neighbour, oracles.ref_predecessors) and a copy of the routing
+  set, which is optimal by the oracle's own
+  one-Dijkstra-per-first-hop test;
 - a pass entered while nothing was pending changes no state;
 - a topology-only pass meets no expired topology-set entry: only the
   full pass purges rts, and a reached validity time makes it due.
 
 The third one is why running a pass that is not needed leaves every
 trace unchanged. The topology half the full pass calls is checked as
-part of that pass. Only the passes carry the memo's distances over to
-new rows (topology.repair_distances); updates_pending() never does.
+part of that pass. Only the passes carry the memo over the rows
+written since (topology.update_routes and repair_distances);
+updates_pending() never does, and it compares the universe with the
+one the last pass proved, not with the live one.
+
+Every forwarded TC copy leaves its (originator, seq) in the router's
+received log, so that no copy of it is forwarded again.
 
 The two HELLO shortcuts are held to the full computation too:
 
@@ -49,7 +59,7 @@ from olsrv2sim.engine import Router
 from olsrv2sim.messages import make_hello
 
 from oracles import (full_hello_receipt, hello_receipt_state, pass_state,
-                     ref_is_optimal_over)
+                     ref_is_optimal_over, ref_predecessors)
 
 
 @pytest.fixture(autouse=True)
@@ -68,9 +78,11 @@ def oracle_mode(monkeypatch):
     seen = Counter()
     step = Router.step_main
     generate, process_hello = Router._maybe_generate, Router.process_hello
+    process_tc = Router.process_tc
     run, run_topology = Router.run_update_info, Router.run_topology_update
     repair = topology.repair_distances
-    in_step, in_full_pass, in_topology = [], [], []
+    pending = Router.updates_pending
+    in_step, in_full_pass, in_pending = [], [], []
 
     def assert_consistent(self, where):
         assert not self.updates_pending(), (
@@ -91,12 +103,16 @@ def oracle_mode(monkeypatch):
         assert_consistent(self, "at the end of the step")
         return out
 
-    def checked_handler(handle, kind):
-        def checked(self, *args):
-            if in_step:
-                assert_consistent(self, f"before a {kind}")
-            return handle(self, *args)
-        return checked
+    def checked_process_tc(self, msg):
+        if in_step:
+            assert_consistent(self, "before a TC")
+        sent = len(self.pkt)
+        process_tc(self, msg)
+        key = (msg.originator, msg.seq)
+        assert len(self.pkt) == sent or key in self.rxs, (
+            f"router {self.ip} at t={self.now}: forwarded"
+            f" {msg.originator}'s TC {msg.seq} without logging it as"
+            " received, so its next copy is forwarded again")
 
     def checked_generate(self):
         # a call sends at most one HELLO, and sending one moves
@@ -129,24 +145,27 @@ def oracle_mode(monkeypatch):
     def checked(self, pass_fn, kind):
         idle = not self.updates_pending()
         before = pass_state(self) if idle else None
-        memo = self._opt_edges
         pass_fn(self)
-        if self._opt_edges is not memo:
-            assert ref_is_optimal_over(self.ip, self._opt_edges,
-                                       self._opt_rs), (
-                f"router {self.ip} at t={self.now}: the {kind} recorded a"
-                " routing set that is not optimal")
-            assert self._opt_dist == topology._dijkstra(self._opt_edges,
-                                                        self.ip), (
-                f"router {self.ip} at t={self.now}: the {kind} recorded"
-                " distances that are not the universe's")
+        where = f"router {self.ip} at t={self.now}: the {kind}"
+        universe = topology.link_universe(self.ip, self.ls, self.rts,
+                                          self.now)
+        assert self._edges == universe and not self._changed, (
+            f"{where} left a live universe that is not rts's")
+        dist = topology._dijkstra(universe, self.ip)
+        memo = self._opt
+        assert memo.dist == dist, (
+            f"{where} kept distances that are not the universe's")
+        assert memo.pred == ref_predecessors(universe, dist), (
+            f"{where} kept predecessors that are not a full scan's")
+        assert memo.rs == self.rs and ref_is_optimal_over(
+            self.ip, universe, self.rs), (
+            f"{where} recorded a routing set that is not optimal")
         assert not self.updates_pending(), (
             f"router {self.ip} at t={self.now}: updates_pending() holds"
             f" after a {kind}")
         if idle:
             assert pass_state(self) == before, (
-                f"router {self.ip} at t={self.now}: a {kind} with nothing"
-                " pending changed state")
+                f"{where} with nothing pending changed state")
         return idle
 
     def checked_run(self):
@@ -161,35 +180,38 @@ def oracle_mode(monkeypatch):
             seen[True] += 1
 
     def checked_run_topology(self):
-        in_topology.append(self)
-        try:
-            if in_full_pass:
-                run_topology(self)
-                return
-            expired = sorted(o for o, (vt, _, _) in self.rts.items()
-                             if vt <= self.now)
-            assert not expired, (
-                f"router {self.ip} at t={self.now}: a topology-only pass"
-                f" met the expired entries of {expired}")
-            if checked(self, run_topology, "topology-only pass"):
-                seen["topology idle"] += 1
-            seen["topology"] += 1
-        finally:
-            in_topology.pop()
+        if in_full_pass:
+            run_topology(self)
+            return
+        expired = sorted(o for o, (vt, _, _) in self.rts.items()
+                         if vt <= self.now)
+        assert not expired, (
+            f"router {self.ip} at t={self.now}: a topology-only pass"
+            f" met the expired entries of {expired}")
+        if checked(self, run_topology, "topology-only pass"):
+            seen["topology idle"] += 1
+        seen["topology"] += 1
 
-    def checked_repair(old, edges, dist):
-        assert in_topology, "distances repaired outside a pass"
-        out = repair(old, edges, dist)
+    def checked_pending(self):
+        in_pending.append(self)
+        try:
+            return pending(self)
+        finally:
+            in_pending.pop()
+
+    def checked_repair(edges, changed, dist):
+        assert not in_pending, "updates_pending() repaired distances"
+        out = repair(edges, changed, dist)
         seen["fall back" if out is None else
-             "keep" if out is dist else "repair"] += 1
+             "keep" if out[0] is dist else "repair"] += 1
         return out
 
     monkeypatch.setattr(Router, "step_main", checked_step)
     monkeypatch.setattr(Router, "_maybe_generate", checked_generate)
     monkeypatch.setattr(Router, "process_hello", checked_process_hello)
-    monkeypatch.setattr(Router, "process_tc",
-                        checked_handler(Router.process_tc, "TC"))
+    monkeypatch.setattr(Router, "process_tc", checked_process_tc)
     monkeypatch.setattr(Router, "run_update_info", checked_run)
     monkeypatch.setattr(Router, "run_topology_update", checked_run_topology)
+    monkeypatch.setattr(Router, "updates_pending", checked_pending)
     monkeypatch.setattr(topology, "repair_distances", checked_repair)
     yield seen

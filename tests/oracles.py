@@ -202,6 +202,21 @@ def ref_is_optimal_over(ip, edges: dict, rs: dict) -> bool:
     return True
 
 
+def ref_predecessors(edges: dict, dist: dict) -> dict:
+    """For every node v of dist with a tight in-edge, the smallest u
+    that has one: an edge (u, v) of metric w with dist[u] + w ==
+    dist[v]. Collects every tight in-neighbour first, then takes the
+    minimum."""
+    tight = {}
+    for u, row in edges.items():
+        if u not in dist:
+            continue
+        for v, w in row.items():
+            if v in dist and dist[u] + w == dist[v]:
+                tight.setdefault(v, []).append(u)
+    return {v: min(us) for v, us in tight.items()}
+
+
 # ---------------------------------------------------------------------------
 # The consistency-check predicate, composed literally
 # ---------------------------------------------------------------------------

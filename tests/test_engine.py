@@ -127,7 +127,9 @@ def scramble(rng, r):
         r.rs = {n: Route(n, rng.choice(names), rng.randint(1, 9))
                 for n in names if rng.random() < 0.3}
     r.ansn = rng.randrange(3)
-    r._opt_edges = r._opt_rs = None
+    # the state a new router starts in: no memo, so the first pass
+    # builds the live universe from the rts installed here
+    r._opt = None
 
 
 def test_updates_pending_equals_reference_composition():
@@ -168,13 +170,15 @@ def test_updates_pending_leaves_the_memo_untouched():
     r = mk_router(start_time=100)
     r.ls = {"b": sym("b", now=100)}
     r.run_update_info()
-    edges, rs = r._opt_edges, r._opt_rs
+    memo, edges = r._opt, r._edges
+    held = (dict(memo.dist), dict(memo.pred), dict(edges))
     assert not r.updates_pending()
-    assert r._opt_edges is edges and r._opt_rs is rs
+    assert r._opt is memo and r._edges is edges and not r._changed
+    assert (memo.dist, memo.pred, edges) == held
     # without a memo it proves the routing set optimal, and records nothing
-    r._opt_edges = r._opt_rs = None
+    r._opt = None   # as a new router starts
     assert not r.updates_pending()
-    assert r._opt_edges is None and r._opt_rs is None
+    assert r._opt is None and r._edges is edges and not r._changed
 
 
 def slack_router():
@@ -183,7 +187,9 @@ def slack_router():
     slack."""
     r = mk_router(start_time=100)
     r.ls = {"b": sym("b", now=100), "c": sym("c", now=100)}
-    r.rts = {"b": (140, 0, {"d": 1}), "c": (140, 0, {"d": 5})}
+    r.process_tc(tc("b", "b", dests={"d": 1}))
+    r.process_tc(tc("c", "c", dests={"d": 5}))
+    assert r.rts == {"b": (140, 0, {"d": 1}), "c": (140, 0, {"d": 5})}
     r.run_update_info()
     assert r.rs["d"] == Route("d", "b", 2)
     return r
@@ -194,7 +200,9 @@ def test_routing_set_mutated_after_a_pass_is_rechosen():
     distances: a change to slack rows alone would keep any other."""
     r = slack_router()
     r.rs["d"] = Route("d", "b", 7)  # wrong metric
-    r.rts["c"] = (140, 0, {"d": 6})    # a new map: rows are never mutated
+    # the slack row c -> d, longer
+    r.process_tc(tc("c", "c", seq=1, dests={"d": 6}))
+    assert r.rts["c"] == (140, 0, {"d": 6}) and r._topology_dirty
     r.run_topology_update()
     assert r.rs == choose_optimal("a", link_universe("a", r.ls, r.rts, 100))
     assert r.rs["d"] == Route("d", "b", 2)
@@ -202,13 +210,14 @@ def test_routing_set_mutated_after_a_pass_is_rechosen():
 
 def test_reset_memo_never_pairs_stale_distances_with_new_rows():
     r = slack_router()
-    stale = r._opt_dist
-    r._opt_edges = r._opt_rs = None   # as scramble() leaves a router
+    stale = r._opt.dist
+    r._opt = None   # as a new router starts, and scramble() leaves one
     # b -> d is gone: under the stale distances it was tight
-    r.rts["b"] = (140, 0, {"e": 1})
+    r.process_tc(tc("b", "b", seq=1, dests={"e": 1}))
     r.run_topology_update()
-    assert r._opt_dist is not stale
-    assert r._opt_dist == _dijkstra(r._opt_edges, "a")
+    assert r._opt.dist is not stale
+    assert r._edges == link_universe("a", r.ls, r.rts, 100)
+    assert r._opt.dist == _dijkstra(r._edges, "a")
     assert r.rs["d"] == Route("d", "c", 6) and r.rs["e"].metric == 2
 
 

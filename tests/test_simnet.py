@@ -21,6 +21,7 @@ from olsrv2sim.topology import Route
 import oracles
 from test_acceptance import EVENTFUL_SCENARIO
 from test_engine import churn_events
+from test_scripts import load
 
 
 def scen(nodes=("a", "b"), links=(("a", "b", 5), ("b", "a", 5)),
@@ -38,6 +39,31 @@ def events_of(net, node=None, kind=None):
     return [ev for ev in net.trace
             if (node is None or ev.node == node)
             and (kind is None or ev.kind == kind)]
+
+
+@pytest.mark.parametrize("text, ticks", [
+    (EVENTFUL_SCENARIO, 240),
+    (EVENTFUL_SCENARIO + "flag flood_all on\n", 240),
+    (load("flooding_sweep").grid_text(4, 1), 150),
+], ids=["eventful", "eventful-flood-all", "grid4"])
+def test_no_router_forwards_a_tc_twice(text, ticks):
+    """A router forwards each TC, named by (originator, seq), at most
+    once. Checked after every tick, so a router that loses track of
+    the TCs it received fails at its first repeat, a few ticks into
+    the run, instead of flooding copies without end."""
+    net = build_network(parse_scenario(text))
+    forwarded, checked = set(), 0
+    for _ in range(ticks):
+        net.tick()
+        for ev in net.trace[checked:]:
+            if ev.kind == "TC_FWD":
+                key = (ev.node, ev.payload.originator, ev.payload.seq)
+                assert key not in forwarded, (
+                    f"t={ev.tick}: router {ev.node} forwarded"
+                    f" {key[1]}'s TC {key[2]} a second time")
+                forwarded.add(key)
+        checked = len(net.trace)
+    assert forwarded
 
 
 def test_params_validation():

@@ -17,9 +17,10 @@ from olsrv2sim.messages import INF, Status, Tc
 from olsrv2sim.neighborhood import LinkTuple
 from olsrv2sim.topology import (Route, _dijkstra, choose_optimal,
                                 increment_ansn, is_optimal_over,
-                                link_universe, purge_router_topology,
-                                render_route, repair_distances,
-                                update_router_topology, update_routing_set)
+                                link_universe, predecessors,
+                                purge_router_topology, render_route,
+                                repair_distances, update_router_topology,
+                                update_routes, update_routing_set)
 
 import oracles
 
@@ -351,34 +352,53 @@ def test_empty_universe():
     assert not is_optimal_over("s", {}, {"a": Route("a", "a", 1)})
 
 
-# --- distances carried across passes -----------------------------------------
+# --- distances and routes carried across passes -----------------------------
+
+def changes(old, new):
+    """The rows of new replaced since old, as a router records them for
+    repair_distances: each source whose row is not old's own map, with
+    old's row, or None where old had none."""
+    return {src: old.get(src)
+            for src in [*old, *(src for src in new if src not in old)]
+            if new.get(src) is not old.get(src)}
+
 
 def test_repair_distances_outcomes():
     old = {"s": {"a": 1, "b": 1}, "a": {"c": 2}, "b": {"c": 4}}
     dist = _dijkstra(old, "s")
     assert dist == {"s": 0, "a": 1, "b": 1, "c": 3}
+
+    def repair(new):
+        return repair_distances(new, changes(old, new), dist)
+
+    def kept(out):
+        return out[0] is dist and not out[1]
+
     # the own row rebuilt with the same rows, and a slack edge longer
-    new = {**old, "s": {"a": 1, "b": 1}, "b": {"c": 5}}
-    assert repair_distances(old, new, dist) is dist
+    assert kept(repair({**old, "s": {"a": 1, "b": 1}, "b": {"c": 5}}))
     # a slack edge that now ties becomes tight: the distances hold
-    assert repair_distances(old, {**old, "b": {"c": 2}}, dist) is dist
+    assert kept(repair({**old, "b": {"c": 2}}))
+    # a row replaced twice since the pass, recorded as it stood then:
+    # back to equal rows, nothing changed
+    assert kept(repair_distances({**old, "a": {"c": 2}},
+                                 {"a": old["a"]}, dist))
     # a tight edge or a slack one made shorter: c falls to 2
     for new in ({**old, "a": {"c": 1}}, {**old, "b": {"c": 1}}):
-        got = repair_distances(old, new, dist)
+        got, fell = repair(new)
         assert got == _dijkstra(new, "s") and got["c"] == 2
+        assert fell == ["c"]
     # a new row out of a reachable node reaches a new destination
     new = {**old, "b": {"c": 4, "d": 1}, "d": {"c": 1}}
-    got = repair_distances(old, new, dist)
-    assert got == _dijkstra(new, "s") == {**dist, "d": 2}
+    got, fell = repair(new)
+    assert got == _dijkstra(new, "s") == {**dist, "d": 2} and fell == ["d"]
     assert dist == _dijkstra(old, "s")  # the given distances stay
     # a tight edge lengthened, or its row purged: start again
-    assert repair_distances(old, {**old, "a": {"c": 3}}, dist) is None
-    assert repair_distances(old, {"s": old["s"], "b": old["b"]},
-                            dist) is None
+    assert repair({**old, "a": {"c": 3}}) is None
+    assert repair({"s": old["s"], "b": old["b"]}) is None
     # rows out of an unreachable node count for nothing
     far = {**old, "x": {"c": 1}}
-    assert repair_distances(old, far, dist) is dist
-    assert repair_distances(far, old, dist) is dist
+    assert kept(repair(far))
+    assert kept(repair_distances(old, changes(far, old), dist))
 
 
 NODES = "sabcdx"   # s is the router; x is often unreachable
@@ -404,7 +424,7 @@ def universe_edits(draw):
 
     The new universe shares old's row maps except where an edit
     replaced or dropped a row or added one; the own row s is always a
-    new map, as link_universe builds it. The routing set picks a random
+    new map, as a pass rebuilds it. The routing set picks a random
     optimal first hop per destination, not choose_optimal's.
     """
     old = draw(st.dictionaries(st.sampled_from(NODES), ROWS, min_size=2,
@@ -442,14 +462,124 @@ def test_repaired_distances_are_dijkstras(case):
     assert oracles.ref_is_optimal_over("s", old, rs)
     dist = _dijkstra(old, "s")
     before = dict(dist)
-    got = repair_distances(old, new, dist)
+    out = repair_distances(new, changes(old, new), dist)
     assert dist == before
-    if got is None:
+    if out is None:
         return
+    got, fell = out
     assert got == _dijkstra(new, "s")
+    # the nodes that fell, each once
+    assert sorted(fell) == sorted(v for v, d in got.items()
+                                  if d < dist.get(v, INF))
     # kept distances keep every optimal routing set optimal; repaired
     # ones leave none of them optimal
     assert oracles.ref_is_optimal_over("s", new, rs) == (got is dist)
+
+
+EDITS = st.tuples(
+    st.sampled_from(["add", "tie", "lower", "drop slack", "purge", "own",
+                     "row"]),
+    st.sampled_from(NODES), st.sampled_from(NODES), WEIGHTS,
+    st.integers(0, 7), ROWS)
+
+
+@st.composite
+def route_passes(draw):
+    """(a universe, passes): each pass is a list of row edits, and
+    whether the routing set it is given was mutated since the last."""
+    start = draw(st.dictionaries(st.sampled_from(NODES), ROWS, min_size=2,
+                                 max_size=6))
+    start["s"] = dict(start.get("s", {}))
+    passes = draw(st.lists(st.tuples(st.lists(EDITS, max_size=4),
+                                     st.integers(0, 9)),
+                           min_size=1, max_size=6))
+    return start, passes
+
+
+def edit_row(edges, dist, edit):
+    """(source, its new row or None) for one edit, drawn against the
+    universe edges and the last pass's distances dist; None for no
+    edit. Rows are never mutated."""
+    kind, src, dst, w, i, new_row = edit
+    row = edges.get(src, {})
+    if kind == "add":
+        return src, {**row, dst: w}
+    if kind == "tie" and dist:
+        # an edge out of a reachable node, tight at equal distance: no
+        # distance falls, and the edge may move a predecessor
+        if src not in dist:
+            src = sorted(dist)[i % len(dist)]
+        farther = sorted(v for v in dist if dist[v] > dist[src])
+        if farther:
+            dst = farther[i % len(farther)]
+            return src, {**edges.get(src, {}), dst: dist[dst] - dist[src]}
+    if kind == "lower" and row:
+        dst = sorted(row)[i % len(row)]
+        return src, {**row, dst: 1 if row[dst] == INF else
+                     max(1, row[dst] - 1)}
+    if kind == "drop slack":
+        slack = sorted(v for v, wv in row.items()
+                       if src not in dist or dist[src] + wv != dist.get(v))
+        if slack:
+            drop = slack[i % len(slack)]
+            return src, {v: wv for v, wv in row.items() if v != drop}
+    if kind == "purge" and src != "s":
+        return src, None
+    if kind == "own":
+        own = edges["s"]
+        if dst in own and i % 2:
+            return "s", {v: wv for v, wv in own.items() if v != dst}
+        return "s", {**own, dst: w}
+    if kind == "row" and src != "s":
+        return src, new_row
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(route_passes())
+def test_routes_carried_over_changed_rows_equal_the_full_computation(case):
+    """update_routes over a live universe and the rows a sequence of
+    edits replaced (edges added, made tight, lowered, slack ones dropped, rows
+    purged or replaced, the own row changed) keeps the distances,
+    predecessors and routing set the full computation gives: _dijkstra,
+    a full predecessor scan, and choose_optimal's routing set where a
+    distance fell, update_routing_set's where a tight edge was lost,
+    the routing set itself where the distances held."""
+    start, passes = case
+    edges, changed = dict(start), {}
+    rs, memo = {}, None
+    for edits, mutate in passes:
+        for edit in edits:
+            out = edit_row(edges, memo.dist if memo else {}, edit)
+            if out is None:
+                continue
+            src, row = out
+            changed.setdefault(src, edges.get(src))
+            if row is None:
+                edges.pop(src, None)
+            else:
+                edges[src] = row
+        if rs and mutate == 0:   # a routing set no pass proved
+            d = sorted(rs)[0]
+            rs = {**rs, d: rs[d]._replace(metric=rs[d].metric + 1)}
+        given_rs, last = rs, memo
+        outcome = (repair_distances(edges, changed, last.dist)
+                   if last is not None and rs == last.rs else None)
+        rs, memo = update_routes("s", edges, changed, rs, memo)
+        changed = {}
+        dist = _dijkstra(edges, "s")
+        assert memo.dist == dist
+        assert memo.pred == oracles.ref_predecessors(edges, dist)
+        assert memo.pred == predecessors(edges, dist, {}, dist)
+        assert memo.rs == rs and oracles.ref_is_optimal_over("s", edges, rs)
+        if outcome is None:
+            want = update_routing_set("s", edges, given_rs, dist)
+        elif outcome[0] is last.dist:
+            assert memo is last
+            want = given_rs
+        else:
+            want = choose_optimal("s", edges, memo.dist)
+        assert list(rs.items()) == list(want.items())
 
 
 # --- one topology set against RFC 7181's two ---------------------------------
