@@ -429,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="deterministic discrete-time OLSRv2 simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_required):
+    def common(p, scenario_required, window=False):
         if scenario_required:
             p.add_argument("--scenario", required=True,
                            help="scenario file to execute")
@@ -445,17 +445,20 @@ def _build_parser() -> argparse.ArgumentParser:
                             " RFC 7181 section 18.5")
         p.add_argument("--flood-all", action="store_true", dest="flood_all",
                        help="classical flooding instead of MPR flooding")
-        p.add_argument("--window", type=int, default=None,
-                       help="quiet ticks required to declare convergence")
+        if window:  # only the commands that run to convergence read it
+            p.add_argument("--window", type=int, default=None,
+                           help="quiet ticks before declaring convergence")
 
     p_run = sub.add_parser("run", help="execute a scenario, emit the trace")
     common(p_run, scenario_required=True)
     p_check = sub.add_parser(
         "check", help="run to convergence, report route optimality")
-    common(p_check, scenario_required=True)
+    common(p_check, scenario_required=True, window=True)
     p_demo = sub.add_parser("demo", help="run a built-in reference scenario")
-    p_demo.add_argument("figure", choices=("fig1", "fig2", "fig3"))
-    common(p_demo, scenario_required=False)
+    figures = p_demo.add_subparsers(dest="figure", required=True)
+    for fig in ("fig1", "fig2", "fig3"):
+        common(figures.add_parser(fig), scenario_required=False,
+               window=fig == "fig3")
     return parser
 
 

@@ -73,7 +73,7 @@ def purge_2hop_set(ls: LinkSet, twohop_set: TwoHopSet,
 
 # --- MPR validity and selection -----------------------------------------
 #
-# Both MPR flavours share one distance table and differ only in its
+# Both MPR flavours share one covering table and differ only in its
 # weights. N1 is the set of symmetric 1-hop neighbors, N2 the 2-hop
 # tuples anchored at N1 members, and a candidate subset M <= N1 is
 # valid when it preserves the distance d(t, .) from this router to
@@ -86,109 +86,97 @@ def purge_2hop_set(ls: LinkSet, twohop_set: TwoHopSet,
 #
 # Since d(t, S) = min over x in S of d(t, {x}), validity reduces to a
 # covering condition: every target with finite d(t, N1) needs some
-# member achieving that minimum. The greedy pick exploits this for a
+# member achieving that minimum, one of its coverers. The table holds
+# those coverer lists and nothing else; a target at infinite distance
+# constrains nothing and has none. The greedy pick exploits this for a
 # polynomial choice; the test suite checks it against an exhaustive
-# enumeration (practical for |N1| <= 6). A pass builds the table once
-# per flavour and chooses anew only when the flagged set is invalid.
+# enumeration (practical for |N1| <= 6) and a greedy written from the
+# distances. A pass builds the table once per flavour and chooses anew
+# only when the flagged set is invalid.
 
 def _n1_oips(ls: LinkSet, now: TimeValue) -> FrozenSet[NodeId]:
     return frozenset(oip for oip, lt in ls.items()
                      if lt.status(now) == Status.SYMMETRIC)
 
 
-def _distance_table(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
+def _covering_table(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
                     routing: bool, bug_mode: bool = False):
-    """Per-target single-neighbor distances plus the N1-wide minimum,
-    under the routing weights or, when routing is false, the flooding
-    ones.
+    """N1 and, per target at finite distance, its coverers under the
+    routing weights or, when routing is false, the flooding ones.
 
-    Returns (n1, targets, dist, full) where dist[(x, t)] is d(t, {x})
-    and full[t] is d(t, N1). One pass over the 2-hop set.
+    Returns (n1, coverers) where coverers[t] is the sorted list of the
+    x in N1 whose d(t, {x}) is d(t, N1). One pass over the 2-hop set.
     """
     n1 = _n1_oips(ls, now)
-    n2s = [n2 for n2 in twohop_set.values() if n2.one_hop_oip in n1]
-    targets = sorted({n2.two_hop_oip for n2 in n2s})
-    dist = {(x, t): INF for t in targets for x in n1}
-    for x in n1.intersection(targets):
-        dist[(x, x)] = ls[x].in_metric if routing else 1
-    for n2 in n2s:
+    dist = {}  # (x, t) -> d(t, {x}), for the pairs some leg gives
+    for n2 in twohop_set.values():
         x = n2.one_hop_oip
+        if x not in n1:
+            continue
         if routing:
             d = ls[x].in_metric + (n2.out_metric if bug_mode
                                    else n2.in_metric)
         else:
             d = 2  # two legs of weight 1
-        key = (x, n2.two_hop_oip)
-        dist[key] = min(dist[key], d)
-    full = {}
-    for t in targets:
-        full[t] = min([INF] + [dist[(x, t)] for x in n1])
-    return n1, targets, dist, full
+        dist[x, n2.two_hop_oip] = d
+    for x in n1.intersection([t for _, t in dist]):
+        direct = ls[x].in_metric if routing else 1
+        dist[x, x] = min(direct, dist.get((x, x), INF))
+    best, coverers = {}, {}
+    for (x, t), d in sorted(dist.items()):  # so each list is sorted
+        if d < best.get(t, INF):
+            best[t], coverers[t] = d, [x]
+        elif d == best.get(t, INF) != INF:
+            coverers[t].append(x)
+    return n1, coverers
 
 
-def _is_valid(member_oips: AbstractSet[NodeId], n1, targets, dist, full) -> bool:
-    if not frozenset(member_oips) <= n1:
-        return False
-    for t in targets:
-        d_m = min([INF] + [dist[(x, t)] for x in member_oips])
-        if d_m != full[t]:
-            return False
-    return True
+def _is_valid(member_oips: AbstractSet[NodeId], n1, coverers) -> bool:
+    return member_oips <= n1 and all(not member_oips.isdisjoint(xs)
+                                     for xs in coverers.values())
 
 
 def is_valid_fmpr_set(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
                       member_oips: AbstractSet[NodeId]) -> bool:
-    return _is_valid(member_oips, *_distance_table(ls, twohop_set, now, False))
+    return _is_valid(member_oips, *_covering_table(ls, twohop_set, now, False))
 
 
 def is_valid_rmpr_set(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
                       member_oips: AbstractSet[NodeId],
                       bug_mode: bool = False) -> bool:
-    return _is_valid(member_oips, *_distance_table(ls, twohop_set, now, True,
+    return _is_valid(member_oips, *_covering_table(ls, twohop_set, now, True,
                                                    bug_mode))
 
 
-def _greedy_choose(n1, targets, dist, full) -> FrozenSet[NodeId]:
-    # x covers t when x alone achieves the N1-wide minimum. Targets at
-    # infinite distance constrain nothing.
-    coverers = {t: sorted(x for x in n1 if dist[(x, t)] == full[t])
-                for t in targets if full[t] != INF}
-    chosen = set()
-    # Mandatory members: sole achievers of some target's minimum.
-    for t, xs in coverers.items():
-        if len(xs) == 1:
-            chosen.add(xs[0])
-    uncovered = {t for t, xs in coverers.items()
-                 if not (set(xs) & chosen)}
+def _greedy_choose(n1, coverers) -> FrozenSet[NodeId]:
+    # Mandatory members: sole coverers of some target.
+    chosen = {xs[0] for xs in coverers.values() if len(xs) == 1}
+    uncovered = [xs for xs in coverers.values() if chosen.isdisjoint(xs)]
+    candidates = sorted(n1)
     while uncovered:
-        best_x = None
-        best_gain = -1
-        for x in sorted(n1):
-            if x in chosen:
-                continue
-            gain = sum(1 for t in uncovered if x in coverers[t])
-            if gain > best_gain:
-                best_x, best_gain = x, gain
+        # the most uncovered targets; max keeps the first, smallest id
+        best_x = max(candidates,
+                     key=lambda x: sum(x in xs for xs in uncovered))
         chosen.add(best_x)
-        uncovered = {t for t in uncovered if best_x not in coverers[t]}
+        uncovered = [xs for xs in uncovered if best_x not in xs]
     return frozenset(chosen)
 
 
 def choose_fmprs(ls: LinkSet, twohop_set: TwoHopSet,
                  now: TimeValue) -> FrozenSet[NodeId]:
     """Deterministic small valid flooding-MPR set (greedy cover)."""
-    return _greedy_choose(*_distance_table(ls, twohop_set, now, False))
+    return _greedy_choose(*_covering_table(ls, twohop_set, now, False))
 
 
 def choose_rmprs(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
                  bug_mode: bool = False) -> FrozenSet[NodeId]:
-    return _greedy_choose(*_distance_table(ls, twohop_set, now, True,
+    return _greedy_choose(*_covering_table(ls, twohop_set, now, True,
                                            bug_mode))
 
 
 def _update_flags(ls: LinkSet, field: str, table) -> None:
     """Keep the flags in field while they form a valid set under the
-    distance table, else flag the greedy pick instead."""
+    covering table, else flag the greedy pick instead."""
     if _is_valid({oip for oip, lt in ls.items() if getattr(lt, field)},
                  *table):
         return
@@ -200,11 +188,11 @@ def _update_flags(ls: LinkSet, field: str, table) -> None:
 
 def update_fmprs(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue) -> None:
     """Keep the flooding-MPR flags while valid, else flag choose_fmprs."""
-    _update_flags(ls, "fmpr", _distance_table(ls, twohop_set, now, False))
+    _update_flags(ls, "fmpr", _covering_table(ls, twohop_set, now, False))
 
 
 def update_rmprs(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
                  bug_mode: bool = False) -> None:
     """Keep the routing-MPR flags while valid, else flag choose_rmprs."""
-    _update_flags(ls, "rmpr", _distance_table(ls, twohop_set, now, True,
+    _update_flags(ls, "rmpr", _covering_table(ls, twohop_set, now, True,
                                               bug_mode))

@@ -258,13 +258,8 @@ class Network:
 
     # -- one global tick ---------------------------------------------------
 
-    def tick(self, step_order: Optional[list] = None) -> None:
-        """Advance the whole network by one time unit.
-
-        step_order overrides the phase-2 iteration order; it exists for
-        the permutation-invariance test and must be a permutation of
-        the node ids.
-        """
+    def tick(self) -> None:
+        """Advance the whole network by one time unit."""
         events = self._tick_events
         events.clear()  # drop anything traced outside a tick
         clock = events.tick = self.clock
@@ -286,8 +281,7 @@ class Network:
 
         # phase 2: per-router steps
         busy_until = self._busy_until
-        order = step_order if step_order is not None else self._step_order
-        for nid in order:
+        for nid in self._step_order:
             if clock < busy_until[nid]:
                 continue
             packet = routers[nid].step_main()

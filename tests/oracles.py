@@ -94,6 +94,45 @@ def ref_all_valid(ls, twohop_set, now, flavour, bug_mode=False):
     return out
 
 
+def ref_greedy_choice(ls, twohop_set, now, flavour, bug_mode=False):
+    """The greedy MPR pick, from the distances.
+
+    First every neighbor that alone preserves some target's distance
+    where no other one does. Then, while some target's distance is not
+    preserved, the neighbor that alone preserves it for the most such
+    targets, ties to the smallest id.
+    """
+    n1 = sorted(ref_symmetric_neighbors(ls, now))
+    targets = sorted(ref_targets(ls, twohop_set, now))
+
+    def d(members, t):
+        return ref_distance(ls, twohop_set, now, flavour, bug_mode,
+                            members, t)
+
+    chosen = set()
+    for t in targets:
+        if d(n1, t) == INF:
+            continue
+        alone = [x for x in n1 if d([x], t) == d(n1, t)]
+        if len(alone) == 1:
+            chosen.add(alone[0])
+    while True:
+        unpreserved = [t for t in targets if d(chosen, t) != d(n1, t)]
+        if not unpreserved:
+            return frozenset(chosen)
+        best, best_gain = None, 0
+        for x in n1:
+            if x in chosen:
+                continue
+            gain = 0
+            for t in unpreserved:
+                if d([x], t) == d(n1, t):
+                    gain += 1
+            if gain > best_gain:
+                best, best_gain = x, gain
+        chosen.add(best)
+
+
 # ---------------------------------------------------------------------------
 # Random neighborhood states
 # ---------------------------------------------------------------------------

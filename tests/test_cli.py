@@ -329,6 +329,20 @@ def test_window_below_one_exit_two(tmp_path, capsys, window):
         assert f"error: --window must be >= 1, got {window}" in cap.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "SCENARIO"], ["demo", "fig1"], ["demo", "fig2"],
+])
+def test_window_where_nothing_reads_it_exit_two(tmp_path, capsys, argv):
+    # only check and demo fig3 run to convergence; elsewhere a window
+    # would be ignored silently
+    argv = [write(tmp_path, MINIMAL) if a == "SCENARIO" else a for a in argv]
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--window", "7"])
+    cap = capsys.readouterr()
+    assert e.value.code == 2 and cap.out == ""
+    assert "unrecognized arguments: --window 7" in cap.err
+
+
 @pytest.mark.parametrize("command,budget", [("run", 6), ("check", 400)])
 def test_events_past_the_budget_warn(tmp_path, capsys, command, budget):
     # the last tick run is budget - 1, so an event at the budget or later

@@ -4,8 +4,10 @@ HELLO processing is driven through Router.process_hello, one fixture
 per step of the RFC 6130 section 12 order. MPR correctness is checked
 three ways: the subsets of N1 the library's validity test accepts
 against an independently written enumeration (oracles.ref_all_valid),
-the greedy choice against that family, and two hand-computed fixed
-points (a unit-metric grid center, an asymmetric-metric diamond).
+the greedy choice against that family and against a greedy written
+from the distances (oracles.ref_greedy_choice), and hand-computed
+fixed points (a unit-metric grid center, an asymmetric-metric diamond,
+a neighbor reached only by its direct leg).
 """
 import itertools
 import random
@@ -223,13 +225,19 @@ def test_valid_sets_match_reference_enumeration():
 
 
 def test_choose_is_always_a_valid_member():
+    """The choice is valid, and it is the set the greedy written from
+    the distances picks (oracles.ref_greedy_choice)."""
     rng = random.Random(0xBEEF)
     for _ in range(300):
         ls, ths = oracles.random_neighborhood(rng)
-        assert is_valid_fmpr_set(ls, ths, NOW, choose_fmprs(ls, ths, NOW))
+        picked = choose_fmprs(ls, ths, NOW)
+        assert is_valid_fmpr_set(ls, ths, NOW, picked)
+        assert picked == oracles.ref_greedy_choice(ls, ths, NOW, "fmpr")
         for bug in (False, True):
-            assert is_valid_rmpr_set(ls, ths, NOW,
-                                     choose_rmprs(ls, ths, NOW, bug), bug)
+            picked = choose_rmprs(ls, ths, NOW, bug)
+            assert is_valid_rmpr_set(ls, ths, NOW, picked, bug)
+            assert picked == oracles.ref_greedy_choice(ls, ths, NOW,
+                                                       "rmpr", bug)
 
 
 def test_choose_is_deterministic():
@@ -292,6 +300,20 @@ def test_asymmetric_diamond_flips_under_bug_mode():
     # flooding ignores metrics entirely: either single neighbor suffices
     assert is_valid_fmpr_set(ls, ths, NOW, {"b"})
     assert is_valid_fmpr_set(ls, ths, NOW, {"c"})
+
+
+def test_neighbor_behind_unmeasured_tuples_is_mandatory_by_its_direct_leg():
+    # b is a 2-hop target only through c, and that leg's metric is not
+    # known yet. The direct leg still reaches b, and only b has it, so
+    # b is a routing MPR in both bug modes and a flooding MPR too
+    ls = {"b": sym("b", in_m=3), "c": sym("c", in_m=1)}
+    ths = {("c", "b"): n2("c", "b", in_m=INF, out_m=INF)}
+    for bug in (False, True):
+        assert choose_rmprs(ls, ths, NOW, bug) == frozenset({"b"})
+        assert not is_valid_rmpr_set(ls, ths, NOW, {"c"}, bug)
+        assert oracles.ref_greedy_choice(ls, ths, NOW, "rmpr", bug) == {"b"}
+    assert choose_fmprs(ls, ths, NOW) == frozenset({"b"})
+    assert not is_valid_fmpr_set(ls, ths, NOW, {"c"})
 
 
 def test_empty_neighborhood():
