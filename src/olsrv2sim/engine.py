@@ -20,6 +20,10 @@ otherwise occupy the transmitter through the rest of the window. With
 the parameter constraint maxjitter > LB + dB, the two rules together
 guarantee the deadline is never crossed; the engine still checks the
 deadline at every generation and raises if the argument ever fails.
+The step enters generation only when one of its guards can hold: now
+has reached a fire tick, or a broadcast is scheduled for the next tick
+(the piggyback). A fire tick never passes its deadline, so a step that
+skips generation skips no deadline check either.
 
 A generated HELLO equal to the router's last one, or TC map equal to
 its last map, is replaced by that object, which the trace renders once
@@ -70,17 +74,22 @@ topology-only pass meets no expired row, since the clock reaching a
 row's validity time makes the full pass due. Times aside, these are
 the only inputs of updates_pending() the two write. Any other write
 only moves stored times, and lowers the "next expiry" tick to each new
-time that is in the future. A refresh can also move a time that next
-expiry still points at, so when now reaches it the smallest stored
-time after the last full pass is looked up again. step_main runs the
-full pass when the bit is set or now has reached that time, and
-otherwise the topology half alone when a TC marked it; the full pass
-ends with the same half. It decides once per step: after that, a write
-moves next expiry only past now, so only the two marks can make a pass
-due, and the step checks them after each message. The full predicate
-is the tests' oracle: they assert that a skipped pass had nothing
-pending, that nothing is pending after a pass, full or topology-only,
-and that a pass entered with nothing pending changes nothing.
+time that is in the future. Most receipts in a converged network are
+such writes: a HELLO that moves its tuples' times, and a TC that
+carries the map its originator's stored rows were taken from
+(topology's source), which process_tc stores inline as a new validity
+time and ansn, with no comparison of rows. A refresh can also move a
+time that next expiry still points at, so when now reaches it the
+smallest stored time after the last full pass is looked up again.
+step_main runs the full pass when the bit is set or now has reached
+that time, and otherwise the topology half alone when a TC marked it;
+the full pass ends with the same half. It decides once per step: after
+that, a write moves next expiry only past now, so only the two marks
+can make a pass due, and the step checks them after each message. The
+full predicate is the tests' oracle: they assert that a skipped pass
+had nothing pending, that nothing is pending after a pass, full or
+topology-only, and that a pass entered with nothing pending changes
+nothing.
 """
 from __future__ import annotations
 
@@ -100,6 +109,14 @@ from .topology import RoutingSet
 # A forwarded Tc from a tuple of all six fields, built in C: NamedTuple's
 # generated __new__ runs Python code, once per forwarded copy.
 _tc = partial(tuple.__new__, Tc)
+# the same for the link and 2-hop tuples a HELLO writes
+_link = partial(tuple.__new__, LinkTuple)
+_two_hop = partial(tuple.__new__, TwoHopTuple)
+# the enum members a HELLO receipt compares, bound once: reading a
+# member off its Enum class runs Python code
+_SYMMETRIC, _LOST = Status.SYMMETRIC, Status.LOST
+_FLOODING = (MprRole.FLOODING, MprRole.FLOOD_ROUTE)
+_ROUTING = (MprRole.ROUTING, MprRole.FLOOD_ROUTE)
 
 
 class ConfigError(ValueError):
@@ -170,7 +187,8 @@ class Router:
         # sigma: the mutable protocol variables
         self.ls: LinkSet = {}
         self.twohop_set: TwoHopSet = {}
-        self.rts: dict = {}  # originator -> (validity, ansn, rows)
+        # originator -> (validity, ansn, rows, the TC map they came from)
+        self.rts: dict = {}
         self.rs: RoutingSet = {}
         self.ps: set = set()
         self.rxs: set = set()
@@ -254,7 +272,7 @@ class Router:
         if self.ansn != topology.increment_ansn(self.ls, self.advertised,
                                                 self.ansn):
             return True
-        for vt, _, _ in self.rts.values():
+        for vt, _, _, _ in self.rts.values():
             if vt <= now:
                 return True
         edges = topology.link_universe(self.ip, self.ls, self.rts, now)
@@ -301,7 +319,7 @@ class Router:
         for n2 in self.twohop_set.values():
             if now < n2.validity_time < nxt:
                 nxt = n2.validity_time
-        for vt, _, _ in self.rts.values():
+        for vt, _, _, _ in self.rts.values():
             if now < vt < nxt:
                 nxt = vt
         return nxt
@@ -387,95 +405,97 @@ class Router:
         lt = self.ls.get(moip)
         created = lt is None
         if created:
-            lt = LinkTuple(moip, NEG_INF, NEG_INF, now + vtime,
-                           False, False, False, False, in_metric, INF)
-        sym_time, validity = lt.symmetric_time, lt.validity_time
+            lt = _link((moip, NEG_INF, NEG_INF, now + vtime,
+                        False, False, False, False, in_metric, INF))
+        (_, old_sym, old_heard, validity, fmpr, rmpr, old_fsel, old_rsel,
+         lt_in, old_out) = lt
+        sym_time = old_sym
         st = msg.statuses.get(ip)
-        if st is not None and st != Status.LOST:
+        if st is not None and st is not _LOST:
             sym_time = now + vtime
-        elif st == Status.LOST and sym_time > now:
+        elif st is _LOST and sym_time > now:
             # a symmetric link the sender reports LOST is downgraded but
             # kept around for l_hold_time more ticks
             sym_time, validity = NEG_INF, now + htime
         heard_time = max(now + vtime, sym_time)
+        validity = max(heard_time + htime, validity)
         # an MPR announcement selects us; a SYMMETRIC listing without
         # one withdraws the selection; anything else leaves it alone
         role = msg.mprs.get(ip)
-        keep = st != Status.SYMMETRIC
-        fsel = (role in (MprRole.FLOODING, MprRole.FLOOD_ROUTE)
-                or (keep and lt.fmpr_selector))
-        rsel = (role in (MprRole.ROUTING, MprRole.FLOOD_ROUTE)
-                or (keep and lt.rmpr_selector))
-        new = LinkTuple(
-            moip, sym_time, heard_time, max(heard_time + htime, validity),
-            lt.fmpr, lt.rmpr, fsel, rsel, lt.in_metric,
-            msg.in_metrics.get(ip, lt.out_metric))
-        self.ls[moip] = new
+        keep = st is not _SYMMETRIC
+        fsel = role in _FLOODING or (keep and old_fsel)
+        rsel = role in _ROUTING or (keep and old_rsel)
+        out = msg.in_metrics.get(ip, old_out)
+        self.ls[moip] = _link((moip, sym_time, heard_time, validity,
+                               fmpr, rmpr, fsel, rsel, lt_in, out))
         # a pass reads a link's status only as "SYMMETRIC or not", and
         # its out_metric only while it is SYMMETRIC; a created tuple
-        # starts out LOST with no flags and an infinite out_metric
-        status = new.status(now)
-        sym = status == Status.SYMMETRIC
-        old_status = lt.status(now)
-        dirty = (sym != (old_status == Status.SYMMETRIC)
-                 or fsel != lt.fmpr_selector or rsel != lt.rmpr_selector
-                 or (sym and new.out_metric != lt.out_metric)
-                 or new.validity_time <= now)
+        # starts out LOST with no flags and an infinite out_metric.
+        # Statuses as LinkTuple.status reads them.
+        sym, was_sym = sym_time > now, old_sym > now
+        dirty = (sym != was_sym or fsel != old_fsel or rsel != old_rsel
+                 or (sym and out != old_out) or validity <= now)
         # what this router's next HELLO says of the link
-        if (created or status != old_status
-                or new.out_metric != lt.out_metric):
+        if (created or sym != was_sym or out != old_out
+                or (not sym and (heard_time > now) != (old_heard > now))):
             self._hello_stale = True
-        written = [sym_time, heard_time, new.validity_time]
-        if sym_time > now:
+        # the smallest written time still ahead; sym_time <= heard_time
+        nxt = self._next_expiry
+        t = sym_time if sym else heard_time
+        if now < t < nxt:
+            nxt = t
+        if now < validity < nxt:
+            nxt = validity
+        if sym:
+            # a 2-hop tuple is read by index: n2[2:] is its validity
+            # time, in_metric and out_metric
             ths = self.twohop_set
+            vt = now + vtime
             walked = self._walked.get(moip)
             if walked is not None and walked[0] is msg:
                 # a repeat: the other tuples it names hold its metrics
-                vt = now + vtime
                 for x in walked[1]:
-                    n2 = ths.get((moip, x))
+                    key = (moip, x)
+                    n2 = ths.get(key)
                     if n2 is None:  # purged since: re-create it
                         dirty = True
-                        ths[(moip, x)] = TwoHopTuple(
+                        ths[key] = _two_hop((
                             moip, x, vt, msg.in_metrics.get(x, INF),
-                            msg.out_metrics.get(x, INF))
+                            msg.out_metrics.get(x, INF)))
                     else:
-                        ths[(moip, x)] = TwoHopTuple(
-                            moip, x, vt, n2.in_metric, n2.out_metric)
-                if walked[1]:
-                    written.append(vt)
+                        ths[key] = _two_hop((moip, x, vt, n2[3], n2[4]))
+                if walked[1] and now < vt < nxt:
+                    nxt = vt
             else:
                 listed = []
+                statuses, ins, outs = (msg.statuses, msg.in_metrics,
+                                       msg.out_metrics)
                 # every address the HELLO names, in message order
-                for x in {**msg.statuses, **msg.in_metrics,
-                          **msg.out_metrics}:
-                    listed_sym = (x != ip and msg.statuses.get(x)
-                                  == Status.SYMMETRIC)
-                    n2 = ths.get((moip, x))
+                for x in {**statuses, **ins, **outs}:
+                    listed_sym = x != ip and statuses.get(x) is _SYMMETRIC
+                    key = (moip, x)
+                    n2 = ths.get(key)
                     if n2 is None:
                         if not listed_sym:
                             continue
                         dirty = True
-                        n2 = TwoHopTuple(moip, x, NEG_INF, INF, INF)
+                        n2 = (moip, x, NEG_INF, INF, INF)
                     if listed_sym:
                         listed.append(x)
-                    new2 = TwoHopTuple(
-                        moip, x,
-                        now + vtime if listed_sym else n2.validity_time,
-                        msg.in_metrics.get(x, n2.in_metric),
-                        msg.out_metrics.get(x, n2.out_metric))
-                    ths[(moip, x)] = new2
-                    dirty = dirty or (new2.in_metric != n2.in_metric
-                                      or new2.out_metric != n2.out_metric)
-                    written.append(new2.validity_time)
+                        t = vt
+                    else:
+                        t = n2[2]
+                    m_in, m_out = ins.get(x, n2[3]), outs.get(x, n2[4])
+                    ths[key] = _two_hop((moip, x, t, m_in, m_out))
+                    dirty = dirty or m_in != n2[3] or m_out != n2[4]
+                    if now < t < nxt:
+                        nxt = t
                 self._walked[moip] = (msg, listed)
         if dirty:
             self._dirty = True
         else:
             # only times moved: nothing is pending until one is reached
-            for t in written:
-                if now < t < self._next_expiry:
-                    self._next_expiry = t
+            self._next_expiry = nxt
 
     def process_tc(self, msg: Tc) -> None:
         """Process a TC, then forward it; each step at most once per
@@ -489,6 +509,12 @@ class Router:
         Both logs take the one (originator, seq) key built here, and the
         copy is built here too: msg with us as sender, sharing its dests.
 
+        A TC whose dests is the stored entry's source, the map its rows
+        were taken from, is a refresh: it is stored inline as the new
+        validity time and ansn with the same rows, as
+        update_router_topology would store it, and it marks nothing.
+        Any other accepted TC goes through update_router_topology.
+
         A copy already in rxs returns at once, before the sender's link
         is read, and writes nothing: rxs is a subset of ps. A key
         enters rxs only in the forward step, which is reached only with
@@ -499,45 +525,50 @@ class Router:
         """
         if not isinstance(msg, Tc):
             raise TypeError("process_tc requires a TC message")
-        moip, seq = msg.originator, msg.seq
-        if moip == self.ip:
+        moip, sender, validity, seq, ansn, dests = msg
+        ip = self.ip
+        if moip == ip:
             return  # own message echoed back; drop without forwarding
         key = (moip, seq)
         if key in self.rxs:
             return
         now = self.now
-        sender_lt = self.ls.get(msg.sender)
+        sender_lt = self.ls.get(sender)
         # SYMMETRIC, as LinkTuple.status reads it
         sender_sym = (sender_lt is not None
                       and sender_lt.symmetric_time > now)
         if ((sender_sym or self.process_tc_from_unknown)
                 and key not in self.ps):
             self.ps.add(key)
-            entry = self.rts.get(moip)
+            rts = self.rts
+            entry = rts.get(moip)
             # a known newer advertisement makes the content out of date
-            if entry is None or entry[1] <= msg.ansn:
-                changed = topology.update_router_topology(
-                    self.ip, self.rts, moip, msg.ansn, msg.validity,
-                    msg.dests, now)
-                if changed:
-                    self._topology_dirty = True
-                if changed or entry is None:
-                    # the stored row enters the live universe, and
-                    # _changed keeps the row it had at the last pass
-                    edges = self._edges
-                    self._changed.setdefault(moip, edges.get(moip))
-                    edges[moip] = self.rts[moip][2]
+            if entry is None or entry[1] <= ansn:
+                vt = now + validity
+                if entry is not None and entry[3] is dests:
+                    # the map the stored row was made from: a refresh,
+                    # stored as update_router_topology would store it
+                    rts[moip] = (vt, ansn, entry[2], dests)
+                else:
+                    changed = topology.update_router_topology(
+                        ip, rts, moip, ansn, validity, dests, now)
+                    if changed:
+                        self._topology_dirty = True
+                    if changed or entry is None:
+                        # the stored row enters the live universe, and
+                        # _changed keeps the row it had at the last pass
+                        edges = self._edges
+                        self._changed.setdefault(moip, edges.get(moip))
+                        edges[moip] = rts[moip][2]
                 # the rows' new validity time may come before every
                 # stored one
-                vt = now + msg.validity
                 if vt < self._next_expiry:
                     self._next_expiry = vt
         if not sender_sym:
             return
         self.rxs.add(key)
         if self.flood_all or sender_lt.fmpr_selector:
-            fwd = _tc((moip, self.ip, msg.validity, seq, msg.ansn,
-                       msg.dests))
+            fwd = _tc((moip, ip, validity, seq, ansn, dests))
             self.pkt.append(fwd)
             self.send_time = now + 1
             self.trace("TC_FWD", fwd)
@@ -558,7 +589,11 @@ class Router:
         the step drains the queue taken at its start, with a pass after
         each message that marked one, then generates. It asks
         _maintenance_due() only once the dirty bit is set or now has
-        reached _next_expiry.
+        reached _next_expiry, and it calls _maybe_generate() only when
+        one of its guards can hold: now has reached _hello_fire or
+        _tc_fire, or a broadcast is due at now + 1 (the piggyback).
+        Each of _maybe_generate's branches needs one of the three, so
+        the skip is exact.
         """
         if ((self._dirty or self.now >= self._next_expiry)
                 and self._maintenance_due()):
@@ -582,7 +617,10 @@ class Router:
                     self.run_update_info()
                 elif self._topology_dirty:
                     self.run_topology_update()
-        self._maybe_generate()
+        now = self.now
+        if (now >= self._hello_fire or now >= self._tc_fire
+                or self.send_time == now + 1):
+            self._maybe_generate()
         return None
 
     def _maybe_generate(self) -> None:

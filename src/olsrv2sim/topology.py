@@ -1,17 +1,19 @@
 """Topology information base and routing-set computation.
 
 Routing sets are maps dest -> Route. A router topology set is a map
-from_oip -> (validity_time, ansn, {dest_oip: metric}): it holds both
-RFC 7181 sets, the advertising remote routers and their topology rows,
-since a TC replaces all of its originator's rows and its ansn at once
-and gives them one validity time. So the set is held by originator, an
-accepted TC that carries the stored map again costs O(1), any other
-O(|advertised set|), and a purge O(#originators). An
+from_oip -> (validity_time, ansn, {dest_oip: metric}, source): it
+holds both RFC 7181 sets, the advertising remote routers and their
+topology rows, since a TC replaces all of its originator's rows and its
+ansn at once and gives them one validity time. source is the TC map
+the rows were taken from: the rows are source without the receiver,
+and source itself unless it names the receiver. Messages' maps are
+never mutated, so an accepted TC that carries source again only
+refreshes, which a router stores in O(1) (Router.process_tc); any
+other costs O(|advertised set|), and a purge O(#originators). An
 originator that advertises nothing but the receiver still has an
 entry, with an empty row map, so its ansn is remembered. The update
 and purge functions change the set they are given in place; a stored
-row map is never mutated, and it is the TC's own map unless that map
-names the receiver. Route is an immutable NamedTuple.
+row map is never mutated. Route is an immutable NamedTuple.
 
 Optimality of a routing set is defined over the link universe known to
 one router: its own symmetric links plus every advertised topology row.
@@ -40,7 +42,9 @@ from typing import AbstractSet, FrozenSet, NamedTuple, Optional
 from .messages import (INF, Metric, NodeId, Sqn, TimeValue,
                        render_metric)
 
-TrSet = dict      # dict[NodeId, tuple[TimeValue, Sqn, dict[NodeId, Metric]]]
+# dict[NodeId, tuple[TimeValue, Sqn, rows, source]], rows and source
+# both dict[NodeId, Metric]
+TrSet = dict
 RoutingSet = dict  # dict[NodeId, Route]
 
 
@@ -59,14 +63,15 @@ def update_router_topology(ip: NodeId, rts: TrSet, moip: NodeId,
     metric) rows changed; False means the message only refreshed their
     validity time and ansn. Messages' maps are never mutated, so dests
     itself becomes the stored row unless it names ip: then a refresh
-    keeps the stored row and a change stores a copy without ip.
+    keeps the stored row and a change stores a copy without ip. Either
+    way dests becomes the entry's source. Given its stored source again
+    this compares rows as for any other map; Router.process_tc stores
+    such a TC itself, as the refresh this would find.
     """
     entry = rts.get(moip)
     old = {} if entry is None else entry[2]
     row = dests
-    if old is dests:
-        changed = False
-    elif ip not in dests:
+    if ip not in dests:
         changed = old != dests
     else:
         # a stored row never holds ip, so it equals dests minus ip
@@ -75,13 +80,13 @@ def update_router_topology(ip: NodeId, rts: TrSet, moip: NodeId,
                    or not old.items() <= dests.items())
         row = ({d: m for d, m in dests.items() if d != ip} if changed
                else old)
-    rts[moip] = (now + vtime, mansn, row)
+    rts[moip] = (now + vtime, mansn, row, dests)
     return changed
 
 
 def purge_router_topology(rts: TrSet, now: TimeValue) -> list:
     """Drop every originator whose entry expired; return them."""
-    gone = [oip for oip, (vt, _, _) in rts.items() if vt <= now]
+    gone = [oip for oip, (vt, _, _, _) in rts.items() if vt <= now]
     for oip in gone:
         del rts[oip]
     return gone
@@ -119,7 +124,7 @@ def link_universe(ip: NodeId, ls: dict, rts: TrSet,
     unreachable. rts never holds rows of ip itself (process_tc drops
     own TCs).
     """
-    edges = {src: dests for src, (_, _, dests) in rts.items()}
+    edges = {src: entry[2] for src, entry in rts.items()}
     edges[ip] = own_row(ls, now)
     return edges
 

@@ -39,6 +39,12 @@ one the last pass proved, not with the live one.
 Every forwarded TC copy leaves its (originator, seq) in the router's
 received log, so that no copy of it is forwarded again.
 
+A step that returns no packet leaves nothing to generate, whether or
+not it entered generation (Router.step_main enters it only when one of
+its guards can hold): now has reached neither fire tick, and if a
+broadcast is due at the next tick, neither generation window is open
+for a piggyback.
+
 The two HELLO shortcuts are held to the full computation too:
 
 - whenever generation (Router._maybe_generate()) sends the last HELLO
@@ -89,6 +95,17 @@ def oracle_mode(monkeypatch):
             f"router {self.ip} at t={self.now}: pass skipped while"
             f" updates_pending() holds, {where}")
 
+    def assert_nothing_to_generate(self):
+        now, cfg = self.now, self.cfg
+        where = f"router {self.ip} at t={now}: a step left"
+        assert now < self._hello_fire and now < self._tc_fire, (
+            f"{where} a fire tick reached")
+        if self.send_time == now + 1:
+            assert (now < self.hello_time - cfg.hp_maxjitter
+                    and now < self.tc_time - cfg.tp_maxjitter), (
+                f"{where} a generation window open with a broadcast due"
+                " at the next tick")
+
     def checked_step(self):
         in_step.append(self)
         full = seen[True]
@@ -98,6 +115,8 @@ def oracle_mode(monkeypatch):
             in_step.pop()
         if seen[True] == full:
             seen[False] += 1
+        if out is None:
+            assert_nothing_to_generate(self)
         # generation writes nothing the predicate reads, so this is
         # also the check on entry to _maybe_generate()
         assert_consistent(self, "at the end of the step")
@@ -183,7 +202,7 @@ def oracle_mode(monkeypatch):
         if in_full_pass:
             run_topology(self)
             return
-        expired = sorted(o for o, (vt, _, _) in self.rts.items()
+        expired = sorted(o for o, (vt, _, _, _) in self.rts.items()
                          if vt <= self.now)
         assert not expired, (
             f"router {self.ip} at t={self.now}: a topology-only pass"

@@ -15,7 +15,7 @@ import random
 
 from olsrv2sim import topology
 from olsrv2sim.cli import Scenario
-from olsrv2sim.messages import INF, Status
+from olsrv2sim.messages import INF, NEG_INF, MprRole, Status
 from olsrv2sim.neighborhood import LinkTuple, TwoHopTuple
 
 
@@ -338,6 +338,104 @@ def full_hello_receipt(router, process_hello, msg, in_metric):
     ref._walked = {}
     process_hello(ref, msg, in_metric)
     return hello_receipt_state(ref)
+
+
+# ---------------------------------------------------------------------------
+# A HELLO receipt, as the library wrote it before its fast path
+# ---------------------------------------------------------------------------
+
+def ref_hello_receipt(router, msg, in_metric):
+    """Apply msg to router as Router.process_hello did before it read
+    statuses off the stored times and folded the written times into
+    one running minimum: through LinkTuple.status and the NamedTuple
+    constructors, with the written times collected in a list. Unlike
+    the rest of this module this is the library's earlier code, kept
+    whole, repeat walk included, so that a defect in the receipt's
+    shared link-tuple part shows as a difference from it."""
+    now, ip, vtime = router.now, router.ip, msg.validity
+    htime = router.cfg.l_hold_time
+    moip = msg.originator
+    lt = router.ls.get(moip)
+    created = lt is None
+    if created:
+        lt = LinkTuple(moip, NEG_INF, NEG_INF, now + vtime,
+                       False, False, False, False, in_metric, INF)
+    sym_time, validity = lt.symmetric_time, lt.validity_time
+    st = msg.statuses.get(ip)
+    if st is not None and st != Status.LOST:
+        sym_time = now + vtime
+    elif st == Status.LOST and sym_time > now:
+        sym_time, validity = NEG_INF, now + htime
+    heard_time = max(now + vtime, sym_time)
+    role = msg.mprs.get(ip)
+    keep = st != Status.SYMMETRIC
+    fsel = (role in (MprRole.FLOODING, MprRole.FLOOD_ROUTE)
+            or (keep and lt.fmpr_selector))
+    rsel = (role in (MprRole.ROUTING, MprRole.FLOOD_ROUTE)
+            or (keep and lt.rmpr_selector))
+    new = LinkTuple(
+        moip, sym_time, heard_time, max(heard_time + htime, validity),
+        lt.fmpr, lt.rmpr, fsel, rsel, lt.in_metric,
+        msg.in_metrics.get(ip, lt.out_metric))
+    router.ls[moip] = new
+    status = new.status(now)
+    sym = status == Status.SYMMETRIC
+    old_status = lt.status(now)
+    dirty = (sym != (old_status == Status.SYMMETRIC)
+             or fsel != lt.fmpr_selector or rsel != lt.rmpr_selector
+             or (sym and new.out_metric != lt.out_metric)
+             or new.validity_time <= now)
+    if (created or status != old_status
+            or new.out_metric != lt.out_metric):
+        router._hello_stale = True
+    written = [sym_time, heard_time, new.validity_time]
+    if sym_time > now:
+        ths = router.twohop_set
+        walked = router._walked.get(moip)
+        if walked is not None and walked[0] is msg:
+            vt = now + vtime
+            for x in walked[1]:
+                n2 = ths.get((moip, x))
+                if n2 is None:
+                    dirty = True
+                    ths[(moip, x)] = TwoHopTuple(
+                        moip, x, vt, msg.in_metrics.get(x, INF),
+                        msg.out_metrics.get(x, INF))
+                else:
+                    ths[(moip, x)] = TwoHopTuple(
+                        moip, x, vt, n2.in_metric, n2.out_metric)
+            if walked[1]:
+                written.append(vt)
+        else:
+            listed = []
+            for x in {**msg.statuses, **msg.in_metrics,
+                      **msg.out_metrics}:
+                listed_sym = (x != ip and msg.statuses.get(x)
+                              == Status.SYMMETRIC)
+                n2 = ths.get((moip, x))
+                if n2 is None:
+                    if not listed_sym:
+                        continue
+                    dirty = True
+                    n2 = TwoHopTuple(moip, x, NEG_INF, INF, INF)
+                if listed_sym:
+                    listed.append(x)
+                new2 = TwoHopTuple(
+                    moip, x,
+                    now + vtime if listed_sym else n2.validity_time,
+                    msg.in_metrics.get(x, n2.in_metric),
+                    msg.out_metrics.get(x, n2.out_metric))
+                ths[(moip, x)] = new2
+                dirty = dirty or (new2.in_metric != n2.in_metric
+                                  or new2.out_metric != n2.out_metric)
+                written.append(new2.validity_time)
+            router._walked[moip] = (msg, listed)
+    if dirty:
+        router._dirty = True
+    else:
+        for t in written:
+            if now < t < router._next_expiry:
+                router._next_expiry = t
 
 
 # ---------------------------------------------------------------------------

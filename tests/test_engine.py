@@ -5,13 +5,16 @@ The central test here checks updates_pending() against a literal
 re-composition of its seven conditions (oracles.ref_updates_pending)
 on several hundred randomized router states.
 """
+import copy
 import dataclasses
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from olsrv2sim import neighborhood
+from olsrv2sim import neighborhood, topology
 from olsrv2sim.engine import (ConfigError, EngineDiagnostic, Router,
                               RouterConfig, init_router, validate_config)
 from olsrv2sim.messages import (INF, NEG_INF, Hello, MprRole, Status, Tc,
@@ -113,7 +116,7 @@ def scramble(rng, r):
                  if dst != oip and rng.random() < 0.2}
         # an originator may also be known with no rows at all
         if dests or rng.random() < 0.4:
-            r.rts[oip] = (now + rng.randint(-5, 40), ansn, dests)
+            r.rts[oip] = (now + rng.randint(-5, 40), ansn, dests, dests)
     pick = rng.random()
     if pick < 0.4:
         r.rs = choose_optimal(r.ip, link_universe(r.ip, r.ls, r.rts, now))
@@ -189,7 +192,8 @@ def slack_router():
     r.ls = {"b": sym("b", now=100), "c": sym("c", now=100)}
     r.process_tc(tc("b", "b", dests={"d": 1}))
     r.process_tc(tc("c", "c", dests={"d": 5}))
-    assert r.rts == {"b": (140, 0, {"d": 1}), "c": (140, 0, {"d": 5})}
+    assert r.rts == {"b": (140, 0, {"d": 1}, {"d": 1}),
+                     "c": (140, 0, {"d": 5}, {"d": 5})}
     r.run_update_info()
     assert r.rs["d"] == Route("d", "b", 2)
     return r
@@ -202,7 +206,7 @@ def test_routing_set_mutated_after_a_pass_is_rechosen():
     r.rs["d"] = Route("d", "b", 7)  # wrong metric
     # the slack row c -> d, longer
     r.process_tc(tc("c", "c", seq=1, dests={"d": 6}))
-    assert r.rts["c"] == (140, 0, {"d": 6}) and r._topology_dirty
+    assert r.rts["c"] == (140, 0, {"d": 6}, {"d": 6}) and r._topology_dirty
     r.run_topology_update()
     assert r.rs == choose_optimal("a", link_universe("a", r.ls, r.rts, 100))
     assert r.rs["d"] == Route("d", "b", 2)
@@ -326,6 +330,90 @@ def test_hello_rejects_bad_arguments():
         r.process_hello(Tc("b", "b", 1, 0, 0, {}), 1)
 
 
+# a receives HELLOs from b, c and d; they can name each other, 2-hop x
+# and y, and a itself
+SENDERS = ("b", "c", "d")
+LISTED = st.sampled_from(("a", "b", "c", "d", "x", "y"))
+METRICS = st.one_of(st.integers(1, 9), st.just(INF))
+# stored times around now = 100: passed, reached, ahead, or never set
+TIMES = st.one_of(st.just(NEG_INF), st.integers(95, 125))
+
+
+@st.composite
+def hello_states(draw):
+    """A receiver's link and 2-hop sets, l_hold_time, HELLO stale mark
+    and next expiry, and the HELLOs it receives: (HELLO, measured
+    metric, ticks before it, a 2-hop key purged before it)."""
+    ls = {}
+    for oip in draw(st.lists(st.sampled_from(SENDERS), unique=True)):
+        ls[oip] = LinkTuple(oip, draw(TIMES), draw(TIMES),
+                            draw(st.integers(95, 140)),
+                            *draw(st.tuples(*[st.booleans()] * 4)),
+                            draw(st.integers(1, 9)), draw(METRICS))
+    ths = {}
+    for key in draw(st.lists(st.tuples(st.sampled_from(SENDERS), LISTED),
+                             unique=True, max_size=6)):
+        ths[key] = TwoHopTuple(*key, draw(st.integers(95, 140)),
+                               draw(METRICS), draw(METRICS))
+    hellos = draw(st.lists(st.builds(
+        Hello, st.sampled_from(SENDERS), st.integers(1, 20),
+        st.dictionaries(LISTED, st.sampled_from(list(Status))),
+        st.dictionaries(LISTED, st.sampled_from(list(MprRole)),
+                        max_size=2),
+        st.dictionaries(LISTED, METRICS), st.dictionaries(LISTED, METRICS)),
+        min_size=1, max_size=3))
+    # receipts draw from a few HELLO objects, so one arrives again
+    receipts = draw(st.lists(st.tuples(
+        st.sampled_from(hellos), st.integers(1, 9), st.integers(0, 6),
+        st.one_of(st.none(), st.tuples(st.sampled_from(SENDERS), LISTED))),
+        min_size=1, max_size=6))
+    return (ls, ths, draw(st.integers(0, 10)), draw(st.booleans()),
+            draw(st.one_of(st.just(INF), st.integers(101, 140))), receipts)
+
+
+def hello_receipt_view(r):
+    """What a HELLO receipt may write, in iteration order; a walked
+    HELLO by identity."""
+    return (*oracles.hello_receipt_state(r), r._hello_stale,
+            [(o, id(m), names) for o, (m, names) in r._walked.items()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(hello_states())
+def test_hello_receipt_matches_the_reference(state):
+    """process_hello leaves the link set, the 2-hop set (key order
+    included), the dirty bit, the next expiry, the HELLO's stale mark and
+    the walked HELLOs exactly as oracles.ref_hello_receipt does: over
+    created tuples, LOST downgrades, selector withdrawals, INF metrics,
+    repeat receipts and 2-hop tuples purged between receipts.
+
+    Between receipts both routers keep what a step keeps, which the
+    suite's repeat-receipt oracle relies on: no receipt starts dirty,
+    and the next expiry is no later than any stored time still ahead.
+    """
+    ls, ths, htime, stale, expiry, receipts = state
+    routers = []
+    for _ in range(2):
+        r = Router(cfg("a", l_hold_time=htime), jitter_rng=random.Random(0),
+                   start_time=100)
+        r.ls, r.twohop_set = dict(ls), dict(ths)
+        r._dirty, r._hello_stale = False, stale
+        r._next_expiry = min(expiry, r._expiry_after(100))
+        routers.append(r)
+    r, ref = routers
+    for msg, metric, dt, purged in receipts:
+        for router in routers:
+            if router._dirty:   # as the pass after a dirty receipt leaves it
+                router._dirty = False
+                router._next_expiry = router._expiry_after(router.now)
+            router.now += dt
+            router.twohop_set.pop(purged, None)
+        r.process_hello(msg, metric)
+        oracles.ref_hello_receipt(ref, msg, metric)
+        assert hello_receipt_view(r) == hello_receipt_view(ref), (
+            f"{msg} at t={r.now}")
+
+
 # --- TC pipeline ---------------------------------------------------------------
 
 def tc(originator="x", sender="b", vt=40, seq=0, ansn=0, dests=None):
@@ -335,7 +423,8 @@ def tc(originator="x", sender="b", vt=40, seq=0, ansn=0, dests=None):
 
 def rows(r):
     """The (originator, destination) pairs of r's router topology set."""
-    return {(oip, d) for oip, (_, _, dests) in r.rts.items() for d in dests}
+    return {(oip, d) for oip, (_, _, dests, _) in r.rts.items()
+            for d in dests}
 
 
 def symmetric_selector_router(ip="a"):
@@ -347,7 +436,8 @@ def symmetric_selector_router(ip="a"):
 def test_tc_fresh_message_stored_and_forwarded():
     r = symmetric_selector_router()
     r.process_tc(tc(dests={"y": 3, "a": 9}))
-    assert r.rts == {"x": (r.now + 40, 0, {"y": 3})}   # rows about self skipped
+    # rows about self skipped, and the map they came from kept
+    assert r.rts == {"x": (r.now + 40, 0, {"y": 3}, {"y": 3, "a": 9})}
     assert r.ps == {("x", 0)} and r.rxs == {("x", 0)}
     assert len(r.pkt) == 1
     fwd = r.pkt[0]
@@ -440,6 +530,52 @@ def test_tc_equal_ansn_refreshes_content():
     r.process_tc(tc(seq=1, ansn=5, dests={"y": 3}))
     r.process_tc(tc(seq=2, ansn=5, dests={"z": 8}))
     assert rows(r) == {("x", "z")}
+
+
+def tc_refresh_view(r):
+    """What a TC's process step may write, in iteration order."""
+    return (list(r.rts.items()), list(r._edges.items()),
+            list(r._changed.items()), r._topology_dirty, r._next_expiry)
+
+
+@pytest.mark.parametrize("dests", [{"y": 3}, {"y": 3, "a": 9}],
+                         ids=["stored-map", "names-the-receiver"])
+def test_tc_refresh_is_stored_inline_as_the_full_update_stores_it(
+        dests, monkeypatch):
+    """A TC that carries the map x's stored rows came from, the row
+    itself or the map it was filtered from when it names a, is stored
+    inline with no call to update_router_topology. It leaves rts, the
+    live universe, the changed rows, the topology mark and the next
+    expiry as that call's path leaves them on a copy of the router
+    whose stored entry came from an equal map that is not dests."""
+    r = symmetric_selector_router()
+    r.process_tc(tc(dests=dests))
+    r.run_update_info()
+    row = r.rts["x"][2]
+    # another originator's new rows: a change a refresh must keep
+    r.process_tc(tc("z", seq=0, dests={"y": 1}))
+    assert r._changed and r._topology_dirty
+    r.now += 5
+    calls = []
+    update = topology.update_router_topology
+    monkeypatch.setattr(topology, "update_router_topology",
+                        lambda *args: calls.append(args[2]) or update(*args))
+    ref = copy.copy(r)
+    ref.rts, ref._edges, ref._changed = (dict(r.rts), dict(r._edges),
+                                         dict(r._changed))
+    ref.ps, ref.rxs, ref.pkt = set(r.ps), set(r.rxs), list(r.pkt)
+    vt, ansn, stored, _ = r.rts["x"]
+    ref.rts["x"] = (vt, ansn, stored, dict(dests))
+    # the same map again, with a new ansn and a shorter validity
+    msg = tc(vt=10, seq=1, ansn=1, dests=dests)
+    r.process_tc(msg)
+    assert calls == []
+    ref.process_tc(msg)
+    assert calls == ["x"]
+    assert tc_refresh_view(r) == tc_refresh_view(ref)
+    assert r.rts["x"] == (r.now + 10, 1, {"y": 3}, dests)
+    assert r.rts["x"][2] is row and r.rts["x"][3] is dests
+    assert r._next_expiry == r.now + 10
 
 
 def test_tc_forwarding_gates():
@@ -720,13 +856,13 @@ def test_tc_refresh_with_shorter_validity_purges_on_time():
                            1, 1)}
     r.enqueue_delivery([Tc("b", "b", 40, 0, 0, {"c": 3})], 1)
     r.step_main()
-    assert r.rts["b"] == (140, 0, {"c": 3}) and "c" in r.rs
+    assert r.rts["b"] == (140, 0, {"c": 3}, {"c": 3}) and "c" in r.rs
     # identical rows, shorter validity: nothing to recompute, but the
     # rows now expire at 120 instead of 140
     r.now = 110
     r.enqueue_delivery([Tc("b", "b", 10, 1, 0, {"c": 3})], 1)
     r.step_main()
-    assert r.rts["b"] == (120, 0, {"c": 3})
+    assert r.rts["b"] == (120, 0, {"c": 3}, {"c": 3})
     for now in range(111, 125):
         r.now = now
         r.step_main()
@@ -744,16 +880,16 @@ def test_tc_naming_only_the_receiver_keeps_its_ansn_until_expiry():
                            1, 1)}
     r.enqueue_delivery([Tc("b", "b", 40, 0, 5, {"a": 2})], 1)
     r.step_main()
-    assert r.rts == {"b": (140, 5, {})}
+    assert r.rts == {"b": (140, 5, {}, {"a": 2})}
     assert r._expiry_after(r.now) == 140
     r.now = 139
     r.enqueue_delivery([Tc("b", "b", 40, 1, 4, {"c": 3})], 1)
     r.step_main()
-    assert r.rts == {"b": (140, 5, {})} and "c" not in r.rs
+    assert r.rts == {"b": (140, 5, {}, {"a": 2})} and "c" not in r.rs
     r.now = 140
     r.enqueue_delivery([Tc("b", "b", 40, 2, 4, {"c": 3})], 1)
     r.step_main()
-    assert r.rts == {"b": (180, 4, {"c": 3})} and "c" in r.rs
+    assert r.rts == {"b": (180, 4, {"c": 3}, {"c": 3})} and "c" in r.rs
     assert r.ps == {("b", 0), ("b", 1), ("b", 2)}
 
 

@@ -32,9 +32,11 @@ def sym_link(oip, out_m, sym_time=NOW + 10):
                      False, False, 1, out_m)
 
 
-def rows(dests, vt=NOW + 50, ansn=0):
-    """One originator's entry in a router topology set."""
-    return (vt, ansn, dict(dests))
+def rows(dests, vt=NOW + 50, ansn=0, source=None):
+    """One originator's entry in a router topology set: its rows and the
+    TC map they came from, by default a map equal to the rows."""
+    row = dict(dests)
+    return (vt, ansn, row, row if source is None else source)
 
 
 # --- information-base updates ----------------------------------------------
@@ -54,7 +56,8 @@ def test_update_router_topology_replaces_all_rows_of_originator():
     assert update_router_topology("me", rts, "b", mansn=0, vtime=30,
                                   dests={"y": 5, "me": 1}, now=NOW)
     # b's old rows are gone, rows about me are never stored
-    assert rts == {"b": rows({"y": 5}, NOW + 30), "c": rows({"x": 2})}
+    assert rts == {"b": rows({"y": 5}, NOW + 30, source={"y": 5, "me": 1}),
+                   "c": rows({"x": 2})}
     # the same rows again only refresh the validity time
     assert not update_router_topology("me", rts, "b", mansn=0, vtime=10,
                                       dests={"y": 5}, now=NOW + 1)
@@ -68,7 +71,7 @@ def test_update_router_topology_replaces_all_rows_of_originator():
     assert not update_router_topology("me", rts, "d", mansn=2, vtime=10,
                                       dests={"me": 1}, now=NOW + 1)
     assert rts == {"b": rows({}, NOW + 11), "c": rows({"x": 2}),
-                   "d": rows({}, NOW + 11, ansn=2)}
+                   "d": rows({}, NOW + 11, ansn=2, source={"me": 1})}
 
 
 VERDICTS = [
@@ -94,7 +97,8 @@ def test_update_router_topology_verdict(stored, dests, changed, after):
     got = update_router_topology("me", rts, "b", mansn=7, vtime=30,
                                  dests=dests, now=NOW)
     assert got is changed
-    assert rts["b"] == rows(after or {}, NOW + 30, ansn=7)
+    assert rts["b"] == rows(after or {}, NOW + 30, ansn=7, source=dests)
+    assert rts["b"][3] is dests
     assert rts["c"] == rows({"x": 2})
     row = rts["b"][2]
     if "me" not in dests:
@@ -145,7 +149,7 @@ def test_link_universe_rules():
     assert edges == {"me": {"b": 9}, "b": {"x": 4, "w": INF},
                      "x": {"x": 1}, "z": {"z": 1}, "q": {"w": INF}, "e": {}}
     # the rows are rts's own maps, shared and not copied
-    assert all(edges[o] is dests for o, (_, _, dests) in rts.items())
+    assert all(edges[o] is dests for o, (_, _, dests, _) in rts.items())
     # infinite rows, self loops and the excluded own links yield no route
     assert _dijkstra(edges, "me") == {"me": 0, "b": 9, "x": 13}
     rs = choose_optimal("me", edges)
@@ -178,10 +182,10 @@ def test_topology_rows_are_replaced_never_mutated():
     assert rts["b"][2] is third
     assert first == {"x": 1} and edges == {"b": {"x": 1}, "me": {}}
     assert link_universe("me", {}, rts, NOW)["b"] is third
-    # the same map again is a refresh found by identity
+    # the same map again is a refresh that keeps it
     assert not update_router_topology("me", rts, "b", mansn=0, vtime=30,
                                       dests=third, now=NOW + 3)
-    assert rts["b"] == (NOW + 33, 0, third) and rts["b"][2] is third
+    assert rts["b"] == (NOW + 33, 0, third, third) and rts["b"][2] is third
     assert third == {"x": 2, "y": 1}
 
 
@@ -638,8 +642,10 @@ def test_one_topology_set_matches_the_two_sets(tcs):
         if accepted and "me" not in dests:
             assert r.rts[moip][2] is dests
         assert r.rts.keys() == ref.arrs.keys()
-        for oip, (vt, stored_ansn, row) in r.rts.items():
+        for oip, (vt, stored_ansn, row, source) in r.rts.items():
             assert (stored_ansn, vt) == ref.arrs[oip]
+            # the rows are the map they came from without the receiver
+            assert row == {d: m for d, m in source.items() if d != "me"}
             assert (vt, row) == ref.rts.get(oip, (vt, {}))
         got = _dijkstra(link_universe("me", r.ls, r.rts, now), "me")
         want = oracles.simple_path_dists(ref.edges(own), "me")
