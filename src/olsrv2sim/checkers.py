@@ -6,6 +6,7 @@ for the three built-in demos live here as plain scenario text.
 """
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Optional
 
@@ -132,15 +133,21 @@ def run_to_convergence(net: Network, window: int,
     """
     last_change = None
     scanned = 0
-    while net.clock < budget:
-        net.tick()
-        for ev in net.trace[scanned:]:
-            if ev.kind == "ROUTE_CHANGE":
-                last_change = ev.tick
-        scanned = len(net.trace)
-        if last_change is not None and net.clock >= last_change + window:
-            break
-    return detect_convergence(net.trace, window, net.clock)
+    enabled = gc.isenabled()
+    gc.disable()  # as Network.run: the slice below allocates between ticks
+    try:
+        while net.clock < budget:
+            net.tick()
+            for ev in net.trace[scanned:]:
+                if ev.kind == "ROUTE_CHANGE":
+                    last_change = ev.tick
+            scanned = len(net.trace)
+            if last_change is not None and net.clock >= last_change + window:
+                break
+        return detect_convergence(net.trace, window, net.clock)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

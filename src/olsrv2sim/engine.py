@@ -99,24 +99,24 @@ from functools import partial
 from typing import Callable, Optional
 
 from . import neighborhood, topology
-from .messages import (INF, NEG_INF, Hello, MprRole, NodeId, Packet,
-                       Status, Tc, TimeValue, make_hello, make_tc)
+from .messages import (FLOOD_ROUTE, FLOODING, INF, LOST, NEG_INF, ROUTING,
+                       SYMMETRIC, Hello, NodeId, Packet, Tc, TimeValue,
+                       make_hello, make_tc)
 # unused here; bound for the benchmark's tracer, which wraps it by name
 from .messages import render_message  # noqa: F401
 from .neighborhood import LinkSet, LinkTuple, TwoHopSet, TwoHopTuple
 from .topology import RoutingSet
 
-# A forwarded Tc from a tuple of all six fields, built in C: NamedTuple's
-# generated __new__ runs Python code, once per forwarded copy.
+# A Tc from a tuple of all six fields, built in C: NamedTuple's generated
+# __new__ and _replace run Python code, once per forwarded copy or TC
+# that carries the last map.
 _tc = partial(tuple.__new__, Tc)
 # the same for the link and 2-hop tuples a HELLO writes
 _link = partial(tuple.__new__, LinkTuple)
 _two_hop = partial(tuple.__new__, TwoHopTuple)
-# the enum members a HELLO receipt compares, bound once: reading a
-# member off its Enum class runs Python code
-_SYMMETRIC, _LOST = Status.SYMMETRIC, Status.LOST
-_FLOODING = (MprRole.FLOODING, MprRole.FLOOD_ROUTE)
-_ROUTING = (MprRole.ROUTING, MprRole.FLOOD_ROUTE)
+# the roles that select a neighbour as each kind of MPR
+_FLOODING = (FLOODING, FLOOD_ROUTE)
+_ROUTING = (ROUTING, FLOOD_ROUTE)
 
 
 class ConfigError(ValueError):
@@ -252,14 +252,14 @@ class Router:
         for lt in self.ls.values():
             if lt.validity_time <= now:
                 return True
-            if lt.status(now) != Status.SYMMETRIC and (
+            if lt.status(now) is not SYMMETRIC and (
                     lt.fmpr or lt.rmpr or lt.fmpr_selector or lt.rmpr_selector):
                 return True
         for n2 in self.twohop_set.values():
             if n2.validity_time <= now:
                 return True
             anchor = self.ls.get(n2.one_hop_oip)
-            if anchor is None or anchor.status(now) != Status.SYMMETRIC:
+            if anchor is None or anchor.status(now) is not SYMMETRIC:
                 return True
         flagged_f = frozenset(o for o, lt in self.ls.items() if lt.fmpr)
         if not neighborhood.is_valid_fmpr_set(self.ls, self.twohop_set, now,
@@ -411,9 +411,9 @@ class Router:
          lt_in, old_out) = lt
         sym_time = old_sym
         st = msg.statuses.get(ip)
-        if st is not None and st is not _LOST:
+        if st is not None and st is not LOST:
             sym_time = now + vtime
-        elif st is _LOST and sym_time > now:
+        elif st is LOST and sym_time > now:
             # a symmetric link the sender reports LOST is downgraded but
             # kept around for l_hold_time more ticks
             sym_time, validity = NEG_INF, now + htime
@@ -422,7 +422,7 @@ class Router:
         # an MPR announcement selects us; a SYMMETRIC listing without
         # one withdraws the selection; anything else leaves it alone
         role = msg.mprs.get(ip)
-        keep = st is not _SYMMETRIC
+        keep = st is not SYMMETRIC
         fsel = role in _FLOODING or (keep and old_fsel)
         rsel = role in _ROUTING or (keep and old_rsel)
         out = msg.in_metrics.get(ip, old_out)
@@ -472,7 +472,7 @@ class Router:
                                        msg.out_metrics)
                 # every address the HELLO names, in message order
                 for x in {**statuses, **ins, **outs}:
-                    listed_sym = x != ip and statuses.get(x) is _SYMMETRIC
+                    listed_sym = x != ip and statuses.get(x) is SYMMETRIC
                     key = (moip, x)
                     n2 = ths.get(key)
                     if n2 is None:
@@ -658,7 +658,7 @@ class Router:
                               self.ls.values(), self.now)
                 if msg.dests == self._tc_map and (
                         list(msg.dests) == list(self._tc_map)):
-                    msg = msg._replace(dests=self._tc_map)
+                    msg = _tc((*msg[:5], self._tc_map))
                 self._tc_map = msg.dests
                 self.pkt.append(msg)
                 self.trace("TC_GEN", msg)

@@ -37,6 +37,13 @@ class MprRole(enum.Enum):
     FLOOD_ROUTE = "FLOOD_ROUTE"
 
 
+# The members, bound once for the hot paths: reading a member off its
+# Enum class runs Python code.
+SYMMETRIC, HEARD, LOST = Status.SYMMETRIC, Status.HEARD, Status.LOST
+FLOODING, ROUTING, FLOOD_ROUTE = (MprRole.FLOODING, MprRole.ROUTING,
+                                  MprRole.FLOOD_ROUTE)
+
+
 class Hello(NamedTuple):
     """1-hop broadcast carrying the sender's neighborhood view.
 
@@ -86,14 +93,14 @@ def make_hello(ip: NodeId, vtime: TimeValue, ls: Iterable[LinkTuple],
         st = lt.status(now)
         statuses[lt.oip] = st
         if lt.fmpr and lt.rmpr:
-            mprs[lt.oip] = MprRole.FLOOD_ROUTE
+            mprs[lt.oip] = FLOOD_ROUTE
         elif lt.fmpr:
-            mprs[lt.oip] = MprRole.FLOODING
+            mprs[lt.oip] = FLOODING
         elif lt.rmpr:
-            mprs[lt.oip] = MprRole.ROUTING
-        if st != Status.LOST:
+            mprs[lt.oip] = ROUTING
+        if st is not LOST:
             in_metrics[lt.oip] = lt.in_metric
-        if st == Status.SYMMETRIC:
+        if st is SYMMETRIC:
             out_metrics[lt.oip] = lt.out_metric
     return Hello(originator=ip, validity=vtime, statuses=statuses,
                  mprs=mprs, in_metrics=in_metrics, out_metrics=out_metrics)
@@ -103,7 +110,7 @@ def make_tc(ip: NodeId, vtime: TimeValue, sqn: Sqn, ansn: Sqn,
             ls: Iterable[LinkTuple], now: TimeValue) -> Tc:
     """Build a TC advertising out-metrics to symmetric routing-MPR selectors."""
     dests = {lt.oip: lt.out_metric for lt in ls
-             if lt.rmpr_selector and lt.status(now) == Status.SYMMETRIC}
+             if lt.rmpr_selector and lt.status(now) is SYMMETRIC}
     return Tc(originator=ip, sender=ip, validity=vtime, seq=sqn,
               ansn=ansn, dests=dests)
 

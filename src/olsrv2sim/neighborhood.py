@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from typing import AbstractSet, FrozenSet, NamedTuple
 
-from .messages import INF, Metric, NodeId, Status, TimeValue
+from .messages import (HEARD, INF, LOST, SYMMETRIC, Metric, NodeId, Status,
+                       TimeValue)
 
 LinkSet = dict  # dict[NodeId, LinkTuple]
 TwoHopSet = dict  # dict[tuple[NodeId, NodeId], TwoHopTuple]
@@ -36,10 +37,10 @@ class LinkTuple(NamedTuple):
 
     def status(self, now: TimeValue) -> Status:
         if self.symmetric_time > now:
-            return Status.SYMMETRIC
+            return SYMMETRIC
         if self.heard_time > now:
-            return Status.HEARD
-        return Status.LOST
+            return HEARD
+        return LOST
 
 
 class TwoHopTuple(NamedTuple):
@@ -55,7 +56,7 @@ def purge_link_set(ls: LinkSet, now: TimeValue) -> None:
     for oip in [oip for oip, lt in ls.items() if lt.validity_time <= now]:
         del ls[oip]
     stale = [lt for lt in ls.values()
-             if lt.status(now) != Status.SYMMETRIC
+             if lt.status(now) is not SYMMETRIC
              and (lt.fmpr or lt.rmpr or lt.fmpr_selector or lt.rmpr_selector)]
     for lt in stale:
         ls[lt.oip] = lt._replace(fmpr=False, rmpr=False,
@@ -96,7 +97,7 @@ def purge_2hop_set(ls: LinkSet, twohop_set: TwoHopSet,
 
 def _n1_oips(ls: LinkSet, now: TimeValue) -> FrozenSet[NodeId]:
     return frozenset(oip for oip, lt in ls.items()
-                     if lt.status(now) == Status.SYMMETRIC)
+                     if lt.status(now) is SYMMETRIC)
 
 
 def _covering_table(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,

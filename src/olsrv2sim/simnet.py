@@ -41,9 +41,24 @@ in O(degree). Broadcasts in flight are held by delivery tick, as
 tick -> [(sender, packet, snapshot)]: snapshot copies the sender's row
 at send time, so its keys are the recipients and its metrics the
 fallback measurement for a link that vanishes mid-flight.
+
+The cycle collector is paused while the network runs: Network.tick
+pauses it for one tick, Network.run across its loop, and
+checkers.run_to_convergence across its loop, which allocates between
+ticks. Each one restores the state it found, enabled or not, also when
+a step raises, so they nest. The pause rests on a run making no
+reference cycles: no router or emitter holds the Network, so
+reference counting frees everything a run drops, and the tests check
+that the collector finds nothing. Left running, the collector would
+start over a hundred collections per thousand ticks of a 4x4 grid,
+each walking the trace (NamedTuple events and TCs stay tracked, as
+CPython untracks only exact tuples), and reclaim nothing. Set-up and
+rendering are not paused: there a pause would only move the one
+collection their allocations start.
 """
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import dataclass
 from functools import partial
@@ -260,57 +275,63 @@ class Network:
 
     def tick(self) -> None:
         """Advance the whole network by one time unit."""
-        events = self._tick_events
-        events.clear()  # drop anything traced outside a tick
-        clock = events.tick = self.clock
-        append = events.append
-        routers, out = self.routers, self.gt.out
+        enabled = gc.isenabled()
+        gc.disable()  # a run makes no cycles: see the module docstring
+        try:
+            events = self._tick_events
+            events.clear()  # drop anything traced outside a tick
+            clock = events.tick = self.clock
+            append = events.append
+            routers, out = self.routers, self.gt.out
 
-        # phase 1: deliveries due now, canonical order by sender
-        noise = self.metric_noise
-        due = self.inflights.pop(clock, ())
-        for sender, packet, snapshot in sorted(due, key=_SENDER):
-            row = out[sender]
-            for r in sorted(snapshot):
-                m = row.get(r, snapshot[r])
-                if noise:
-                    m = self._noise_rng[r].randint(max(1, m - noise),
-                                                   m + noise)
-                routers[r].enqueue_delivery(packet, m)
-                append(_event((clock, r, "DELIVER", (sender, m), packet)))
+            # phase 1: deliveries due now, canonical order by sender
+            noise = self.metric_noise
+            due = self.inflights.pop(clock, ())
+            for sender, packet, snapshot in sorted(due, key=_SENDER):
+                row = out[sender]
+                for r in sorted(snapshot):
+                    m = row.get(r, snapshot[r])
+                    if noise:
+                        m = self._noise_rng[r].randint(max(1, m - noise),
+                                                       m + noise)
+                    routers[r].enqueue_delivery(packet, m)
+                    append(_event((clock, r, "DELIVER", (sender, m), packet)))
 
-        # phase 2: per-router steps
-        busy_until = self._busy_until
-        for nid in self._step_order:
-            if clock < busy_until[nid]:
-                continue
-            packet = routers[nid].step_main()
-            if packet is not None:
-                d = self.params.lb + self._dur_rng[nid].randrange(
-                    self.params.delta_b + 1)
-                snapshot = dict(out[nid])
-                self.inflights.setdefault(clock + d, []).append(
-                    (nid, packet, snapshot))
-                busy_until[nid] = clock + d
-                append(_event((clock, nid, "BROADCAST",
-                               (d, frozenset(snapshot)), packet)))
+            # phase 2: per-router steps
+            busy_until = self._busy_until
+            for nid in self._step_order:
+                if clock < busy_until[nid]:
+                    continue
+                packet = routers[nid].step_main()
+                if packet is not None:
+                    d = self.params.lb + self._dur_rng[nid].randrange(
+                        self.params.delta_b + 1)
+                    snapshot = dict(out[nid])
+                    self.inflights.setdefault(clock + d, []).append(
+                        (nid, packet, snapshot))
+                    busy_until[nid] = clock + d
+                    append(_event((clock, nid, "BROADCAST",
+                                   (d, frozenset(snapshot)), packet)))
 
-        # phase 3: topology events scheduled for this tick; events
-        # is sorted by time, so the due ones start at the cursor
-        evs, i = self.events, self._next_event
-        while i < len(evs) and evs[i].time <= clock:
-            if evs[i].time == clock:
-                self.apply_topology_event(evs[i])
-            i += 1
-        self._next_event = i
+            # phase 3: topology events scheduled for this tick; events
+            # is sorted by time, so the due ones start at the cursor
+            evs, i = self.events, self._next_event
+            while i < len(evs) and evs[i].time <= clock:
+                if evs[i].time == clock:
+                    self.apply_topology_event(evs[i])
+                i += 1
+            self._next_event = i
 
-        # phase 4: clocks advance
-        self.clock += 1
-        for router in self.routers.values():
-            router.now += 1
+            # phase 4: clocks advance
+            self.clock += 1
+            for router in self.routers.values():
+                router.now += 1
 
-        events.sort(key=_NODE)  # stable: keeps emission order
-        self.trace.extend(events)
+            events.sort(key=_NODE)  # stable: keeps emission order
+            self.trace.extend(events)
+        finally:
+            if enabled:
+                gc.enable()
 
     def apply_topology_event(self, ev: TopologyEvent) -> None:
         """Apply one event, already checked against the links it meets,
@@ -324,8 +345,14 @@ class Network:
             _event((self.clock, ev.src, "LINK_EVENT", ev, None)))
 
     def run(self, ticks: int) -> None:
-        for _ in range(ticks):
-            self.tick()
+        enabled = gc.isenabled()
+        gc.disable()  # across the loop, as tick pauses it
+        try:
+            for _ in range(ticks):
+                self.tick()
+        finally:
+            if enabled:
+                gc.enable()
 
     def trace_chunks(self) -> Iterator[str]:
         """The trace's text in chunks: per event, its line's head, the

@@ -1,11 +1,16 @@
 """Network layer: timed delivery, busy spans, snapshots, topology events,
-typed trace events rendered only on output."""
+typed trace events rendered only on output, and the paused cycle
+collector."""
+import contextlib
 import gc
 import hashlib
 import random
 import weakref
+from collections import Counter
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from olsrv2sim import (checkers, cli, engine, message_logs, messages,
                        neighborhood, simnet, topology)
@@ -19,6 +24,7 @@ from olsrv2sim.simnet import (GroundTruth, Network, NetworkParams,
 from olsrv2sim.topology import Route
 
 import oracles
+import test_trace_pins
 from test_acceptance import EVENTFUL_SCENARIO
 from test_engine import churn_events
 from test_scripts import load
@@ -411,6 +417,149 @@ def test_dropped_network_is_freed_without_the_cycle_collector():
             assert ref() is None
     finally:
         gc.enable()
+
+
+# --- the paused cycle collector ------------------------------------------
+
+RUNNERS = {
+    "tick": lambda net: net.tick(),
+    "run": lambda net: net.run(40),
+    "run_to_convergence": lambda net: run_to_convergence(net, 5, 40),
+}
+
+
+@pytest.fixture
+def collector_restored():
+    """The collector as the test found it, whatever the test left."""
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    yield
+    gc.set_debug(flags)
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("enabled", [True, False],
+                         ids=["enabled", "disabled"])
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+def test_running_leaves_the_collector_as_found(collector_restored,
+                                               monkeypatch, runner, enabled,
+                                               raises):
+    """Network.tick, Network.run and run_to_convergence pause the cycle
+    collector while routers step, and leave it enabled or disabled as
+    they found it, also when a step raises mid-tick."""
+    net = build_network(parse_scenario(EVENTFUL_SCENARIO))
+    step, seen = engine.Router.step_main, []
+
+    def recorded_step(router):
+        seen.append(gc.isenabled())
+        if raises:
+            raise engine.EngineDiagnostic("a step that fails")
+        return step(router)
+    monkeypatch.setattr(engine.Router, "step_main", recorded_step)
+    (gc.enable if enabled else gc.disable)()
+    if raises:
+        with pytest.raises(engine.EngineDiagnostic):
+            RUNNERS[runner](net)
+    else:
+        RUNNERS[runner](net)
+    assert gc.isenabled() is enabled
+    assert seen and not any(seen)
+
+
+@pytest.mark.parametrize("runner", [
+    lambda net: net.run(300),
+    lambda net: run_to_convergence(net, 300, 300),
+], ids=["run", "run_to_convergence"])
+def test_no_collection_starts_inside_a_run(collector_restored, runner):
+    """A 4x4 grid run for 300 ticks starts no collection, though it
+    allocates enough that the collector, left running, would have:
+    run_to_convergence allocates between ticks too."""
+    net = build_network(parse_scenario(load("flooding_sweep").grid_text(4, 1)))
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        runner(net)
+        allocated = gc.get_count()[0]
+    finally:
+        gc.callbacks.remove(count)
+    assert net.clock == 300 and starts == []
+    assert allocated > gc.get_threshold()[0]
+
+
+@contextlib.contextmanager
+def every_cycle_kept():
+    """The collector disabled and told to keep what it finds unreachable
+    in gc.garbage, from an empty heap; on exit, the cycles are freed."""
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        yield
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        gc.collect()
+        if enabled:
+            gc.enable()
+
+
+def assert_no_cycles(where):
+    found = gc.collect()
+    kinds = Counter(type(o).__name__ for o in gc.garbage)
+    assert found == 0, (f"{where}: {found} objects in reference cycles,"
+                        f" by type {dict(kinds.most_common())}")
+
+
+@pytest.mark.parametrize("name", sorted(test_trace_pins.CASES))
+def test_a_pinned_run_makes_no_reference_cycles(name):
+    """What the paused collector rests on: a run's heap is acyclic, so
+    refcounting frees all of it and the collector would find nothing,
+    neither while the network lives nor once it is dropped."""
+    with every_cycle_kept():
+        s = test_trace_pins.CASES[name][0]()
+        net = build_network(s)
+        net.run(s.params["ticks"])
+        text = net.render_trace()
+        assert_no_cycles(f"{name}, network alive")
+        del s, net, text
+        assert_no_cycles(f"{name}, network dropped")
+
+
+# no shrinking: a smaller seed is no simpler network
+@settings(max_examples=12, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(seed=st.integers(0, 2**32 - 1), flood_all=st.booleans(),
+       bug_rfc7181=st.booleans(), from_unknown=st.booleans(),
+       noise=st.integers(0, 2))
+def test_a_checked_run_makes_no_reference_cycles(seed, flood_all,
+                                                 bug_rfc7181, from_unknown,
+                                                 noise):
+    """The same on random networks with link churn, every mode flag and
+    measurement noise, run past the churn, converged, checked and
+    rendered as `check` does."""
+    with every_cycle_kept():
+        rng = random.Random(seed)
+        s = oracles.random_connected_scenario(rng, rng.randint(3, 5),
+                                              seed=seed, ticks=160)
+        s.events = churn_events(rng, [(u, v) for u, v, _ in s.links], 160)
+        s.flags.update(flood_all=flood_all, bug_rfc7181=bug_rfc7181,
+                       process_tc_from_unknown=from_unknown)
+        s.params["metric_noise"] = noise
+        net = build_network(s)
+        net.run(max(ev.time for ev in s.events) + 1)
+        conv = run_to_convergence(net, default_window(net), 400)
+        reports = check_route_optimality(net)
+        text = net.render_trace()
+        assert_no_cycles(f"seed {seed}, network alive")
+        del s, net, conv, reports, text
+        assert_no_cycles(f"seed {seed}, network dropped")
 
 
 def test_route_change_line_survives_in_place_change_to_rs():
