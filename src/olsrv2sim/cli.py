@@ -36,7 +36,8 @@ from .checkers import (FIG1_SCENARIO, FIG2_SCENARIO, FIG3_SCENARIO,
                        run_to_convergence)
 from .engine import ConfigError, EngineDiagnostic
 from .messages import Status, render_metric
-from .simnet import Network, ScenarioError, TopologyEvent, build_network
+from .simnet import (Network, ScenarioError, TopologyEvent, build_network,
+                     trace_batches)
 
 _ID = re.compile(r"[A-Za-z0-9_-]+\Z")
 _INT = re.compile(r"-?[0-9]+\Z")
@@ -257,7 +258,7 @@ def _open_trace(path):
 
 def _write_trace(net: Network, args) -> None:
     if args.trace:
-        args.trace.writelines(net.trace_chunks())
+        args.trace.writelines(trace_batches(net.trace))
 
 
 def _cmd_run(args) -> int:
@@ -267,7 +268,7 @@ def _cmd_run(args) -> int:
     budget = _ticks(scenario)
     _warn_late_events(scenario, budget)
     net.run(budget)
-    (args.trace or sys.stdout).writelines(net.trace_chunks())
+    (args.trace or sys.stdout).writelines(trace_batches(net.trace))
     return 0
 
 

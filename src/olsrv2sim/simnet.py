@@ -17,8 +17,9 @@ comes from a per-node stream, so phase-2 iteration order is not
 protocol-visible (a property the test suite checks by permuting it).
 
 Trace events are typed: each TraceEvent holds the objects its line is
-made of, and text is rendered only on output (Network.trace_chunks,
-Network.render_trace, TraceEvent.detail). The payload per kind:
+made of, and text is rendered only on output, by trace_batches, which
+Network.render_trace joins and the command line writes. The payload
+per kind:
   HELLO_GEN, TC_GEN, TC_FWD  the generated or forwarded Message;
   ROUTE_CHANGE               the new routing set, a tuple of Route in
                              destination order;
@@ -28,12 +29,21 @@ Network.render_trace, TraceEvent.detail). The payload per kind:
                              the sent Packet as packet;
   LINK_EVENT                 the TopologyEvent applied.
 Messages and packets are never changed once traced, so an event's line
-is the same whenever it is rendered, and text that lines share is
-rendered once (see _Texts): a TC's text serves its own line and its
-packet's. Each router's trace callback is bound once, when the Network
-is built; it and the tick record into the current tick's events, which
-join the trace in node order at the tick's end. Both build each event
-with _event, from all five fields.
+is the same whenever it is rendered. Lines share text: a packet's text
+ends every DELIVER and BROADCAST line of that packet, a message's text
+ends its own line and recurs in its packet, and the copies of one TC
+origination share their text after the sender. trace_batches renders
+such text once per pass (per object for a HELLO, a packet or a TC map,
+per origination for a TC's tail, and per TC from its line until its
+one packet is rendered) and adds it after the line's own head as a
+chunk of its own, so no line copies it. It joins the chunks of each
+_BATCH events into one string, so it never holds an object per chunk
+of the whole trace.
+
+Each router's trace callback is bound once, when the Network is built;
+it and the tick record into the current tick's events, which join the
+trace in node order at the tick's end. Both build each event with
+_event, from all five fields.
 
 Ground truth is held by sender, sender -> {recipient: metric}, so a
 broadcast reads its recipients and their metrics off the sender's row
@@ -62,15 +72,13 @@ import gc
 import random
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from . import messages
+from . import messages, topology
 from .engine import EngineDiagnostic, Router, RouterConfig, init_router
 from .messages import (INF, Metric, NodeId, Packet, Tc, TimeValue,
                        render_packet)
-from .topology import render_route
 
 
 class ScenarioError(ValueError):
@@ -128,18 +136,13 @@ class TraceEvent(NamedTuple):
     payload: object  # per kind, see the module docstring
     packet: Optional[Packet] = None  # BROADCAST and DELIVER only
 
-    @property
-    def detail(self) -> str:
-        """The rendered text after the kind, for this event alone."""
-        return "".join(_render_detail(self, _Texts()))
-
 
 # A TraceEvent from a tuple of all five fields, built in C: NamedTuple's
 # generated __new__ runs Python code, once per delivery and message.
 _event = partial(tuple.__new__, TraceEvent)
-_RENDER_BATCH = 3000  # chunks, three per event (Network.render_trace)
 _NODE = attrgetter("node")
 _SENDER = itemgetter(0)
+_BATCH = 1000  # events per string trace_batches yields
 
 
 class _TickEvents(list):
@@ -150,63 +153,60 @@ class _TickEvents(list):
     tick: TimeValue = 0
 
 
-class _Texts(dict):
-    """Text shared by trace lines, rendered once per pass over a trace:
-    per object for a HELLO, a packet or a TC map, per origination for a
-    TC's text after its sender, and per TC from its own line until its
-    one packet is rendered. Ids are stable and distinct, as the trace
-    holds every object; no text is empty, so get() is falsy on a miss."""
+def trace_batches(trace: list) -> Iterator[str]:
+    """The text of trace, a list of TraceEvents, one string per _BATCH
+    events; the module docstring says what is shared and memoised. Ids
+    are stable and distinct, as the trace holds every object; no text
+    is empty, so get() is falsy on a miss."""
+    memo: dict = {}
+    get, keep = memo.get, memo.setdefault
 
-    def message(self, msg) -> str:
-        if type(msg) is Tc:
-            return self.pop(id(msg), None) or (
-                messages.render_tc_head(msg) + self.tc_tail(msg))
-        return self.get(id(msg)) or self.setdefault(
-            id(msg), messages.render_message(msg))
-
-    def tc_line(self, msg: Tc) -> tuple:
-        """A TC line's (head, tail); its whole text waits for its packet."""
-        head, tail = messages.render_tc_head(msg), self.tc_tail(msg)
-        self[id(msg)] = head + tail
-        return head, tail
-
-    def tc_tail(self, msg: Tc) -> str:
+    def tc_tail(msg: Tc) -> str:
         key = (msg.originator, msg.validity, msg.seq, msg.ansn, id(msg.dests))
-        return self.get(key) or self.setdefault(key, messages.render_tc_tail(
-            msg, self.get(id(msg.dests)) or self.setdefault(
+        return get(key) or keep(key, messages.render_tc_tail(
+            msg, get(id(msg.dests)) or keep(
                 id(msg.dests), messages.render_dests(msg.dests))))
 
-    def packet(self, pkt: Packet) -> str:
-        return self.get(id(pkt)) or self.setdefault(
-            id(pkt), render_packet(pkt, self.message))
+    def message(msg) -> str:
+        if type(msg) is Tc:
+            return memo.pop(id(msg), None) or (
+                messages.render_tc_head(msg) + tc_tail(msg))
+        return get(id(msg)) or keep(id(msg), messages.render_message(msg))
 
-
-def _render_detail(ev: TraceEvent, texts: _Texts) -> tuple:
-    """ev's text after the kind, as (head, shared): this line's own text,
-    then the packet's or message's text from texts ("" if none)."""
-    kind, p = ev.kind, ev.payload
-    if kind == "DELIVER":
-        sender, m = p
-        return f"from={sender} m={m} pkt=", texts.packet(ev.packet)
-    if kind == "BROADCAST":
-        d, recipients = p
-        to = ",".join(sorted(recipients))
-        return f"d={d} to={{{to}}} pkt=", texts.packet(ev.packet)
-    if kind == "HELLO_GEN":
-        return "", texts.message(p)
-    if kind in ("TC_GEN", "TC_FWD"):
-        return texts.tc_line(p)
-    if kind == "ROUTE_CHANGE":
-        return "rs=[" + "; ".join(map(render_route, p)) + "]", ""
-    if kind == "LINK_EVENT":
-        if p.kind == "linkdown":
-            return f"linkdown dst={p.dst}", ""
-        return f"{p.kind} dst={p.dst} m={p.metric}", ""
-    raise ValueError(f"unknown trace event kind: {kind}")
-
-
-def render_trace_event(ev: TraceEvent) -> str:
-    return f"t={ev.tick} n={ev.node} ev={ev.kind} {ev.detail}"
+    for i in range(0, len(trace), _BATCH):
+        chunks: list = []
+        add = chunks.append
+        for tick, node, kind, p, pkt in trace[i:i + _BATCH]:
+            if kind == "DELIVER":
+                add(f"t={tick} n={node} ev=DELIVER from={p[0]} m={p[1]}"
+                    " pkt=")
+                add(get(id(pkt)) or keep(
+                    id(pkt), render_packet(pkt, message) + "\n"))
+            elif kind == "TC_FWD" or kind == "TC_GEN":
+                add(f"t={tick} n={node} ev={kind} ")
+                text = memo[id(p)] = messages.render_tc_head(p) + tc_tail(p)
+                add(text)
+                add("\n")
+            elif kind == "BROADCAST":
+                to = ",".join(sorted(p[1]))
+                add(f"t={tick} n={node} ev=BROADCAST d={p[0]} to={{{to}}}"
+                    " pkt=")
+                add(get(id(pkt)) or keep(
+                    id(pkt), render_packet(pkt, message) + "\n"))
+            elif kind == "HELLO_GEN":
+                add(f"t={tick} n={node} ev=HELLO_GEN ")
+                add(message(p))
+                add("\n")
+            elif kind == "ROUTE_CHANGE":
+                rs = "; ".join(map(topology.render_route, p))
+                add(f"t={tick} n={node} ev=ROUTE_CHANGE rs=[{rs}]\n")
+            elif kind == "LINK_EVENT":
+                m = "" if p.kind == "linkdown" else f" m={p.metric}"
+                add(f"t={tick} n={node} ev=LINK_EVENT {p.kind}"
+                    f" dst={p.dst}{m}\n")
+            else:
+                raise ValueError(f"unknown trace event kind: {kind}")
+        yield "".join(chunks)
 
 
 class Network:
@@ -354,25 +354,9 @@ class Network:
             if enabled:
                 gc.enable()
 
-    def trace_chunks(self) -> Iterator[str]:
-        """The trace's text in chunks: per event, its line's head, the
-        shared text it ends in (never copied into a line), a newline."""
-        texts = _Texts()
-        for ev in self.trace:
-            head, shared = _render_detail(ev, texts)
-            yield f"t={ev.tick} n={ev.node} ev={ev.kind} {head}"
-            yield shared
-            yield "\n"
-
     def render_trace(self) -> str:
-        """The trace's text. "".join(self.trace_chunks()) would hold a
-        list of every chunk, one object per head, so this joins batches
-        of _RENDER_BATCH chunks and then the batches: beside the
-        batches' text, only one batch of chunks is held at a time."""
-        chunks = self.trace_chunks()
-        return "".join(iter(lambda: "".join(islice(chunks, _RENDER_BATCH)),
-                            ""))
-
+        """The trace's text, joined from trace_batches."""
+        return "".join(trace_batches(self.trace))
 
 def build_network(scenario) -> Network:
     """Instantiate routers and ground truth from a parsed scenario.

@@ -13,7 +13,7 @@ import copy
 import itertools
 import random
 
-from olsrv2sim import topology
+from olsrv2sim import messages, topology
 from olsrv2sim.cli import Scenario
 from olsrv2sim.messages import INF, NEG_INF, MprRole, Status
 from olsrv2sim.neighborhood import LinkTuple, TwoHopTuple
@@ -481,6 +481,35 @@ class RefTopologySets:
         out = {oip: dict(rows) for oip, (_, rows) in self.rts.items()}
         out[self.ip] = dict(own_row)
         return out
+
+
+# ---------------------------------------------------------------------------
+# Trace lines, one event at a time
+# ---------------------------------------------------------------------------
+
+def render_event_detail(ev) -> str:
+    """ev's text after its kind, rendered from ev alone: no memo, and
+    each message through messages.render_message."""
+    kind, p = ev.kind, ev.payload
+    if kind == "DELIVER":
+        return f"from={p[0]} m={p[1]} pkt={messages.render_packet(ev.packet)}"
+    if kind == "BROADCAST":
+        to = ",".join(sorted(p[1]))
+        return f"d={p[0]} to={{{to}}} pkt={messages.render_packet(ev.packet)}"
+    if kind in ("HELLO_GEN", "TC_GEN", "TC_FWD"):
+        return messages.render_message(p)
+    if kind == "ROUTE_CHANGE":
+        return "rs=[" + "; ".join(topology.render_route(r) for r in p) + "]"
+    if kind == "LINK_EVENT":
+        if p.kind == "linkdown":
+            return f"linkdown dst={p.dst}"
+        return f"{p.kind} dst={p.dst} m={p.metric}"
+    raise ValueError(f"unknown trace event kind: {kind}")
+
+
+def render_trace_event(ev) -> str:
+    """ev's trace line, without its newline."""
+    return f"t={ev.tick} n={ev.node} ev={ev.kind} {render_event_detail(ev)}"
 
 
 # ---------------------------------------------------------------------------

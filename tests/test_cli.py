@@ -18,9 +18,10 @@ from olsrv2sim.cli import (FLAG_NAMES, NETWORK_PARAMS, PARAM_NAMES,
                            Scenario, _apply_cli_overrides, main,
                            parse_scenario, render_scenario)
 from olsrv2sim.simnet import (Network, ScenarioError, TopologyEvent,
-                              build_network, render_trace_event)
+                              build_network)
 
 import oracles
+from oracles import render_trace_event
 from test_acceptance import EVENTFUL_SCENARIO
 from test_engine import churn_events
 
@@ -214,6 +215,31 @@ def test_run_streams_the_rendered_trace(tmp_path, capsys):
     assert main(["run", "--scenario", path, "--trace", str(trace)]) == 0
     assert capsys.readouterr().out == ""
     assert trace.read_bytes() == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"], ["demo", "fig1"], ["demo", "fig2"], ["demo", "fig3"],
+    ["demo", "fig3", "--bug-rfc7181"],
+], ids=" ".join)
+def test_check_and_demos_write_the_rendered_trace(tmp_path, monkeypatch,
+                                                  argv):
+    """check --trace FILE and demo --trace FILE hold exactly
+    render_trace() of the network the command judged."""
+    built = []
+
+    def recording(scenario):
+        built.append(build_network(scenario))
+        return built[-1]
+
+    monkeypatch.setattr(olsrv2sim.cli, "build_network", recording)
+    if argv == ["check"]:
+        argv = argv + ["--scenario", write(tmp_path, EVENTFUL_SCENARIO)]
+    trace = tmp_path / "out.trace"
+    assert main(argv + ["--trace", str(trace)]) in (0, 1)
+    # fig3 builds the corrected network first, then the RFC 7181 one
+    net = built[-1] if "--bug-rfc7181" in argv else built[0]
+    want = net.render_trace().encode()
+    assert want and trace.read_bytes() == want
 
 
 @pytest.mark.parametrize("mode", [

@@ -25,6 +25,7 @@ from olsrv2sim.topology import (Route, _dijkstra, choose_optimal,
                                 link_universe, rmpr_selectors)
 
 import oracles
+from oracles import render_event_detail
 
 
 def cfg(ip="a", **kw):
@@ -232,7 +233,7 @@ def test_run_update_info_traces_route_changes_once():
         TraceEvent(r.now, r.ip, kind, payload))
     r.ls = {"b": sym("b", in_m=2, out_m=3, now=100)}
     r.run_update_info()
-    assert [(ev.kind, ev.detail) for ev in events] == [
+    assert [(ev.kind, render_event_detail(ev)) for ev in events] == [
         ("ROUTE_CHANGE", "rs=[ROUTE b via b m=3]")]
     events.clear()
     r.run_update_info()

@@ -20,10 +20,11 @@ from olsrv2sim.cli import Scenario, parse_scenario
 from olsrv2sim.messages import Hello, Status
 from olsrv2sim.simnet import (GroundTruth, Network, NetworkParams,
                               ScenarioError, TopologyEvent, TraceEvent,
-                              build_network, render_trace_event)
+                              build_network)
 from olsrv2sim.topology import Route
 
 import oracles
+from oracles import render_event_detail, render_trace_event
 import test_trace_pins
 from test_acceptance import EVENTFUL_SCENARIO
 from test_engine import churn_events
@@ -94,11 +95,13 @@ def test_ground_truth_check():
 
 
 def test_render_trace_event_frozen():
+    """The oracle and the library render one event's line alike."""
     hello = Hello("b", 12, {"a": Status.HEARD}, {}, {"a": 1}, {})
-    assert render_trace_event(TraceEvent(3, "a", "DELIVER", ("b", 1),
-                                         packet=[hello])) \
-        == ("t=3 n=a ev=DELIVER from=b m=1"
+    ev = TraceEvent(3, "a", "DELIVER", ("b", 1), packet=[hello])
+    line = ("t=3 n=a ev=DELIVER from=b m=1"
             " pkt=[HELLO o=b vt=12 st={a:HEARD} mpr={} in={a:1} out={}]")
+    assert render_trace_event(ev) == line
+    assert list(simnet.trace_batches([ev])) == [line + "\n"]
 
 
 def test_broadcast_timing_and_busy_span():
@@ -107,7 +110,7 @@ def test_broadcast_timing_and_busy_span():
     net.run(2)   # ticks 0 and 1; a generates at 0, broadcasts at 1
     bc = events_of(net, "a", "BROADCAST")
     assert len(bc) == 1 and bc[0].tick == 1
-    assert bc[0].detail.startswith("d=2 to={b} pkt=[HELLO")
+    assert render_event_detail(bc[0]).startswith("d=2 to={b} pkt=[HELLO")
     assert net.busy("a")
     net.run(1)   # tick 2: a is transmission-busy, nothing delivered yet
     assert not events_of(net, "b", "DELIVER")
@@ -115,7 +118,7 @@ def test_broadcast_timing_and_busy_span():
     net.run(1)   # tick 3: phase 1 delivers
     de = events_of(net, "b", "DELIVER")
     assert len(de) == 1 and de[0].tick == 3
-    assert de[0].detail.startswith("from=a m=5 pkt=[HELLO")
+    assert render_event_detail(de[0]).startswith("from=a m=5 pkt=[HELLO")
     assert de[0].packet is not None and de[0].packet[0].originator == "a"
 
 
@@ -146,7 +149,7 @@ def test_out_of_range_at_send_never_delivered():
     # the second HELLO (generated around t=8..10) does arrive
     de = events_of(net, "b", "DELIVER")
     assert de and de[0].tick >= 11
-    assert de[0].detail.startswith("from=a m=4")
+    assert render_event_detail(de[0]).startswith("from=a m=4")
 
 
 def test_in_range_at_send_delivered_after_linkdown():
@@ -156,7 +159,7 @@ def test_in_range_at_send_delivered_after_linkdown():
     net.run(4)
     de = events_of(net, "b", "DELIVER")
     assert len(de) == 1 and de[0].tick == 3
-    assert de[0].detail.startswith("from=a m=5")
+    assert render_event_detail(de[0]).startswith("from=a m=5")
     assert "t=2 n=a ev=LINK_EVENT linkdown dst=b\n" in net.render_trace()
 
 
@@ -165,7 +168,7 @@ def test_metric_change_mid_flight_wins_over_snapshot():
     net = build_network(s)
     net.run(4)
     de = events_of(net, "b", "DELIVER")
-    assert de[0].detail.startswith("from=a m=9")
+    assert render_event_detail(de[0]).startswith("from=a m=9")
 
 
 def test_metric_event_on_absent_link_rejected():
@@ -373,6 +376,26 @@ def test_tc_map_rendered_once_per_map_object(monkeypatch):
     monkeypatch.undo()
     assert text == "".join(render_trace_event(ev) + "\n"
                            for ev in net.trace)
+
+
+def test_pinned_traces_reach_every_line_shape():
+    """The pinned scenarios together render every kind of line, each
+    kind of link event included, and one pinned trace spans more than
+    one of trace_batches' strings, so memoised text is reused across a
+    batch boundary. An edit to the pins that dropped part of the
+    renderer's coverage fails here."""
+    shapes, batches = set(), []
+    for name in sorted(test_trace_pins.CASES):
+        s = test_trace_pins.CASES[name][0]()
+        net = build_network(s)
+        net.run(s.params["ticks"])
+        shapes |= {(ev.kind, ev.payload.kind) if ev.kind == "LINK_EVENT"
+                   else ev.kind for ev in net.trace}
+        batches.append(sum(1 for _ in simnet.trace_batches(net.trace)))
+    assert shapes == {"HELLO_GEN", "TC_GEN", "TC_FWD", "ROUTE_CHANGE",
+                      "DELIVER", "BROADCAST", ("LINK_EVENT", "linkdown"),
+                      ("LINK_EVENT", "linkup"), ("LINK_EVENT", "metric")}
+    assert max(batches) > 1
 
 
 @pytest.mark.parametrize("kind", ["HELLO_GEN", "TC_GEN"])
