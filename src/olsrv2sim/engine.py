@@ -76,11 +76,11 @@ the only inputs of updates_pending() the two write. Any other write
 only moves stored times, and lowers the "next expiry" tick to each new
 time that is in the future. Most receipts in a converged network are
 such writes: a HELLO that moves its tuples' times, and a TC that
-carries the map its originator's stored rows were taken from
-(topology's source), which process_tc stores inline as a new validity
-time and ansn, with no comparison of rows. A refresh can also move a
-time that next expiry still points at, so when now reaches it the
-smallest stored time after the last full pass is looked up again.
+carries its originator's stored row map again, which process_tc stores
+inline as a new validity time and ansn, with no comparison of rows. A
+refresh can also move a time that next expiry still points at, so
+when now reaches it the smallest stored time after the last full pass
+is looked up again.
 step_main runs the full pass when the bit is set or now has reached
 that time, and otherwise the topology half alone when a TC marked it;
 the full pass ends with the same half. It decides once per step: after
@@ -187,7 +187,7 @@ class Router:
         # sigma: the mutable protocol variables
         self.ls: LinkSet = {}
         self.twohop_set: TwoHopSet = {}
-        # originator -> (validity, ansn, rows, the TC map they came from)
+        # originator -> (validity, ansn, the accepted TC's map)
         self.rts: dict = {}
         self.rs: RoutingSet = {}
         self.ps: set = set()
@@ -226,7 +226,7 @@ class Router:
         # it stood at the last pass, or None. The memo
         # (topology.RouteMemo) holds what the last pass proved, and the
         # next carries it over _changed (topology.update_routes). A new
-        # router has no memo: its first pass builds the universe from rts.
+        # router has no memo: its first pass computes routes in full.
         self._edges: dict = {}
         self._changed: dict = {}
         self._opt: Optional[topology.RouteMemo] = None
@@ -272,7 +272,7 @@ class Router:
         if self.ansn != topology.increment_ansn(self.ls, self.advertised,
                                                 self.ansn):
             return True
-        for vt, _, _, _ in self.rts.values():
+        for vt, _, _ in self.rts.values():
             if vt <= now:
                 return True
         edges = topology.link_universe(self.ip, self.ls, self.rts, now)
@@ -319,7 +319,7 @@ class Router:
         for n2 in self.twohop_set.values():
             if now < n2.validity_time < nxt:
                 nxt = n2.validity_time
-        for vt, _, _, _ in self.rts.values():
+        for vt, _, _ in self.rts.values():
             if now < vt < nxt:
                 nxt = vt
         return nxt
@@ -340,9 +340,10 @@ class Router:
         neighborhood.update_fmprs(self.ls, self.twohop_set, now)
         neighborhood.update_rmprs(self.ls, self.twohop_set, now,
                                   self.bug_mode)
-        self.ansn = topology.increment_ansn(self.ls, self.advertised,
-                                            self.ansn)
-        self.advertised = topology.rmpr_selectors(self.ls)
+        selectors = topology.rmpr_selectors(self.ls)
+        if selectors != self.advertised:
+            self.ansn += 1
+        self.advertised = selectors
         edges, changed = self._edges, self._changed
         for oip in topology.purge_router_topology(self.rts, now):
             changed.setdefault(oip, edges.pop(oip, None))
@@ -362,20 +363,15 @@ class Router:
 
         The routes are carried over the rows written since the last
         pass, and over ip's own row, rebuilt here in O(degree) and
-        recorded when it differs (topology.update_routes). Without a
-        memo the universe is first built from rts (link_universe).
+        recorded when it differs (topology.update_routes).
         """
         self._topology_dirty = False
         ip, rs, edges, changed = self.ip, self.rs, self._edges, self._changed
         self._changed = {}
-        if self._opt is None:
-            edges = self._edges = topology.link_universe(ip, self.ls,
-                                                         self.rts, self.now)
-        else:
-            own = topology.own_row(self.ls, self.now)
-            if own != edges[ip]:
-                changed[ip] = edges[ip]
-                edges[ip] = own
+        own = topology.own_row(self.ls, self.now)
+        if own != edges.get(ip):
+            changed[ip] = edges.get(ip)
+            edges[ip] = own
         new_rs, self._opt = topology.update_routes(ip, edges, changed, rs,
                                                    self._opt)
         if new_rs is not rs and new_rs != rs:
@@ -509,11 +505,11 @@ class Router:
         Both logs take the one (originator, seq) key built here, and the
         copy is built here too: msg with us as sender, sharing its dests.
 
-        A TC whose dests is the stored entry's source, the map its rows
-        were taken from, is a refresh: it is stored inline as the new
-        validity time and ansn with the same rows, as
+        A TC whose dests is the stored row map itself is a refresh: it
+        is stored inline as the new validity time and ansn, as
         update_router_topology would store it, and it marks nothing.
-        Any other accepted TC goes through update_router_topology.
+        Any other accepted TC goes through update_router_topology. A
+        row that names ip is stored as it came, like any other.
 
         A copy already in rxs returns at once, before the sender's link
         is read, and writes nothing: rxs is a subset of ps. A key
@@ -545,13 +541,13 @@ class Router:
             # a known newer advertisement makes the content out of date
             if entry is None or entry[1] <= ansn:
                 vt = now + validity
-                if entry is not None and entry[3] is dests:
-                    # the map the stored row was made from: a refresh,
-                    # stored as update_router_topology would store it
-                    rts[moip] = (vt, ansn, entry[2], dests)
+                if entry is not None and entry[2] is dests:
+                    # the stored row map again: a refresh, stored as
+                    # update_router_topology would store it
+                    rts[moip] = (vt, ansn, dests)
                 else:
                     changed = topology.update_router_topology(
-                        ip, rts, moip, ansn, validity, dests, now)
+                        rts, moip, ansn, validity, dests, now)
                     if changed:
                         self._topology_dirty = True
                     if changed or entry is None:
@@ -559,7 +555,7 @@ class Router:
                         # _changed keeps the row it had at the last pass
                         edges = self._edges
                         self._changed.setdefault(moip, edges.get(moip))
-                        edges[moip] = rts[moip][2]
+                        edges[moip] = dests
                 # the rows' new validity time may come before every
                 # stored one
                 if vt < self._next_expiry:

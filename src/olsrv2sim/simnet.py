@@ -162,7 +162,7 @@ def trace_batches(trace: list) -> Iterator[str]:
     get, keep = memo.get, memo.setdefault
 
     def tc_tail(msg: Tc) -> str:
-        key = (msg.originator, msg.validity, msg.seq, msg.ansn, id(msg.dests))
+        key = (msg.originator, msg.seq)   # one origination
         return get(key) or keep(key, messages.render_tc_tail(
             msg, get(id(msg.dests)) or keep(
                 id(msg.dests), messages.render_dests(msg.dests))))

@@ -1,19 +1,17 @@
 """Topology information base and routing-set computation.
 
 Routing sets are maps dest -> Route. A router topology set is a map
-from_oip -> (validity_time, ansn, {dest_oip: metric}, source): it
-holds both RFC 7181 sets, the advertising remote routers and their
-topology rows, since a TC replaces all of its originator's rows and its
-ansn at once and gives them one validity time. source is the TC map
-the rows were taken from: the rows are source without the receiver,
-and source itself unless it names the receiver. Messages' maps are
-never mutated, so an accepted TC that carries source again only
-refreshes, which a router stores in O(1) (Router.process_tc); any
-other costs O(|advertised set|), and a purge O(#originators). An
-originator that advertises nothing but the receiver still has an
-entry, with an empty row map, so its ansn is remembered. The update
-and purge functions change the set they are given in place; a stored
-row map is never mutated. Route is an immutable NamedTuple.
+from_oip -> (validity_time, ansn, {dest_oip: metric}): it holds both
+RFC 7181 sets, the advertising remote routers and their topology rows,
+since a TC replaces all of its originator's rows and its ansn at once
+and gives them one validity time. The row map is the accepted TC's own
+map. A row may name the receiver; no positive edge reaches its
+distance 0, so such a row never shortens a path. Messages' maps are
+never mutated, so an accepted TC that carries the stored map again only
+refreshes, which a router stores in O(1) (Router.process_tc); any other
+costs O(|advertised set|), and a purge O(#originators). The update and
+purge functions change the set they are given in place; a stored row
+map is never mutated. Route is an immutable NamedTuple.
 
 Optimality of a routing set is defined over the link universe known to
 one router: its own symmetric links plus every advertised topology row.
@@ -28,10 +26,10 @@ rows replaced since the last pass recorded as they stood then, and a
 RouteMemo of that pass: the distances, choose_optimal's predecessors
 and the routing set proved optimal. update_routes carries the memo over
 the recorded rows only. repair_distances keeps the distances unless a
-tight edge was lost or lengthened, lowering only what fell (Ramalingam
-& Reps, J. Algorithms, 1996); predecessors then rescans the out-edges
-of the nodes whose distance fell and of the changed rows, the only
-sources of a tight edge that was not tight before.
+tight edge was lost or lengthened, lowering in place only what fell
+(Ramalingam & Reps, J. Algorithms, 1996); predecessors then rescans
+the out-edges of the nodes whose distance fell and of the changed
+rows, the only sources of a tight edge that was not tight before.
 """
 from __future__ import annotations
 
@@ -42,8 +40,7 @@ from typing import AbstractSet, FrozenSet, NamedTuple, Optional
 from .messages import (INF, Metric, NodeId, Sqn, TimeValue,
                        render_metric)
 
-# dict[NodeId, tuple[TimeValue, Sqn, rows, source]], rows and source
-# both dict[NodeId, Metric]
+# dict[NodeId, tuple[TimeValue, Sqn, dict[NodeId, Metric]]]
 TrSet = dict
 RoutingSet = dict  # dict[NodeId, Route]
 
@@ -54,39 +51,26 @@ class Route(NamedTuple):
     metric: Metric
 
 
-def update_router_topology(ip: NodeId, rts: TrSet, moip: NodeId,
-                           mansn: Sqn, vtime: TimeValue, dests: dict,
+def update_router_topology(rts: TrSet, moip: NodeId, mansn: Sqn,
+                           vtime: TimeValue, dests: dict,
                            now: TimeValue) -> bool:
     """Replace moip's ansn and every advertised row with the new ones.
 
-    Entries about ip itself are dropped. Returns whether moip's (dest,
-    metric) rows changed; False means the message only refreshed their
-    validity time and ansn. Messages' maps are never mutated, so dests
-    itself becomes the stored row unless it names ip: then a refresh
-    keeps the stored row and a change stores a copy without ip. Either
-    way dests becomes the entry's source. Given its stored source again
-    this compares rows as for any other map; Router.process_tc stores
-    such a TC itself, as the refresh this would find.
+    dests itself becomes the stored row map. Returns whether moip's
+    (dest, metric) rows changed; False means the message only refreshed
+    their validity time and ansn. Given the stored map again this
+    compares it with itself; Router.process_tc stores such a TC itself,
+    as the refresh this would find.
     """
     entry = rts.get(moip)
     old = {} if entry is None else entry[2]
-    row = dests
-    if ip not in dests:
-        changed = old != dests
-    else:
-        # a stored row never holds ip, so it equals dests minus ip
-        # exactly when it is as large and each of its rows is in dests
-        changed = (len(dests) - 1 != len(old)
-                   or not old.items() <= dests.items())
-        row = ({d: m for d, m in dests.items() if d != ip} if changed
-               else old)
-    rts[moip] = (now + vtime, mansn, row, dests)
-    return changed
+    rts[moip] = (now + vtime, mansn, dests)
+    return old != dests
 
 
 def purge_router_topology(rts: TrSet, now: TimeValue) -> list:
     """Drop every originator whose entry expired; return them."""
-    gone = [oip for oip, (vt, _, _, _) in rts.items() if vt <= now]
+    gone = [oip for oip, (vt, _, _) in rts.items() if vt <= now]
     for oip in gone:
         del rts[oip]
     return gone
@@ -118,11 +102,12 @@ def link_universe(ip: NodeId, ls: dict, rts: TrSet,
     """Known out-edges as an adjacency map src -> {dst: metric}.
 
     Every originator's rows are rts's own maps, shared and not copied;
-    ip's row is own_row. Rows may keep infinite or self-loop entries,
-    and a row may be empty: none of these ever shortens a path, so a
-    destination whose every path crosses an infinite one is
+    ip's row is own_row. Rows may keep infinite, self-loop or ip
+    entries, and a row may be empty: none of these ever shortens a
+    path, so a destination whose every path crosses an infinite one is
     unreachable. rts never holds rows of ip itself (process_tc drops
-    own TCs).
+    own TCs). Only the full predicate, Router.updates_pending, builds
+    this; a router's passes keep the same map live (Router._edges).
     """
     edges = {src: entry[2] for src, entry in rts.items()}
     edges[ip] = own_row(ls, now)
@@ -263,7 +248,7 @@ def choose_optimal(ip: NodeId, edges: dict,
 
 
 def repair_distances(edges: dict, changed: dict,
-                     dist: dict) -> Optional[tuple]:
+                     dist: dict) -> Optional[list]:
     """Carry dist over the rows in changed to edges, or say no.
 
     dist is the _dijkstra distances of the universe as it stood before
@@ -272,14 +257,14 @@ def repair_distances(edges: dict, changed: dict,
     holds was purged, every edge of its row removed. A row compares by
     identity, then by value.
 
-    None: an edge (u, v) of an old row with u reachable was tight,
-    dist[u] + w == dist[v], and is gone or longer in edges, so a
-    distance may grow. Else (distances, the nodes whose distance fell):
-    the changed edges out of reachable nodes that shorten a distance
-    seed a Dijkstra that only lowers distances, into a new dict, and a
-    routing set optimal before is then not optimal. With no such edge,
-    dist itself and no node: the distances hold and the tight edges
-    only grew, so such a set stays optimal.
+    None, before dist is written: an edge (u, v) of an old row with u
+    reachable was tight, dist[u] + w == dist[v], and is gone or longer
+    in edges, so a distance may grow. Else the nodes whose distance
+    fell: the changed edges out of reachable nodes that shorten a
+    distance seed a Dijkstra that lowers dist in place, and a routing
+    set optimal before is then not optimal. With no such edge, no node:
+    the distances hold and the tight edges only grew, so such a set
+    stays optimal.
     """
     seeds: dict = {}
     for src, before in changed.items():
@@ -293,12 +278,10 @@ def repair_distances(edges: dict, changed: dict,
         for v, w in row.items():
             if du + w < seeds.get(v, dist.get(v, INF)):
                 seeds[v] = du + w
-    if not seeds:
-        return dist, ()
     heap = [(d, v) for v, d in seeds.items()]
     heapq.heapify(heap)
-    lowered = {**dist, **seeds}
-    return lowered, _lower(edges, lowered, heap)
+    dist.update(seeds)
+    return _lower(edges, dist, heap)
 
 
 def update_routing_set(ip: NodeId, edges: dict, rs: RoutingSet,
@@ -330,27 +313,27 @@ def update_routes(ip: NodeId, edges: dict, changed: dict, rs: RoutingSet,
 
     edges is the live universe and changed its rows replaced since the
     last pass, as repair_distances takes them. A memo whose routing set
-    is rs is carried over changed, and its predecessors are moved in
-    place:
+    is rs is carried over changed, and its distances and predecessors
+    are moved in place:
     - if the distances hold, rs and the memo stay; the only new tight
       edges leave changed rows, and they may move a predecessor;
-    - if some fell, a node whose distance fell takes its predecessor
-      from the nodes that fell and the changed rows, and every other
-      node keeps the smaller of its old one and theirs: its old tight
-      in-edges stay tight. The routes are read off the predecessors.
+    - if some fell, in the memo's own distances, a node whose distance
+      fell takes its predecessor from the nodes that fell and the
+      changed rows, and every other node keeps the smaller of its old
+      one and theirs: its old tight in-edges stay tight. The routes are
+      read off the predecessors.
     Otherwise (no memo, rs is not the memo's, or a tight edge was lost
     or lengthened) a full Dijkstra, update_routing_set and a full
     predecessor scan.
     """
     if memo is not None and rs == memo.rs:
-        out = repair_distances(edges, changed, memo.dist)
-        if out is not None:
-            dist, fell = out
-            pred = memo.pred
+        fell = repair_distances(edges, changed, memo.dist)
+        if fell is not None:
+            dist, pred = memo.dist, memo.pred
             for v in fell:
                 pred.pop(v, None)
             predecessors(edges, dist, pred, chain(fell, changed))
-            if dist is memo.dist:
+            if not fell:
                 return rs, memo
             rs = routes(ip, dist, pred, rs)
             return rs, RouteMemo(dist, pred, dict(rs))

@@ -202,7 +202,7 @@ def oracle_mode(monkeypatch):
         if in_full_pass:
             run_topology(self)
             return
-        expired = sorted(o for o, (vt, _, _, _) in self.rts.items()
+        expired = sorted(o for o, (vt, _, _) in self.rts.items()
                          if vt <= self.now)
         assert not expired, (
             f"router {self.ip} at t={self.now}: a topology-only pass"
@@ -220,10 +220,10 @@ def oracle_mode(monkeypatch):
 
     def checked_repair(edges, changed, dist):
         assert not in_pending, "updates_pending() repaired distances"
-        out = repair(edges, changed, dist)
-        seen["fall back" if out is None else
-             "keep" if out[0] is dist else "repair"] += 1
-        return out
+        fell = repair(edges, changed, dist)
+        seen["fall back" if fell is None else
+             "repair" if fell else "keep"] += 1
+        return fell
 
     monkeypatch.setattr(Router, "step_main", checked_step)
     monkeypatch.setattr(Router, "_maybe_generate", checked_generate)

@@ -117,7 +117,7 @@ def scramble(rng, r):
                  if dst != oip and rng.random() < 0.2}
         # an originator may also be known with no rows at all
         if dests or rng.random() < 0.4:
-            r.rts[oip] = (now + rng.randint(-5, 40), ansn, dests, dests)
+            r.rts[oip] = (now + rng.randint(-5, 40), ansn, dests)
     pick = rng.random()
     if pick < 0.4:
         r.rs = choose_optimal(r.ip, link_universe(r.ip, r.ls, r.rts, now))
@@ -131,9 +131,11 @@ def scramble(rng, r):
         r.rs = {n: Route(n, rng.choice(names), rng.randint(1, 9))
                 for n in names if rng.random() < 0.3}
     r.ansn = rng.randrange(3)
-    # the state a new router starts in: no memo, so the first pass
-    # builds the live universe from the rts installed here
-    r._opt = None
+    # the live universe process_tc would have written for these rows,
+    # and no memo, as a new router starts: the first pass computes its
+    # routes in full
+    r._edges = {oip: entry[2] for oip, entry in r.rts.items()}
+    r._changed, r._opt = {}, None
 
 
 def test_updates_pending_equals_reference_composition():
@@ -193,8 +195,8 @@ def slack_router():
     r.ls = {"b": sym("b", now=100), "c": sym("c", now=100)}
     r.process_tc(tc("b", "b", dests={"d": 1}))
     r.process_tc(tc("c", "c", dests={"d": 5}))
-    assert r.rts == {"b": (140, 0, {"d": 1}, {"d": 1}),
-                     "c": (140, 0, {"d": 5}, {"d": 5})}
+    assert r.rts == {"b": (140, 0, {"d": 1}),
+                     "c": (140, 0, {"d": 5})}
     r.run_update_info()
     assert r.rs["d"] == Route("d", "b", 2)
     return r
@@ -207,7 +209,7 @@ def test_routing_set_mutated_after_a_pass_is_rechosen():
     r.rs["d"] = Route("d", "b", 7)  # wrong metric
     # the slack row c -> d, longer
     r.process_tc(tc("c", "c", seq=1, dests={"d": 6}))
-    assert r.rts["c"] == (140, 0, {"d": 6}, {"d": 6}) and r._topology_dirty
+    assert r.rts["c"] == (140, 0, {"d": 6}) and r._topology_dirty
     r.run_topology_update()
     assert r.rs == choose_optimal("a", link_universe("a", r.ls, r.rts, 100))
     assert r.rs["d"] == Route("d", "b", 2)
@@ -215,12 +217,12 @@ def test_routing_set_mutated_after_a_pass_is_rechosen():
 
 def test_reset_memo_never_pairs_stale_distances_with_new_rows():
     r = slack_router()
-    stale = r._opt.dist
+    stale = dict(r._opt.dist)
     r._opt = None   # as a new router starts, and scramble() leaves one
     # b -> d is gone: under the stale distances it was tight
     r.process_tc(tc("b", "b", seq=1, dests={"e": 1}))
     r.run_topology_update()
-    assert r._opt.dist is not stale
+    assert r._opt.dist != stale
     assert r._edges == link_universe("a", r.ls, r.rts, 100)
     assert r._opt.dist == _dijkstra(r._edges, "a")
     assert r.rs["d"] == Route("d", "c", 6) and r.rs["e"].metric == 2
@@ -424,7 +426,7 @@ def tc(originator="x", sender="b", vt=40, seq=0, ansn=0, dests=None):
 
 def rows(r):
     """The (originator, destination) pairs of r's router topology set."""
-    return {(oip, d) for oip, (_, _, dests, _) in r.rts.items()
+    return {(oip, d) for oip, (_, _, dests) in r.rts.items()
             for d in dests}
 
 
@@ -436,9 +438,11 @@ def symmetric_selector_router(ip="a"):
 
 def test_tc_fresh_message_stored_and_forwarded():
     r = symmetric_selector_router()
-    r.process_tc(tc(dests={"y": 3, "a": 9}))
-    # rows about self skipped, and the map they came from kept
-    assert r.rts == {"x": (r.now + 40, 0, {"y": 3}, {"y": 3, "a": 9})}
+    dests = {"y": 3, "a": 9}
+    r.process_tc(tc(dests=dests))
+    # the TC's own map is the stored row, its row about self included
+    assert r.rts == {"x": (r.now + 40, 0, {"y": 3, "a": 9})}
+    assert r.rts["x"][2] is dests
     assert r.ps == {("x", 0)} and r.rxs == {("x", 0)}
     assert len(r.pkt) == 1
     fwd = r.pkt[0]
@@ -543,16 +547,15 @@ def tc_refresh_view(r):
                          ids=["stored-map", "names-the-receiver"])
 def test_tc_refresh_is_stored_inline_as_the_full_update_stores_it(
         dests, monkeypatch):
-    """A TC that carries the map x's stored rows came from, the row
-    itself or the map it was filtered from when it names a, is stored
-    inline with no call to update_router_topology. It leaves rts, the
-    live universe, the changed rows, the topology mark and the next
-    expiry as that call's path leaves them on a copy of the router
-    whose stored entry came from an equal map that is not dests."""
+    """A TC that carries x's stored row map itself, whether or not it
+    names a, is stored inline with no call to update_router_topology.
+    It leaves rts, the live universe, the changed rows, the topology
+    mark and the next expiry as that call's path leaves them on a copy
+    of the router whose stored row is an equal map that is not dests."""
     r = symmetric_selector_router()
     r.process_tc(tc(dests=dests))
     r.run_update_info()
-    row = r.rts["x"][2]
+    assert r.rts["x"][2] is dests
     # another originator's new rows: a change a refresh must keep
     r.process_tc(tc("z", seq=0, dests={"y": 1}))
     assert r._changed and r._topology_dirty
@@ -560,13 +563,13 @@ def test_tc_refresh_is_stored_inline_as_the_full_update_stores_it(
     calls = []
     update = topology.update_router_topology
     monkeypatch.setattr(topology, "update_router_topology",
-                        lambda *args: calls.append(args[2]) or update(*args))
+                        lambda *args: calls.append(args[1]) or update(*args))
     ref = copy.copy(r)
     ref.rts, ref._edges, ref._changed = (dict(r.rts), dict(r._edges),
                                          dict(r._changed))
     ref.ps, ref.rxs, ref.pkt = set(r.ps), set(r.rxs), list(r.pkt)
-    vt, ansn, stored, _ = r.rts["x"]
-    ref.rts["x"] = (vt, ansn, stored, dict(dests))
+    vt, ansn, _ = r.rts["x"]
+    ref.rts["x"] = (vt, ansn, dict(dests))
     # the same map again, with a new ansn and a shorter validity
     msg = tc(vt=10, seq=1, ansn=1, dests=dests)
     r.process_tc(msg)
@@ -574,9 +577,28 @@ def test_tc_refresh_is_stored_inline_as_the_full_update_stores_it(
     ref.process_tc(msg)
     assert calls == ["x"]
     assert tc_refresh_view(r) == tc_refresh_view(ref)
-    assert r.rts["x"] == (r.now + 10, 1, {"y": 3}, dests)
-    assert r.rts["x"][2] is row and r.rts["x"][3] is dests
+    assert r.rts["x"] == (r.now + 10, 1, dests)
+    assert r.rts["x"][2] is dests and r._edges["x"] is dests
     assert r._next_expiry == r.now + 10
+
+
+def test_tc_changing_only_the_receivers_metric_changes_no_route():
+    """A row naming the receiver is stored as it came, so a TC that
+    changes only the receiver's metric is a change of rows: it marks
+    the topology half, which keeps the memo's distances and the
+    routing set, and traces no route change."""
+    r = symmetric_selector_router()
+    r.process_tc(tc("b", dests={"y": 3, "a": 9}))
+    r.run_update_info()
+    memo, rs = r._opt, r.rs
+    assert rs["y"] == Route("y", "b", 4)
+    traced = []
+    r.trace = lambda kind, payload: traced.append(kind)
+    r.process_tc(tc("b", seq=1, dests={"y": 3, "a": 1}))
+    assert r._topology_dirty and r._changed == {"b": {"y": 3, "a": 9}}
+    r.run_topology_update()
+    assert r._opt is memo and r.rs is rs and "ROUTE_CHANGE" not in traced
+    assert r._edges["b"] == {"y": 3, "a": 1} and not r._changed
 
 
 def test_tc_forwarding_gates():
@@ -857,13 +879,13 @@ def test_tc_refresh_with_shorter_validity_purges_on_time():
                            1, 1)}
     r.enqueue_delivery([Tc("b", "b", 40, 0, 0, {"c": 3})], 1)
     r.step_main()
-    assert r.rts["b"] == (140, 0, {"c": 3}, {"c": 3}) and "c" in r.rs
+    assert r.rts["b"] == (140, 0, {"c": 3}) and "c" in r.rs
     # identical rows, shorter validity: nothing to recompute, but the
     # rows now expire at 120 instead of 140
     r.now = 110
     r.enqueue_delivery([Tc("b", "b", 10, 1, 0, {"c": 3})], 1)
     r.step_main()
-    assert r.rts["b"] == (120, 0, {"c": 3}, {"c": 3})
+    assert r.rts["b"] == (120, 0, {"c": 3})
     for now in range(111, 125):
         r.now = now
         r.step_main()
@@ -873,24 +895,25 @@ def test_tc_refresh_with_shorter_validity_purges_on_time():
 
 def test_tc_naming_only_the_receiver_keeps_its_ansn_until_expiry():
     """An originator that advertises only the receiver keeps an entry
-    with no rows: its ansn rejects older content until the entry
-    expires at now + validity, and then a lower ansn is taken."""
+    that names no other router: its ansn rejects older content until
+    the entry expires at now + validity, and then a lower ansn is
+    taken."""
     r = mk_router("a", start_time=100)
     silent(r)
     r.ls = {"b": LinkTuple("b", 300, 300, 400, False, False, False, False,
                            1, 1)}
     r.enqueue_delivery([Tc("b", "b", 40, 0, 5, {"a": 2})], 1)
     r.step_main()
-    assert r.rts == {"b": (140, 5, {}, {"a": 2})}
+    assert r.rts == {"b": (140, 5, {"a": 2})}
     assert r._expiry_after(r.now) == 140
     r.now = 139
     r.enqueue_delivery([Tc("b", "b", 40, 1, 4, {"c": 3})], 1)
     r.step_main()
-    assert r.rts == {"b": (140, 5, {}, {"a": 2})} and "c" not in r.rs
+    assert r.rts == {"b": (140, 5, {"a": 2})} and "c" not in r.rs
     r.now = 140
     r.enqueue_delivery([Tc("b", "b", 40, 2, 4, {"c": 3})], 1)
     r.step_main()
-    assert r.rts == {"b": (180, 4, {"c": 3}, {"c": 3})} and "c" in r.rs
+    assert r.rts == {"b": (180, 4, {"c": 3})} and "c" in r.rs
     assert r.ps == {("b", 0), ("b", 1), ("b", 2)}
 
 

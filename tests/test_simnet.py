@@ -17,7 +17,7 @@ from olsrv2sim import (checkers, cli, engine, message_logs, messages,
 from olsrv2sim.checkers import (check_route_optimality, default_window,
                                 run_to_convergence)
 from olsrv2sim.cli import Scenario, parse_scenario
-from olsrv2sim.messages import Hello, Status
+from olsrv2sim.messages import Hello, Status, Tc
 from olsrv2sim.simnet import (GroundTruth, Network, NetworkParams,
                               ScenarioError, TopologyEvent, TraceEvent,
                               build_network)
@@ -102,6 +102,36 @@ def test_render_trace_event_frozen():
             " pkt=[HELLO o=b vt=12 st={a:HEARD} mpr={} in={a:1} out={}]")
     assert render_trace_event(ev) == line
     assert list(simnet.trace_batches([ev])) == [line + "\n"]
+
+
+def test_tc_text_is_shared_per_origination_only():
+    """trace_batches renders a TC's tail once per (originator, seq):
+    two originators' TCs with equal seq, validity and ansn but other
+    maps keep their own text, and the copies of one origination that
+    two senders forward, in a line of their own or in a packet, share
+    it. Each line equals the oracle's, rendered from its event alone."""
+    x_map = {"y": 2, "z": 1}
+    gen_x = Tc("x", "x", 40, 3, 1, x_map)
+    gen_y = Tc("y", "y", 40, 3, 1, {"x": 5})
+    fwd_b, fwd_c = gen_x._replace(sender="b"), gen_x._replace(sender="c")
+    # x's next origination, with its map unchanged, and one from z with
+    # an equal map that is another object
+    again = Tc("x", "x", 40, 4, 1, x_map)
+    equal = Tc("z", "z", 40, 4, 1, dict(x_map))
+    trace = [TraceEvent(0, "x", "TC_GEN", gen_x),
+             TraceEvent(0, "y", "TC_GEN", gen_y),
+             TraceEvent(1, "b", "TC_FWD", fwd_b),
+             TraceEvent(1, "c", "TC_FWD", fwd_c),
+             TraceEvent(2, "b", "BROADCAST", (1, frozenset({"a", "d"})),
+                        packet=[fwd_b]),
+             TraceEvent(3, "d", "DELIVER", ("c", 2), packet=[fwd_c, gen_y]),
+             TraceEvent(4, "x", "TC_GEN", again),
+             TraceEvent(4, "z", "TC_GEN", equal),
+             TraceEvent(5, "a", "DELIVER", ("x", 1), packet=[gen_x, again])]
+    want = [render_trace_event(ev) + "\n" for ev in trace]
+    got = "".join(simnet.trace_batches(trace)).splitlines(keepends=True)
+    assert got == want
+    assert "TC o=y s=y vt=40 sqn=3 ansn=1 d={x:5}" in want[1]
 
 
 def test_broadcast_timing_and_busy_span():

@@ -32,84 +32,73 @@ def sym_link(oip, out_m, sym_time=NOW + 10):
                      False, False, 1, out_m)
 
 
-def rows(dests, vt=NOW + 50, ansn=0, source=None):
-    """One originator's entry in a router topology set: its rows and the
-    TC map they came from, by default a map equal to the rows."""
-    row = dict(dests)
-    return (vt, ansn, row, row if source is None else source)
+def rows(dests, vt=NOW + 50, ansn=0):
+    """One originator's entry in a router topology set: its TC's map."""
+    return (vt, ansn, dict(dests))
 
 
 # --- information-base updates ----------------------------------------------
 
 def test_update_router_topology_replaces_ansn_and_validity():
     rts = {}
-    update_router_topology("me", rts, "b", mansn=3, vtime=40, dests={},
-                           now=NOW)
+    update_router_topology(rts, "b", mansn=3, vtime=40, dests={}, now=NOW)
     assert rts == {"b": rows({}, NOW + 40, ansn=3)}
-    update_router_topology("me", rts, "b", mansn=4, vtime=10, dests={},
-                           now=NOW)
+    update_router_topology(rts, "b", mansn=4, vtime=10, dests={}, now=NOW)
     assert rts == {"b": rows({}, NOW + 10, ansn=4)}
 
 
 def test_update_router_topology_replaces_all_rows_of_originator():
     rts = {"b": rows({"x": 1}), "c": rows({"x": 2})}
-    assert update_router_topology("me", rts, "b", mansn=0, vtime=30,
+    assert update_router_topology(rts, "b", mansn=0, vtime=30,
                                   dests={"y": 5, "me": 1}, now=NOW)
-    # b's old rows are gone, rows about me are never stored
-    assert rts == {"b": rows({"y": 5}, NOW + 30, source={"y": 5, "me": 1}),
+    # b's old rows are gone; a row about the receiver is kept as it came
+    assert rts == {"b": rows({"y": 5, "me": 1}, NOW + 30),
                    "c": rows({"x": 2})}
     # the same rows again only refresh the validity time
-    assert not update_router_topology("me", rts, "b", mansn=0, vtime=10,
-                                      dests={"y": 5}, now=NOW + 1)
-    assert rts["b"] == rows({"y": 5}, NOW + 11)
-    assert update_router_topology("me", rts, "b", mansn=0, vtime=10,
-                                  dests={"y": 6}, now=NOW + 1)
-    assert update_router_topology("me", rts, "b", mansn=0, vtime=10,
+    assert not update_router_topology(rts, "b", mansn=0, vtime=10,
+                                      dests={"y": 5, "me": 1}, now=NOW + 1)
+    assert rts["b"] == rows({"y": 5, "me": 1}, NOW + 11)
+    assert update_router_topology(rts, "b", mansn=0, vtime=10,
+                                  dests={"y": 5}, now=NOW + 1)
+    assert update_router_topology(rts, "b", mansn=0, vtime=10,
                                   dests={}, now=NOW + 1)
     # an originator with no rows left keeps its entry, and so its ansn
     assert rts == {"b": rows({}, NOW + 11), "c": rows({"x": 2})}
-    assert not update_router_topology("me", rts, "d", mansn=2, vtime=10,
-                                      dests={"me": 1}, now=NOW + 1)
-    assert rts == {"b": rows({}, NOW + 11), "c": rows({"x": 2}),
-                   "d": rows({}, NOW + 11, ansn=2, source={"me": 1})}
 
 
 VERDICTS = [
-    # (stored rows or None, dests, changed, rows after or None for none)
-    ({"x": 1, "y": 2}, {"y": 2, "me": 4, "x": 1}, False, {"x": 1, "y": 2}),
+    # (stored row map or None, dests, changed, the rows RFC 7181's
+    # Router Topology Set holds after, dests without me, or None for none)
+    ({"x": 1, "me": 4}, {"me": 4, "x": 1}, False, {"x": 1}),
     ({"x": 1, "y": 2}, {"x": 1, "z": 2}, True, {"x": 1, "z": 2}),
     ({"x": 1, "y": 2}, {"x": 1, "y": 3}, True, {"x": 1, "y": 3}),
     ({"x": 1}, {"x": 1, "me": 1, "y": 1}, True, {"x": 1, "y": 1}),
     ({"x": 1}, {"me": 1}, True, None),
     (None, {}, False, None),
-    (None, {"me": 2}, False, None),
+    (None, {"me": 2}, True, None),
     (None, {"x": INF}, True, {"x": INF}),
+    ({"x": 1, "y": 2}, {"y": 2, "x": 1}, False, {"x": 1, "y": 2}),
+    # a change to the receiver's row alone is a change of the map
+    ({"x": 1, "me": 4}, {"x": 1, "me": 5}, True, {"x": 1}),
+    ({"x": 1, "y": 2}, {"y": 2, "me": 4, "x": 1}, True, {"x": 1, "y": 2}),
 ]
 
 
 @pytest.mark.parametrize("stored,dests,changed,after", VERDICTS)
 def test_update_router_topology_verdict(stored, dests, changed, after):
     rts = {"c": rows({"x": 2})}
-    old = None
     if stored is not None:
         rts["b"] = rows(stored)
-        old = rts["b"][2]
-    got = update_router_topology("me", rts, "b", mansn=7, vtime=30,
-                                 dests=dests, now=NOW)
+    old = rts.get("b")
+    got = update_router_topology(rts, "b", mansn=7, vtime=30, dests=dests,
+                                 now=NOW)
     assert got is changed
-    assert rts["b"] == rows(after or {}, NOW + 30, ansn=7, source=dests)
-    assert rts["b"][3] is dests
+    # the stored row is the message's own map, whatever the verdict
+    assert rts["b"] == (NOW + 30, 7, dests) and rts["b"][2] is dests
+    assert {d: m for d, m in dests.items() if d != "me"} == (after or {})
     assert rts["c"] == rows({"x": 2})
-    row = rts["b"][2]
-    if "me" not in dests:
-        # the stored row is the message's own map
-        assert row is dests
-    else:
-        # a new entry or a change stores a copy; a refresh keeps the
-        # stored map
-        assert "me" not in row and row is not dests
-        if old is not None:
-            assert (row is old) is not changed
+    if old is not None:
+        assert old[2] == stored   # the old map is left as it was
 
 
 def test_purges():
@@ -117,7 +106,7 @@ def test_purges():
            "b": rows({"y": 1}, vt=NOW + 1),
            "c": rows({}, vt=NOW, ansn=1),
            "d": rows({}, vt=NOW + 1, ansn=1)}
-    purge_router_topology(rts, NOW)
+    assert purge_router_topology(rts, NOW) == ["a", "c"]
     assert rts == {"b": rows({"y": 1}, vt=NOW + 1),
                    "d": rows({}, vt=NOW + 1, ansn=1)}
 
@@ -140,17 +129,19 @@ def test_link_universe_rules():
     ls = {"b": sym_link("b", 9),
           "h": sym_link("h", 2, sym_time=NOW),   # only heard: excluded
           "i": sym_link("i", INF)}               # infinite: excluded
-    rts = {"b": rows({"x": 4, "w": INF}),        # infinite row: kept
+    rts = {"b": rows({"x": 4, "w": INF, "me": 3}),  # infinite row and
+                                                    # one to me: kept
            "x": rows({"x": 1}),                  # self loop: kept
            "z": rows({"z": 1}),                  # unreachable self loop
            "q": rows({"w": INF}),                # unreachable infinite row
            "e": rows({})}                        # no rows: kept empty
     edges = link_universe("me", ls, rts, NOW)
-    assert edges == {"me": {"b": 9}, "b": {"x": 4, "w": INF},
+    assert edges == {"me": {"b": 9}, "b": {"x": 4, "w": INF, "me": 3},
                      "x": {"x": 1}, "z": {"z": 1}, "q": {"w": INF}, "e": {}}
     # the rows are rts's own maps, shared and not copied
-    assert all(edges[o] is dests for o, (_, _, dests, _) in rts.items())
-    # infinite rows, self loops and the excluded own links yield no route
+    assert all(edges[o] is dests for o, (_, _, dests) in rts.items())
+    # infinite rows, self loops, rows to me and the excluded own links
+    # yield no route
     assert _dijkstra(edges, "me") == {"me": 0, "b": 9, "x": 13}
     rs = choose_optimal("me", edges)
     assert rs == {"b": Route("b", "b", 9), "x": Route("x", "b", 13)}
@@ -165,27 +156,28 @@ def test_link_universe_rules():
 
 def test_topology_rows_are_replaced_never_mutated():
     rts = {}
-    assert update_router_topology("me", rts, "b", mansn=0, vtime=30,
-                                  dests={"x": 1, "me": 1}, now=NOW)
-    first = rts["b"][2]
+    first = {"x": 1, "me": 1}
+    assert update_router_topology(rts, "b", mansn=0, vtime=30, dests=first,
+                                  now=NOW)
     edges = link_universe("me", {}, rts, NOW)
     assert edges["b"] is first
-    # a refresh keeps the map, so the universe still compares by identity
-    assert not update_router_topology("me", rts, "b", mansn=0, vtime=30,
-                                      dests={"x": 1, "me": 2}, now=NOW + 1)
-    assert rts["b"][2] is first
-    # a change installs a new map and leaves the old one as it was; a
-    # map that does not name me is stored itself
+    # a change of the receiver's metric alone installs the new map too
+    second = {"x": 1, "me": 2}
+    assert update_router_topology(rts, "b", mansn=0, vtime=30,
+                                  dests=second, now=NOW + 1)
+    assert rts["b"][2] is second
+    # a change installs a new map and leaves the old one as it was
     third = {"x": 2, "y": 1}
-    assert update_router_topology("me", rts, "b", mansn=0, vtime=30,
+    assert update_router_topology(rts, "b", mansn=0, vtime=30,
                                   dests=third, now=NOW + 2)
     assert rts["b"][2] is third
-    assert first == {"x": 1} and edges == {"b": {"x": 1}, "me": {}}
+    assert first == {"x": 1, "me": 1} and second == {"x": 1, "me": 2}
+    assert edges == {"b": first, "me": {}}
     assert link_universe("me", {}, rts, NOW)["b"] is third
     # the same map again is a refresh that keeps it
-    assert not update_router_topology("me", rts, "b", mansn=0, vtime=30,
+    assert not update_router_topology(rts, "b", mansn=0, vtime=30,
                                       dests=third, now=NOW + 3)
-    assert rts["b"] == (NOW + 33, 0, third, third) and rts["b"][2] is third
+    assert rts["b"] == (NOW + 33, 0, third) and rts["b"][2] is third
     assert third == {"x": 2, "y": 1}
 
 
@@ -372,11 +364,16 @@ def test_repair_distances_outcomes():
     dist = _dijkstra(old, "s")
     assert dist == {"s": 0, "a": 1, "b": 1, "c": 3}
 
-    def repair(new):
-        return repair_distances(new, changes(old, new), dist)
+    def repair(new, changed=None):
+        """(repair_distances's answer, the distances it left) on a
+        copy of dist."""
+        got = dict(dist)
+        if changed is None:
+            changed = changes(old, new)
+        return repair_distances(new, changed, got), got
 
     def kept(out):
-        return out[0] is dist and not out[1]
+        return out == ([], dist)
 
     # the own row rebuilt with the same rows, and a slack edge longer
     assert kept(repair({**old, "s": {"a": 1, "b": 1}, "b": {"c": 5}}))
@@ -384,25 +381,28 @@ def test_repair_distances_outcomes():
     assert kept(repair({**old, "b": {"c": 2}}))
     # a row replaced twice since the pass, recorded as it stood then:
     # back to equal rows, nothing changed
-    assert kept(repair_distances({**old, "a": {"c": 2}},
-                                 {"a": old["a"]}, dist))
-    # a tight edge or a slack one made shorter: c falls to 2
+    assert kept(repair({**old, "a": {"c": 2}}, {"a": old["a"]}))
+    # rows to the router itself, and a change of their metric alone
+    to_s = {**old, "a": {"c": 2, "s": 1}}
+    assert kept(repair(to_s))
+    assert kept(repair({**old, "a": {"c": 2, "s": 5}}, {"a": to_s["a"]}))
+    # a tight edge or a slack one made shorter: c falls to 2, in place
     for new in ({**old, "a": {"c": 1}}, {**old, "b": {"c": 1}}):
-        got, fell = repair(new)
+        fell, got = repair(new)
         assert got == _dijkstra(new, "s") and got["c"] == 2
         assert fell == ["c"]
     # a new row out of a reachable node reaches a new destination
     new = {**old, "b": {"c": 4, "d": 1}, "d": {"c": 1}}
-    got, fell = repair(new)
+    fell, got = repair(new)
     assert got == _dijkstra(new, "s") == {**dist, "d": 2} and fell == ["d"]
-    assert dist == _dijkstra(old, "s")  # the given distances stay
-    # a tight edge lengthened, or its row purged: start again
-    assert repair({**old, "a": {"c": 3}}) is None
-    assert repair({"s": old["s"], "b": old["b"]}) is None
+    # a tight edge lengthened, or its row purged: start again, with
+    # nothing written
+    assert repair({**old, "a": {"c": 3}}) == (None, dist)
+    assert repair({"s": old["s"], "b": old["b"]}) == (None, dist)
     # rows out of an unreachable node count for nothing
     far = {**old, "x": {"c": 1}}
     assert kept(repair(far))
-    assert kept(repair_distances(old, changes(far, old), dist))
+    assert kept(repair(old, changes(far, old)))
 
 
 NODES = "sabcdx"   # s is the router; x is often unreachable
@@ -466,18 +466,17 @@ def test_repaired_distances_are_dijkstras(case):
     assert oracles.ref_is_optimal_over("s", old, rs)
     dist = _dijkstra(old, "s")
     before = dict(dist)
-    out = repair_distances(new, changes(old, new), dist)
-    assert dist == before
-    if out is None:
+    fell = repair_distances(new, changes(old, new), dist)
+    if fell is None:
+        assert dist == before   # nothing written
         return
-    got, fell = out
-    assert got == _dijkstra(new, "s")
+    assert dist == _dijkstra(new, "s")
     # the nodes that fell, each once
-    assert sorted(fell) == sorted(v for v, d in got.items()
-                                  if d < dist.get(v, INF))
+    assert sorted(fell) == sorted(v for v, d in dist.items()
+                                  if d < before.get(v, INF))
     # kept distances keep every optimal routing set optimal; repaired
     # ones leave none of them optimal
-    assert oracles.ref_is_optimal_over("s", new, rs) == (got is dist)
+    assert oracles.ref_is_optimal_over("s", new, rs) == (not fell)
 
 
 EDITS = st.tuples(
@@ -567,7 +566,9 @@ def test_routes_carried_over_changed_rows_equal_the_full_computation(case):
             d = sorted(rs)[0]
             rs = {**rs, d: rs[d]._replace(metric=rs[d].metric + 1)}
         given_rs, last = rs, memo
-        outcome = (repair_distances(edges, changed, last.dist)
+        # what repair_distances decides, on a copy: the pass lowers
+        # last.dist itself
+        outcome = (repair_distances(edges, changed, dict(last.dist))
                    if last is not None and rs == last.rs else None)
         rs, memo = update_routes("s", edges, changed, rs, memo)
         changed = {}
@@ -578,7 +579,7 @@ def test_routes_carried_over_changed_rows_equal_the_full_computation(case):
         assert memo.rs == rs and oracles.ref_is_optimal_over("s", edges, rs)
         if outcome is None:
             want = update_routing_set("s", edges, given_rs, dist)
-        elif outcome[0] is last.dist:
+        elif not outcome:
             assert memo is last
             want = given_rs
         else:
@@ -597,14 +598,18 @@ def tc_sequences(draw):
     """TCs in time order, as (originator, ansn, dests, now, validity).
 
     A TC may carry its originator's previous map object again, as an
-    originator does while its advertisement is unchanged; a map may
-    name the receiver me.
+    originator does while its advertisement is unchanged, or a copy of
+    it that changes only the receiver me's metric; a map may name me.
     """
     now, last, out = NOW, {}, []
     for _ in range(draw(st.integers(1, 14))):
         moip = draw(st.sampled_from("bxy"))
-        if moip in last and draw(st.booleans()):
+        how = draw(st.sampled_from(["again", "receiver", "new"]))
+        if moip in last and how == "again":
             dests = last[moip]
+        elif moip in last and how == "receiver":
+            dests = last[moip] = {**last[moip],
+                                  "me": draw(st.integers(1, 9))}
         else:
             dests = last[moip] = draw(TC_DESTS)
         now += draw(st.integers(0, 12))
@@ -616,10 +621,12 @@ def tc_sequences(draw):
 @settings(max_examples=300, deadline=None)
 @given(tc_sequences())
 def test_one_topology_set_matches_the_two_sets(tcs):
-    """Router.process_tc over the one originator-keyed set agrees with
-    oracles.RefTopologySets, an Advertising Remote Router Set and a
-    Router Topology Set of filtered copies, on every verdict, entry and
-    distance."""
+    """Router.process_tc over the one originator-keyed set, which stores
+    each TC's own map, agrees with oracles.RefTopologySets, an
+    Advertising Remote Router Set and a Router Topology Set of
+    receiver-free copies: on every verdict, originator, ansn and
+    validity time, row without the receiver, distance and
+    choose_optimal's routing set."""
     r = Router(RouterConfig("me", hp_maxjitter=3, tp_maxjitter=3,
                             h_hold_time=14, t_hold_time=40, l_hold_time=10,
                             hello_interval=10, tc_interval=20),
@@ -634,22 +641,29 @@ def test_one_topology_set_matches_the_two_sets(tcs):
         purge_router_topology(r.rts, now)
         ref.purge(now)
         r._topology_dirty, r._next_expiry = False, INF
+        stored = r.rts.get(moip, (None, None, {}))[2]
         r.process_tc(Tc(moip, "b", vtime, seq, ansn, dests))
         accepted, changed = ref.receive(moip, ansn, vtime, dests, now)
         # an accepted TC lowers the next expiry to its validity time
         assert (r._next_expiry == now + vtime) is accepted
-        assert r._topology_dirty is changed
-        if accepted and "me" not in dests:
+        # it marks the topology half when its map differs from the
+        # stored one, so always when the rows without me changed
+        assert r._topology_dirty is (accepted and dests != stored)
+        assert changed <= r._topology_dirty
+        if accepted:
             assert r.rts[moip][2] is dests
         assert r.rts.keys() == ref.arrs.keys()
-        for oip, (vt, stored_ansn, row, source) in r.rts.items():
+        for oip, (vt, stored_ansn, row) in r.rts.items():
             assert (stored_ansn, vt) == ref.arrs[oip]
-            # the rows are the map they came from without the receiver
-            assert row == {d: m for d, m in source.items() if d != "me"}
-            assert (vt, row) == ref.rts.get(oip, (vt, {}))
-        got = _dijkstra(link_universe("me", r.ls, r.rts, now), "me")
-        want = oracles.simple_path_dists(ref.edges(own), "me")
+            without_me = {d: m for d, m in row.items() if d != "me"}
+            assert (vt, without_me) == ref.rts.get(oip, (vt, {}))
+        edges, ref_edges = link_universe("me", r.ls, r.rts, now), ref.edges(own)
+        got = _dijkstra(edges, "me")
+        assert got == _dijkstra(ref_edges, "me")
+        want = oracles.simple_path_dists(ref_edges, "me")
         assert got == {n: d for n, d in want.items() if d < INF}
+        assert list(choose_optimal("me", edges).items()) == list(
+            choose_optimal("me", ref_edges).items())
 
 
 # --- renders ----------------------------------------------------------------
