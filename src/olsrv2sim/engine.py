@@ -107,9 +107,9 @@ from .messages import render_message  # noqa: F401
 from .neighborhood import LinkSet, LinkTuple, TwoHopSet, TwoHopTuple
 from .topology import RoutingSet
 
-# A Tc from a tuple of all six fields, built in C: NamedTuple's generated
-# __new__ and _replace run Python code, once per forwarded copy or TC
-# that carries the last map.
+# A Tc from a tuple of all five fields, built in C: NamedTuple's
+# generated __new__ and _replace run Python code, once per TC that
+# carries the last map.
 _tc = partial(tuple.__new__, Tc)
 # the same for the link and 2-hop tuples a HELLO writes
 _link = partial(tuple.__new__, LinkTuple)
@@ -193,7 +193,8 @@ class Router:
         self.ps: set = set()
         self.rxs: set = set()
         self.pkt: Packet = []
-        self.mqueue: list = []  # QUEUE: (packet, measured in_metric)
+        # QUEUE: (packet, measured in_metric, the packet's sender)
+        self.mqueue: list = []
         self.now: TimeValue = start_time
         self.hello_time: TimeValue = start_time + hello_offset
         self.tc_time: TimeValue = start_time + tc_offset
@@ -493,41 +494,34 @@ class Router:
             # only times moved: nothing is pending until one is reached
             self._next_expiry = nxt
 
-    def process_tc(self, msg: Tc) -> None:
-        """Process a TC, then forward it; each step at most once per
-        (originator, seq).
+    def process_tc(self, msg: Tc, sender: NodeId) -> None:
+        """Process a TC that sender broadcast, then forward it; each
+        step at most once per (originator, seq).
+
+        The caller has filtered: msg is a TC, not our own, and its key
+        is not in rxs (step_main drops such copies). A copy in rxs would
+        reach neither step anyway, since rxs is a subset of ps: a key
+        enters rxs only in the forward step, which is reached only with
+        a SYMMETRIC sender, and with such a sender the process step has
+        put the key in ps by then.
 
         The process step stores the rows of a TC not processed before
         (not in ps), when its sender is a SYMMETRIC neighbor or
         process_tc_from_unknown is set. The forward step records a TC
         from a SYMMETRIC sender as received (rxs) and, if that sender
-        selected us as flooding MPR or flood_all is set, queues a copy.
+        selected us as flooding MPR or flood_all is set, queues msg
+        itself: our packet's receivers read us as its sender (see Tc).
         Both logs take the one (originator, seq) key built here, and the
-        copy is built here too: msg with us as sender, sharing its dests.
+        sender's status is read once and serves both steps.
 
         A TC whose dests is the stored row map itself is a refresh: it
         is stored inline as the new validity time and ansn, as
         update_router_topology would store it, and it marks nothing.
         Any other accepted TC goes through update_router_topology. A
         row that names ip is stored as it came, like any other.
-
-        A copy already in rxs returns at once, before the sender's link
-        is read, and writes nothing: rxs is a subset of ps. A key
-        enters rxs only in the forward step, which is reached only with
-        a SYMMETRIC sender, and with such a sender the process step has
-        put the key in ps by then. So both steps would drop the copy
-        anyway. Otherwise the sender's status is read once and serves
-        both steps.
         """
-        if not isinstance(msg, Tc):
-            raise TypeError("process_tc requires a TC message")
-        moip, sender, validity, seq, ansn, dests = msg
-        ip = self.ip
-        if moip == ip:
-            return  # own message echoed back; drop without forwarding
+        moip, validity, seq, ansn, dests = msg
         key = (moip, seq)
-        if key in self.rxs:
-            return
         now = self.now
         sender_lt = self.ls.get(sender)
         # SYMMETRIC, as LinkTuple.status reads it
@@ -564,17 +558,18 @@ class Router:
             return
         self.rxs.add(key)
         if self.flood_all or sender_lt.fmpr_selector:
-            fwd = _tc((moip, ip, validity, seq, ansn, dests))
-            self.pkt.append(fwd)
+            self.pkt.append(msg)
             self.send_time = now + 1
-            self.trace("TC_FWD", fwd)
+            self.trace("TC_FWD", msg)
 
     # -- per-tick step ----------------------------------------------------
 
-    def enqueue_delivery(self, packet: Packet, in_metric) -> None:
+    def enqueue_delivery(self, packet: Packet, in_metric,
+                         sender: NodeId) -> None:
         """QUEUE process: queue a delivered packet with its measured
-        in_metric; never blocks. The only writer of mqueue."""
-        self.mqueue.append((packet, in_metric))
+        in_metric and the node that broadcast it; never blocks. The
+        only writer of mqueue."""
+        self.mqueue.append((packet, in_metric, sender))
 
     def step_main(self) -> Optional[Packet]:
         """Run one tick of zero-time work; return a packet if one is emitted.
@@ -583,7 +578,9 @@ class Router:
         starts now and the caller must keep this node busy for the
         drawn duration. Nothing else happens in such a step. Otherwise
         the step drains the queue taken at its start, with a pass after
-        each message that marked one, then generates. It asks
+        each message that marked one, then generates. Draining drops our
+        own TCs and copies already received (in rxs), and hands every
+        other TC to process_tc with its packet's sender. It asks
         _maintenance_due() only once the dirty bit is set or now has
         reached _next_expiry, and it calls _maybe_generate() only when
         one of its guards can hold: now has reached _hello_fire or
@@ -601,14 +598,14 @@ class Router:
             return emitted
         queue, self.mqueue = self.mqueue, []
         ip, rxs = self.ip, self.rxs
-        for packet, metric in queue:
+        for packet, metric, sender in queue:
             for msg in packet:
                 if type(msg) is Hello:
                     self.process_hello(msg, metric)
                 elif msg.originator == ip or (msg.originator, msg.seq) in rxs:
-                    continue  # process_tc would return at once
+                    continue  # our own, or a copy already received
                 else:
-                    self.process_tc(msg)
+                    self.process_tc(msg, sender)
                 if self._dirty:
                     self.run_update_info()
                 elif self._topology_dirty:
@@ -654,7 +651,7 @@ class Router:
                               self.ls.values(), self.now)
                 if msg.dests == self._tc_map and (
                         list(msg.dests) == list(self._tc_map)):
-                    msg = _tc((*msg[:5], self._tc_map))
+                    msg = _tc((*msg[:4], self._tc_map))
                 self._tc_map = msg.dests
                 self.pkt.append(msg)
                 self.trace("TC_GEN", msg)

@@ -7,7 +7,7 @@ extended-integer comparison and addition without a custom numeric type.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Union
 
 if TYPE_CHECKING:
     from .neighborhood import LinkTuple
@@ -61,10 +61,12 @@ class Hello(NamedTuple):
 
 
 class Tc(NamedTuple):
-    """Topology control message: advertised links, flooded network-wide."""
+    """Topology control message: advertised links, flooded network-wide.
+
+    As in RFC 5444 framing, a forward keeps originator and seq and the
+    sender is the packet's source, so every forward carries one object."""
 
     originator: NodeId
-    sender: NodeId
     validity: TimeValue
     seq: Sqn
     ansn: Sqn
@@ -111,8 +113,8 @@ def make_tc(ip: NodeId, vtime: TimeValue, sqn: Sqn, ansn: Sqn,
     """Build a TC advertising out-metrics to symmetric routing-MPR selectors."""
     dests = {lt.oip: lt.out_metric for lt in ls
              if lt.rmpr_selector and lt.status(now) is SYMMETRIC}
-    return Tc(originator=ip, sender=ip, validity=vtime, seq=sqn,
-              ansn=ansn, dests=dests)
+    return Tc(originator=ip, validity=vtime, seq=sqn, ansn=ansn,
+              dests=dests)
 
 
 # --- trace rendering ---------------------------------------------------
@@ -138,35 +140,38 @@ def _enum_value(v: enum.Enum) -> str:
     return v.value
 
 
-def render_message(msg: Message) -> str:
-    """One-line stable rendering; key sets appear in NodeId order."""
+def render_message(msg: Message, sender: Optional[NodeId] = None) -> str:
+    """One-line stable rendering; key sets appear in NodeId order. A TC's
+    s= is sender, the node that broadcast it (by default its originator)."""
     if isinstance(msg, Hello):
         return (f"HELLO o={msg.originator} vt={render_time(msg.validity)}"
                 f" st={_render_map(msg.statuses, _enum_value)}"
                 f" mpr={_render_map(msg.mprs, _enum_value)}"
                 f" in={_render_map(msg.in_metrics, render_metric)}"
                 f" out={_render_map(msg.out_metrics, render_metric)}")
-    return render_tc_head(msg) + render_tc_tail(msg, render_dests(msg.dests))
+    return (render_tc_head(msg, sender or msg.originator)
+            + render_tc_tail(msg, render_dests(msg.dests)))
 
 
-def render_tc_head(msg: Tc) -> str:
-    """A TC's text up to its sender, the part a forwarded copy changes."""
-    return f"TC o={msg.originator} s={msg.sender}"
+def render_tc_head(msg: Tc, sender: NodeId) -> str:
+    """A TC's text up to its sender, the part each broadcast changes."""
+    return f"TC o={msg.originator} s={sender}"
 
 
 def render_tc_tail(msg: Tc, dests_text: str) -> str:
-    """A TC's text after its sender: one origination's copies share it."""
+    """A TC's text after its sender: one origination's lines share it."""
     return (f" vt={render_time(msg.validity)} sqn={msg.seq}"
             f" ansn={msg.ansn} d={dests_text}")
 
 
 def render_dests(dests: dict) -> str:
-    """A TC's advertised map; copies and unchanged originations share
+    """A TC's advertised map; forwards and unchanged originations share
     one map object, so a caller can render it once per object."""
     return _render_map(dests, render_metric)
 
 
-def render_packet(pkt: Packet, message_text=None) -> str:
-    """message_text renders each message (render_message by default),
-    so a caller can reuse the text of a message it has rendered."""
-    return "[" + "; ".join(map(message_text or render_message, pkt)) + "]"
+def render_packet(pkt: Packet, sender: NodeId, message_text=None) -> str:
+    """pkt as sender broadcast it. message_text(msg, sender) renders each
+    message (render_message by default), so a caller can reuse its text."""
+    text = message_text or render_message
+    return "[" + "; ".join([text(msg, sender) for msg in pkt]) + "]"

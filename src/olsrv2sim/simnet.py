@@ -29,16 +29,17 @@ per kind:
                              the sent Packet as packet;
   LINK_EVENT                 the TopologyEvent applied.
 Messages and packets are never changed once traced, so an event's line
-is the same whenever it is rendered. Lines share text: a packet's text
-ends every DELIVER and BROADCAST line of that packet, a message's text
-ends its own line and recurs in its packet, and the copies of one TC
-origination share their text after the sender. trace_batches renders
-such text once per pass (per object for a HELLO, a packet or a TC map,
-per origination for a TC's tail, and per TC from its line until its
-one packet is rendered) and adds it after the line's own head as a
-chunk of its own, so no line copies it. It joins the chunks of each
-_BATCH events into one string, so it never holds an object per chunk
-of the whole trace.
+is the same whenever it is rendered. A TC names no sender (messages.Tc),
+so its s= is the line's node on a TC_GEN or TC_FWD line, and inside a
+packet the packet's broadcaster: BROADCAST's node, DELIVER's from=.
+Lines share text: a packet's text ends every DELIVER and BROADCAST line
+of that packet, a message's text ends its own line and recurs in its
+packet, and every line of one TC origination shares its text after the
+sender. trace_batches renders such text once per pass (per object for
+a HELLO, a packet or a TC map, per origination for a TC's tail) and
+adds it after the line's own head as a chunk of its own, so no line
+copies it. It joins the chunks of each _BATCH events into one string,
+so it never holds an object per chunk of the whole trace.
 
 Each router's trace callback is bound once, when the Network is built;
 it and the tick record into the current tick's events, which join the
@@ -167,10 +168,9 @@ def trace_batches(trace: list) -> Iterator[str]:
             msg, get(id(msg.dests)) or keep(
                 id(msg.dests), messages.render_dests(msg.dests))))
 
-    def message(msg) -> str:
+    def message(msg, sender: NodeId) -> str:
         if type(msg) is Tc:
-            return memo.pop(id(msg), None) or (
-                messages.render_tc_head(msg) + tc_tail(msg))
+            return messages.render_tc_head(msg, sender) + tc_tail(msg)
         return get(id(msg)) or keep(id(msg), messages.render_message(msg))
 
     for i in range(0, len(trace), _BATCH):
@@ -181,22 +181,17 @@ def trace_batches(trace: list) -> Iterator[str]:
                 add(f"t={tick} n={node} ev=DELIVER from={p[0]} m={p[1]}"
                     " pkt=")
                 add(get(id(pkt)) or keep(
-                    id(pkt), render_packet(pkt, message) + "\n"))
-            elif kind == "TC_FWD" or kind == "TC_GEN":
+                    id(pkt), render_packet(pkt, p[0], message) + "\n"))
+            elif kind == "TC_FWD" or kind == "TC_GEN" or kind == "HELLO_GEN":
                 add(f"t={tick} n={node} ev={kind} ")
-                text = memo[id(p)] = messages.render_tc_head(p) + tc_tail(p)
-                add(text)
+                add(message(p, node))
                 add("\n")
             elif kind == "BROADCAST":
                 to = ",".join(sorted(p[1]))
                 add(f"t={tick} n={node} ev=BROADCAST d={p[0]} to={{{to}}}"
                     " pkt=")
                 add(get(id(pkt)) or keep(
-                    id(pkt), render_packet(pkt, message) + "\n"))
-            elif kind == "HELLO_GEN":
-                add(f"t={tick} n={node} ev=HELLO_GEN ")
-                add(message(p))
-                add("\n")
+                    id(pkt), render_packet(pkt, node, message) + "\n"))
             elif kind == "ROUTE_CHANGE":
                 rs = "; ".join(map(topology.render_route, p))
                 add(f"t={tick} n={node} ev=ROUTE_CHANGE rs=[{rs}]\n")
@@ -294,7 +289,7 @@ class Network:
                     if noise:
                         m = self._noise_rng[r].randint(max(1, m - noise),
                                                        m + noise)
-                    routers[r].enqueue_delivery(packet, m)
+                    routers[r].enqueue_delivery(packet, m, sender)
                     append(_event((clock, r, "DELIVER", (sender, m), packet)))
 
             # phase 2: per-router steps
@@ -366,6 +361,8 @@ def build_network(scenario) -> Network:
     overrides spelled "<node>.<name>".
     """
     nodes = list(scenario.nodes)
+    if not nodes:
+        raise ScenarioError("scenario declares no node")
     if len(set(nodes)) != len(nodes):
         dupes = sorted({n for n in nodes if nodes.count(n) > 1})
         raise ScenarioError(f"duplicate node id: {', '.join(dupes)}")

@@ -105,8 +105,8 @@ def link_universe(ip: NodeId, ls: dict, rts: TrSet,
     ip's row is own_row. Rows may keep infinite, self-loop or ip
     entries, and a row may be empty: none of these ever shortens a
     path, so a destination whose every path crosses an infinite one is
-    unreachable. rts never holds rows of ip itself (process_tc drops
-    own TCs). Only the full predicate, Router.updates_pending, builds
+    unreachable. rts never holds rows of ip itself (Router.step_main
+    drops own TCs). Only the full predicate, Router.updates_pending, builds
     this; a router's passes keep the same map live (Router._edges).
     """
     edges = {src: entry[2] for src, entry in rts.items()}

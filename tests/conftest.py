@@ -36,8 +36,11 @@ written since (topology.update_routes and repair_distances);
 updates_pending() never does, and it compares the universe with the
 one the last pass proved, not with the live one.
 
-Every forwarded TC copy leaves its (originator, seq) in the router's
-received log, so that no copy of it is forwarded again.
+process_tc() is handed only what the step lets through: a TC that is
+not the router's own and whose (originator, seq) is not in its
+received log. Every copy it forwards is the object it was handed, and
+leaves its (originator, seq) in the received log, so that no copy of
+it is forwarded again.
 
 A step that returns no packet leaves nothing to generate, whether or
 not it entered generation (Router.step_main enters it only when one of
@@ -62,7 +65,7 @@ import pytest
 
 from olsrv2sim import topology
 from olsrv2sim.engine import Router
-from olsrv2sim.messages import make_hello
+from olsrv2sim.messages import Tc, make_hello
 
 from oracles import (full_hello_receipt, hello_receipt_state, pass_state,
                      ref_is_optimal_over, ref_predecessors)
@@ -122,16 +125,22 @@ def oracle_mode(monkeypatch):
         assert_consistent(self, "at the end of the step")
         return out
 
-    def checked_process_tc(self, msg):
+    def checked_process_tc(self, msg, sender):
+        key = (msg.originator, msg.seq)
+        assert (type(msg) is Tc and msg.originator != self.ip
+                and key not in self.rxs), (
+            f"router {self.ip} at t={self.now}: handed {msg}, which the"
+            " caller must filter out")
         if in_step:
             assert_consistent(self, "before a TC")
         sent = len(self.pkt)
-        process_tc(self, msg)
-        key = (msg.originator, msg.seq)
-        assert len(self.pkt) == sent or key in self.rxs, (
+        process_tc(self, msg, sender)
+        assert len(self.pkt) == sent or (
+            key in self.rxs and self.pkt[-1] is msg), (
             f"router {self.ip} at t={self.now}: forwarded"
             f" {msg.originator}'s TC {msg.seq} without logging it as"
-            " received, so its next copy is forwarded again")
+            " received, so its next copy is forwarded again, or"
+            " forwarded another object than the one it received")
 
     def checked_generate(self):
         # a call sends at most one HELLO, and sending one moves

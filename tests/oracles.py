@@ -489,15 +489,19 @@ class RefTopologySets:
 
 def render_event_detail(ev) -> str:
     """ev's text after its kind, rendered from ev alone: no memo, and
-    each message through messages.render_message."""
+    each message through messages.render_message, with the sender the
+    event names: a packet's broadcaster (DELIVER's from=, BROADCAST's
+    node), or the node that generated or forwarded a message."""
     kind, p = ev.kind, ev.payload
     if kind == "DELIVER":
-        return f"from={p[0]} m={p[1]} pkt={messages.render_packet(ev.packet)}"
+        pkt = messages.render_packet(ev.packet, p[0])
+        return f"from={p[0]} m={p[1]} pkt={pkt}"
     if kind == "BROADCAST":
         to = ",".join(sorted(p[1]))
-        return f"d={p[0]} to={{{to}}} pkt={messages.render_packet(ev.packet)}"
+        pkt = messages.render_packet(ev.packet, ev.node)
+        return f"d={p[0]} to={{{to}}} pkt={pkt}"
     if kind in ("HELLO_GEN", "TC_GEN", "TC_FWD"):
-        return messages.render_message(p)
+        return messages.render_message(p, ev.node)
     if kind == "ROUTE_CHANGE":
         return "rs=[" + "; ".join(topology.render_route(r) for r in p) + "]"
     if kind == "LINK_EVENT":

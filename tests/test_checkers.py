@@ -80,8 +80,8 @@ def test_check_route_optimality_classifies():
 
 
 def test_count_tc_broadcasts_synthetic():
-    the_tc = Tc("e", "e", 9, seq=4, ansn=0, dests={})
-    other = Tc("e", "e", 9, seq=5, ansn=0, dests={})
+    the_tc = Tc("e", 9, seq=4, ansn=0, dests={})
+    other = Tc("e", 9, seq=5, ansn=0, dests={})
     hello = Hello("a", 9, {}, {}, {}, {})
     to_b, to_d = frozenset({"b"}), frozenset({"d"})
     trace = [

@@ -412,6 +412,67 @@ def test_redundant_link_event_exit_two(tmp_path, capsys, command, events,
     assert cap.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_scenario_without_nodes_exit_two(tmp_path, capsys, command):
+    # check used to raise ValueError here, taking the maximum window
+    # over no router
+    rc = main([command, "--scenario", write(tmp_path, "# empty\n")])
+    cap = capsys.readouterr()
+    assert rc == 2 and cap.out == ""
+    assert cap.err == "error: scenario declares no node\n"
+
+
+WORDS = st.sampled_from(
+    ["node", "link", "param", "flag", "at", "offset", "bidi", "hello", "tc",
+     "on", "off", "linkup", "linkdown", "metric", "#", "a", "b", "c", "zz",
+     "a!", "0", "1", "-1", "2", "7", "40", "999999", "inf", "1.5", "0x10"]
+    + sorted(PARAM_NAMES) + sorted(FLAG_NAMES))
+
+
+@st.composite
+def mutated_scenario_texts(draw):
+    """A valid scenario's text after a few line and word edits: words
+    replaced, lines cut short, deleted, repeated or made up."""
+    base = draw(st.sampled_from([MINIMAL, FULL, EVENTFUL_SCENARIO,
+                                 FIG3_SCENARIO]))
+    lines = base.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(["word", "cut", "delete", "repeat",
+                                     "insert"]))
+        i = draw(st.integers(0, len(lines)))
+        words = lines[i].split() if i < len(lines) else []
+        if edit == "insert" or not words:
+            lines.insert(i, " ".join(draw(st.lists(WORDS, max_size=6))))
+        elif edit == "word":
+            words[draw(st.integers(0, len(words) - 1))] = draw(WORDS)
+            lines[i] = " ".join(words)
+        elif edit == "cut":
+            lines[i] = " ".join(words[:draw(st.integers(0, len(words)))])
+        elif edit == "delete":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=mutated_scenario_texts(), command=st.sampled_from(["run",
+                                                               "check"]))
+def test_mutated_scenarios_exit_with_a_documented_code(tmp_path_factory,
+                                                       text, command):
+    """Whatever a scenario file says, run and check exit with 0, 1
+    (check: a route is not optimal), 2 (a scenario or configuration
+    error) or 3 (no convergence, or a broken engine invariant), and
+    raise nothing."""
+    path = write(tmp_path_factory.mktemp("mutated"), text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([command, "--scenario", path, "--ticks", "60"])
+    assert rc in (0, 1, 2, 3), err.getvalue()
+    if rc == 2:
+        assert err.getvalue().startswith("error: ")
+
+
 def test_check_fig3_verdicts(tmp_path, capsys):
     path = write(tmp_path, FIG3_SCENARIO)
     assert main(["check", "--scenario", path]) == 0

@@ -193,8 +193,8 @@ def slack_router():
     slack."""
     r = mk_router(start_time=100)
     r.ls = {"b": sym("b", now=100), "c": sym("c", now=100)}
-    r.process_tc(tc("b", "b", dests={"d": 1}))
-    r.process_tc(tc("c", "c", dests={"d": 5}))
+    r.process_tc(tc("b", dests={"d": 1}), "b")
+    r.process_tc(tc("c", dests={"d": 5}), "c")
     assert r.rts == {"b": (140, 0, {"d": 1}),
                      "c": (140, 0, {"d": 5})}
     r.run_update_info()
@@ -208,7 +208,7 @@ def test_routing_set_mutated_after_a_pass_is_rechosen():
     r = slack_router()
     r.rs["d"] = Route("d", "b", 7)  # wrong metric
     # the slack row c -> d, longer
-    r.process_tc(tc("c", "c", seq=1, dests={"d": 6}))
+    r.process_tc(tc("c", seq=1, dests={"d": 6}), "c")
     assert r.rts["c"] == (140, 0, {"d": 6}) and r._topology_dirty
     r.run_topology_update()
     assert r.rs == choose_optimal("a", link_universe("a", r.ls, r.rts, 100))
@@ -220,7 +220,7 @@ def test_reset_memo_never_pairs_stale_distances_with_new_rows():
     stale = dict(r._opt.dist)
     r._opt = None   # as a new router starts, and scramble() leaves one
     # b -> d is gone: under the stale distances it was tight
-    r.process_tc(tc("b", "b", seq=1, dests={"e": 1}))
+    r.process_tc(tc("b", seq=1, dests={"e": 1}), "b")
     r.run_topology_update()
     assert r._opt.dist != stale
     assert r._edges == link_universe("a", r.ls, r.rts, 100)
@@ -330,7 +330,7 @@ def test_hello_rejects_bad_arguments():
     with pytest.raises(EngineDiagnostic):
         r.process_hello(hello(), INF)
     with pytest.raises(TypeError):
-        r.process_hello(Tc("b", "b", 1, 0, 0, {}), 1)
+        r.process_hello(Tc("b", 1, 0, 0, {}), 1)
 
 
 # a receives HELLOs from b, c and d; they can name each other, 2-hop x
@@ -419,8 +419,8 @@ def test_hello_receipt_matches_the_reference(state):
 
 # --- TC pipeline ---------------------------------------------------------------
 
-def tc(originator="x", sender="b", vt=40, seq=0, ansn=0, dests=None):
-    return Tc(originator, sender, vt, seq, ansn,
+def tc(originator="x", vt=40, seq=0, ansn=0, dests=None):
+    return Tc(originator, vt, seq, ansn,
               dests if dests is not None else {"y": 3})
 
 
@@ -439,57 +439,65 @@ def symmetric_selector_router(ip="a"):
 def test_tc_fresh_message_stored_and_forwarded():
     r = symmetric_selector_router()
     dests = {"y": 3, "a": 9}
-    r.process_tc(tc(dests=dests))
+    msg = tc(dests=dests)
+    r.process_tc(msg, "b")
     # the TC's own map is the stored row, its row about self included
     assert r.rts == {"x": (r.now + 40, 0, {"y": 3, "a": 9})}
     assert r.rts["x"][2] is dests
     assert r.ps == {("x", 0)} and r.rxs == {("x", 0)}
-    assert len(r.pkt) == 1
-    fwd = r.pkt[0]
-    assert fwd.sender == "a" and fwd.originator == "x"
+    assert r.pkt == [msg] and r.pkt[0] is msg
     assert r.send_time == r.now + 1
 
 
-def test_tc_forward_replaces_sender_only():
+def test_tc_forward_is_the_received_object():
+    """A forward queues and traces the TC it received, not a copy: the
+    sender is the packet's (see Tc), so every forward of one
+    origination carries the one object, its advertised map included."""
     r = symmetric_selector_router()
-    t = tc(originator="x", sender="b", vt=1, seq=5, ansn=6, dests={"y": 2})
-    r.process_tc(t)
+    traced = []
+    r.trace = lambda kind, payload: traced.append((kind, payload))
+    t = tc(originator="x", vt=1, seq=5, ansn=6, dests={"y": 2})
+    r.process_tc(t, "b")
     (f,) = r.pkt
-    assert type(f) is Tc and f.sender == "a"
-    assert (f.originator, f.validity, f.seq, f.ansn, f.dests) == \
-        ("x", 1, 5, 6, {"y": 2})
-    # the trace renders a TC's advertised map once per origination,
-    # keyed by the identity of the dests dict its copies share
-    assert f.dests is t.dests
-    assert t.sender == "b"
+    assert f is t and traced == [("TC_FWD", t)]
+    assert t == ("x", 1, 5, 6, {"y": 2})
+
+
+def deliver(r, sender, *msgs):
+    """Deliver one packet of msgs that sender broadcast, and run r's
+    step over it; the step filters what reaches process_tc."""
+    r.enqueue_delivery(list(msgs), 1, sender)
+    assert r.step_main() is None
 
 
 def test_tc_own_originator_dropped_silently():
     r = symmetric_selector_router()
-    r.process_tc(tc(originator="a"))
+    quiet(r)
+    deliver(r, "b", tc(originator="a"))
     assert not r.rts and not r.pkt
     assert not r.ps and not r.rxs
 
 
 def test_tc_from_nonsymmetric_sender_not_processed():
     r = symmetric_selector_router()
-    r.process_tc(tc(sender="stranger"))
+    r.process_tc(tc(), "stranger")
     assert not r.rts and not r.pkt and not r.ps
     # opting in to promiscuous processing stores it, but forwarding
     # still requires a symmetric sender
     r2 = mk_router("a", process_tc_from_unknown=True)
-    r2.process_tc(tc(sender="stranger"))
+    r2.process_tc(tc(), "stranger")
     assert "x" in r2.rts and rows(r2) == {("x", "y")}
     assert not r2.pkt
 
 
 def test_tc_duplicate_forwarded_once_never_reprocessed():
     r = symmetric_selector_router()
-    r.process_tc(tc(seq=4, dests={"y": 3}))
+    quiet(r)
+    deliver(r, "b", tc(seq=4, dests={"y": 3}))
     assert len(r.pkt) == 1
     # same (originator, seq) again via another symmetric neighbor:
     # content ignored, and rxs suppresses the second forward
-    r.process_tc(tc(sender="c", seq=4, dests={"zzz": 1}))
+    deliver(r, "c", tc(seq=4, dests={"zzz": 1}))
     assert rows(r) == {("x", "y")}
     assert len(r.pkt) == 1
 
@@ -502,11 +510,13 @@ def tc_state(r):
 
 @pytest.mark.parametrize("from_unknown", [False, True])
 def test_tc_copy_already_received_changes_nothing(from_unknown):
-    """A copy whose key is in rxs is dropped whole: it would reach the
-    process step only with its key in ps, and rxs stops the forward."""
+    """The step drops a copy whose key is in rxs whole: it would reach
+    the process step only with its key in ps, and rxs stops the
+    forward."""
     r = mk_router("a", process_tc_from_unknown=from_unknown)
     r.ls = {"b": sym("b", fsel=True), "c": sym("c", fsel=True)}
-    r.process_tc(tc(seq=4, ansn=1, dests={"y": 3}))
+    quiet(r)
+    deliver(r, "b", tc(seq=4, ansn=1, dests={"y": 3}))
     assert ("x", 4) in r.rxs and len(r.pkt) == 1
     traced = []
     r.trace = lambda kind, payload: traced.append(kind)
@@ -514,16 +524,15 @@ def test_tc_copy_already_received_changes_nothing(from_unknown):
     senders = ["c", "stranger"] if from_unknown else ["c"]
     for sender in senders:
         # newer ansn and other rows: taken, they would show
-        r.process_tc(tc(sender=sender, seq=4, ansn=2, vt=90,
-                        dests={"zzz": 1}))
+        deliver(r, sender, tc(seq=4, ansn=2, vt=90, dests={"zzz": 1}))
         assert tc_state(r) == before
     assert traced == []
 
 
 def test_tc_stale_ansn_ignored_but_forwarded():
     r = symmetric_selector_router()
-    r.process_tc(tc(seq=1, ansn=5, dests={"y": 3}))
-    r.process_tc(tc(seq=2, ansn=4, dests={"zzz": 1}))
+    r.process_tc(tc(seq=1, ansn=5, dests={"y": 3}), "b")
+    r.process_tc(tc(seq=2, ansn=4, dests={"zzz": 1}), "b")
     assert r.rts["x"][1] == 5
     assert rows(r) == {("x", "y")}
     assert len(r.pkt) == 2          # both were forwardable
@@ -532,8 +541,8 @@ def test_tc_stale_ansn_ignored_but_forwarded():
 
 def test_tc_equal_ansn_refreshes_content():
     r = symmetric_selector_router()
-    r.process_tc(tc(seq=1, ansn=5, dests={"y": 3}))
-    r.process_tc(tc(seq=2, ansn=5, dests={"z": 8}))
+    r.process_tc(tc(seq=1, ansn=5, dests={"y": 3}), "b")
+    r.process_tc(tc(seq=2, ansn=5, dests={"z": 8}), "b")
     assert rows(r) == {("x", "z")}
 
 
@@ -553,11 +562,11 @@ def test_tc_refresh_is_stored_inline_as_the_full_update_stores_it(
     mark and the next expiry as that call's path leaves them on a copy
     of the router whose stored row is an equal map that is not dests."""
     r = symmetric_selector_router()
-    r.process_tc(tc(dests=dests))
+    r.process_tc(tc(dests=dests), "b")
     r.run_update_info()
     assert r.rts["x"][2] is dests
     # another originator's new rows: a change a refresh must keep
-    r.process_tc(tc("z", seq=0, dests={"y": 1}))
+    r.process_tc(tc("z", seq=0, dests={"y": 1}), "b")
     assert r._changed and r._topology_dirty
     r.now += 5
     calls = []
@@ -572,9 +581,9 @@ def test_tc_refresh_is_stored_inline_as_the_full_update_stores_it(
     ref.rts["x"] = (vt, ansn, dict(dests))
     # the same map again, with a new ansn and a shorter validity
     msg = tc(vt=10, seq=1, ansn=1, dests=dests)
-    r.process_tc(msg)
+    r.process_tc(msg, "b")
     assert calls == []
-    ref.process_tc(msg)
+    ref.process_tc(msg, "b")
     assert calls == ["x"]
     assert tc_refresh_view(r) == tc_refresh_view(ref)
     assert r.rts["x"] == (r.now + 10, 1, dests)
@@ -588,13 +597,13 @@ def test_tc_changing_only_the_receivers_metric_changes_no_route():
     the topology half, which keeps the memo's distances and the
     routing set, and traces no route change."""
     r = symmetric_selector_router()
-    r.process_tc(tc("b", dests={"y": 3, "a": 9}))
+    r.process_tc(tc("b", dests={"y": 3, "a": 9}), "b")
     r.run_update_info()
     memo, rs = r._opt, r.rs
     assert rs["y"] == Route("y", "b", 4)
     traced = []
     r.trace = lambda kind, payload: traced.append(kind)
-    r.process_tc(tc("b", seq=1, dests={"y": 3, "a": 1}))
+    r.process_tc(tc("b", seq=1, dests={"y": 3, "a": 1}), "b")
     assert r._topology_dirty and r._changed == {"b": {"y": 3, "a": 9}}
     r.run_topology_update()
     assert r._opt is memo and r.rs is rs and "ROUTE_CHANGE" not in traced
@@ -605,19 +614,13 @@ def test_tc_forwarding_gates():
     # no selector flag and no flood_all: do not forward
     r = mk_router("a")
     r.ls = {"b": sym("b", fsel=False)}
-    r.process_tc(tc())
+    r.process_tc(tc(), "b")
     assert "x" in r.rts and not r.pkt
     # flood_all overrides the selector gate
     r = mk_router("a", flood_all=True)
     r.ls = {"b": sym("b", fsel=False)}
-    r.process_tc(tc())
+    r.process_tc(tc(), "b")
     assert len(r.pkt) == 1
-
-
-def test_tc_type_check():
-    r = mk_router("a")
-    with pytest.raises(TypeError):
-        r.process_tc(hello())
 
 
 # --- step_main: one pass decision, then emit or drain ------------------------
@@ -634,26 +637,28 @@ def test_step_drains_queue_and_processes():
     r = mk_router("a")
     quiet(r)
     r.ls = {"b": sym("b", fsel=True), "c": sym("c")}
-    # two packets delivered in one tick: a HELLO and a fresh TC from
-    # MPR selector b, then a second copy of that TC (via c) and a's own
-    r.enqueue_delivery([hello("d"), tc(seq=3)], 5)
-    r.enqueue_delivery([tc(sender="c", seq=3), tc(originator="a", seq=9)],
-                       5)
+    # three packets delivered in one tick: d's HELLO, a fresh TC from
+    # MPR selector b, then that TC again (via c) and a's own
+    fresh = tc(seq=3)
+    r.enqueue_delivery([hello("d")], 5, "d")
+    r.enqueue_delivery([fresh], 5, "b")
+    r.enqueue_delivery([fresh, tc(originator="a", seq=9)], 5, "c")
     assert r.step_main() is None
     assert not r.mqueue and "d" in r.ls
     assert "x" in r.rts and r.ps == r.rxs == {("x", 3)}
     # the fresh TC is forwarded exactly once, its copy and a's own not
-    assert r.pkt == [tc(sender="a", seq=3)] and r.send_time == r.now + 1
+    assert r.pkt == [fresh] and r.pkt[0] is fresh
+    assert r.send_time == r.now + 1
 
 
 def test_step_broadcast_preempts_processing():
     r = mk_router("a")
     quiet(r)
-    r.pkt = [tc(originator="q", sender="a")]
+    r.pkt = [tc(originator="q")]
     r.send_time = r.now
-    queued = [([hello()], 5), ([hello("c"), tc()], 3)]
-    for packet, metric in queued:
-        r.enqueue_delivery(packet, metric)
+    queued = [([hello()], 5, "b"), ([hello("c"), tc()], 3, "c")]
+    for packet, metric, sender in queued:
+        r.enqueue_delivery(packet, metric, sender)
     out = r.step_main()
     assert out is not None and out[0].originator == "q"
     assert r.send_time == INF and r.pkt == []
@@ -666,7 +671,7 @@ def test_step_piggyback_generates_early():
     r = mk_router("a")
     quiet(r)
     # a forward is scheduled for next tick and the TC window is open
-    r.pkt = [tc(originator="q", sender="a")]
+    r.pkt = [tc(originator="q")]
     r.send_time = r.now + 1
     r.tc_time = r.now + 2          # window: now >= tc_time - tp_maxjitter
     r._tc_fire = r.now + 1         # the jitter draw alone would wait
@@ -877,13 +882,13 @@ def test_tc_refresh_with_shorter_validity_purges_on_time():
     silent(r)
     r.ls = {"b": LinkTuple("b", 300, 300, 400, False, False, False, False,
                            1, 1)}
-    r.enqueue_delivery([Tc("b", "b", 40, 0, 0, {"c": 3})], 1)
+    r.enqueue_delivery([Tc("b", 40, 0, 0, {"c": 3})], 1, "b")
     r.step_main()
     assert r.rts["b"] == (140, 0, {"c": 3}) and "c" in r.rs
     # identical rows, shorter validity: nothing to recompute, but the
     # rows now expire at 120 instead of 140
     r.now = 110
-    r.enqueue_delivery([Tc("b", "b", 10, 1, 0, {"c": 3})], 1)
+    r.enqueue_delivery([Tc("b", 10, 1, 0, {"c": 3})], 1, "b")
     r.step_main()
     assert r.rts["b"] == (120, 0, {"c": 3})
     for now in range(111, 125):
@@ -902,16 +907,16 @@ def test_tc_naming_only_the_receiver_keeps_its_ansn_until_expiry():
     silent(r)
     r.ls = {"b": LinkTuple("b", 300, 300, 400, False, False, False, False,
                            1, 1)}
-    r.enqueue_delivery([Tc("b", "b", 40, 0, 5, {"a": 2})], 1)
+    r.enqueue_delivery([Tc("b", 40, 0, 5, {"a": 2})], 1, "b")
     r.step_main()
     assert r.rts == {"b": (140, 5, {"a": 2})}
     assert r._expiry_after(r.now) == 140
     r.now = 139
-    r.enqueue_delivery([Tc("b", "b", 40, 1, 4, {"c": 3})], 1)
+    r.enqueue_delivery([Tc("b", 40, 1, 4, {"c": 3})], 1, "b")
     r.step_main()
     assert r.rts == {"b": (140, 5, {"a": 2})} and "c" not in r.rs
     r.now = 140
-    r.enqueue_delivery([Tc("b", "b", 40, 2, 4, {"c": 3})], 1)
+    r.enqueue_delivery([Tc("b", 40, 2, 4, {"c": 3})], 1, "b")
     r.step_main()
     assert r.rts == {"b": (180, 4, {"c": 3})} and "c" in r.rs
     assert r.ps == {("b", 0), ("b", 1), ("b", 2)}
@@ -1084,7 +1089,7 @@ def test_stale_expiry_runs_no_pass_until_the_refreshed_time(oracle_mode):
 
 def test_pass_with_nothing_pending_changes_nothing(oracle_mode):
     r = linked_router()
-    r.process_tc(tc(originator="b", dests={"c": 2, "x": 5}))
+    r.process_tc(tc(originator="b", dests={"c": 2, "x": 5}), "b")
     r.run_update_info()
     assert set(r.rs) == {"b", "c", "x"} and r.ls["b"].fmpr
     before = oracles.pass_state(r)
@@ -1124,7 +1129,7 @@ def test_changed_rows_tc_runs_only_the_topology_half(oracle_mode,
     r.now = 103
     calls = count_pass_calls(monkeypatch, ("update_fmprs", "update_rmprs"))
     ls, ansn, advertised = dict(r.ls), r.ansn, r.advertised
-    r.enqueue_delivery([tc(originator="b", dests={"c": 2, "x": 5})], 4)
+    r.enqueue_delivery([tc(originator="b", dests={"c": 2, "x": 5})], 4, "b")
     r.step_main()
     assert set(r.rs) == {"b", "c", "x"}
     assert oracle_mode["topology"] == 1 and oracle_mode[True] == 0
@@ -1132,7 +1137,7 @@ def test_changed_rows_tc_runs_only_the_topology_half(oracle_mode,
     assert (r.ls, r.ansn, r.advertised) == (ls, ansn, advertised)
     # in the same tick, a HELLO that sets the bit: the full pass runs,
     # reselects MPRs and bumps ansn, and routes follow the new rows
-    r.process_tc(tc(originator="b", seq=1, dests={"c": 2, "y": 5}))
+    r.process_tc(tc(originator="b", seq=1, dests={"c": 2, "y": 5}), "b")
     r.process_hello(linked_hello(mprs={"a": MprRole.ROUTING}), 4)
     r.step_main()
     assert oracle_mode[True] == 1 and oracle_mode["topology"] == 1
@@ -1141,7 +1146,7 @@ def test_changed_rows_tc_runs_only_the_topology_half(oracle_mode,
     # a stored time reached in the same tick (e's heard time, 114) also
     # runs the full pass
     r.now = 114
-    r.process_tc(tc(originator="b", seq=2, dests={"c": 2, "z": 5}))
+    r.process_tc(tc(originator="b", seq=2, dests={"c": 2, "z": 5}), "b")
     r.step_main()
     assert oracle_mode[True] == 2 and oracle_mode["topology"] == 1
     assert calls == {"update_fmprs": 2, "update_rmprs": 2}
@@ -1167,8 +1172,8 @@ def churn_events(rng, links, ticks):
 @pytest.mark.parametrize("flood_all", [False, True])
 @pytest.mark.parametrize("from_unknown", [False, True])
 def test_received_log_within_processed_log(flood_all, from_unknown):
-    """rxs <= ps at every router after every tick, the fact process_tc's
-    early drop of an already received copy rests on."""
+    """rxs <= ps at every router after every tick, the fact the step's
+    drop of an already received copy rests on."""
     rng = random.Random(f"rxs/{flood_all}/{from_unknown}")
     for i in range(3):
         s = oracles.random_connected_scenario(rng, rng.randint(4, 8),

@@ -36,17 +36,22 @@ def test_render_hello_frozen_format():
 
 
 def test_render_tc_frozen_format():
-    t = Tc(originator="a", sender="b", validity=20, seq=3, ansn=7,
+    t = Tc(originator="a", validity=20, seq=3, ansn=7,
            dests={"d": 4, "c": 1})
-    assert render_message(t) == "TC o=a s=b vt=20 sqn=3 ansn=7 d={c:1,d:4}"
+    # the sender is the node that broadcast it, its originator unless
+    # given: a TC names no sender of its own
+    assert render_message(t, "b") == (
+        "TC o=a s=b vt=20 sqn=3 ansn=7 d={c:1,d:4}")
+    assert render_message(t) == "TC o=a s=a vt=20 sqn=3 ansn=7 d={c:1,d:4}"
 
 
 def test_render_packet_joins_messages():
-    t = Tc(originator="a", sender="a", validity=1, seq=0, ansn=0, dests={})
-    assert render_packet([t, t]) == (
-        "[TC o=a s=a vt=1 sqn=0 ansn=0 d={}; "
-        "TC o=a s=a vt=1 sqn=0 ansn=0 d={}]")
-    assert render_packet([]) == "[]"
+    t = Tc(originator="a", validity=1, seq=0, ansn=0, dests={})
+    # every message of a packet names the packet's sender
+    assert render_packet([t, t], "b") == (
+        "[TC o=a s=b vt=1 sqn=0 ansn=0 d={}; "
+        "TC o=a s=b vt=1 sqn=0 ansn=0 d={}]")
+    assert render_packet([], "b") == "[]"
 
 
 def test_make_hello_field_selection():
@@ -76,15 +81,13 @@ def test_make_tc_advertises_symmetric_selectors_only():
     ]
     t = make_tc("me", 50, sqn=9, ansn=2, ls=rows, now=now)
     assert t.dests == {"a": 4}
-    assert (t.originator, t.sender, t.validity, t.seq, t.ansn) == \
-        ("me", "me", 50, 9, 2)
+    assert (t.originator, t.validity, t.seq, t.ansn) == ("me", 50, 9, 2)
 
 
 @pytest.mark.parametrize("record", [
     Hello(originator="a", validity=6, statuses={"b": Status.HEARD},
           mprs={}, in_metrics={"b": 1}, out_metrics={}),
-    Tc(originator="a", sender="a", validity=1, seq=5, ansn=6,
-       dests={"x": 2}),
+    Tc(originator="a", validity=1, seq=5, ansn=6, dests={"x": 2}),
     lt("b", 10, 10),
     TwoHopTuple("b", "c", 10, 1, 2),
     Route("c", "b", 2),
@@ -103,8 +106,8 @@ def test_records_are_immutable(record):
 @given(st.dictionaries(st.sampled_from("abcdefgh"),
                        st.integers(min_value=1, max_value=9), max_size=8))
 def test_render_map_keys_sorted(dests):
-    line = render_message(Tc(originator="z", sender="z", validity=1,
-                             seq=0, ansn=0, dests=dests))
+    line = render_message(Tc(originator="z", validity=1, seq=0, ansn=0,
+                             dests=dests))
     body = line.split("d={")[1].rstrip("}")
     keys = [p.split(":")[0] for p in body.split(",") if p]
     assert keys == sorted(dests)

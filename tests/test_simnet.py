@@ -73,6 +73,34 @@ def test_no_router_forwards_a_tc_twice(text, ticks):
     assert forwarded
 
 
+def test_every_forward_carries_the_object_its_router_received():
+    """A TC has no sender field (messages.Tc), so a flood carries one
+    object per origination. Over a 5x5 grid run, the Tcs in the trace,
+    as payloads or in packets, are exactly the TC_GEN payloads, one
+    distinct object each, and each TC_FWD payload is an object that a
+    packet delivered to that router, at that tick or earlier, carried."""
+    net = build_network(parse_scenario(load("flooding_sweep").grid_text(5, 1)))
+    net.run(150)
+    generated = [id(ev.payload) for ev in events_of(net, kind="TC_GEN")]
+    assert len(set(generated)) == len(generated)
+    seen, received, forwards = set(), set(), 0
+    for ev in net.trace:
+        if ev.kind in ("TC_GEN", "TC_FWD"):
+            seen.add(id(ev.payload))
+        for msg in ev.packet or ():
+            if type(msg) is Tc:
+                seen.add(id(msg))
+                if ev.kind == "DELIVER":
+                    received.add((ev.node, id(msg)))
+        if ev.kind == "TC_FWD":
+            forwards += 1
+            assert (ev.node, id(ev.payload)) in received, (
+                f"t={ev.tick}: router {ev.node} forwarded a TC object no"
+                " packet delivered to it")
+    assert seen == set(generated)
+    assert forwards > len(generated)
+
+
 def test_params_validation():
     with pytest.raises(ScenarioError, match="0 < LB"):
         NetworkParams(lb=0, delta_b=0, seed=1)
@@ -107,24 +135,24 @@ def test_render_trace_event_frozen():
 def test_tc_text_is_shared_per_origination_only():
     """trace_batches renders a TC's tail once per (originator, seq):
     two originators' TCs with equal seq, validity and ansn but other
-    maps keep their own text, and the copies of one origination that
-    two senders forward, in a line of their own or in a packet, share
-    it. Each line equals the oracle's, rendered from its event alone."""
+    maps keep their own text, and the one object of an origination that
+    two senders forward, in a line of their own or in a packet, shares
+    it. Its s= is the line's node or the packet's broadcaster. Each
+    line equals the oracle's, rendered from its event alone."""
     x_map = {"y": 2, "z": 1}
-    gen_x = Tc("x", "x", 40, 3, 1, x_map)
-    gen_y = Tc("y", "y", 40, 3, 1, {"x": 5})
-    fwd_b, fwd_c = gen_x._replace(sender="b"), gen_x._replace(sender="c")
+    gen_x = Tc("x", 40, 3, 1, x_map)
+    gen_y = Tc("y", 40, 3, 1, {"x": 5})
     # x's next origination, with its map unchanged, and one from z with
     # an equal map that is another object
-    again = Tc("x", "x", 40, 4, 1, x_map)
-    equal = Tc("z", "z", 40, 4, 1, dict(x_map))
+    again = Tc("x", 40, 4, 1, x_map)
+    equal = Tc("z", 40, 4, 1, dict(x_map))
     trace = [TraceEvent(0, "x", "TC_GEN", gen_x),
              TraceEvent(0, "y", "TC_GEN", gen_y),
-             TraceEvent(1, "b", "TC_FWD", fwd_b),
-             TraceEvent(1, "c", "TC_FWD", fwd_c),
+             TraceEvent(1, "b", "TC_FWD", gen_x),
+             TraceEvent(1, "c", "TC_FWD", gen_x),
              TraceEvent(2, "b", "BROADCAST", (1, frozenset({"a", "d"})),
-                        packet=[fwd_b]),
-             TraceEvent(3, "d", "DELIVER", ("c", 2), packet=[fwd_c, gen_y]),
+                        packet=[gen_x]),
+             TraceEvent(3, "d", "DELIVER", ("c", 2), packet=[gen_x, gen_y]),
              TraceEvent(4, "x", "TC_GEN", again),
              TraceEvent(4, "z", "TC_GEN", equal),
              TraceEvent(5, "a", "DELIVER", ("x", 1), packet=[gen_x, again])]
@@ -132,6 +160,8 @@ def test_tc_text_is_shared_per_origination_only():
     got = "".join(simnet.trace_batches(trace)).splitlines(keepends=True)
     assert got == want
     assert "TC o=y s=y vt=40 sqn=3 ansn=1 d={x:5}" in want[1]
+    assert [line.count("TC o=x s=c ") for line in want[2:6]] == [0, 1, 0, 1]
+    assert "TC o=x s=b vt=40 sqn=3" in want[4]
 
 
 def test_broadcast_timing_and_busy_span():

@@ -642,7 +642,7 @@ def test_one_topology_set_matches_the_two_sets(tcs):
         ref.purge(now)
         r._topology_dirty, r._next_expiry = False, INF
         stored = r.rts.get(moip, (None, None, {}))[2]
-        r.process_tc(Tc(moip, "b", vtime, seq, ansn, dests))
+        r.process_tc(Tc(moip, vtime, seq, ansn, dests), "b")
         accepted, changed = ref.receive(moip, ansn, vtime, dests, now)
         # an accepted TC lowers the next expiry to its validity time
         assert (r._next_expiry == now + vtime) is accepted
