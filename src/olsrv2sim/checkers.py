@@ -27,11 +27,10 @@ def symmetric_universe(gt) -> dict:
             for a, row in gt.out.items()}
 
 
-def ground_truth_shortest_paths(gt, source: NodeId,
-                                universe: Optional[dict] = None) -> dict:
-    """Best metric-distance from source to every reachable node (over
-    universe, symmetric_universe(gt) if the caller has built it)."""
-    dist = _dijkstra(universe or symmetric_universe(gt), source)
+def ground_truth_shortest_paths(universe: dict, source: NodeId) -> dict:
+    """Best metric-distance from source to every node it reaches over
+    universe, an adjacency map such as symmetric_universe builds."""
+    dist = _dijkstra(universe, source)
     return {d: m for d, m in dist.items() if d != source and m != INF}
 
 
@@ -57,7 +56,7 @@ def check_route_optimality(net: Network) -> dict:
     reports = {}
     universe = symmetric_universe(net.gt)
     for ip in sorted(net.routers):
-        oracle = ground_truth_shortest_paths(net.gt, ip, universe)
+        oracle = ground_truth_shortest_paths(universe, ip)
         found = {r.dest: r.metric for r in net.routers[ip].rs.values()}
         missing = tuple(sorted(set(oracle) - set(found)))
         subopt = tuple(sorted(
@@ -69,12 +68,6 @@ def check_route_optimality(net: Network) -> dict:
     return reports
 
 
-def _carries_tc(packet, originator: NodeId, seq: int) -> bool:
-    return any(isinstance(m, Tc)
-               and m.originator == originator and m.seq == seq
-               for m in packet or ())
-
-
 def count_tc_broadcasts(trace, originator: NodeId, seq: int):
     """How widely one specific TC flooded.
 
@@ -84,7 +77,8 @@ def count_tc_broadcasts(trace, originator: NodeId, seq: int):
     count = 0
     coverage = set()
     for ev in trace:
-        if ev.packet is None or not _carries_tc(ev.packet, originator, seq):
+        if not any(isinstance(m, Tc) and m.originator == originator
+                   and m.seq == seq for m in ev.packet or ()):
             continue
         if ev.kind == "BROADCAST":
             count += 1

@@ -341,10 +341,9 @@ class Router:
         neighborhood.update_fmprs(self.ls, self.twohop_set, now)
         neighborhood.update_rmprs(self.ls, self.twohop_set, now,
                                   self.bug_mode)
-        selectors = topology.rmpr_selectors(self.ls)
-        if selectors != self.advertised:
-            self.ansn += 1
-        self.advertised = selectors
+        self.ansn = topology.increment_ansn(self.ls, self.advertised,
+                                            self.ansn)
+        self.advertised = topology.rmpr_selectors(self.ls)
         edges, changed = self._edges, self._changed
         for oip in topology.purge_router_topology(self.rts, now):
             changed.setdefault(oip, edges.pop(oip, None))
@@ -665,10 +664,9 @@ class Router:
 
 
 def init_router(cfg: RouterConfig, lb: int, delta_b: int, node_count: int,
-                seed, hello_offset: int, tc_offset: int,
-                start_time: int = 0, **flags) -> Router:
-    """Validated router construction with a seeded per-router jitter stream."""
+                seed, hello_offset: int, tc_offset: int, **flags) -> Router:
+    """A validated router at tick 0 with a seeded per-router jitter stream."""
     validate_config(cfg, lb, delta_b, node_count)
     rng = random.Random(f"{seed}/{cfg.ip}/jitter")
     return Router(cfg, jitter_rng=rng, hello_offset=hello_offset,
-                  tc_offset=tc_offset, start_time=start_time, **flags)
+                  tc_offset=tc_offset, **flags)

@@ -170,8 +170,7 @@ def render_dests(dests: dict) -> str:
     return _render_map(dests, render_metric)
 
 
-def render_packet(pkt: Packet, sender: NodeId, message_text=None) -> str:
+def render_packet(pkt: Packet, sender: NodeId, message_text) -> str:
     """pkt as sender broadcast it. message_text(msg, sender) renders each
-    message (render_message by default), so a caller can reuse its text."""
-    text = message_text or render_message
-    return "[" + "; ".join([text(msg, sender) for msg in pkt]) + "]"
+    message, render_message or a caller's that reuses its text."""
+    return "[" + "; ".join([message_text(msg, sender) for msg in pkt]) + "]"

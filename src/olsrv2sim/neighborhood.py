@@ -105,8 +105,8 @@ def _covering_table(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
     """N1 and, per target at finite distance, its coverers under the
     routing weights or, when routing is false, the flooding ones.
 
-    Returns (n1, coverers) where coverers[t] is the sorted list of the
-    x in N1 whose d(t, {x}) is d(t, N1). One pass over the 2-hop set.
+    Returns (n1, coverers) where coverers[t] lists the x in N1, in any
+    order, whose d(t, {x}) is d(t, N1). One pass over the 2-hop set.
     """
     n1 = _n1_oips(ls, now)
     dist = {}  # (x, t) -> d(t, {x}), for the pairs some leg gives
@@ -124,7 +124,7 @@ def _covering_table(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
         direct = ls[x].in_metric if routing else 1
         dist[x, x] = min(direct, dist.get((x, x), INF))
     best, coverers = {}, {}
-    for (x, t), d in sorted(dist.items()):  # so each list is sorted
+    for (x, t), d in dist.items():
         if d < best.get(t, INF):
             best[t], coverers[t] = d, [x]
         elif d == best.get(t, INF) != INF:

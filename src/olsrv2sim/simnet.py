@@ -9,7 +9,8 @@ One tick proceeds in four phases:
   2. every non-busy router runs step_main, in ascending NodeId order;
      an emitted packet becomes a new in-flight transmission and the
      sender stays busy until its delivery tick;
-  3. scheduled topology events for this tick are applied;
+  3. scheduled topology events for this tick are applied (a Network
+     takes and checks them all when built, none due before tick 0);
   4. the global clock and every router's local clock advance by one.
 
 Deliveries all land before any router steps, and every random draw
@@ -218,12 +219,16 @@ class Network:
         self.routers = routers
         self._step_order = sorted(routers)  # phase 2's order
         self.events = sorted(events, key=lambda e: (e.time, e.src, e.dst))
+        if metric_noise < 0:
+            raise ScenarioError(f"metric_noise must be >= 0, got {metric_noise}")
         # check every event once, replayed over the links that are up:
-        # its kind must be known, a linkup needs its link absent, a
-        # linkdown or metric present
+        # it is due at tick 0 or later, its kind is known, a linkup
+        # needs its link absent, a linkdown or metric present
         up = {(a, b) for a, row in gt.out.items() for b in row}
         for ev in self.events:
             link = (ev.src, ev.dst)
+            if ev.time < 0:
+                raise ScenarioError(f"event tick must be >= 0, got {ev.time}")
             if ev.src not in gt.nodes or ev.dst not in gt.nodes:
                 raise ScenarioError(f"topology event references unknown"
                                     f" node: {ev.src}->{ev.dst}")
@@ -308,12 +313,16 @@ class Network:
                     append(_event((clock, nid, "BROADCAST",
                                    (d, frozenset(snapshot)), packet)))
 
-            # phase 3: topology events scheduled for this tick; events
-            # is sorted by time, so the due ones start at the cursor
+            # phase 3: this tick's topology events, checked when built;
+            # sorted by time from tick 0, the due ones start at the cursor
             evs, i = self.events, self._next_event
-            while i < len(evs) and evs[i].time <= clock:
-                if evs[i].time == clock:
-                    self.apply_topology_event(evs[i])
+            while i < len(evs) and evs[i].time == clock:
+                ev = evs[i]
+                if ev.kind == "linkdown":
+                    del out[ev.src][ev.dst]
+                else:  # linkup or metric
+                    out[ev.src][ev.dst] = ev.metric
+                append(_event((clock, ev.src, "LINK_EVENT", ev, None)))
                 i += 1
             self._next_event = i
 
@@ -327,17 +336,6 @@ class Network:
         finally:
             if enabled:
                 gc.enable()
-
-    def apply_topology_event(self, ev: TopologyEvent) -> None:
-        """Apply one event, already checked against the links it meets,
-        and trace it at the current tick."""
-        row = self.gt.out[ev.src]
-        if ev.kind == "linkdown":
-            del row[ev.dst]
-        else:  # linkup or metric: the constructor rejects other kinds
-            row[ev.dst] = ev.metric
-        self._tick_events.append(
-            _event((self.clock, ev.src, "LINK_EVENT", ev, None)))
 
     def run(self, ticks: int) -> None:
         enabled = gc.isenabled()
@@ -385,19 +383,20 @@ def build_network(scenario) -> Network:
     flags = dict(scenario.flags)
     routers = {}
     for n in nodes:
+        hello_interval = param("hello_interval", 10, n)
+        tc_interval = param("tc_interval", 30, n)
         tc_default = ((2 * (lb + delta_b) + 1) * (len(nodes) - 1)
-                      - (lb + 1) + param("tc_interval", 30, n) + 1)
+                      - (lb + 1) + tc_interval + 1)
         cfg = RouterConfig(
             ip=n,
             hp_maxjitter=param("hp_maxjitter", 2, n),
             tp_maxjitter=param("tp_maxjitter", 2, n),
             h_hold_time=param("h_hold_time",
-                              lb + 2 * delta_b + param("hello_interval", 10, n) + 1,
-                              n),
+                              lb + 2 * delta_b + hello_interval + 1, n),
             t_hold_time=param("t_hold_time", tc_default, n),
             l_hold_time=param("l_hold_time", 10, n),
-            hello_interval=param("hello_interval", 10, n),
-            tc_interval=param("tc_interval", 30, n),
+            hello_interval=hello_interval,
+            tc_interval=tc_interval,
         )
         if n in scenario.offsets:
             hello_off, tc_off = scenario.offsets[n]

@@ -232,18 +232,15 @@ def routes(ip: NodeId, dist: dict, pred: dict,
     return out
 
 
-def choose_optimal(ip: NodeId, edges: dict,
-                   dist: Optional[dict] = None) -> RoutingSet:
-    """Canonical optimal routing set over a link universe.
+def choose_optimal(ip: NodeId, edges: dict, dist: dict) -> RoutingSet:
+    """Canonical optimal routing set over a link universe, given its
+    _dijkstra distances from ip as dist.
 
-    Runs Dijkstra from ip, unless its distances come in as dist, and
-    then picks, for every node, the lexicographically smallest
-    predecessor consistent with the final distances; the route's next
-    hop is read off the resulting predecessor chain. Deterministic, so
-    repeated runs give identical traces.
+    Picks, for every node, the lexicographically smallest predecessor
+    consistent with dist; the route's next hop is read off the
+    resulting predecessor chain. Deterministic, so repeated runs give
+    identical traces.
     """
-    if dist is None:
-        dist = _dijkstra(edges, ip)
     return routes(ip, dist, predecessors(edges, dist, {}, dist), {})
 
 
@@ -285,14 +282,12 @@ def repair_distances(edges: dict, changed: dict,
 
 
 def update_routing_set(ip: NodeId, edges: dict, rs: RoutingSet,
-                       dist: Optional[dict] = None) -> RoutingSet:
+                       dist: dict) -> RoutingSet:
     """Keep rs when it is still optimal, otherwise choose_optimal's set.
 
-    One Dijkstra from ip, unless its distances come in as dist, serves
-    both the test and the choice.
+    dist, the universe's _dijkstra distances from ip, serves both the
+    test and the choice.
     """
-    if dist is None:
-        dist = _dijkstra(edges, ip)
     if is_optimal_over(ip, edges, rs, dist):
         return rs
     return choose_optimal(ip, edges, dist)

@@ -25,7 +25,8 @@ def test_symmetric_universe_drops_one_way_links():
 def test_ground_truth_shortest_paths_small_case():
     gt = SimpleNamespace(out={"a": {"b": 2, "x": 1}, "b": {"a": 7, "c": 1},
                               "c": {"b": 1}})  # x unreachable (one-way)
-    assert ground_truth_shortest_paths(gt, "a") == {"b": 2, "c": 3}
+    assert ground_truth_shortest_paths(symmetric_universe(gt), "a") == {
+        "b": 2, "c": 3}
 
 
 def test_ground_truth_shortest_paths_vs_enumeration():
@@ -38,12 +39,12 @@ def test_ground_truth_shortest_paths_vs_enumeration():
             for v in names:
                 if u != v and rng.random() < 0.25:
                     out.setdefault(u, {})[v] = rng.randint(1, 9)
-        gt = SimpleNamespace(out=out)
+        universe = symmetric_universe(SimpleNamespace(out=out))
         src = rng.choice(names)
         want = {d: m for d, m in
-                oracles.simple_path_dists(symmetric_universe(gt), src).items()
+                oracles.simple_path_dists(universe, src).items()
                 if d != src and m != float("inf")}
-        assert ground_truth_shortest_paths(gt, src) == want
+        assert ground_truth_shortest_paths(universe, src) == want
 
 
 def test_render_optimality_report_frozen():

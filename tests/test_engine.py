@@ -120,7 +120,8 @@ def scramble(rng, r):
             r.rts[oip] = (now + rng.randint(-5, 40), ansn, dests)
     pick = rng.random()
     if pick < 0.4:
-        r.rs = choose_optimal(r.ip, link_universe(r.ip, r.ls, r.rts, now))
+        edges = link_universe(r.ip, r.ls, r.rts, now)
+        r.rs = choose_optimal(r.ip, edges, _dijkstra(edges, r.ip))
         if r.rs and pick < 0.2:
             d = rng.choice(sorted(r.rs))
             old = r.rs[d]
@@ -211,7 +212,8 @@ def test_routing_set_mutated_after_a_pass_is_rechosen():
     r.process_tc(tc("c", seq=1, dests={"d": 6}), "c")
     assert r.rts["c"] == (140, 0, {"d": 6}) and r._topology_dirty
     r.run_topology_update()
-    assert r.rs == choose_optimal("a", link_universe("a", r.ls, r.rts, 100))
+    edges = link_universe("a", r.ls, r.rts, 100)
+    assert r.rs == choose_optimal("a", edges, _dijkstra(edges, "a"))
     assert r.rs["d"] == Route("d", "b", 2)
 
 

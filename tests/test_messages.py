@@ -48,10 +48,10 @@ def test_render_tc_frozen_format():
 def test_render_packet_joins_messages():
     t = Tc(originator="a", validity=1, seq=0, ansn=0, dests={})
     # every message of a packet names the packet's sender
-    assert render_packet([t, t], "b") == (
+    assert render_packet([t, t], "b", render_message) == (
         "[TC o=a s=b vt=1 sqn=0 ansn=0 d={}; "
         "TC o=a s=b vt=1 sqn=0 ansn=0 d={}]")
-    assert render_packet([], "b") == "[]"
+    assert render_packet([], "b", render_message) == "[]"
 
 
 def test_make_hello_field_selection():

@@ -241,11 +241,22 @@ def test_choose_is_always_a_valid_member():
 
 
 def test_choose_is_deterministic():
+    """The covering table lists coverers in no set order, so the link
+    set and the 2-hop set rebuilt in a shuffled insertion order give
+    the same choices, in both bug modes, and the same flags written."""
     rng = random.Random(7)
-    for _ in range(50):
+    for _ in range(300):
         ls, ths = oracles.random_neighborhood(rng)
-        assert choose_fmprs(ls, ths, NOW) == choose_fmprs(dict(ls),
-                                                          dict(ths), NOW)
+        ls2 = dict(rng.sample(list(ls.items()), len(ls)))
+        ths2 = dict(rng.sample(list(ths.items()), len(ths)))
+        for choose, update, bug in ((choose_fmprs, update_fmprs, ()),
+                                    (choose_rmprs, update_rmprs, (False,)),
+                                    (choose_rmprs, update_rmprs, (True,))):
+            assert choose(ls, ths, NOW, *bug) == choose(ls2, ths2, NOW, *bug)
+            flagged, flagged2 = dict(ls), dict(ls2)
+            update(flagged, ths, NOW, *bug)
+            update(flagged2, ths2, NOW, *bug)
+            assert flagged == flagged2
 
 
 def grid_center_state():

@@ -264,6 +264,19 @@ def test_link_events_replayed_at_set_up():
             build_network(scen(events=events))
 
 
+def test_library_rejects_what_the_parser_rejects():
+    """build_network refuses an event before tick 0, which no tick would
+    apply although the replay counts it (so the linkup below would land
+    on a present link), and a negative metric_noise, which would raise
+    a bare ValueError mid-run."""
+    events = (TopologyEvent(-1, "linkdown", "a", "b"),
+              TopologyEvent(3, "linkup", "a", "b", 2))
+    with pytest.raises(ScenarioError, match="event tick must be >= 0, got -1"):
+        build_network(scen(events=events))
+    with pytest.raises(ScenarioError, match="metric_noise must be >= 0, got -1"):
+        build_network(scen(params={"metric_noise": -1}))
+
+
 def test_metric_noise_bounded_and_deterministic():
     s = scen(params={"metric_noise": 2})
     runs = []

@@ -142,8 +142,9 @@ def test_link_universe_rules():
     assert all(edges[o] is dests for o, (_, _, dests) in rts.items())
     # infinite rows, self loops, rows to me and the excluded own links
     # yield no route
-    assert _dijkstra(edges, "me") == {"me": 0, "b": 9, "x": 13}
-    rs = choose_optimal("me", edges)
+    dist = _dijkstra(edges, "me")
+    assert dist == {"me": 0, "b": 9, "x": 13}
+    rs = choose_optimal("me", edges, dist)
     assert rs == {"b": Route("b", "b", 9), "x": Route("x", "b", 13)}
     assert is_optimal_over("me", edges, rs)
     assert oracles.ref_is_optimal_over("me", edges, rs)
@@ -215,7 +216,8 @@ def test_dijkstra_matches_path_enumeration():
 def test_choose_optimal_excludes_self():
     ls = {"b": sym_link("b", 2)}
     rts = {"b": rows({"me": 1, "c": 5})}
-    rs = choose_optimal("me", link_universe("me", ls, rts, NOW))
+    edges = link_universe("me", ls, rts, NOW)
+    rs = choose_optimal("me", edges, _dijkstra(edges, "me"))
     assert rs == {"b": Route("b", "b", 2), "c": Route("c", "b", 7)}
 
 
@@ -288,7 +290,7 @@ def test_optimality_verdicts_match_oracle():
         for _ in range(250):
             names, edges = draw(rng)
             ip = rng.choice(names)
-            rs = choose_optimal(ip, edges)
+            rs = choose_optimal(ip, edges, _dijkstra(edges, ip))
             assert is_optimal_over(ip, edges, rs)
             assert ref_is_optimal(ip, edges, rs)
             mutated = mutate_routing_set(rng, rs, names, edges, ip)
@@ -308,7 +310,7 @@ def test_choose_optimal_canonical_tiebreak():
     # two equally cheap first hops toward c: the canonical choice walks
     # the lexicographically smallest predecessor chain, hence via a
     edges = {"s": {"a": 1, "b": 1}, "a": {"c": 1}, "b": {"c": 1}}
-    rs = choose_optimal("s", edges)
+    rs = choose_optimal("s", edges, _dijkstra(edges, "s"))
     assert rs["c"] == Route("c", "a", 2)
     assert rs["a"] == Route("a", "a", 1)
     assert rs["b"] == Route("b", "b", 1)
@@ -332,18 +334,19 @@ def test_update_routing_set_keeps_any_optimal_current():
     ls = {"a": sym_link("a", 1), "b": sym_link("b", 1)}
     rts = {"a": rows({"c": 1}), "b": rows({"c": 1})}
     edges = link_universe("s", ls, rts, NOW)
-    cand = choose_optimal("s", edges)
+    dist = _dijkstra(edges, "s")
+    cand = choose_optimal("s", edges, dist)
     # current uses the other (equally optimal) witness; it must be kept
     current = {"a": Route("a", "a", 1), "b": Route("b", "b", 1),
                "c": Route("c", "b", 2)}
     assert current != cand
-    assert update_routing_set("s", edges, current) is current
+    assert update_routing_set("s", edges, current, dist) is current
     stale = {"a": Route("a", "a", 1)}
-    assert update_routing_set("s", edges, stale) == cand
+    assert update_routing_set("s", edges, stale, dist) == cand
 
 
 def test_empty_universe():
-    assert choose_optimal("s", {}) == {}
+    assert choose_optimal("s", {}, _dijkstra({}, "s")) == {}
     assert is_optimal_over("s", {}, {})
     assert not is_optimal_over("s", {}, {"a": Route("a", "a", 1)})
 
@@ -662,8 +665,8 @@ def test_one_topology_set_matches_the_two_sets(tcs):
         assert got == _dijkstra(ref_edges, "me")
         want = oracles.simple_path_dists(ref_edges, "me")
         assert got == {n: d for n, d in want.items() if d < INF}
-        assert list(choose_optimal("me", edges).items()) == list(
-            choose_optimal("me", ref_edges).items())
+        assert list(choose_optimal("me", edges, got).items()) == list(
+            choose_optimal("me", ref_edges, got).items())
 
 
 # --- renders ----------------------------------------------------------------
