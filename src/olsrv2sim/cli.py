@@ -36,8 +36,8 @@ from .checkers import (FIG1_SCENARIO, FIG2_SCENARIO, FIG3_SCENARIO,
 from .engine import ConfigError, EngineDiagnostic
 from .messages import Status, render_metric
 from .simnet import (EVENT_KINDS, Network, ScenarioError, TopologyEvent,
-                     build_network, check_declared, check_event, check_flag,
-                     check_link, check_node, check_param, trace_batches)
+                     build_network, check_event, check_flag, check_link,
+                     check_node, check_offset, check_param, trace_batches)
 
 _INT = re.compile(r"-?[0-9]+\Z")
 
@@ -62,13 +62,7 @@ def parse_scenario(text: str) -> Scenario:
     declared: set = set()
     linked: dict = {}       # src -> the dsts its link lines name so far
 
-    def want_int(tok, what):
-        if not _INT.match(tok):
-            raise ScenarioError(
-                f"{what} must be a decimal integer, got {tok!r}")
-        return int(tok)
-
-    def metric(tok):  # check_link names a token that is no integer
+    def number(tok):  # the checks name a token that is no integer
         return int(tok) if _INT.match(tok) else tok
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -88,7 +82,7 @@ def parse_scenario(text: str) -> Scenario:
             elif kind == "param":
                 if len(rest) != 2:
                     raise ScenarioError("usage: param <name> <int>")
-                value = want_int(rest[1], f"param {rest[0]}")
+                value = number(rest[1])
                 check_param(rest[0], value, declared)
                 params[rest[0]] = value
 
@@ -97,9 +91,9 @@ def parse_scenario(text: str) -> Scenario:
                                                and rest[3] != "bidi"):
                     raise ScenarioError("usage: link <src> <dst> <metric>"
                                         " [bidi <metric>]")
-                ends = [(rest[0], rest[1], metric(rest[2]))]
+                ends = [(rest[0], rest[1], number(rest[2]))]
                 if len(rest) == 5:
-                    ends.append((rest[1], rest[0], metric(rest[4])))
+                    ends.append((rest[1], rest[0], number(rest[4])))
                 for a, b, m in ends:
                     dsts = linked.setdefault(a, set())
                     check_link(a, b, m, declared, dsts)
@@ -115,8 +109,8 @@ def parse_scenario(text: str) -> Scenario:
                 if ev in EVENT_KINDS and len(rest) != arity:
                     raise ScenarioError(f"usage: at <tick> {ev} <src> <dst>"
                                         + " <metric>" * (arity - 4))
-                event = TopologyEvent(want_int(tick, "tick"), ev, src, dst,
-                                      *map(metric, rest[4:]))
+                event = TopologyEvent(number(tick), ev, src, dst,
+                                      *map(number, rest[4:]))
                 check_event(event, declared)
                 events.append(event)
 
@@ -130,9 +124,9 @@ def parse_scenario(text: str) -> Scenario:
                 if (len(rest) != 5 or rest[1] != "hello" or rest[3] != "tc"):
                     raise ScenarioError(
                         "usage: offset <id> hello <tick> tc <tick>")
-                check_declared(rest[0], declared)
-                offsets[rest[0]] = (want_int(rest[2], "hello offset"),
-                                    want_int(rest[4], "tc offset"))
+                ticks = (number(rest[2]), number(rest[4]))
+                check_offset(rest[0], ticks, declared)
+                offsets[rest[0]] = ticks
 
             else:
                 raise ScenarioError(f"unknown directive {kind!r}")

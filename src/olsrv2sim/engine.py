@@ -68,11 +68,17 @@ its out_metric while SYMMETRIC; when it creates a link tuple that is
 SYMMETRIC, carries a selector flag or has already expired; or when it
 creates a 2-hop tuple or changes its metrics. A TC that changes the
 advertised rows marks only the pass's topology half, which recomputes
-routes over the rows: neither the MPR sets nor ansn read them. The
-full pass purges the topology set before that half, and a
-topology-only pass meets no expired row, since the clock reaching a
-row's validity time makes the full pass due. Times aside, these are
-the only inputs of updates_pending() the two write. Any other write
+routes over the rows: neither the MPR sets nor ansn read them. It
+marks nothing when the last pass reached its originator by no path
+and proved the routing set: no distance, predecessor or route reads
+an unreachable node's row, so the TC writes only the live universe,
+and the pass that first reaches the node reads the row there. The
+full pass purges the topology set and rebuilds the router's own row
+before that half. A topology-only pass meets no expired row and no
+changed own row: the clock reaching a row's validity time or a
+symmetric time makes the full pass due, and so does a HELLO that
+moves a status or an out_metric the own row reads. Times aside, these
+are the only inputs of updates_pending() the two write. Any other write
 only moves stored times, and lowers the "next expiry" tick to each new
 time that is in the future. Most receipts in a converged network are
 such writes: a HELLO that moves its tuples' times, and a TC that
@@ -221,13 +227,15 @@ class Router:
         self._last_pass: TimeValue = NEG_INF
         self._next_expiry: TimeValue = NEG_INF
         # the link universe, kept live (topology.link_universe): rts's
-        # row maps by originator, and ip's own row as the last pass
-        # built it. A TC that changes a row or adds an originator, and
-        # the purge, write it here too, recording in _changed the row as
-        # it stood at the last pass, or None. The memo
-        # (topology.RouteMemo) holds what the last pass proved, and the
-        # next carries it over _changed (topology.update_routes). A new
-        # router has no memo: its first pass computes routes in full.
+        # row maps by originator, and ip's own row as the last full
+        # pass built it. A TC that changes a row or adds an originator,
+        # and the purge, write it here too, recording in _changed the
+        # row as it stood at the last pass, or None; a TC from an
+        # originator the last pass reached by no path records nothing.
+        # The memo (topology.RouteMemo) holds what the last pass proved,
+        # and the next carries it over _changed (topology.update_routes).
+        # A new router has no memo: its first pass computes routes in
+        # full.
         self._edges: dict = {}
         self._changed: dict = {}
         self._opt: Optional[topology.RouteMemo] = None
@@ -279,7 +287,9 @@ class Router:
         edges = topology.link_universe(self.ip, self.ls, self.rts, now)
         if self._opt is not None and self.rs == self._opt.rs:
             # the universe as it stood at the last pass, which proved
-            # the memo's routing set optimal over it
+            # the memo's routing set optimal over it, but for the rows
+            # of originators that pass reached by no path: no path
+            # crosses them, so the set stays optimal
             proved = dict(self._edges)
             for src, row in self._changed.items():
                 if row is None:
@@ -328,7 +338,8 @@ class Router:
 
     def run_update_info(self) -> None:
         """The full pass: purge the neighbourhood sets, reselect MPRs,
-        refresh ansn, purge rts, then the topology half (in order).
+        refresh ansn, purge rts, rebuild ip's own row in O(degree) and
+        record it when it differs, then the topology half (in order).
 
         Afterwards nothing is pending until the next write or until the
         clock reaches the new _next_expiry. The pass may rewrite ls, and
@@ -345,9 +356,13 @@ class Router:
         self.ansn = topology.increment_ansn(self.ls, self.advertised,
                                             self.ansn)
         self.advertised = topology.rmpr_selectors(self.ls)
-        edges, changed = self._edges, self._changed
+        ip, edges, changed = self.ip, self._edges, self._changed
         for oip in topology.purge_router_topology(self.rts, now):
             changed.setdefault(oip, edges.pop(oip, None))
+        own = topology.own_row(self.ls, now)
+        if own != edges.get(ip):
+            changed[ip] = edges.get(ip)
+            edges[ip] = own
         self.run_topology_update()
         self._dirty = False
         self._last_pass = now
@@ -360,21 +375,17 @@ class Router:
         changed rows, with no other write and no stored time reached,
         this half alone restores consistency. It acts only on rows: no
         row has expired, as a reached validity time runs the full pass,
-        which purges rts first.
+        which purges rts first, and the own row has not changed, as
+        only the full pass can meet a change to it.
 
         The routes are carried over the rows written since the last
-        pass, and over ip's own row, rebuilt here in O(degree) and
-        recorded when it differs (topology.update_routes).
+        pass (topology.update_routes).
         """
         self._topology_dirty = False
-        ip, rs, edges, changed = self.ip, self.rs, self._edges, self._changed
+        rs, changed = self.rs, self._changed
         self._changed = {}
-        own = topology.own_row(self.ls, self.now)
-        if own != edges.get(ip):
-            changed[ip] = edges.get(ip)
-            edges[ip] = own
-        new_rs, self._opt = topology.update_routes(ip, edges, changed, rs,
-                                                   self._opt)
+        new_rs, self._opt = topology.update_routes(self.ip, self._edges,
+                                                   changed, rs, self._opt)
         if new_rs is not rs and new_rs != rs:
             self.rs = new_rs
             self.trace("ROUTE_CHANGE",
@@ -518,7 +529,9 @@ class Router:
         is stored inline as the new validity time and ansn, as
         update_router_topology would store it, and it marks nothing.
         Any other accepted TC goes through update_router_topology. A
-        row that names ip is stored as it came, like any other.
+        row that names ip is stored as it came, like any other. A new
+        row of an originator that the last pass reached by no path,
+        while its memo proves rs, enters the live universe only.
         """
         moip, validity, seq, ansn, dests = msg
         key = (moip, seq)
@@ -542,13 +555,16 @@ class Router:
                 else:
                     changed = topology.update_router_topology(
                         rts, moip, ansn, validity, dests, now)
-                    if changed:
-                        self._topology_dirty = True
                     if changed or entry is None:
                         # the stored row enters the live universe, and
-                        # _changed keeps the row it had at the last pass
-                        edges = self._edges
-                        self._changed.setdefault(moip, edges.get(moip))
+                        # _changed keeps the row it had at the last pass,
+                        # unless that pass proved rs and reached no moip
+                        edges, memo = self._edges, self._opt
+                        if (memo is None or moip in memo.dist
+                                or self.rs != memo.rs):
+                            self._changed.setdefault(moip, edges.get(moip))
+                            if changed:
+                                self._topology_dirty = True
                         edges[moip] = dests
                 # the rows' new validity time may come before every
                 # stored one

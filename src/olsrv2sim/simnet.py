@@ -117,29 +117,37 @@ def check_declared(nid, nodes) -> None:
         raise ScenarioError(f"undeclared node {nid!r}")
 
 
+def check_int(value, what) -> None:
+    """The parser hands over a token that is no decimal integer as its
+    text; the message shows it unquoted, so both paths say the same."""
+    if type(value) is not int:
+        raise ScenarioError(f"{what} must be a decimal integer, got {value}")
+
+
 def check_link(src, dst, metric, nodes, dsts=()) -> None:
-    """dsts: the nodes src already links to. A parsed metric token that
-    is no decimal integer arrives as its text."""
+    """dsts: the nodes src already links to."""
     check_declared(src, nodes)
     check_declared(dst, nodes)
     if src == dst:
         raise ScenarioError(f"self-loop link on {src}")
     if dst in dsts:
         raise ScenarioError(f"duplicate link {src}->{dst}")
-    if type(metric) is not int:
-        raise ScenarioError(f"metric must be a decimal integer, got {metric}")
+    check_int(metric, "metric")
     if metric < 1:
         raise ScenarioError(f"metric must be >= 1, got {metric}")
 
 
 def check_event(ev, nodes) -> None:
     """Each kind names a link; only a linkdown carries no metric."""
+    check_int(ev.time, "event tick")
     if ev.time < 0:
         raise ScenarioError(f"event tick must be >= 0, got {ev.time}")
     if ev.kind not in EVENT_KINDS:
         raise ScenarioError(f"unknown event kind {ev.kind!r}")
-    check_link(ev.src, ev.dst, 1 if ev.kind == "linkdown" else ev.metric,
-               nodes)
+    down = ev.kind == "linkdown"
+    if down and ev.metric is not None:
+        raise ScenarioError(f"a linkdown carries no metric, got {ev.metric}")
+    check_link(ev.src, ev.dst, 1 if down else ev.metric, nodes)
 
 
 def check_param(name, value, nodes) -> None:
@@ -151,8 +159,18 @@ def check_param(name, value, nodes) -> None:
         if base in NETWORK_PARAMS:
             raise ScenarioError(f"param {base} is network-wide;"
                                 f" it has no per-node form {name!r}")
+    check_int(value, f"param {name}")
     if base in ("ticks", "metric_noise") and value < 0:
         raise ScenarioError(f"param {name} must be >= 0, got {value}")
+
+
+def check_offset(nid, ticks, nodes) -> None:
+    """ticks: nid's (hello, tc) offsets."""
+    check_declared(nid, nodes)
+    if type(ticks) is not tuple or len(ticks) != 2:
+        raise ScenarioError(f"offset {nid} must be (hello, tc), got {ticks!r}")
+    check_int(ticks[0], "hello offset")
+    check_int(ticks[1], "tc offset")
 
 
 def check_flag(name) -> None:
@@ -433,8 +451,8 @@ def build_network(scenario) -> Network:
     for (src, dst, m) in scenario.links:
         check_link(src, dst, m, declared, out.get(src, ()))
         out.setdefault(src, {})[dst] = m
-    for n in scenario.offsets:
-        check_declared(n, declared)
+    for n, ticks in scenario.offsets.items():
+        check_offset(n, ticks, declared)
     for ev in scenario.events:
         check_event(ev, declared)
 

@@ -24,17 +24,26 @@ path enumeration lives in the test suite as an oracle.
 A router keeps its universe live from one pass to the next, with the
 rows replaced since the last pass recorded as they stood then, and a
 RouteMemo of that pass: the distances, choose_optimal's predecessors
-and the routing set proved optimal. update_routes carries the memo over
-the recorded rows only. repair_distances keeps the distances unless a
-tight edge was lost or lengthened, lowering in place only what fell
-(Ramalingam & Reps, J. Algorithms, 1996); predecessors then rescans
-the out-edges of the nodes whose distance fell and of the changed
-rows, the only sources of a tight edge that was not tight before.
+with each node's children, and the routing set proved optimal.
+update_routes carries the memo over the recorded rows only. A row
+whose source the memo's distances do not reach need not be recorded:
+no distance, predecessor or route reads it, and a pass that reaches
+its source lowers that distance and reads the row live.
+repair_distances keeps the distances unless a tight edge was lost or
+lengthened, lowering in place only what fell (Ramalingam & Reps, J.
+Algorithms, 1996); predecessors then rescans the out-edges of the
+nodes whose distance fell and of the changed rows, the only sources of
+a tight edge that was not tight before. routes extends the repair to
+the next hops: only the subtrees of the nodes whose distance fell or
+whose predecessor moved are read again. A pass that keeps the
+distances keeps the routing set, even where a predecessor moved on an
+equal-cost tie, so the memo carries such nodes as stale to the next
+read, which must give choose_optimal's set exactly.
 """
 from __future__ import annotations
 
 import heapq
-from itertools import chain
+from itertools import chain, islice
 from typing import AbstractSet, FrozenSet, NamedTuple, Optional
 
 from .messages import (INF, Metric, NodeId, Sqn, TimeValue,
@@ -179,50 +188,81 @@ def is_optimal_over(ip: NodeId, edges: dict, rs: RoutingSet,
     return True
 
 
-def predecessors(edges: dict, dist: dict, pred: dict, sources) -> dict:
-    """Fold the tight edges out of sources into pred and return it.
+def predecessors(edges: dict, dist: dict, pred: dict, children: dict,
+                 sources) -> set:
+    """Fold the tight edges out of sources into pred and children, and
+    return the nodes whose predecessor this set.
 
     pred is choose_optimal's predecessor map over dist: for each node v
     of dist but the source, the lexicographically smallest u with
-    dist[u] + w == dist[v] for an edge (u, v) of weight w. Given an
-    empty pred and every node of dist as sources, this is the full
-    scan; given the last pass's map, the sources must hold every node
-    whose tight out-edges may be new (see update_routes).
+    dist[u] + w == dist[v] for an edge (u, v) of weight w. children is
+    its inverse, u -> the nodes whose predecessor is u; a set may be
+    left empty. Given empty maps and every node of dist as sources,
+    this is the full scan; given the last pass's maps, the sources must
+    hold every node whose tight out-edges may be new (see
+    update_routes).
     """
+    moved = set()
     for u in sources:
         du = dist.get(u)
         if du is None:
             continue
         for v, w in edges.get(u, {}).items():
-            if du + w == dist.get(v) and (v not in pred or u < pred[v]):
-                pred[v] = u
-    return pred
+            if du + w == dist.get(v):
+                p = pred.get(v)
+                if p is None or u < p:
+                    if p is not None:
+                        children[p].discard(v)
+                    pred[v] = u
+                    children.setdefault(u, set()).add(v)
+                    moved.add(v)
+    return moved
 
 
-def routes(ip: NodeId, dist: dict, pred: dict,
-           rs: RoutingSet) -> RoutingSet:
+def routes(ip: NodeId, dist: dict, pred: dict, rs: RoutingSet,
+           stale: Optional[set] = None,
+           children: Optional[dict] = None) -> RoutingSet:
     """choose_optimal's routing set, read off its predecessors pred.
 
     A destination's next hop is the first node after ip on its
     predecessor chain; each chain is walked once, as far as the first
     node whose hop is known. Routes follow dist's order, and a route of
     rs with the same next hop and metric is reused.
+
+    Given stale and pred's children index, only the nodes of stale and
+    their descendants are read: rs must hold every other node of dist
+    with the metric and the next hop that pred gives it, and in dist's
+    order, and those routes are kept.
     """
     hop: dict = {}
-    out: RoutingSet = {}
-    for dest, m in dist.items():
+    if stale is None:
+        todo, out = dist, {}
+    else:
+        todo, out = set(stale), dict(rs)
+        # new destinations come last in dist: they take their places in
+        # its order now, and are read below like any stale node
+        out.update(dict.fromkeys(islice(dist, len(rs) + 1, None)))
+        below = list(todo)
+        while below:
+            for v in children.get(below.pop(), ()):
+                if v not in todo:
+                    todo.add(v)
+                    below.append(v)
+    for dest in todo:
         if dest == ip:
             continue
         h = hop.get(dest)
         if h is None:
             path = [dest]
             u = pred[dest]
-            while u != ip and u not in hop:
+            while u != ip and u not in hop and u in todo:
                 path.append(u)
                 u = pred[u]
-            h = path[-1] if u == ip else hop[u]
+            h = (path[-1] if u == ip else hop[u] if u in hop
+                 else rs[u].next_hop)
             for v in path:
                 hop[v] = h
+        m = dist[dest]
         r = rs.get(dest)
         if r is None or r.next_hop != h or r.metric != m:
             r = Route(dest, h, m)
@@ -239,7 +279,9 @@ def choose_optimal(ip: NodeId, edges: dict, dist: dict) -> RoutingSet:
     resulting predecessor chain. Deterministic, so repeated runs give
     identical traces.
     """
-    return routes(ip, dist, predecessors(edges, dist, {}, dist), {})
+    pred: dict = {}
+    predecessors(edges, dist, pred, {}, dist)
+    return routes(ip, dist, pred, {})
 
 
 def repair_distances(edges: dict, changed: dict,
@@ -273,6 +315,8 @@ def repair_distances(edges: dict, changed: dict,
         for v, w in row.items():
             if du + w < seeds.get(v, dist.get(v, INF)):
                 seeds[v] = du + w
+    if not seeds:
+        return []
     heap = [(d, v) for v, d in seeds.items()]
     heapq.heapify(heap)
     dist.update(seeds)
@@ -294,10 +338,14 @@ def update_routing_set(ip: NodeId, edges: dict, rs: RoutingSet,
 class RouteMemo(NamedTuple):
     """What a pass proved, for the next one to carry over: the
     universe's distances from ip, choose_optimal's predecessors over
-    them, and a copy of the routing set, optimal over that universe."""
+    them and their children index, a copy of the routing set, optimal
+    over that universe, and the nodes under which that set's next hops
+    may not be the ones read off the predecessors (None: any node)."""
     dist: dict
     pred: dict
+    children: dict
     rs: RoutingSet
+    stale: Optional[set]
 
 
 def update_routes(ip: NodeId, edges: dict, changed: dict, rs: RoutingSet,
@@ -306,33 +354,45 @@ def update_routes(ip: NodeId, edges: dict, changed: dict, rs: RoutingSet,
 
     edges is the live universe and changed its rows replaced since the
     last pass, as repair_distances takes them. A memo whose routing set
-    is rs is carried over changed, and its distances and predecessors
-    are moved in place:
+    is rs is carried over changed, and its distances, predecessors and
+    children are moved in place:
     - if the distances hold, rs and the memo stay; the only new tight
-      edges leave changed rows, and they may move a predecessor;
+      edges leave changed rows, and they may move a predecessor. rs
+      keeps its next hops, so the memo's stale nodes gain those moved;
     - if some fell, in the memo's own distances, a node whose distance
       fell takes its predecessor from the nodes that fell and the
       changed rows, and every other node keeps the smaller of its old
       one and theirs: its old tight in-edges stay tight. The routes are
-      read off the predecessors.
+      read off the predecessors under the nodes that fell, those whose
+      predecessor moved and the memo's stale ones (routes): no other
+      next hop or metric moved.
     Otherwise (no memo, rs is not the memo's, or a tight edge was lost
     or lengthened) a full Dijkstra, update_routing_set and a full
-    predecessor scan.
+    predecessor scan. A set that test kept may not be the one read off
+    the predecessors, so every node is then stale.
     """
     if memo is not None and rs == memo.rs:
         fell = repair_distances(edges, changed, memo.dist)
         if fell is not None:
-            dist, pred = memo.dist, memo.pred
+            dist, pred, children, _, stale = memo
             for v in fell:
-                pred.pop(v, None)
-            predecessors(edges, dist, pred, chain(fell, changed))
+                if v in pred:
+                    children[pred.pop(v)].discard(v)
+            moved = predecessors(edges, dist, pred, children,
+                                 chain(fell, changed))
+            if stale is not None:
+                stale |= moved
             if not fell:
                 return rs, memo
-            rs = routes(ip, dist, pred, rs)
-            return rs, RouteMemo(dist, pred, dict(rs))
+            rs = routes(ip, dist, pred, memo.rs, stale, children)
+            return rs, RouteMemo(dist, pred, children, dict(rs), set())
     dist = _dijkstra(edges, ip)
-    rs = update_routing_set(ip, edges, rs, dist)
-    return rs, RouteMemo(dist, predecessors(edges, dist, {}, dist), dict(rs))
+    new_rs = update_routing_set(ip, edges, rs, dist)
+    pred: dict = {}
+    children: dict = {}
+    predecessors(edges, dist, pred, children, dist)
+    return new_rs, RouteMemo(dist, pred, children, dict(new_rs),
+                             None if new_rs is rs else set())
 
 
 # --- trace rendering ---------------------------------------------------

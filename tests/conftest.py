@@ -22,9 +22,13 @@ wrapped, so that each step is held to that predicate:
   recorded as changed, and the memo (Router._opt, which
   updates_pending() only reads) holds that universe's full Dijkstra
   distances, the predecessors a full scan picks (the smallest tight
-  in-neighbour, oracles.ref_predecessors) and a copy of the routing
-  set, which is optimal by the oracle's own
-  one-Dijkstra-per-first-hop test;
+  in-neighbour, oracles.ref_predecessors), their exact inverse as the
+  children index (empty sets aside) and a copy of the routing set,
+  which is optimal by the oracle's own one-Dijkstra-per-first-hop
+  test. After a pass that lowered distances that set is the one read
+  off those predecessors, in the memo's order of distances, and no
+  node is left stale; after any other pass that leaves stale nodes
+  listed, it is so outside their subtrees;
 - a pass entered while nothing was pending changes no state;
 - a topology-only pass meets no expired topology-set entry: only the
   full pass purges rts, and a reached validity time makes it due.
@@ -38,7 +42,11 @@ one the last pass proved, not with the live one.
 
 process_tc() is handed only what the step lets through: a TC that is
 not the router's own and whose (originator, seq) is not in its
-received log. Every copy it forwards is the object it was handed, and
+received log. A row it stores in the live universe without recording
+it as changed is of an originator that the last pass reached by no
+path, while that pass's memo proves the routing set: the pass checks
+above hold the memo's distances to a full Dijkstra, so no path
+crosses such a row. Every copy it forwards is the object it was handed, and
 leaves its (originator, seq) in the received log, so that no copy of
 it is forwarded again.
 
@@ -133,8 +141,16 @@ def oracle_mode(monkeypatch):
             " caller must filter out")
         if in_step:
             assert_consistent(self, "before a TC")
-        sent = len(self.pkt)
+        sent, row = len(self.pkt), self._edges.get(msg.originator)
         process_tc(self, msg, sender)
+        if (self._edges.get(msg.originator) is not row
+                and msg.originator not in self._changed):
+            memo = self._opt
+            assert (memo is not None and msg.originator not in memo.dist
+                    and self.rs == memo.rs), (
+                f"router {self.ip} at t={self.now}: stored"
+                f" {msg.originator}'s row with no pass to read it, though"
+                " the last pass reached it or proved no routing set")
         assert len(self.pkt) == sent or (
             key in self.rxs and self.pkt[-1] is msg), (
             f"router {self.ip} at t={self.now}: forwarded"
@@ -173,7 +189,9 @@ def oracle_mode(monkeypatch):
     def checked(self, pass_fn, kind):
         idle = not self.updates_pending()
         before = pass_state(self) if idle else None
+        lowered = seen["repair"]
         pass_fn(self)
+        lowered = seen["repair"] > lowered
         where = f"router {self.ip} at t={self.now}: the {kind}"
         universe = topology.link_universe(self.ip, self.ls, self.rts,
                                           self.now)
@@ -183,8 +201,33 @@ def oracle_mode(monkeypatch):
         memo = self._opt
         assert memo.dist == dist, (
             f"{where} kept distances that are not the universe's")
-        assert memo.pred == ref_predecessors(universe, dist), (
+        pred = ref_predecessors(universe, dist)
+        assert memo.pred == pred, (
             f"{where} kept predecessors that are not a full scan's")
+        children = {}
+        for v, u in pred.items():
+            children.setdefault(u, set()).add(v)
+        assert {u: vs for u, vs in memo.children.items() if vs} == children, (
+            f"{where} kept a children index that is not pred's inverse")
+        # in the memo's order of distances, equal to dist's values
+        want = topology.routes(self.ip, memo.dist, pred, {})
+        if lowered:
+            assert memo.stale == set() and (
+                list(memo.rs.items()) == list(want.items())), (
+                f"{where} lowered distances but left routes that are not"
+                " read off the predecessors, in its distances' order")
+        elif memo.stale is not None:
+            # off the stale nodes' subtrees, the routes read off pred
+            under, todo = set(memo.stale), list(memo.stale)
+            while todo:
+                for v in children.get(todo.pop(), ()):
+                    if v not in under:
+                        under.add(v)
+                        todo.append(v)
+            assert list(memo.rs) == list(want) and all(
+                memo.rs[d] == r for d, r in want.items() if d not in under), (
+                f"{where} left a route that is not read off the"
+                " predecessors outside the stale nodes' subtrees")
         assert memo.rs == self.rs and ref_is_optimal_over(
             self.ip, universe, self.rs), (
             f"{where} recorded a routing set that is not optimal")

@@ -571,8 +571,8 @@ def test_tc_refresh_is_stored_inline_as_the_full_update_stores_it(
     r.process_tc(tc(dests=dests), "b")
     r.run_update_info()
     assert r.rts["x"][2] is dests
-    # another originator's new rows: a change a refresh must keep
-    r.process_tc(tc("z", seq=0, dests={"y": 1}), "b")
+    # a reachable originator's new rows: a change a refresh must keep
+    r.process_tc(tc("b", seq=0, dests={"y": 1}), "b")
     assert r._changed and r._topology_dirty
     r.now += 5
     calls = []
@@ -614,6 +614,33 @@ def test_tc_changing_only_the_receivers_metric_changes_no_route():
     r.run_topology_update()
     assert r._opt is memo and r.rs is rs and "ROUTE_CHANGE" not in traced
     assert r._edges["b"] == {"y": 3, "a": 1} and not r._changed
+
+
+def test_tc_from_an_originator_no_path_reaches_marks_no_pass():
+    """A TC whose originator the last pass reached by no path, while
+    that pass's memo proves rs, writes the live universe only: it
+    records no row and marks no pass, and nothing is pending. The pass
+    that first reaches the originator reads its row live and routes
+    over it. Without that proof the row is recorded and marks a pass."""
+    r = symmetric_selector_router()
+    r.run_update_info()
+    assert "z" not in r._opt.dist
+    dests = {"y": 1}
+    r.process_tc(tc("z", dests=dests), "b")
+    assert r.rts["z"][2] is dests and r._edges["z"] is dests
+    assert not r._changed and not r._topology_dirty
+    assert not r.updates_pending() and not oracles.ref_updates_pending(r)
+    # b's new row reaches z, and over z's row y
+    r.process_tc(tc("b", dests={"z": 2}), "b")
+    assert r._changed == {"b": None} and r._topology_dirty
+    r.run_topology_update()
+    assert r.rs["z"] == Route("z", "b", 3) and r.rs["y"] == Route("y", "b", 4)
+    # a routing set the memo does not prove
+    r2 = symmetric_selector_router()
+    r2.run_update_info()
+    r2.rs = {**r2.rs, "b": Route("b", "b", 7)}
+    r2.process_tc(tc("z", dests=dests), "b")
+    assert r2._changed == {"z": None} and r2._topology_dirty
 
 
 def test_tc_forwarding_gates():

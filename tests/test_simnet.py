@@ -297,11 +297,27 @@ def test_library_rejects_what_the_parser_rejects():
     # an event names a link: a linkup a a would make a its own neighbour
     ({"events": (TopologyEvent(3, "linkup", "a", "a", 1),)},
      "self-loop link on a"),
+    ({"events": (TopologyEvent(3, "linkdown", "a", "b", 7),)},
+     "a linkdown carries no metric, got 7"),
+    # every number is an int, as the parser's decimal tokens are
+    ({"params": {"hello_interval": "x"}},
+     "param hello_interval must be a decimal integer, got x"),
+    ({"params": {"ticks": "3"}},
+     "param ticks must be a decimal integer, got 3"),
+    ({"params": {"lb": 1.5}}, "param lb must be a decimal integer, got 1.5"),
+    ({"params": {"seed": None}},
+     "param seed must be a decimal integer, got None"),
+    ({"offsets": {"a": ("x", 0)}},
+     "hello offset must be a decimal integer, got x"),
+    ({"events": (TopologyEvent(None, "linkdown", "a", "b"),)},
+     "event tick must be a decimal integer, got None"),
 ], ids=["event metric 0", "event metric -3", "event metric None",
         "event metric inf", "node id with a space", "misspelt param",
         "misspelt flag", "per-node network param",
         "param of an undeclared node", "offset of an undeclared node",
-        "second link a->b", "self-loop event"])
+        "second link a->b", "self-loop event", "linkdown with a metric",
+        "param text", "ticks text", "param float", "param None",
+        "offset text", "event tick None"])
 def test_library_rejects_what_the_parser_rejects_by_name(change, message):
     """Each change to a valid two-node scenario breaks one rule that
     cli.parse_scenario enforces, and build_network refuses it too."""

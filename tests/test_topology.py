@@ -579,7 +579,9 @@ def test_routes_carried_over_changed_rows_equal_the_full_computation(case):
         dist = _dijkstra(edges, "s")
         assert memo.dist == dist
         assert memo.pred == oracles.ref_predecessors(edges, dist)
-        assert memo.pred == predecessors(edges, dist, {}, dist)
+        pred, children = {}, {}
+        predecessors(edges, dist, pred, children, dist)
+        assert memo.pred == pred
         assert memo.rs == rs and oracles.ref_is_optimal_over("s", edges, rs)
         if outcome is None:
             want = update_routing_set("s", edges, given_rs, dist)
@@ -589,6 +591,47 @@ def test_routes_carried_over_changed_rows_equal_the_full_computation(case):
         else:
             want = choose_optimal("s", edges, memo.dist)
         assert list(rs.items()) == list(want.items())
+
+
+def test_routes_carried_over_a_predecessor_moved_on_a_tie():
+    """A pass that keeps the distances keeps rs, though a new tight
+    edge moves a predecessor on an equal-cost tie: d's route stays via
+    c while the predecessors read b. The next pass that lowers a
+    distance, elsewhere, re-reads d too: it returns choose_optimal's
+    set, in the order of the memo's distances."""
+    edges = {"s": {"b": 1, "c": 1}, "c": {"d": 1}}
+    rs, memo = update_routes("s", edges, {}, {}, None)
+    assert rs["d"] == Route("d", "c", 2)
+    edges["b"] = {"d": 1}
+    rs, kept = update_routes("s", edges, {"b": None}, rs, memo)
+    assert kept is memo and memo.pred["d"] == "b"
+    assert rs["d"] == Route("d", "c", 2)
+    own = edges["s"]
+    edges["s"] = {**own, "e": 1}
+    rs, memo = update_routes("s", edges, {"s": own}, rs, memo)
+    assert list(memo.dist) == ["s", "b", "c", "d", "e"]
+    assert memo.dist == _dijkstra(edges, "s")
+    assert list(rs.items()) == list(
+        choose_optimal("s", edges, memo.dist).items())
+    assert rs["d"] == Route("d", "b", 2)
+
+
+def test_routes_carried_over_a_kept_noncanonical_set():
+    """A full pass that keeps an optimal routing set which is not
+    choose_optimal's leaves every route to be re-read: the next pass
+    that lowers a distance, elsewhere, returns choose_optimal's set."""
+    edges = {"s": {"b": 1, "c": 1}, "b": {"d": 1}, "c": {"d": 1}}
+    given_rs = {"b": Route("b", "b", 1), "c": Route("c", "c", 1),
+                "d": Route("d", "c", 2)}
+    rs, memo = update_routes("s", edges, {}, given_rs, None)
+    assert rs is given_rs and memo.pred["d"] == "b"
+    own = edges["s"]
+    edges["s"] = {**own, "e": 1}
+    rs, memo = update_routes("s", edges, {"s": own}, rs, memo)
+    assert memo.dist == _dijkstra(edges, "s")
+    assert list(rs.items()) == list(
+        choose_optimal("s", edges, memo.dist).items())
+    assert rs["d"] == Route("d", "b", 2)
 
 
 # --- one topology set against RFC 7181's two ---------------------------------

@@ -17,7 +17,8 @@ WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 # the names the steps patch or import from this repository
 PATCHED_OR_IMPORTED = {
     "engine.make_hello", "topology.repair_distances",
-    "topology.update_router_topology", "engine.Router.run_topology_update",
+    "topology.update_router_topology", "topology.routes",
+    "engine.Router.run_topology_update",
     "engine.Router.process_tc", "grid_text", "parse_scenario",
     "build_network",
 }
