@@ -39,9 +39,8 @@ def scenario_text(rng: random.Random, n: int, seed: int) -> str:
                      f" bidi {rng.randint(1, 8)}")
     params = {
         "lb": 1, "delta_b": 1,
-        "hp_maxjitter": 3, "hello_interval": 8, "h_hold_time": 12,
+        "hp_maxjitter": 3, "hello_interval": 8,
         "tp_maxjitter": 3, "tc_interval": 12,
-        "t_hold_time": 5 * (n - 1) + 11, "l_hold_time": 10,
         "seed": seed, "ticks": 400,
     }
     for key, value in params.items():

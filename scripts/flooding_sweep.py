@@ -30,14 +30,10 @@ def grid_text(k: int, seed: int) -> str:
                 lines.append(f"link {name(i, j)} {name(i, j + 1)} 1 bidi 1")
             if i + 1 < k:
                 lines.append(f"link {name(i, j)} {name(i + 1, j)} 1 bidi 1")
-    n = k * k
     params = {
         "lb": 1, "delta_b": 1,
-        "hp_maxjitter": 3, "hello_interval": 8, "h_hold_time": 12,
+        "hp_maxjitter": 3, "hello_interval": 8,
         "tp_maxjitter": 3, "tc_interval": 12,
-        # worst-case flood traversal is (2*(lb+delta_b)+1) ticks per hop
-        "t_hold_time": 5 * (n - 1) + 11,
-        "l_hold_time": 10,
         "seed": seed, "ticks": 600,
     }
     for key, value in params.items():

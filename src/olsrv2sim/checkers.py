@@ -15,16 +15,17 @@ from .simnet import Network
 from .topology import _dijkstra
 
 
-def symmetric_universe(gt) -> dict:
-    """Ground truth's out-edges restricted to pairs that hear each other.
+def symmetric_universe(out: dict) -> dict:
+    """Ground truth's rows, such as Network.out, restricted to pairs
+    that hear each other.
 
     The protocol only ever routes over links whose reverse direction
     also exists (HELLO exchange in both directions is what makes a
     link SYMMETRIC), so the fair baseline ignores one-way links.
-    Returns an adjacency map a -> {b: metric}, as gt.out is.
+    Returns an adjacency map a -> {b: metric}, as out is.
     """
-    return {a: {b: m for b, m in row.items() if a in gt.out.get(b, ())}
-            for a, row in gt.out.items()}
+    return {a: {b: m for b, m in row.items() if a in out.get(b, ())}
+            for a, row in out.items()}
 
 
 def ground_truth_shortest_paths(universe: dict, source: NodeId) -> dict:
@@ -54,7 +55,7 @@ def render_optimality_report(rep: OptimalityReport) -> str:
 def check_route_optimality(net: Network) -> dict:
     """Compare every router's routing set against ground truth."""
     reports = {}
-    universe = symmetric_universe(net.gt)
+    universe = symmetric_universe(net.out)
     for ip in sorted(net.routers):
         oracle = ground_truth_shortest_paths(universe, ip)
         found = {r.dest: r.metric for r in net.routers[ip].rs.values()}

@@ -117,7 +117,7 @@ def parse_scenario(text: str) -> Scenario:
             elif kind == "flag":
                 if len(rest) != 2 or rest[1] not in ("on", "off"):
                     raise ScenarioError("usage: flag <name> on|off")
-                check_flag(rest[0])
+                check_flag(rest[0], rest[1] == "on")
                 flags[rest[0]] = rest[1] == "on"
 
             elif kind == "offset":
@@ -250,13 +250,13 @@ def _demo_fig1(args) -> int:
     net.run(_ticks(scenario))
     _write_trace(net, args)
     count, coverage = count_tc_broadcasts(net.trace, "E", 0)
-    expected = len(net.gt.nodes) if flood_all else 3
+    expected = len(net.routers) if flood_all else 3
     mode = "flood_all" if flood_all else "selective (flooding MPRs)"
     print(f"fig1: one TC from E over a 3x3 grid, {mode}")
     print(f"broadcasts carrying the TC: {count} (expected {expected})")
-    print(f"delivered to {len(coverage)}/{len(net.gt.nodes)} nodes:"
+    print(f"delivered to {len(coverage)}/{len(net.routers)} nodes:"
           f" {','.join(sorted(coverage))}")
-    ok = count == expected and coverage == net.gt.nodes
+    ok = count == expected and coverage == net.routers.keys()
     return 0 if ok else 1
 
 

@@ -88,14 +88,14 @@ refresh can also move a time that next expiry still points at, so
 when now reaches it the smallest stored time after the last full pass
 is looked up again.
 step_main runs the full pass when the bit is set or now has reached
-that time, and otherwise the topology half alone when a TC marked it;
-the full pass ends with the same half. It decides once per step: after
-that, a write moves next expiry only past now, so only the two marks
-can make a pass due, and the step checks them after each message. The
-full predicate is the tests' oracle: they assert that a skipped pass
-had nothing pending, that nothing is pending after a pass, full or
-topology-only, and that a pass entered with nothing pending changes
-nothing.
+that time, and the topology half alone right after each TC that marks
+it, so no step starts with that mark set; the full pass ends with the
+same half. It decides once per step: after that, a write moves next
+expiry only past now, so only the two marks can make a pass due, and
+the step checks them after each message. The full predicate is the
+tests' oracle: they assert that a skipped pass had nothing pending,
+that nothing is pending after a pass, full or topology-only, and that
+a pass entered with nothing pending changes nothing.
 """
 from __future__ import annotations
 
@@ -607,8 +607,6 @@ class Router:
         if ((self._dirty or self.now >= self._next_expiry)
                 and self._maintenance_due()):
             self.run_update_info()
-        elif self._topology_dirty:
-            self.run_topology_update()
         if self.send_time == self.now:
             emitted, self.pkt, self.send_time = self.pkt, [], INF
             return emitted

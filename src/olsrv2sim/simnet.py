@@ -10,7 +10,7 @@ One tick proceeds in four phases:
      an emitted packet becomes a new in-flight transmission and the
      sender stays busy until its delivery tick;
   3. scheduled topology events for this tick are applied (a Network
-     takes and checks them all when built, none due before tick 0);
+     takes them all when built, none due before tick 0);
   4. the global clock and every router's local clock advance by one.
 
 Deliveries all land before any router steps, and every random draw
@@ -47,12 +47,13 @@ it and the tick record into the current tick's events, which join the
 trace in node order at the tick's end. Both build each event with
 _event, from all five fields.
 
-Ground truth is held by sender, sender -> {recipient: metric}, so a
-broadcast reads its recipients and their metrics off the sender's row
-in O(degree). Broadcasts in flight are held by delivery tick, as
-tick -> [(sender, packet, snapshot)]: snapshot copies the sender's row
-at send time, so its keys are the recipients and its metrics the
-fallback measurement for a link that vanishes mid-flight.
+Ground truth, Network.out, is held by sender, sender -> {recipient:
+metric}, one row per router, so a broadcast reads its recipients and
+their metrics off the sender's row in O(degree). Broadcasts in flight
+are held by delivery tick, as tick -> [(sender, packet, snapshot)]:
+snapshot copies the sender's row at send time, so its keys are the
+recipients and its metrics the fallback measurement for a link that
+vanishes mid-flight.
 
 The cycle collector is paused while the network runs: Network.tick
 pauses it for one tick, Network.run across its loop, and
@@ -173,38 +174,19 @@ def check_offset(nid, ticks, nodes) -> None:
     check_int(ticks[1], "tc offset")
 
 
-def check_flag(name) -> None:
+def check_flag(name, value) -> None:
     if name not in FLAG_NAMES:
         raise ScenarioError(f"unknown flag {name!r}")
+    if type(value) is not bool:
+        raise ScenarioError(f"flag {name} must be on or off, got {value!r}")
 
 
 @dataclass(frozen=True)
 class NetworkParams:
+    """Checked by engine.validate_config, which build_network runs."""
     lb: int
     delta_b: int
     seed: int
-
-    def __post_init__(self):
-        if not self.lb > 0:
-            raise ScenarioError("constraint violated: 0 < LB")
-        if not self.delta_b >= 0:
-            raise ScenarioError("constraint violated: ΔB >= 0")
-
-
-@dataclass
-class GroundTruth:
-    """Who can hear whom, and at what directed link metric.
-
-    b hears a exactly when b is a key of out[a].
-    """
-
-    nodes: set
-    out: dict      # NodeId -> {NodeId: Metric}
-
-    def check(self) -> None:
-        for a, row in self.out.items():
-            for b, m in row.items():
-                check_link(a, b, m, self.nodes)
 
 
 @dataclass(frozen=True)
@@ -292,25 +274,20 @@ def trace_batches(trace: list) -> Iterator[str]:
 
 
 class Network:
-    def __init__(self, params: NetworkParams, gt: GroundTruth,
-                 routers: dict, events: Iterable[TopologyEvent] = (),
-                 metric_noise: int = 0):
-        gt.check()
-        if set(routers) != gt.nodes:
-            raise ScenarioError("router set does not match declared nodes")
-        for n in gt.nodes:  # a row per node, for broadcasts and events
-            gt.out.setdefault(n, {})
+    """routers, keyed by node, is the node set and out its ground truth.
+    build_network checks the scenario; this only replays the events."""
+
+    def __init__(self, params: NetworkParams, out: dict, routers: dict,
+                 events: Iterable[TopologyEvent] = (), metric_noise: int = 0):
+        self.out = {n: out.get(n, {}) for n in routers}  # a row per node
         self.params = params
-        self.gt = gt
         self.routers = routers
         self._step_order = sorted(routers)  # phase 2's order
         self.events = sorted(events, key=lambda e: (e.time, e.src, e.dst))
-        check_param("metric_noise", metric_noise, gt.nodes)
-        # check every event once, replayed over the links that are up:
-        # a linkup needs its link absent, a linkdown or metric present
-        up = {(a, b) for a, row in gt.out.items() for b in row}
+        # replay every event over the links that are up: a linkup needs
+        # its link absent, a linkdown or metric present
+        up = {(a, b) for a, row in self.out.items() for b in row}
         for ev in self.events:
-            check_event(ev, gt.nodes)
             link = (ev.src, ev.dst)
             if (ev.kind == "linkup") == (link in up):
                 state = "present" if link in up else "absent"
@@ -360,7 +337,7 @@ class Network:
             events.clear()  # drop anything traced outside a tick
             clock = events.tick = self.clock
             append = events.append
-            routers, out = self.routers, self.gt.out
+            routers, out = self.routers, self.out
 
             # phase 1: deliveries due now, canonical order by sender
             noise = self.metric_noise
@@ -445,8 +422,8 @@ def build_network(scenario) -> Network:
         declared.add(n)
     for name, value in scenario.params.items():
         check_param(name, value, declared)
-    for name in scenario.flags:
-        check_flag(name)
+    for name, value in scenario.flags.items():
+        check_flag(name, value)
     out: dict = {}
     for (src, dst, m) in scenario.links:
         check_link(src, dst, m, declared, out.get(src, ()))
@@ -497,5 +474,5 @@ def build_network(scenario) -> Network:
             flood_all=scenario.flags.get("flood_all", False),
             process_tc_from_unknown=scenario.flags.get(
                 "process_tc_from_unknown", False))
-    return Network(params, GroundTruth(declared, out), routers,
-                   scenario.events, metric_noise=param("metric_noise", 0))
+    return Network(params, out, routers, scenario.events,
+                   metric_noise=param("metric_noise", 0))

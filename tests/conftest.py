@@ -3,13 +3,14 @@
 Router.step_main decides once, at its start, whether to run the full
 pass run_update_info(): Router._maintenance_due() says state was
 written in a way the full pass can act on, or a stored time was
-reached, since the last full pass. Otherwise, after a TC that changed
-the advertised rows, it runs only the pass's topology half,
-run_topology_update(). After each queued message it runs the full
-pass if the dirty bit is set, else the topology half if a TC marked
-it. It never evaluates the full updates_pending() predicate. A HELLO
-that only moves times later marks no pass, and an expiry tick a
-refresh has since moved is looked up again before a pass runs for it.
+reached, since the last full pass. After each queued message it runs
+the full pass if the dirty bit is set, else, after a TC that changed
+the advertised rows, only the pass's topology half,
+run_topology_update(), so no step starts with that half marked (each
+step asserts it). It never evaluates the full updates_pending()
+predicate. A HELLO that only moves times later marks no pass, and an
+expiry tick a refresh has since moved is looked up again before a pass
+runs for it.
 Every test runs with the step, both passes and the message handlers
 wrapped, so that each step is held to that predicate:
 
@@ -118,6 +119,9 @@ def oracle_mode(monkeypatch):
                 " at the next tick")
 
     def checked_step(self):
+        assert not self._topology_dirty, (
+            f"router {self.ip} at t={self.now}: a step starts with the"
+            " topology half marked, which the drain runs after each TC")
         in_step.append(self)
         full = seen[True]
         try:

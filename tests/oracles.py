@@ -542,10 +542,7 @@ def random_connected_scenario(rng: random.Random, n_nodes: int,
         links.append((u, v, rng.randint(1, max_metric)))
         links.append((v, u, rng.randint(1, max_metric)))
     params = {
-        "lb": 1, "delta_b": 1, "hp_maxjitter": 3,
-        "hello_interval": 8, "h_hold_time": 12,
-        "tp_maxjitter": 3, "tc_interval": 12,
-        "t_hold_time": 5 * (n_nodes - 1) - 2 + 12 + 1,
-        "l_hold_time": 10, "seed": seed, "ticks": ticks,
+        "lb": 1, "delta_b": 1, "hp_maxjitter": 3, "hello_interval": 8,
+        "tp_maxjitter": 3, "tc_interval": 12, "seed": seed, "ticks": ticks,
     }
     return Scenario(nodes=tuple(names), params=params, links=tuple(links))

@@ -1,6 +1,5 @@
 """Trace analysis: ground-truth shortest paths, flood counting, convergence."""
 import random
-from types import SimpleNamespace
 
 from olsrv2sim.checkers import (FIG1_SCENARIO, FIG2_SCENARIO, FIG3_SCENARIO,
                                 OptimalityReport, check_route_optimality,
@@ -18,14 +17,14 @@ import oracles
 
 
 def test_symmetric_universe_drops_one_way_links():
-    gt = SimpleNamespace(out={"a": {"b": 2, "c": 1}, "b": {"a": 7}})
-    assert symmetric_universe(gt) == {"a": {"b": 2}, "b": {"a": 7}}
+    out = {"a": {"b": 2, "c": 1}, "b": {"a": 7}}
+    assert symmetric_universe(out) == {"a": {"b": 2}, "b": {"a": 7}}
 
 
 def test_ground_truth_shortest_paths_small_case():
-    gt = SimpleNamespace(out={"a": {"b": 2, "x": 1}, "b": {"a": 7, "c": 1},
-                              "c": {"b": 1}})  # x unreachable (one-way)
-    assert ground_truth_shortest_paths(symmetric_universe(gt), "a") == {
+    out = {"a": {"b": 2, "x": 1}, "b": {"a": 7, "c": 1},
+           "c": {"b": 1}}  # x unreachable (one-way)
+    assert ground_truth_shortest_paths(symmetric_universe(out), "a") == {
         "b": 2, "c": 3}
 
 
@@ -39,7 +38,7 @@ def test_ground_truth_shortest_paths_vs_enumeration():
             for v in names:
                 if u != v and rng.random() < 0.25:
                     out.setdefault(u, {})[v] = rng.randint(1, 9)
-        universe = symmetric_universe(SimpleNamespace(out=out))
+        universe = symmetric_universe(out)
         src = rng.choice(names)
         want = {d: m for d, m in
                 oracles.simple_path_dists(universe, src).items()

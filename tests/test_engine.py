@@ -1169,20 +1169,23 @@ def test_changed_rows_tc_runs_only_the_topology_half(oracle_mode,
     assert oracle_mode["topology"] == 1 and oracle_mode[True] == 0
     assert not calls
     assert (r.ls, r.ansn, r.advertised) == (ls, ansn, advertised)
-    # in the same tick, a HELLO that sets the bit: the full pass runs,
-    # reselects MPRs and bumps ansn, and routes follow the new rows
-    r.process_tc(tc(originator="b", seq=1, dests={"c": 2, "y": 5}), "b")
+    # in the same tick, a HELLO that sets the bit: the step starts with
+    # the full pass, which reselects MPRs and bumps ansn, and the next
+    # TC's rows again get the topology half alone
     r.process_hello(linked_hello(mprs={"a": MprRole.ROUTING}), 4)
+    r.enqueue_delivery([tc(originator="b", seq=1, dests={"c": 2, "y": 5})],
+                       4, "b")
     r.step_main()
-    assert oracle_mode[True] == 1 and oracle_mode["topology"] == 1
+    assert oracle_mode[True] == 1 and oracle_mode["topology"] == 2
     assert calls == {"update_fmprs": 1, "update_rmprs": 1}
     assert set(r.rs) == {"b", "c", "y"} and r.ansn == ansn + 1
     # a stored time reached in the same tick (e's heard time, 114) also
-    # runs the full pass
+    # starts the step with the full pass
     r.now = 114
-    r.process_tc(tc(originator="b", seq=2, dests={"c": 2, "z": 5}), "b")
+    r.enqueue_delivery([tc(originator="b", seq=2, dests={"c": 2, "z": 5})],
+                       4, "b")
     r.step_main()
-    assert oracle_mode[True] == 2 and oracle_mode["topology"] == 1
+    assert oracle_mode[True] == 2 and oracle_mode["topology"] == 3
     assert calls == {"update_fmprs": 2, "update_rmprs": 2}
     assert set(r.rs) == {"b", "c", "z"}
 

@@ -18,8 +18,7 @@ from olsrv2sim.checkers import (check_route_optimality, default_window,
                                 run_to_convergence)
 from olsrv2sim.cli import Scenario, parse_scenario
 from olsrv2sim.messages import Hello, Status, Tc
-from olsrv2sim.simnet import (GroundTruth, Network, NetworkParams,
-                              ScenarioError, TopologyEvent, TraceEvent,
+from olsrv2sim.simnet import (ScenarioError, TopologyEvent, TraceEvent,
                               build_network)
 from olsrv2sim.topology import Route
 
@@ -101,25 +100,19 @@ def test_every_forward_carries_the_object_its_router_received():
     assert forwards > len(generated)
 
 
-def test_params_validation():
-    with pytest.raises(ScenarioError, match="0 < LB"):
-        NetworkParams(lb=0, delta_b=0, seed=1)
-    with pytest.raises(ScenarioError, match="ΔB >= 0"):
-        NetworkParams(lb=1, delta_b=-1, seed=1)
-
-
-def test_ground_truth_check():
-    for out in ({"a": {"zz": 1}}, {"zz": {"a": 1}}):
-        gt = GroundTruth(nodes={"a"}, out=out)
-        with pytest.raises(ScenarioError, match="undeclared"):
-            gt.check()
-    gt = GroundTruth(nodes={"a"}, out={"a": {"a": 1}})
-    with pytest.raises(ScenarioError, match="self-loop"):
-        gt.check()
-    gt = GroundTruth(nodes={"a", "b"}, out={"a": {"b": 0}})
-    with pytest.raises(ScenarioError, match="metric must be >= 1, got 0"):
-        gt.check()
-    GroundTruth(nodes={"a", "b"}, out={"a": {"b": 1}}).check()
+def test_params_validation(tmp_path, capsys):
+    """engine.validate_config, which build_network runs, states the
+    network-wide rules on LB and ΔB; the command line exits 2 on them."""
+    with pytest.raises(engine.ConfigError,
+                       match="^constraint violated: 0 < LB$"):
+        build_network(scen(params={"lb": 0}))
+    with pytest.raises(engine.ConfigError,
+                       match="^constraint violated: ΔB >= 0$"):
+        build_network(scen(params={"delta_b": -1}))
+    path = tmp_path / "lb0.txt"
+    path.write_text("node a\nnode b\nlink a b 1 bidi 1\nparam lb 0\n")
+    assert cli.main(["run", "--scenario", str(path)]) == 2
+    assert "error: constraint violated: 0 < LB\n" in capsys.readouterr().err
 
 
 def test_render_trace_event_frozen():
@@ -246,7 +239,7 @@ def test_link_events_replayed_at_set_up():
                      TopologyEvent(4, "linkup", "a", "b", 2)))
     net = build_network(s)
     net.run(7)
-    assert net.gt.out["a"] == {"b": 3}
+    assert net.out["a"] == {"b": 3}
     for events, message in (
             ((TopologyEvent(4, "linkup", "a", "b", 2),
               TopologyEvent(4, "linkdown", "a", "b")),
@@ -289,11 +282,15 @@ def test_library_rejects_what_the_parser_rejects():
     ({"nodes": ("a", "b", "b c")}, "bad node id 'b c'"),
     ({"params": {"hello_intervall": 10}}, "unknown param 'hello_intervall'"),
     ({"flags": {"flood_al": True}}, "unknown flag 'flood_al'"),
+    ({"flags": {"flood_all": "off"}},
+     "flag flood_all must be on or off, got 'off'"),
     ({"params": {"a.lb": 2}}, "param lb is network-wide"),
     ({"params": {"zz.hello_interval": 10}}, "undeclared node 'zz'"),
     ({"offsets": {"zz": (0, 0)}}, "undeclared node 'zz'"),
     ({"links": (("a", "b", 5), ("b", "a", 5), ("a", "b", 7))},
      "duplicate link a->b"),
+    ({"links": (("a", "b", 5), ("b", "a", 5), ("a", "a", 1))},
+     "self-loop link on a"),
     # an event names a link: a linkup a a would make a its own neighbour
     ({"events": (TopologyEvent(3, "linkup", "a", "a", 1),)},
      "self-loop link on a"),
@@ -313,16 +310,33 @@ def test_library_rejects_what_the_parser_rejects():
      "event tick must be a decimal integer, got None"),
 ], ids=["event metric 0", "event metric -3", "event metric None",
         "event metric inf", "node id with a space", "misspelt param",
-        "misspelt flag", "per-node network param",
+        "misspelt flag", "flag text", "per-node network param",
         "param of an undeclared node", "offset of an undeclared node",
-        "second link a->b", "self-loop event", "linkdown with a metric",
-        "param text", "ticks text", "param float", "param None",
-        "offset text", "event tick None"])
+        "second link a->b", "self-loop link", "self-loop event",
+        "linkdown with a metric", "param text", "ticks text", "param float",
+        "param None", "offset text", "event tick None"])
 def test_library_rejects_what_the_parser_rejects_by_name(change, message):
     """Each change to a valid two-node scenario breaks one rule that
     cli.parse_scenario enforces, and build_network refuses it too."""
     with pytest.raises(ScenarioError, match=message):
         build_network(scen(**change))
+
+
+def test_build_network_checks_each_link_and_event_once(monkeypatch):
+    """build_network states each link and event rule once: check_link
+    runs once per link and once per event, the latter from inside
+    check_event, which runs once per event."""
+    calls = Counter()
+    for name in ("check_link", "check_event"):
+        def counted(*args, _name=name, _fn=getattr(simnet, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(simnet, name, counted)
+    s = scen(events=(TopologyEvent(4, "linkdown", "a", "b"),
+                     TopologyEvent(6, "linkup", "a", "b", 3)))
+    build_network(s)
+    assert calls == {"check_link": len(s.links) + len(s.events),
+                     "check_event": len(s.events)}
 
 
 def test_metric_noise_bounded_and_deterministic():
@@ -417,12 +431,6 @@ def test_build_network_default_offsets_are_seeded():
     for n in ("a", "b"):
         assert a.routers[n].hello_time == b.routers[n].hello_time
         assert a.routers[n].tc_time == b.routers[n].tc_time
-
-
-def test_router_set_must_match_nodes():
-    net = build_network(scen())
-    with pytest.raises(ScenarioError, match="router set"):
-        Network(net.params, net.gt, {"a": net.routers["a"]})
 
 
 # --- typed events: rendered only on output -----------------------------------
