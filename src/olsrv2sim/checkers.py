@@ -10,7 +10,7 @@ import gc
 from dataclasses import dataclass
 from typing import Optional
 
-from .messages import INF, Metric, NodeId, Tc, render_metric
+from .messages import INF, NodeId, Tc, render_metric
 from .simnet import Network
 from .topology import _dijkstra
 

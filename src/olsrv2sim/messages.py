@@ -149,18 +149,17 @@ def render_message(msg: Message, sender: NodeId) -> str:
                 f" mpr={_render_map(msg.mprs, _enum_value)}"
                 f" in={_render_map(msg.in_metrics, render_metric)}"
                 f" out={_render_map(msg.out_metrics, render_metric)}")
-    return (render_tc_head(msg, sender)
-            + render_tc_tail(msg, render_dests(msg.dests)))
+    head, tail = render_tc_parts(msg, render_dests(msg.dests))
+    return head + sender + tail
 
 
-def render_tc_head(msg: Tc, sender: NodeId) -> str:
-    """A TC's text up to its sender, the part each broadcast changes."""
-    return f"TC o={msg.originator} s={sender}"
-
-
-def render_tc_tail(msg: Tc, dests_text: str) -> str:
-    """A TC's text after its sender: one origination's lines share it."""
-    return (f" vt={render_time(msg.validity)} sqn={msg.seq}"
+def render_tc_parts(msg: Tc, dests_text: str) -> tuple:
+    """A TC's text around its sender, (head, tail): as sender broadcast
+    it, the TC reads head + sender + tail. Only the sender changes from
+    one broadcast to the next, so every line of one origination shares
+    both parts. dests_text is render_dests' text of msg's map."""
+    return (f"TC o={msg.originator} s=",
+            f" vt={render_time(msg.validity)} sqn={msg.seq}"
             f" ansn={msg.ansn} d={dests_text}")
 
 
@@ -170,7 +169,6 @@ def render_dests(dests: dict) -> str:
     return _render_map(dests, render_metric)
 
 
-def render_packet(pkt: Packet, sender: NodeId, message_text) -> str:
-    """pkt as sender broadcast it. message_text(msg, sender) renders each
-    message, render_message or a caller's that reuses its text."""
-    return "[" + "; ".join([message_text(msg, sender) for msg in pkt]) + "]"
+def render_packet(pkt: Packet, sender: NodeId) -> str:
+    """pkt as sender broadcast it."""
+    return "[" + "; ".join([render_message(msg, sender) for msg in pkt]) + "]"

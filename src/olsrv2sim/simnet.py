@@ -18,9 +18,10 @@ comes from a per-node stream, so phase-2 iteration order is not
 protocol-visible (a property the test suite checks by permuting it).
 
 Trace events are typed: each TraceEvent holds the objects its line is
-made of, and text is rendered only on output, by trace_batches, which
-Network.render_trace joins and the command line writes. The payload
-per kind:
+made of, and text is rendered only on output, by one loop that yields
+a list of chunks per _BATCH events: Network.render_trace joins every
+chunk once, and trace_batches, which the command line writes, joins
+each list into one string. The payload per kind:
   HELLO_GEN, TC_GEN, TC_FWD  the generated or forwarded Message;
   ROUTE_CHANGE               the new routing set, a tuple of Route in
                              destination order;
@@ -33,14 +34,23 @@ Messages and packets are never changed once traced, so an event's line
 is the same whenever it is rendered. A TC names no sender (messages.Tc),
 so its s= is the line's node on a TC_GEN or TC_FWD line, and inside a
 packet the packet's broadcaster: BROADCAST's node, DELIVER's from=.
-Lines share text: a packet's text ends every DELIVER and BROADCAST line
-of that packet, a message's text ends its own line and recurs in its
-packet, and every line of one TC origination shares its text after the
-sender. trace_batches renders such text once per pass (per object for
-a HELLO, a packet or a TC map, per origination for a TC's tail) and
-adds it after the line's own head as a chunk of its own, so no line
-copies it. It joins the chunks of each _BATCH events into one string,
-so it never holds an object per chunk of the whole trace.
+Lines share text, which the loop renders once per pass and keeps in
+memos: a packet's text, with its newline, ends every DELIVER and
+BROADCAST line of that packet as a chunk of its own (keyed by the
+packet's id); a HELLO's text ends its line and recurs in its packets
+(by id), as a TC map's does in its TC's text (by id); every line of one
+TC origination shares its text before and after the sender
+(messages.render_tc_parts), keyed by (originator, seq); a recipient
+set's to= text is keyed by the frozenset's value, and a route's text
+by the Route itself. Ids are stable and distinct, as the trace holds
+every object. Each line is one f-string of its own fields and memo
+hits, with no helper call per message: a TC, on its own line or in a
+packet, is its origination's head, its sender and its origination's
+tail, and a packet's text is built inline at its first BROADCAST or
+DELIVER. Joining every chunk at once holds them all until the join;
+joining per batch holds the batch strings instead, a second copy of
+the text. A fresh process rendering a 10x10 grid's 300-tick trace
+peaked at 255 MB RSS joined once, and at 303 MB joined per batch.
 
 Each router's trace callback is bound once, when the Network is built;
 it and the tick record into the current tick's events, which join the
@@ -79,12 +89,16 @@ import random
 import re
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import messages, topology
-from .engine import EngineDiagnostic, Router, RouterConfig, validate_config
-from .messages import Metric, NodeId, Packet, Tc, TimeValue, render_packet
+from .engine import Router, RouterConfig, validate_config
+from .messages import Metric, NodeId, Packet, Tc, TimeValue
+# the render loop builds packets inline; bench/run.py's tracer wraps
+# simnet.render_packet, so the name stays bound here
+from .messages import render_packet  # noqa: F401
 
 
 class ScenarioError(ValueError):
@@ -211,7 +225,7 @@ class TraceEvent(NamedTuple):
 _event = partial(tuple.__new__, TraceEvent)
 _NODE = attrgetter("node")
 _SENDER = itemgetter(0)
-_BATCH = 1000  # events per string trace_batches yields
+_BATCH = 1000  # events per chunk list, and per string trace_batches yields
 
 
 class _TickEvents(list):
@@ -222,25 +236,41 @@ class _TickEvents(list):
     tick: TimeValue = 0
 
 
-def trace_batches(trace: list) -> Iterator[str]:
-    """The text of trace, a list of TraceEvents, one string per _BATCH
-    events; the module docstring says what is shared and memoised. Ids
-    are stable and distinct, as the trace holds every object; no text
-    is empty, so get() is falsy on a miss."""
-    memo: dict = {}
-    get, keep = memo.get, memo.setdefault
+def _chunk_lists(trace: list) -> Iterator[list]:
+    """The text of trace, a list of TraceEvents, as one list of chunks
+    per _BATCH events; the module docstring says what is shared and
+    memoised. Ids are stable and distinct, as the trace holds every
+    object; no text is empty, so get() is falsy on a miss."""
+    tcs: dict = {}    # (originator, seq) -> a TC's text around its sender
+    texts: dict = {}  # id -> a HELLO's, TC map's or packet's text
+    tos: dict = {}    # recipient frozenset -> its {…} text
+    routes: dict = {}  # Route -> its text
+    get_tc, get_text, get_to, get_route = (tcs.get, texts.get, tos.get,
+                                           routes.get)
 
-    def tc_tail(msg: Tc) -> str:
-        key = (msg.originator, msg.seq)   # one origination
-        return get(key) or keep(key, messages.render_tc_tail(
-            msg, get(id(msg.dests)) or keep(
-                id(msg.dests), messages.render_dests(msg.dests))))
+    def tc_parts(msg: Tc) -> tuple:
+        dests = get_text(id(msg.dests))
+        if dests is None:
+            dests = texts[id(msg.dests)] = messages.render_dests(msg.dests)
+        parts = tcs[msg.originator, msg.seq] = messages.render_tc_parts(
+            msg, dests)
+        return parts
 
-    def message(msg, sender: NodeId) -> str:
-        if type(msg) is Tc:
-            return messages.render_tc_head(msg, sender) + tc_tail(msg)
-        return get(id(msg)) or keep(id(msg),
-                                    messages.render_message(msg, sender))
+    def hello(msg) -> str:
+        text = texts[id(msg)] = messages.render_message(msg, msg.originator)
+        return text
+
+    def packet(pkt: Packet, sender: NodeId) -> str:
+        """pkt's text as sender broadcast it, with the line's newline."""
+        msgs = []
+        for msg in pkt:
+            if type(msg) is Tc:
+                head, tail = get_tc((msg.originator, msg.seq)) or tc_parts(msg)
+                msgs.append(head + sender + tail)
+            else:
+                msgs.append(get_text(id(msg)) or hello(msg))
+        text = texts[id(pkt)] = "[" + "; ".join(msgs) + "]\n"
+        return text
 
     for i in range(0, len(trace), _BATCH):
         chunks: list = []
@@ -249,20 +279,22 @@ def trace_batches(trace: list) -> Iterator[str]:
             if kind == "DELIVER":
                 add(f"t={tick} n={node} ev=DELIVER from={p[0]} m={p[1]}"
                     " pkt=")
-                add(get(id(pkt)) or keep(
-                    id(pkt), render_packet(pkt, p[0], message) + "\n"))
-            elif kind == "TC_FWD" or kind == "TC_GEN" or kind == "HELLO_GEN":
-                add(f"t={tick} n={node} ev={kind} ")
-                add(message(p, node))
-                add("\n")
+                add(get_text(id(pkt)) or packet(pkt, p[0]))
+            elif kind == "TC_FWD" or kind == "TC_GEN":
+                head, tail = get_tc((p.originator, p.seq)) or tc_parts(p)
+                add(f"t={tick} n={node} ev={kind} {head}{node}{tail}\n")
             elif kind == "BROADCAST":
-                to = ",".join(sorted(p[1]))
-                add(f"t={tick} n={node} ev=BROADCAST d={p[0]} to={{{to}}}"
-                    " pkt=")
-                add(get(id(pkt)) or keep(
-                    id(pkt), render_packet(pkt, node, message) + "\n"))
+                to = p[1]
+                to = get_to(to) or tos.setdefault(
+                    to, "{" + ",".join(sorted(to)) + "}")
+                add(f"t={tick} n={node} ev=BROADCAST d={p[0]} to={to} pkt=")
+                add(get_text(id(pkt)) or packet(pkt, node))
+            elif kind == "HELLO_GEN":
+                add(f"t={tick} n={node} ev=HELLO_GEN"
+                    f" {get_text(id(p)) or hello(p)}\n")
             elif kind == "ROUTE_CHANGE":
-                rs = "; ".join(map(topology.render_route, p))
+                rs = "; ".join([get_route(r) or routes.setdefault(
+                    r, topology.render_route(r)) for r in p])
                 add(f"t={tick} n={node} ev=ROUTE_CHANGE rs=[{rs}]\n")
             elif kind == "LINK_EVENT":
                 m = "" if p.kind == "linkdown" else f" m={p.metric}"
@@ -270,6 +302,12 @@ def trace_batches(trace: list) -> Iterator[str]:
                     f" dst={p.dst}{m}\n")
             else:
                 raise ValueError(f"unknown trace event kind: {kind}")
+        yield chunks
+
+
+def trace_batches(trace: list) -> Iterator[str]:
+    """The text of trace, one string per _BATCH events, for a writer."""
+    for chunks in _chunk_lists(trace):
         yield "".join(chunks)
 
 
@@ -308,8 +346,9 @@ class Network:
             router.trace = self._emitter(nid)
         self._dur_rng = {n: random.Random(f"{params.seed}/{n}/dur")
                          for n in routers}
+        # only a noisy delivery draws from it (phase 1)
         self._noise_rng = {n: random.Random(f"{params.seed}/{n}/noise")
-                           for n in routers}
+                           for n in routers} if metric_noise else {}
 
     # -- helpers ----------------------------------------------------------
 
@@ -403,8 +442,8 @@ class Network:
                 gc.enable()
 
     def render_trace(self) -> str:
-        """The trace's text, joined from trace_batches."""
-        return "".join(trace_batches(self.trace))
+        """The trace's text, every chunk joined once."""
+        return "".join(chain.from_iterable(_chunk_lists(self.trace)))
 
 def build_network(scenario) -> Network:
     """Instantiate routers and ground truth from a parsed scenario.

@@ -367,9 +367,10 @@ def update_routes(ip: NodeId, edges: dict, changed: dict, rs: RoutingSet,
       predecessor moved and the memo's stale ones (routes): no other
       next hop or metric moved.
     Otherwise (no memo, rs is not the memo's, or a tight edge was lost
-    or lengthened) a full Dijkstra, update_routing_set and a full
-    predecessor scan. A set that test kept may not be the one read off
-    the predecessors, so every node is then stale.
+    or lengthened) a full Dijkstra and one full predecessor scan, which
+    serves the memo and, where is_optimal_over rejects rs, the routes of
+    choose_optimal's set. A set that test kept may not be the one read
+    off the predecessors, so every node is then stale.
     """
     if memo is not None and rs == memo.rs:
         fell = repair_distances(edges, changed, memo.dist)
@@ -387,10 +388,12 @@ def update_routes(ip: NodeId, edges: dict, changed: dict, rs: RoutingSet,
             rs = routes(ip, dist, pred, memo.rs, stale, children)
             return rs, RouteMemo(dist, pred, children, dict(rs), set())
     dist = _dijkstra(edges, ip)
-    new_rs = update_routing_set(ip, edges, rs, dist)
     pred: dict = {}
     children: dict = {}
     predecessors(edges, dist, pred, children, dist)
+    # update_routing_set, with choose_optimal's routes read off this scan
+    new_rs = (rs if is_optimal_over(ip, edges, rs, dist)
+              else routes(ip, dist, pred, {}))
     return new_rs, RouteMemo(dist, pred, children, dict(new_rs),
                              None if new_rs is rs else set())
 

@@ -494,13 +494,11 @@ def render_event_detail(ev) -> str:
     node), or the node that generated or forwarded a message."""
     kind, p = ev.kind, ev.payload
     if kind == "DELIVER":
-        pkt = messages.render_packet(ev.packet, p[0],
-                                     messages.render_message)
+        pkt = messages.render_packet(ev.packet, p[0])
         return f"from={p[0]} m={p[1]} pkt={pkt}"
     if kind == "BROADCAST":
         to = ",".join(sorted(p[1]))
-        pkt = messages.render_packet(ev.packet, ev.node,
-                                     messages.render_message)
+        pkt = messages.render_packet(ev.packet, ev.node)
         return f"d={p[0]} to={{{to}}} pkt={pkt}"
     if kind in ("HELLO_GEN", "TC_GEN", "TC_FWD"):
         return messages.render_message(p, ev.node)

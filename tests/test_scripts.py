@@ -1,5 +1,7 @@
-"""The two survey scripts under scripts/, pinned to their outputs."""
+"""The scripts under scripts/: the two surveys, pinned to their outputs,
+and the benchmark recorder, checked for the keys of what it writes."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,25 @@ def test_bug_impact_survey_summary(capsys):
         "bugged mode degraded routes in 1/5 scenarios,"
         " 4/142 source-destination pairs",
     ]
+
+
+def test_bench_record_writes_every_key(tmp_path):
+    """The recorder's file has its sections and one workload's entries;
+    the numbers themselves are not checked."""
+    out = tmp_path / "bench.json"
+    record = load("bench_record")
+    assert record.main(["--out", str(out), "--workloads", "grid",
+                        "--repeats", "2", "--seconds", "0"]) == 0
+    data = json.loads(out.read_text())
+    assert set(data) == {"settings", "end_to_end", "layers", "shas",
+                         "lines", "host"}
+    e2e = data["end_to_end"]["grid"]
+    assert {"run_s", "tick_ms_p50", "peak_rss_mb",
+            "correct_share"} <= set(e2e["metrics"])
+    assert set(e2e["metrics"]["run_s"]) == {"median", "q1", "q3", "values"}
+    assert len(e2e["attempted"]) == len(e2e["failed"]) == 4
+    assert set(data["layers"]["grid"]["simnet.Network.render_trace"]) == {
+        "calls", "self_s"}
+    assert sorted(data["shas"]["grid"]) == ["grid0", "grid1", "grid2"]
+    assert set(data["lines"]) == {"src", "tests", "scripts"}
+    assert set(data["host"]) == {"commit", "changed", "python", "nproc"}

@@ -157,6 +157,82 @@ def test_tc_text_is_shared_per_origination_only():
     assert "TC o=x s=b vt=40 sqn=3" in want[4]
 
 
+def assert_renderings_agree(net):
+    """render_trace(), the joined strings of trace_batches and the
+    oracle's lines, each event rendered on its own, are one text."""
+    want = "".join(render_trace_event(ev) + "\n" for ev in net.trace)
+    assert net.render_trace() == want
+    assert "".join(simnet.trace_batches(net.trace)) == want
+
+
+def test_a_trace_cut_mid_flight_renders_alike():
+    """A pinned trace cut just after a BROADCAST of a TC that lands
+    later: the cut holds that packet's DELIVERs but not its BROADCAST,
+    so the loop renders the packet at a DELIVER, on a memo miss, with
+    the sender as the TC's s=. The cut spans more than one batch."""
+    s = test_trace_pins.CASES["random-churn-from-unknown"][0]()
+    net = build_network(s)
+    net.run(s.params["ticks"])
+    trace = net.trace
+    cut = next(i + 1 for i in range(100, len(trace))
+               if trace[i].kind == "BROADCAST"
+               and any(type(msg) is Tc for msg in trace[i].packet)
+               and any(ev.packet is trace[i].packet for ev in trace[i + 1:]))
+    pkt = trace[cut - 1].packet
+    net.trace = trace[cut:]
+    assert [ev.kind for ev in net.trace if ev.packet is pkt][0] == "DELIVER"
+    assert len(net.trace) > simnet._BATCH
+    assert_renderings_agree(net)
+
+
+# no shrinking: a smaller seed is no simpler network
+@settings(max_examples=10, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(seed=st.integers(0, 2**32 - 1), flood_all=st.booleans())
+def test_churn_networks_render_alike(seed, flood_all):
+    """Random networks with link churn: links go down and come back,
+    and metrics move, so one sender broadcasts to more than one
+    recipient set and routes change next hop and metric."""
+    rng = random.Random(seed)
+    s = oracles.random_connected_scenario(rng, rng.randint(3, 6),
+                                          seed=seed, ticks=200)
+    s.events = churn_events(rng, [(u, v) for u, v, _ in s.links], 200)
+    s.flags["flood_all"] = flood_all
+    net = build_network(s)
+    net.run(200)
+    assert_renderings_agree(net)
+
+
+def test_shared_routes_and_recipient_sets_render_alike():
+    """ROUTE_CHANGEs that share Route objects, and a route to one
+    destination that moves; BROADCASTs from two senders that share a
+    recipient set (one object, and an equal one), and one sender's
+    broadcasts to two sets."""
+    kept, before, after = Route("b", "b", 1), Route("c", "b", 2), \
+        Route("c", "d", 3)
+    hello = Hello("a", 12, {"b": Status.HEARD}, {}, {"b": 1}, {})
+    tc = Tc("a", 40, 1, 0, {"b": 1})
+    to = frozenset({"b", "d"})
+    net = build_network(scen())
+    net.trace = [
+        TraceEvent(0, "a", "ROUTE_CHANGE", (kept, before)),
+        TraceEvent(1, "a", "ROUTE_CHANGE", (kept, after)),
+        TraceEvent(1, "x", "ROUTE_CHANGE", (Route("c", "b", 2), kept)),
+        TraceEvent(2, "a", "BROADCAST", (1, to), packet=[hello]),
+        TraceEvent(2, "c", "BROADCAST", (1, to), packet=[tc]),
+        TraceEvent(3, "d", "BROADCAST", (2, frozenset({"d", "b"})),
+                   packet=[tc, hello]),
+        TraceEvent(4, "a", "BROADCAST", (1, frozenset({"b"})),
+                   packet=[hello, tc]),
+    ]
+    assert_renderings_agree(net)
+    lines = net.render_trace().splitlines()
+    assert lines[1] == ("t=1 n=a ev=ROUTE_CHANGE"
+                        " rs=[ROUTE b via b m=1; ROUTE c via d m=3]")
+    assert [line.split(" to=")[1].partition(" ")[0]
+            for line in lines[3:]] == ["{b,d}", "{b,d}", "{b,d}", "{b}"]
+
+
 def test_broadcast_timing_and_busy_span():
     """lb=2, dB=0: emit at t, deliver exactly at t+2, busy in between."""
     net = build_network(scen())
@@ -352,6 +428,26 @@ def test_metric_noise_bounded_and_deterministic():
     assert len(set(ms)) > 1   # the noise actually does something
 
 
+def test_a_noiseless_network_builds_no_noise_stream(monkeypatch):
+    """Only a noisy delivery draws from a noise stream, so a network
+    without metric_noise seeds none; a noisy one seeds one per node."""
+    seeds = []
+
+    class Seen(random.Random):
+        def __init__(self, seed):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(simnet.random, "Random", Seen)
+    for noise in (0, 1):
+        seeds.clear()
+        net = build_network(scen(params={"metric_noise": noise}))
+        net.run(40)
+        assert [x for x in seeds if x.endswith("/noise")] == (
+            ["1/a/noise", "1/b/noise"] if noise else [])
+        assert sorted(net._noise_rng) == (["a", "b"] if noise else [])
+
+
 def test_build_network_rejects_bad_scenarios():
     with pytest.raises(ScenarioError, match="duplicate node id: a"):
         build_network(scen(nodes=("a", "b", "a")))
@@ -452,8 +548,7 @@ def test_nothing_is_rendered_before_output(monkeypatch):
         raise AssertionError("trace text rendered before output")
 
     renderers = {"render_message": messages.render_message,
-                 "render_tc_head": messages.render_tc_head,
-                 "render_tc_tail": messages.render_tc_tail,
+                 "render_tc_parts": messages.render_tc_parts,
                  "render_dests": messages.render_dests,
                  "render_packet": messages.render_packet,
                  "render_route": topology.render_route}
@@ -466,8 +561,7 @@ def test_nothing_is_rendered_before_output(monkeypatch):
                     mp.setattr(mod, name, refuse)
                     patched.append(f"{mod.__name__}.{name}")
         assert "olsrv2sim.engine.render_message" in patched
-        assert {"olsrv2sim.messages.render_tc_head",
-                "olsrv2sim.messages.render_tc_tail",
+        assert {"olsrv2sim.messages.render_tc_parts",
                 "olsrv2sim.messages.render_dests"} <= set(patched)
         lazy = check_style_run()
         with pytest.raises(AssertionError, match="before output"):

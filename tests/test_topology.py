@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olsrv2sim.engine import Router, RouterConfig
-from olsrv2sim.messages import INF, Status, Tc
+from olsrv2sim.messages import INF, Tc
 from olsrv2sim.neighborhood import LinkTuple
 from olsrv2sim.topology import (Route, _dijkstra, choose_optimal,
                                 increment_ansn, is_optimal_over,
