@@ -284,9 +284,9 @@ def _chunk_lists(trace: list) -> Iterator[list]:
                 head, tail = get_tc((p.originator, p.seq)) or tc_parts(p)
                 add(f"t={tick} n={node} ev={kind} {head}{node}{tail}\n")
             elif kind == "BROADCAST":
-                to = p[1]
-                to = get_to(to) or tos.setdefault(
-                    to, "{" + ",".join(sorted(to)) + "}")
+                recipients = p[1]
+                to = get_to(recipients) or tos.setdefault(
+                    recipients, "{" + ",".join(sorted(recipients)) + "}")
                 add(f"t={tick} n={node} ev=BROADCAST d={p[0]} to={to} pkt=")
                 add(get_text(id(pkt)) or packet(pkt, node))
             elif kind == "HELLO_GEN":

@@ -208,8 +208,8 @@ def test_shared_routes_and_recipient_sets_render_alike():
     destination that moves; BROADCASTs from two senders that share a
     recipient set (one object, and an equal one), and one sender's
     broadcasts to two sets."""
-    kept, before, after = Route("b", "b", 1), Route("c", "b", 2), \
-        Route("c", "d", 3)
+    kept, before, after = (Route("b", "b", 1), Route("c", "b", 2),
+                           Route("c", "d", 3))
     hello = Hello("a", 12, {"b": Status.HEARD}, {}, {"b": 1}, {})
     tc = Tc("a", 40, 1, 0, {"b": 1})
     to = frozenset({"b", "d"})
