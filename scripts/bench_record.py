@@ -33,13 +33,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("grid", "churn", "longrun")
+SEED = 1  # bench/run.py's default, the seed its hashes are pinned at
 
 
-def bench_run(workload: str, seconds: float, trace: int, seed: int) -> dict:
+def bench_run(workload: str, seconds: float, trace: int) -> dict:
     """One bench/run.py run: its JSON line and its trace sha256s."""
     cmd = [sys.executable, str(ROOT / "bench" / "run.py"),
            "--workload", workload, "--seconds", str(seconds),
-           "--trace", str(trace), "--seed", str(seed)]
+           "--trace", str(trace), "--seed", str(SEED)]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"error: {' '.join(cmd[1:])} exited {proc.returncode}:\n"
@@ -74,13 +75,13 @@ def git(*args):
         return None
 
 
-def record(workloads, repeats: int, seconds: float, seed: int) -> dict:
+def record(workloads, repeats: int, seconds: float) -> dict:
     out = {"settings": {"workloads": list(workloads), "repeats": repeats,
-                        "seconds": seconds, "seed": seed},
+                        "seconds": seconds, "seed": SEED},
            "end_to_end": {}, "layers": {}, "shas": {}}
     for w in workloads:
-        plain = [bench_run(w, seconds, 0, seed) for _ in range(repeats)]
-        traced = [bench_run(w, seconds, 1, seed) for _ in range(repeats)]
+        plain = [bench_run(w, seconds, 0) for _ in range(repeats)]
+        traced = [bench_run(w, seconds, 1) for _ in range(repeats)]
         shas = {}
         for run in plain + traced:
             for op, sha in run["shas"].items():
@@ -123,13 +124,12 @@ def main(argv=None) -> int:
                     help="bench/run.py --seconds for every run")
     ap.add_argument("--repeats", type=int, default=3,
                     help="runs per workload and trace mode")
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS,
                     default=list(WORKLOADS))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be >= 1")
-    data = record(args.workloads, args.repeats, args.seconds, args.seed)
+    data = record(args.workloads, args.repeats, args.seconds)
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     return 0
 

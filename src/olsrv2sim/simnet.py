@@ -40,14 +40,13 @@ BROADCAST line of that packet as a chunk of its own (keyed by the
 packet's id); a HELLO's text ends its line and recurs in its packets
 (by id), as a TC map's does in its TC's text (by id); every line of one
 TC origination shares its text before and after the sender
-(messages.render_tc_parts), keyed by (originator, seq); a recipient
-set's to= text is keyed by the frozenset's value, and a route's text
-by the Route itself. Ids are stable and distinct, as the trace holds
-every object. Each line is one f-string of its own fields and memo
-hits, with no helper call per message: a TC, on its own line or in a
-packet, is its origination's head, its sender and its origination's
-tail, and a packet's text is built inline at its first BROADCAST or
-DELIVER. Joining every chunk at once holds them all until the join;
+(messages.render_tc_parts), keyed by (originator, seq); and a route's
+text is keyed by the Route itself. Ids are stable and distinct, as the
+trace holds every object. Each line is one f-string of its own fields
+and memo hits, with no helper call per message: a TC, on its own line
+or in a packet, is its origination's head, its sender and its
+origination's tail, and a packet's text is built inline at its first
+BROADCAST or DELIVER. Joining every chunk at once holds them all until the join;
 joining per batch holds the batch strings instead, a second copy of
 the text. A fresh process rendering a 10x10 grid's 300-tick trace
 peaked at 255 MB RSS joined once, and at 303 MB joined per batch.
@@ -243,10 +242,8 @@ def _chunk_lists(trace: list) -> Iterator[list]:
     object; no text is empty, so get() is falsy on a miss."""
     tcs: dict = {}    # (originator, seq) -> a TC's text around its sender
     texts: dict = {}  # id -> a HELLO's, TC map's or packet's text
-    tos: dict = {}    # recipient frozenset -> its {…} text
     routes: dict = {}  # Route -> its text
-    get_tc, get_text, get_to, get_route = (tcs.get, texts.get, tos.get,
-                                           routes.get)
+    get_tc, get_text, get_route = tcs.get, texts.get, routes.get
 
     def tc_parts(msg: Tc) -> tuple:
         dests = get_text(id(msg.dests))
@@ -284,10 +281,9 @@ def _chunk_lists(trace: list) -> Iterator[list]:
                 head, tail = get_tc((p.originator, p.seq)) or tc_parts(p)
                 add(f"t={tick} n={node} ev={kind} {head}{node}{tail}\n")
             elif kind == "BROADCAST":
-                recipients = p[1]
-                to = get_to(recipients) or tos.setdefault(
-                    recipients, "{" + ",".join(sorted(recipients)) + "}")
-                add(f"t={tick} n={node} ev=BROADCAST d={p[0]} to={to} pkt=")
+                to = ",".join(sorted(p[1]))
+                add(f"t={tick} n={node} ev=BROADCAST d={p[0]} to={{{to}}}"
+                    " pkt=")
                 add(get_text(id(pkt)) or packet(pkt, node))
             elif kind == "HELLO_GEN":
                 add(f"t={tick} n={node} ev=HELLO_GEN"

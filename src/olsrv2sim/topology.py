@@ -270,17 +270,20 @@ def routes(ip: NodeId, dist: dict, pred: dict, rs: RoutingSet,
     return out
 
 
-def choose_optimal(ip: NodeId, edges: dict, dist: dict) -> RoutingSet:
+def choose_optimal(ip: NodeId, edges: dict, dist: dict,
+                   pred: Optional[dict] = None) -> RoutingSet:
     """Canonical optimal routing set over a link universe, given its
     _dijkstra distances from ip as dist.
 
     Picks, for every node, the lexicographically smallest predecessor
     consistent with dist; the route's next hop is read off the
     resulting predecessor chain. Deterministic, so repeated runs give
-    identical traces.
+    identical traces. pred, if given, is that predecessor map, from a
+    full predecessors scan over dist, and is not scanned again.
     """
-    pred: dict = {}
-    predecessors(edges, dist, pred, {}, dist)
+    if pred is None:
+        pred = {}
+        predecessors(edges, dist, pred, {}, dist)
     return routes(ip, dist, pred, {})
 
 
@@ -324,15 +327,15 @@ def repair_distances(edges: dict, changed: dict,
 
 
 def update_routing_set(ip: NodeId, edges: dict, rs: RoutingSet,
-                       dist: dict) -> RoutingSet:
+                       dist: dict, pred: Optional[dict] = None) -> RoutingSet:
     """Keep rs when it is still optimal, otherwise choose_optimal's set.
 
     dist, the universe's _dijkstra distances from ip, serves both the
-    test and the choice.
+    test and the choice, as does pred, if given, in choose_optimal.
     """
     if is_optimal_over(ip, edges, rs, dist):
         return rs
-    return choose_optimal(ip, edges, dist)
+    return choose_optimal(ip, edges, dist, pred)
 
 
 class RouteMemo(NamedTuple):
@@ -368,9 +371,8 @@ def update_routes(ip: NodeId, edges: dict, changed: dict, rs: RoutingSet,
       next hop or metric moved.
     Otherwise (no memo, rs is not the memo's, or a tight edge was lost
     or lengthened) a full Dijkstra and one full predecessor scan, which
-    serves the memo and, where is_optimal_over rejects rs, the routes of
-    choose_optimal's set. A set that test kept may not be the one read
-    off the predecessors, so every node is then stale.
+    serves the memo and update_routing_set. A set that test kept may not
+    be the one read off the predecessors, so every node is then stale.
     """
     if memo is not None and rs == memo.rs:
         fell = repair_distances(edges, changed, memo.dist)
@@ -391,9 +393,7 @@ def update_routes(ip: NodeId, edges: dict, changed: dict, rs: RoutingSet,
     pred: dict = {}
     children: dict = {}
     predecessors(edges, dist, pred, children, dist)
-    # update_routing_set, with choose_optimal's routes read off this scan
-    new_rs = (rs if is_optimal_over(ip, edges, rs, dist)
-              else routes(ip, dist, pred, {}))
+    new_rs = update_routing_set(ip, edges, rs, dist, pred)
     return new_rs, RouteMemo(dist, pred, children, dict(new_rs),
                              None if new_rs is rs else set())
 

@@ -61,3 +61,4 @@ def test_bench_record_writes_every_key(tmp_path):
     assert sorted(data["shas"]["grid"]) == ["grid0", "grid1", "grid2"]
     assert set(data["lines"]) == {"src", "tests", "scripts"}
     assert set(data["host"]) == {"commit", "changed", "python", "nproc"}
+    assert data["settings"]["seed"] == 1

@@ -346,6 +346,32 @@ def test_update_routing_set_keeps_any_optimal_current():
     assert update_routing_set("s", edges, stale, dist) == cand
 
 
+def test_a_full_pass_scans_predecessors_once(monkeypatch):
+    """update_routes' full path hands its one scan to update_routing_set,
+    which rechooses a rejected set from it without scanning again."""
+    from olsrv2sim import topology
+    ls = {"a": sym_link("a", 1), "b": sym_link("b", 1)}
+    edges = link_universe("s", ls, {"a": rows({"c": 1})}, NOW)
+    want = choose_optimal("s", edges, _dijkstra(edges, "s"))
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(topology, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(topology, name, wrapper)
+
+    for name in ("predecessors", "update_routing_set", "choose_optimal"):
+        counted(name)
+    rs, memo = update_routes("s", edges, {}, {"a": Route("a", "a", 1)}, None)
+    assert calls == {"predecessors": 1, "update_routing_set": 1,
+                     "choose_optimal": 1}
+    assert rs == want
+    assert memo.pred == oracles.ref_predecessors(edges, memo.dist)
+
+
 def test_empty_universe():
     assert choose_optimal("s", {}, _dijkstra({}, "s")) == {}
     assert is_optimal_over("s", {}, {}, {"s": 0})
