@@ -46,10 +46,11 @@ trace holds every object. Each line is one f-string of its own fields
 and memo hits, with no helper call per message: a TC, on its own line
 or in a packet, is its origination's head, its sender and its
 origination's tail, and a packet's text is built inline at its first
-BROADCAST or DELIVER. Joining every chunk at once holds them all until the join;
-joining per batch holds the batch strings instead, a second copy of
-the text. A fresh process rendering a 10x10 grid's 300-tick trace
-peaked at 255 MB RSS joined once, and at 303 MB joined per batch.
+BROADCAST or DELIVER. Joining every chunk at once holds them all
+until the join; joining per batch holds the batch strings instead, a
+second copy of the text. A fresh process rendering a 10x10 grid's
+300-tick trace peaked at 255 MB RSS joined once, and at 303 MB joined
+per batch.
 
 Each router's trace callback is bound once, when the Network is built;
 it and the tick record into the current tick's events, which join the
