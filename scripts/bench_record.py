@@ -11,6 +11,7 @@ writes one file:
   of its R runs, with every run's attempted and failed operations;
 - layers: each traced layer's calls and self_s, medians over R runs;
 - shas: every scenario's trace sha256, which must agree over all runs;
+- counts: the counts scripts/grid_probe.py prints, as CI runs it;
 - lines: the line counts of src/olsrv2sim/*.py, tests/*.py and
   scripts/*.py;
 - host: the commit, whether the tree had changes, the Python version
@@ -36,22 +37,34 @@ WORKLOADS = ("grid", "churn", "longrun")
 SEED = 1  # bench/run.py's default, the seed its hashes are pinned at
 
 
-def bench_run(workload: str, seconds: float, trace: int) -> dict:
-    """One bench/run.py run: its JSON line and its trace sha256s."""
-    cmd = [sys.executable, str(ROOT / "bench" / "run.py"),
-           "--workload", workload, "--seconds", str(seconds),
-           "--trace", str(trace), "--seed", str(SEED)]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+def stdout_lines(cmd: list, env=None) -> list:
+    """cmd's output lines, or exit if it fails."""
+    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True,
+                          text=True)
     if proc.returncode != 0:
         sys.exit(f"error: {' '.join(cmd[1:])} exited {proc.returncode}:\n"
                  f"{proc.stderr}")
-    lines = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def bench_run(workload: str, seconds: float, trace: int) -> dict:
+    """One bench/run.py run: its JSON line and its trace sha256s."""
+    lines = stdout_lines([sys.executable, str(ROOT / "bench" / "run.py"),
+                          "--workload", workload, "--seconds", str(seconds),
+                          "--trace", str(trace), "--seed", str(SEED)])
     shas = {}
     for line in lines:
         if line.startswith("trace sha256 "):
             _, _, op, sha = line.split()
             shas[op] = sha
     return {"result": json.loads(lines[-1]), "shas": shas}
+
+
+def grid_counts() -> dict:
+    """The last line of scripts/grid_probe.py, run on this checkout."""
+    cmd = [sys.executable, str(ROOT / "scripts" / "grid_probe.py")]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return json.loads(stdout_lines(cmd, env)[-1])
 
 
 def spread(values: list) -> dict:
@@ -103,6 +116,7 @@ def record(workloads, repeats: int, seconds: float) -> dict:
                 layers.setdefault(label, {})[field] = statistics.median(
                     r["result"]["metrics"][name]["value"] for r in traced)
         out["layers"][w] = layers
+    out["counts"] = grid_counts()
     out["lines"] = {
         "src": line_count((ROOT / "src" / "olsrv2sim").glob("*.py")),
         "tests": line_count((ROOT / "tests").glob("*.py")),

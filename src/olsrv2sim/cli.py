@@ -172,9 +172,9 @@ def _apply_cli_overrides(scenario: Scenario, args) -> Scenario:
     window = getattr(args, "window", None)
     if window is not None and window < 1:
         raise ScenarioError(f"--window must be >= 1, got {window}")
-    if getattr(args, "bug_rfc7181", False):
+    if args.bug_rfc7181:
         scenario.flags["bug_rfc7181"] = True
-    if getattr(args, "flood_all", False):
+    if args.flood_all:
         scenario.flags["flood_all"] = True
     return scenario
 
@@ -357,7 +357,7 @@ def _demo_fig3(args) -> int:
         if not rep.verdict:
             print("  " + render_optimality_report(rep))
 
-    active = "rfc7181" if getattr(args, "bug_rfc7181", False) else "corrected"
+    active = "rfc7181" if args.bug_rfc7181 else "corrected"
     _write_trace(results[active]["net"], args)
     return 0 if results[active]["verdict"] else 1
 

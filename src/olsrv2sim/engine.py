@@ -177,8 +177,7 @@ class Router:
 
     def __init__(self, cfg: RouterConfig, *, jitter_rng: random.Random,
                  hello_offset: int = 0, tc_offset: int = 0,
-                 start_time: int = 0, bug_mode: bool = False,
-                 flood_all: bool = False,
+                 bug_mode: bool = False, flood_all: bool = False,
                  process_tc_from_unknown: bool = False):
         if not (0 <= hello_offset <= cfg.hello_interval):
             raise ConfigError("constraint violated: now <= hello_time <= now + hello_interval")
@@ -201,9 +200,9 @@ class Router:
         self.pkt: Packet = []
         # QUEUE: (packet, measured in_metric, the packet's sender)
         self.mqueue: list = []
-        self.now: TimeValue = start_time
-        self.hello_time: TimeValue = start_time + hello_offset
-        self.tc_time: TimeValue = start_time + tc_offset
+        self.now: TimeValue = 0
+        self.hello_time: TimeValue = hello_offset
+        self.tc_time: TimeValue = tc_offset
         self.send_time: TimeValue = INF
         self.sqn = 0
         self.ansn = 0

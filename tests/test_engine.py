@@ -37,9 +37,17 @@ def cfg(ip="a", **kw):
     return RouterConfig(**base)
 
 
+def started_at(r, t):
+    """r as if built at tick t: its clock and each deadline moved by t."""
+    r.now = t
+    r.hello_time, r.tc_time = r.hello_time + t, r.tc_time + t
+    r._hello_fire, r._tc_fire = r._hello_fire + t, r._tc_fire + t
+    return r
+
+
 def mk_router(ip="a", seed=0, start_time=0, **flags):
-    return Router(cfg(ip), jitter_rng=random.Random(seed),
-                  start_time=start_time, **flags)
+    return started_at(Router(cfg(ip), jitter_rng=random.Random(seed),
+                             **flags), start_time)
 
 
 def sym(oip, in_m=1, out_m=1, now=0, fsel=False):
@@ -403,8 +411,8 @@ def test_hello_receipt_matches_the_reference(state):
     ls, ths, htime, stale, expiry, receipts = state
     routers = []
     for _ in range(2):
-        r = Router(cfg("a", l_hold_time=htime), jitter_rng=random.Random(0),
-                   start_time=100)
+        r = started_at(Router(cfg("a", l_hold_time=htime),
+                              jitter_rng=random.Random(0)), 100)
         r.ls, r.twohop_set = dict(ls), dict(ths)
         r._dirty, r._hello_stale = False, stale
         r._next_expiry = min(expiry, r._expiry_after(100))

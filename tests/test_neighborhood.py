@@ -44,7 +44,10 @@ def receive(ls, ths=None, *, sender="b", vt=8, htime=5, in_metric=1,
     cfg = RouterConfig(ip="me", hp_maxjitter=3, tp_maxjitter=3,
                        h_hold_time=14, t_hold_time=40, l_hold_time=htime,
                        hello_interval=10, tc_interval=20)
-    r = Router(cfg, jitter_rng=random.Random(0), start_time=NOW)
+    r = Router(cfg, jitter_rng=random.Random(0))
+    # as if built at NOW: the clock and each deadline moved by NOW
+    r.now, r.hello_time, r.tc_time = NOW, r.hello_time + NOW, r.tc_time + NOW
+    r._hello_fire, r._tc_fire = r._hello_fire + NOW, r._tc_fire + NOW
     r.ls, r.twohop_set = dict(ls), dict(ths or {})
     r.process_hello(Hello(sender, vt, statuses or {}, mprs or {},
                           in_metrics or {}, out_metrics or {}), in_metric)

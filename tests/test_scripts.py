@@ -1,10 +1,14 @@
 """The scripts under scripts/: the two surveys, pinned to their outputs,
-and the benchmark recorder, checked for the keys of what it writes."""
+the grid probe's counts and the benchmark recorder, checked for the keys
+of what they return or write."""
+import gc
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+
+from olsrv2sim import engine, topology
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -50,7 +54,7 @@ def test_bench_record_writes_every_key(tmp_path):
                         "--repeats", "2", "--seconds", "0"]) == 0
     data = json.loads(out.read_text())
     assert set(data) == {"settings", "end_to_end", "layers", "shas",
-                         "lines", "host"}
+                         "counts", "lines", "host"}
     e2e = data["end_to_end"]["grid"]
     assert {"run_s", "tick_ms_p50", "peak_rss_mb",
             "correct_share"} <= set(e2e["metrics"])
@@ -59,6 +63,45 @@ def test_bench_record_writes_every_key(tmp_path):
     assert set(data["layers"]["grid"]["simnet.Network.render_trace"]) == {
         "calls", "self_s"}
     assert sorted(data["shas"]["grid"]) == ["grid0", "grid1", "grid2"]
+    assert set(data["counts"]) == PROBE_KEYS | {"grid7_sha256"}
     assert set(data["lines"]) == {"src", "tests", "scripts"}
     assert set(data["host"]) == {"commit", "changed", "python", "nproc"}
     assert data["settings"]["seed"] == 1
+
+
+PROBE_KEYS = {"hello_builds", "hellos", "passes", "passes_kept",
+              "passes_lowered", "passes_full", "passes_fell_back",
+              "tc_accepted", "tc_inline", "tc_compared", "tc_new",
+              "rows_unreached", "routes_full_reads", "routes_full_nodes",
+              "routes_partial_reads", "routes_partial_nodes", "collections"}
+
+
+def probed_names():
+    """The objects at each name grid_probe.counts patches."""
+    return [engine.make_hello, topology.repair_distances,
+            topology.update_router_topology, topology.routes,
+            engine.Router.run_topology_update, engine.Router.process_tc,
+            list(gc.callbacks)]
+
+
+def test_grid_probe_counts(monkeypatch):
+    """The counts add up, and every name counts() patches is restored,
+    also when the run raises; no count is pinned."""
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    probe, before = load("grid_probe"), probed_names()
+    c, net = probe.counts(3, 60)
+    assert probed_names() == before and set(c) == PROBE_KEYS
+    assert (c["passes_kept"] + c["passes_lowered"] + c["passes_full"]
+            == c["passes"] > 0)
+    assert (c["tc_inline"] + c["tc_compared"] + c["tc_new"]
+            == c["tc_accepted"] > 0)
+    assert c["collections"] == 0 and net.clock == 60
+
+    def broken(*args):
+        raise RuntimeError("routes() failed")
+
+    monkeypatch.setattr(topology, "routes", broken)
+    before = probed_names()
+    with pytest.raises(RuntimeError, match="routes"):
+        probe.counts(3, 60)
+    assert probed_names() == before
