@@ -40,8 +40,10 @@ BROADCAST line of that packet as a chunk of its own (keyed by the
 packet's id); a HELLO's text ends its line and recurs in its packets
 (by id), as a TC map's does in its TC's text (by id); every line of one
 TC origination shares its text before and after the sender
-(messages.render_tc_parts), keyed by (originator, seq); and a route's
-text is keyed by the Route itself. Ids are stable and distinct, as the
+(messages.render_tc_parts), keyed by (originator, seq); a route's
+text is keyed by the Route itself; and a BROADCAST's to= list by its
+recipient frozenset, which a sender's broadcasts share, so a hit is
+an identity match on a cached hash. Ids are stable and distinct, as the
 trace holds every object. Each line is one f-string of its own fields
 and memo hits, with no helper call per message: a TC, on its own line
 or in a packet, is its origination's head, its sender and its
@@ -52,18 +54,30 @@ second copy of the text. A fresh process rendering a 10x10 grid's
 300-tick trace peaked at 255 MB RSS joined once, and at 303 MB joined
 per batch.
 
-Each router's trace callback is bound once, when the Network is built;
-it and the tick record into the current tick's events, which join the
-trace in node order at the tick's end. Both build each event with
-_event, from all five fields.
+A tick records its events per node: each DELIVER in its recipient's
+list (phase 1, by sender), each router's own events and its BROADCAST
+in that router's list (phase 2), each LINK_EVENT in its src's list
+(phase 3). At the tick's end the lists join the trace in ascending
+node order, each in emission order, with no sort: a router records
+only its own events, so the trace's order is the same whatever
+phase 2's order. Each router's trace callback is bound once, when the
+Network is built, to its node's list; anything recorded outside a
+tick is dropped. Every event is built with _event, from all five
+fields.
 
 Ground truth, Network.out, is held by sender, sender -> {recipient:
 metric}, one row per router, so a broadcast reads its recipients and
-their metrics off the sender's row in O(degree). Broadcasts in flight
-are held by delivery tick, as tick -> [(sender, packet, snapshot)]:
-snapshot copies the sender's row at send time, so its keys are the
-recipients and its metrics the fallback measurement for a link that
-vanishes mid-flight.
+their metrics off the sender's row in O(degree). Phase 3 is the only
+writer of out. Broadcasts in flight are held by delivery tick, as
+tick -> [(sender, packet, snapshot)]: snapshot is the sender's row
+at send time, as (its recipients as a frozenset, its (recipient,
+metric) pairs in recipient order). BROADCAST's payload holds the
+frozenset, and phase 1 walks the pairs. One snapshot serves every
+broadcast of a sender until phase 3 writes the sender's row, which
+drops it; the next broadcast builds a new one. While a snapshot is
+its sender's current one, its metrics are the row's; once dropped,
+phase 1 reads each metric off the row, and the snapshot's is the
+fallback measurement for a link gone mid-flight.
 
 The cycle collector is paused while the network runs: Network.tick
 pauses it for one tick, Network.run across its loop, and
@@ -90,7 +104,7 @@ import re
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import messages, topology
@@ -223,15 +237,14 @@ class TraceEvent(NamedTuple):
 # A TraceEvent from a tuple of all five fields, built in C: NamedTuple's
 # generated __new__ runs Python code, once per delivery and message.
 _event = partial(tuple.__new__, TraceEvent)
-_NODE = attrgetter("node")
 _SENDER = itemgetter(0)
 _BATCH = 1000  # events per chunk list, and per string trace_batches yields
 
 
-class _TickEvents(list):
-    """The events of the tick being run, in emission order, and that
-    tick. Routers' emitters hold this and not the Network, so a
-    network forms no reference cycle and is freed once dropped."""
+class _TickEvents(dict):
+    """The tick being run, and its events: node -> that node's list, in
+    emission order. Routers' emitters hold this and not the Network, so
+    a network forms no reference cycle and is freed once dropped."""
 
     tick: TimeValue = 0
 
@@ -244,7 +257,9 @@ def _chunk_lists(trace: list) -> Iterator[list]:
     tcs: dict = {}    # (originator, seq) -> a TC's text around its sender
     texts: dict = {}  # id -> a HELLO's, TC map's or packet's text
     routes: dict = {}  # Route -> its text
-    get_tc, get_text, get_route = tcs.get, texts.get, routes.get
+    tos: dict = {}  # a BROADCAST's recipient frozenset -> its text
+    get_tc, get_text, get_route, get_to = (tcs.get, texts.get, routes.get,
+                                           tos.get)
 
     def tc_parts(msg: Tc) -> tuple:
         dests = get_text(id(msg.dests))
@@ -282,7 +297,9 @@ def _chunk_lists(trace: list) -> Iterator[list]:
                 head, tail = get_tc((p.originator, p.seq)) or tc_parts(p)
                 add(f"t={tick} n={node} ev={kind} {head}{node}{tail}\n")
             elif kind == "BROADCAST":
-                to = ",".join(sorted(p[1]))
+                to = get_to(p[1])
+                if to is None:
+                    to = tos[p[1]] = ",".join(sorted(p[1]))
                 add(f"t={tick} n={node} ev=BROADCAST d={p[0]} to={{{to}}}"
                     " pkt=")
                 add(get_text(id(pkt)) or packet(pkt, node))
@@ -336,9 +353,11 @@ class Network:
         self.metric_noise = metric_noise
         self.clock: TimeValue = 0
         self.inflights: dict = {}  # tick -> [(sender, packet, snapshot)]
+        self._snapshots: dict = {}  # sender -> snapshot of its row now
         self._busy_until = dict.fromkeys(routers, 0)  # node -> delivery tick
         self.trace: list = []
-        self._tick_events = _TickEvents()
+        self._tick_events = _TickEvents((n, []) for n in sorted(routers))
+        self._adds = {n: evs.append for n, evs in self._tick_events.items()}
         for nid, router in routers.items():
             router.trace = self._emitter(nid)
         self._dur_rng = {n: random.Random(f"{params.seed}/{n}/dur")
@@ -353,7 +372,7 @@ class Network:
         """The router's trace(kind, payload): records a TraceEvent of
         node at the current tick."""
         events = self._tick_events
-        append = events.append
+        append = events[node].append
 
         def emit(kind: str, payload) -> None:
             append(_event((events.tick, node, kind, payload, None)))
@@ -370,23 +389,27 @@ class Network:
         gc.disable()  # a run makes no cycles: see the module docstring
         try:
             events = self._tick_events
-            events.clear()  # drop anything traced outside a tick
+            if any(events.values()):  # drop anything traced outside a tick
+                for recorded in events.values():
+                    recorded.clear()
             clock = events.tick = self.clock
-            append = events.append
+            adds, snapshots = self._adds, self._snapshots
             routers, out = self.routers, self.out
 
             # phase 1: deliveries due now, canonical order by sender
             noise = self.metric_noise
             due = self.inflights.pop(clock, ())
             for sender, packet, snapshot in sorted(due, key=_SENDER):
-                row = out[sender]
-                for r in sorted(snapshot):
-                    m = row.get(r, snapshot[r])
+                pairs = snapshot[1]
+                if snapshots.get(sender) is not snapshot:  # row written
+                    row = out[sender]
+                    pairs = [(r, row.get(r, m)) for r, m in pairs]
+                for r, m in pairs:
                     if noise:
                         m = self._noise_rng[r].randint(max(1, m - noise),
                                                        m + noise)
                     routers[r].enqueue_delivery(packet, m, sender)
-                    append(_event((clock, r, "DELIVER", (sender, m), packet)))
+                    adds[r](_event((clock, r, "DELIVER", (sender, m), packet)))
 
             # phase 2: per-router steps
             busy_until = self._busy_until
@@ -397,12 +420,16 @@ class Network:
                 if packet is not None:
                     d = self.params.lb + self._dur_rng[nid].randrange(
                         self.params.delta_b + 1)
-                    snapshot = dict(out[nid])
+                    snapshot = snapshots.get(nid)
+                    if snapshot is None:
+                        row = out[nid]
+                        snapshot = snapshots[nid] = (
+                            frozenset(row), sorted(row.items()))
                     self.inflights.setdefault(clock + d, []).append(
                         (nid, packet, snapshot))
                     busy_until[nid] = clock + d
-                    append(_event((clock, nid, "BROADCAST",
-                                   (d, frozenset(snapshot)), packet)))
+                    adds[nid](_event((clock, nid, "BROADCAST",
+                                      (d, snapshot[0]), packet)))
 
             # phase 3: this tick's topology events, checked when built;
             # sorted by time from tick 0, the due ones start at the cursor
@@ -413,7 +440,8 @@ class Network:
                     del out[ev.src][ev.dst]
                 else:  # linkup or metric
                     out[ev.src][ev.dst] = ev.metric
-                append(_event((clock, ev.src, "LINK_EVENT", ev, None)))
+                snapshots.pop(ev.src, None)  # the row changed
+                adds[ev.src](_event((clock, ev.src, "LINK_EVENT", ev, None)))
                 i += 1
             self._next_event = i
 
@@ -422,8 +450,11 @@ class Network:
             for router in self.routers.values():
                 router.now += 1
 
-            events.sort(key=_NODE)  # stable: keeps emission order
-            self.trace.extend(events)
+            trace = self.trace
+            for recorded in events.values():  # in node order
+                if recorded:
+                    trace += recorded
+                    recorded.clear()
         finally:
             if enabled:
                 gc.enable()

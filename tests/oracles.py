@@ -17,6 +17,7 @@ from olsrv2sim import messages, topology
 from olsrv2sim.cli import Scenario
 from olsrv2sim.messages import INF, NEG_INF, MprRole, Status
 from olsrv2sim.neighborhood import LinkTuple, TwoHopTuple
+from olsrv2sim.simnet import TraceEvent
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +482,64 @@ class RefTopologySets:
         out = {oip: dict(rows) for oip, (_, rows) in self.rts.items()}
         out[self.ip] = dict(own_row)
         return out
+
+
+# ---------------------------------------------------------------------------
+# A network tick, as the library ran it with one event list
+# ---------------------------------------------------------------------------
+
+def ref_tick(net) -> None:
+    """Run one tick of net as Network.tick did before it recorded events
+    per node and shared a snapshot per sender row: every event in one
+    list, sorted stably by node at the tick's end, and each broadcast
+    in flight with its own copy of the sender's row, whose recipients
+    its delivery sorts. Each router's trace is rebound to this tick's
+    list, and in-flight entries hold a bare row copy, so a network
+    ticked by this is ticked by nothing else."""
+    clock, out, routers = net.clock, net.out, net.routers
+    events = []
+    for nid, router in routers.items():
+        router.trace = (lambda kind, payload, nid=nid:
+                        events.append(TraceEvent(clock, nid, kind, payload)))
+
+    for sender, packet, snapshot in sorted(net.inflights.pop(clock, ()),
+                                           key=lambda f: f[0]):
+        for r in sorted(snapshot):
+            m = out[sender].get(r, snapshot[r])
+            if net.metric_noise:
+                m = net._noise_rng[r].randint(max(1, m - net.metric_noise),
+                                              m + net.metric_noise)
+            routers[r].enqueue_delivery(packet, m, sender)
+            events.append(TraceEvent(clock, r, "DELIVER", (sender, m),
+                                     packet))
+
+    for nid in net._step_order:
+        if clock < net._busy_until[nid]:
+            continue
+        packet = routers[nid].step_main()
+        if packet is not None:
+            d = net.params.lb + net._dur_rng[nid].randrange(
+                net.params.delta_b + 1)
+            snapshot = dict(out[nid])
+            net.inflights.setdefault(clock + d, []).append(
+                (nid, packet, snapshot))
+            net._busy_until[nid] = clock + d
+            events.append(TraceEvent(clock, nid, "BROADCAST",
+                                     (d, frozenset(snapshot)), packet))
+
+    for ev in net.events:
+        if ev.time == clock:
+            if ev.kind == "linkdown":
+                del out[ev.src][ev.dst]
+            else:
+                out[ev.src][ev.dst] = ev.metric
+            events.append(TraceEvent(clock, ev.src, "LINK_EVENT", ev))
+
+    net.clock += 1
+    for router in routers.values():
+        router.now += 1
+    events.sort(key=lambda e: e.node)
+    net.trace.extend(events)
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,85 @@ def test_churn_networks_render_alike(seed, flood_all):
     assert_renderings_agree(net)
 
 
+def events_in_flight(rng, s, ticks):
+    """linkdown, linkup and metric events for s within ticks, the
+    linkdown and the first metric change at a tick when their src has a
+    broadcast in flight through phase 3. Until the first event a run
+    of s is the same with or without events, so a run without them
+    finds such ticks."""
+    dry = build_network(s)
+    busy = []  # (tick, sender) with a broadcast landing after that tick
+    for _ in range(ticks // 2):
+        dry.tick()
+        t = dry.clock - 1
+        busy += [(t, n) for n in sorted(dry.routers)
+                 if t >= 20 and dry._busy_until[n] > t]
+    links = {(u, v): m for u, v, m in s.links}
+    t, src = rng.choice(busy)
+    down = rng.choice(sorted(v for u, v in links if u == src))
+    up = t + rng.randrange(1, 30)
+    events = [TopologyEvent(t, "linkdown", src, down),
+              TopologyEvent(up, "linkup", src, down, rng.randint(1, 8))]
+    later = [(bt, n) for bt, n in busy if bt >= t]
+    for bt, n in rng.sample(later, min(3, len(later))):
+        dst = rng.choice(sorted(v for u, v in links if u == n))
+        if (n, dst) != (src, down):
+            events.append(TopologyEvent(bt, "metric", n, dst,
+                                        rng.randint(1, 8)))
+    events.append(TopologyEvent(rng.randrange(up + 1, ticks), "metric",
+                                src, down, rng.randint(1, 8)))
+    return tuple(events)
+
+
+def tick_state(net):
+    """A network's state after a tick, in-flight snapshots as rows."""
+    inflight = sorted((t, sender, pkt, list(snap[1])
+                       if type(snap) is tuple else sorted(snap.items()))
+                      for t, due in net.inflights.items()
+                      for sender, pkt, snap in due)
+    return (net.clock, net.out, inflight, [
+        (oracles.pass_state(r), r.sqn, r.now, r.ps, r.rxs)
+        for _, r in sorted(net.routers.items())])
+
+
+# no shrinking: a smaller seed is no simpler network
+@settings(max_examples=12, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(4, 7),
+       delta_b=st.integers(0, 2), noise=st.integers(0, 1))
+def test_tick_matches_the_reference_tick(seed, n_nodes, delta_b, noise):
+    """Network.tick, which records events per node and shares one
+    snapshot per sender row, against oracles.ref_tick, which keeps one
+    list sorted by node and copies the row per broadcast: on random
+    networks with link events, some while the link's src has a
+    broadcast in flight, the rendered traces are one text and the
+    states are equal after every tick. A third network steps its
+    routers in a shuffled order each tick, to the same trace."""
+    rng = random.Random(seed)
+    ticks = 150
+    s = oracles.random_connected_scenario(rng, n_nodes, seed=seed,
+                                          ticks=ticks)
+    s.params.update(delta_b=delta_b, metric_noise=noise,
+                    hp_maxjitter=delta_b + 3, tp_maxjitter=delta_b + 3)
+    s.events = events_in_flight(rng, s, ticks)
+    net, ref, shuffled = (build_network(s) for _ in range(3))
+    hit = 0
+    for t in range(ticks):
+        net.tick()
+        hit += any(sender == ev.src for ev in s.events if ev.time == t
+                   for due in net.inflights.values() for sender, _, _ in due)
+        oracles.ref_tick(ref)
+        order = sorted(shuffled.routers)
+        rng.shuffle(order)
+        shuffled._step_order = order
+        shuffled.tick()
+        assert tick_state(net) == tick_state(ref) == tick_state(shuffled)
+    assert hit
+    text = ref.render_trace()
+    assert net.render_trace() == text == shuffled.render_trace()
+    assert text.count("ev=LINK_EVENT") == len(s.events)
+
+
 def test_shared_routes_and_recipient_sets_render_alike():
     """ROUTE_CHANGEs that share Route objects, and a route to one
     destination that moves; BROADCASTs from two senders that share a
