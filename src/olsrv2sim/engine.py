@@ -36,20 +36,20 @@ never mutated.
 A HELLO is built only when the view of the link set make_hello reads
 may have changed since the last build: per link tuple, in ls order,
 oip, status(now), the MPR flags, in_metric unless LOST and out_metric
-if SYMMETRIC. Three writes mark it: process_hello creating a tuple,
-or changing a tuple's status at the write or its out_metric, and any
-full pass (the purge and the MPR-flag updates are the only other
-writers of ls). Otherwise a status changes only when the clock
-reaches a symmetric or heard time, and the first step at or after a
-stored time runs the full pass before it generates (see below): the
-pass is the HELLO's clock. Without a mark the last HELLO is sent
-again. A receiver remembers per originator the last HELLO whose 2-hop
-walk ran and the names it lists SYMMETRIC. Given that object again
-over a SYMMETRIC link, it only refreshes those names' 2-hop tuples,
-re-creating any purged since: messages are never mutated, only the
-originator's HELLOs write its 2-hop tuples, and a walk skipped while
-the link was not SYMMETRIC wrote nothing, so every other tuple the
-HELLO names already holds its metrics.
+if SYMMETRIC. Three writes mark it: process_hello creating a tuple, or
+changing a tuple's status at the write, its out_metric, or its
+in_metric while not LOST, and any full pass (the purge and the
+MPR-flag updates are the only other writers of ls). Otherwise a status
+changes only when the clock reaches a symmetric or heard time, and the
+first step at or after a stored time runs the full pass before it
+generates (see below): the pass is the HELLO's clock. Without a mark
+the last HELLO is sent again. A receiver remembers per originator the
+last HELLO whose 2-hop walk ran and the names it lists SYMMETRIC.
+Given that object again over a SYMMETRIC link, it only refreshes those
+names' 2-hop tuples, re-creating any purged since: messages are never
+mutated, only the originator's HELLOs write its 2-hop tuples, and a
+walk skipped while the link was not SYMMETRIC wrote nothing, so every
+other tuple the HELLO names already holds its metrics.
 
 Consistency is restored by a maintenance pass, and the pass is its own
 check: run while nothing is pending, it changes no state (idempotence),
@@ -396,11 +396,11 @@ class Router:
         """Apply a HELLO to the sender's link tuple, then its 2-hop tuples.
 
         The steps follow RFC 6130 section 12: create the link tuple if
-        new, adopt the sender's measurement of us as out_metric, refresh
-        or tear down the symmetric time, refresh heard and validity
-        times, record MPR selection; then, if the link is symmetric,
-        create, re-measure and refresh the 2-hop tuples for the
-        addresses the HELLO names.
+        new, adopt the delivered measurement as in_metric and the
+        sender's measurement of us as out_metric, refresh or tear down
+        the symmetric time, refresh heard and validity times, record MPR
+        selection; then, if the link is symmetric, create, re-measure
+        and refresh the 2-hop tuples for the addresses the HELLO names.
         """
         if not isinstance(msg, Hello):
             raise TypeError("process_hello requires a HELLO message")
@@ -434,16 +434,19 @@ class Router:
         rsel = role in _ROUTING or (keep and old_rsel)
         out = msg.in_metrics.get(ip, old_out)
         self.ls[moip] = _link((moip, sym_time, heard_time, validity,
-                               fmpr, rmpr, fsel, rsel, lt_in, out))
+                               fmpr, rmpr, fsel, rsel, in_metric, out))
         # a pass reads a link's status only as "SYMMETRIC or not", and
-        # its out_metric only while it is SYMMETRIC; a created tuple
+        # its metrics only while it is SYMMETRIC; a created tuple
         # starts out LOST with no flags and an infinite out_metric.
         # Statuses as LinkTuple.status reads them.
         sym, was_sym = sym_time > now, old_sym > now
         dirty = (sym != was_sym or fsel != old_fsel or rsel != old_rsel
-                 or (sym and out != old_out) or validity <= now)
-        # what this router's next HELLO says of the link
+                 or (sym and (out != old_out or in_metric != lt_in))
+                 or validity <= now)
+        # what this router's next HELLO says of the link: heard_time >
+        # now is "not LOST", as sym_time <= heard_time
         if (created or sym != was_sym or out != old_out
+                or (heard_time > now and in_metric != lt_in)
                 or (not sym and (heard_time > now) != (old_heard > now))):
             self._hello_stale = True
         # the smallest written time still ahead; sym_time <= heard_time

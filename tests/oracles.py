@@ -352,7 +352,9 @@ def ref_hello_receipt(router, msg, in_metric):
     constructors, with the written times collected in a list. Unlike
     the rest of this module this is the library's earlier code, kept
     whole, repeat walk included, so that a defect in the receipt's
-    shared link-tuple part shows as a difference from it."""
+    shared link-tuple part shows as a difference from it. It adopts
+    the delivered in_metric, as the library does since links follow
+    metric changes."""
     now, ip, vtime = router.now, router.ip, msg.validity
     htime = router.cfg.l_hold_time
     moip = msg.originator
@@ -376,7 +378,7 @@ def ref_hello_receipt(router, msg, in_metric):
             or (keep and lt.rmpr_selector))
     new = LinkTuple(
         moip, sym_time, heard_time, max(heard_time + htime, validity),
-        lt.fmpr, lt.rmpr, fsel, rsel, lt.in_metric,
+        lt.fmpr, lt.rmpr, fsel, rsel, in_metric,
         msg.in_metrics.get(ip, lt.out_metric))
     router.ls[moip] = new
     status = new.status(now)
@@ -384,10 +386,12 @@ def ref_hello_receipt(router, msg, in_metric):
     old_status = lt.status(now)
     dirty = (sym != (old_status == Status.SYMMETRIC)
              or fsel != lt.fmpr_selector or rsel != lt.rmpr_selector
-             or (sym and new.out_metric != lt.out_metric)
+             or (sym and (new.out_metric != lt.out_metric
+                          or new.in_metric != lt.in_metric))
              or new.validity_time <= now)
     if (created or status != old_status
-            or new.out_metric != lt.out_metric):
+            or new.out_metric != lt.out_metric
+            or (status != Status.LOST and new.in_metric != lt.in_metric)):
         router._hello_stale = True
     written = [sym_time, heard_time, new.validity_time]
     if sym_time > now:

@@ -38,9 +38,8 @@ def n2(one, two, in_m=1, out_m=1, vt=NOW + 20):
     return TwoHopTuple(one, two, vt, in_m, out_m)
 
 
-def receive(ls, ths=None, *, sender="b", vt=8, htime=5, in_metric=1,
-            statuses=None, mprs=None, in_metrics=None, out_metrics=None):
-    """Copies of (ls, ths) after router "me" processes one HELLO at NOW."""
+def receiver(ls, ths=None, htime=5):
+    """Router "me" at NOW, holding copies of ls and ths."""
     cfg = RouterConfig(ip="me", hp_maxjitter=3, tp_maxjitter=3,
                        h_hold_time=14, t_hold_time=40, l_hold_time=htime,
                        hello_interval=10, tc_interval=20)
@@ -49,6 +48,13 @@ def receive(ls, ths=None, *, sender="b", vt=8, htime=5, in_metric=1,
     r.now, r.hello_time, r.tc_time = NOW, r.hello_time + NOW, r.tc_time + NOW
     r._hello_fire, r._tc_fire = r._hello_fire + NOW, r._tc_fire + NOW
     r.ls, r.twohop_set = dict(ls), dict(ths or {})
+    return r
+
+
+def receive(ls, ths=None, *, sender="b", vt=8, htime=5, in_metric=1,
+            statuses=None, mprs=None, in_metrics=None, out_metrics=None):
+    """Copies of (ls, ths) after router "me" processes one HELLO at NOW."""
+    r = receiver(ls, ths, htime)
     r.process_hello(Hello(sender, vt, statuses or {}, mprs or {},
                           in_metrics or {}, out_metrics or {}), in_metric)
     return r.ls, r.twohop_set
@@ -83,9 +89,30 @@ def test_add_link_tuple():
     assert lt.validity_time == NOW + 6 + 5
     assert lt.in_metric == 4 and lt.out_metric == INF
     assert not (lt.fmpr or lt.rmpr or lt.fmpr_selector or lt.rmpr_selector)
-    # an existing tuple is not re-created: its in_metric stays
+    # an existing tuple is not re-created, but adopts the delivered
+    # in_metric: the link follows a metric change
     again, _ = receive(ls, vt=99, in_metric=9)
-    assert again["b"].in_metric == 4
+    assert again["b"].in_metric == 9
+
+
+def test_in_metric_change_marks_the_pass_and_the_hello():
+    """A changed in_metric on a SYMMETRIC link sets the dirty bit, as the
+    routing-MPR table reads it, and marks the next HELLO, which lists
+    it; on a HEARD link it marks only the HELLO. An unchanged one marks
+    neither."""
+    heard = sym("b", symmetric_time=NEG_INF)
+    for lt, in_metric, marks in ((sym("b", in_m=2), 5, (True, True)),
+                                 (sym("b", in_m=2), 2, (False, False)),
+                                 (heard, 5, (False, True)),
+                                 (heard, 1, (False, False))):
+        r = receiver({"b": lt})
+        r._dirty = r._hello_stale = False
+        # b lists us as it did: the status stays, as does out_metric
+        st = Status.SYMMETRIC if lt is not heard else Status.LOST
+        r.process_hello(Hello("b", 8, {"me": st}, {}, {"me": 1}, {}),
+                        in_metric)
+        assert r.ls["b"].in_metric == in_metric
+        assert (r._dirty, r._hello_stale) == marks, (lt, in_metric)
 
 
 def test_update_link_out_metrics():

@@ -63,10 +63,10 @@ CASES = {
         "fffb9e6477feb4198352096ba2e0694a010d20d67c812f627338cc276b682914"),
     "eventful": (
         fixed(EVENTFUL_SCENARIO),
-        "bcdeda7bd75f9c341ea765e00bbdde864d1c73d032683834b88ce26225de3410"),
+        "1bfe11582813e92f44c09c3151d857ff5244eba5d7707523522b006d8910cf0b"),
     "random-noise2": (
         noisy_random_scenario,
-        "1cc4ff106e3b0806b0a2c1730012f6dd01ece50140b7b6ed01067709cc7cd334"),
+        "85c626d530bf3c38920b51e58d01dbf62bebb2e01fe0dd191bc720a957474ec5"),
     "random-churn-from-unknown": (
         unknown_sender_churn_scenario,
         "52c1e5e56ba7f10cec3110e598d2ca484d7073ee68dcdc4e63342aeb4a11bbf5"),
