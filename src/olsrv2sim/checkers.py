@@ -7,7 +7,7 @@ for the three built-in demos live here as plain scenario text.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .messages import INF, NodeId, Tc, render_metric
@@ -122,10 +122,15 @@ def run_to_convergence(net: Network, window: int,
                        budget: int) -> ConvergenceReport:
     """Tick until routing sets stay quiet for `window`, or give up.
 
-    Early exit only triggers after at least one ROUTE_CHANGE has been
-    seen; a scenario that never routes anything runs its full budget
-    and is then judged by detect_convergence.
+    The quiet window counts from the later of the last ROUTE_CHANGE and
+    the last topology event within the budget, so a run is never judged
+    before its events have applied. Early exit only triggers after at
+    least one ROUTE_CHANGE has been seen; a scenario that never routes
+    anything runs its full budget and is then judged by
+    detect_convergence.
     """
+    last_event = max((ev.time for ev in net.events if ev.time < budget),
+                     default=0)
     last_change = None
     scanned = 0
     enabled = gc.isenabled()
@@ -137,9 +142,13 @@ def run_to_convergence(net: Network, window: int,
                 if ev.kind == "ROUTE_CHANGE":
                     last_change = ev.tick
             scanned = len(net.trace)
-            if last_change is not None and net.clock >= last_change + window:
+            if (last_change is not None
+                    and net.clock >= max(last_change, last_event) + window):
                 break
-        return detect_convergence(net.trace, window, net.clock)
+        report = detect_convergence(net.trace, window, net.clock)
+        if last_change is not None and last_event + window > net.clock:
+            return replace(report, converged=False, tick=None)
+        return report
     finally:
         if enabled:
             gc.enable()

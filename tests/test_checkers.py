@@ -10,7 +10,7 @@ from olsrv2sim.checkers import (FIG1_SCENARIO, FIG2_SCENARIO, FIG3_SCENARIO,
                                 symmetric_universe)
 from olsrv2sim.cli import Scenario, parse_scenario
 from olsrv2sim.messages import Hello, Tc
-from olsrv2sim.simnet import TraceEvent, build_network
+from olsrv2sim.simnet import TopologyEvent, TraceEvent, build_network
 from olsrv2sim.topology import Route
 
 import oracles
@@ -62,7 +62,8 @@ def two_node_net(**kw):
               "t_hold_time": 30, "seed": 3}
     params.update(kw.pop("params", {}))
     s = Scenario(nodes=("a", "b"), params=params,
-                 links=kw.pop("links", (("a", "b", 5), ("b", "a", 2))))
+                 links=kw.pop("links", (("a", "b", 5), ("b", "a", 2))),
+                 events=kw.pop("events", ()))
     return build_network(s)
 
 
@@ -133,6 +134,28 @@ def test_run_to_convergence_early_exit():
     assert rep.converged and rep.tick is not None and rep.tick > 0
     assert net.clock < 400
     assert net.clock >= rep.tick + 20
+
+
+def test_run_to_convergence_waits_for_the_last_event():
+    """A network quiet long before its last event within the budget is
+    judged from that event: the window counts from the later of the
+    last route change and the last event, and an event too close to the
+    budget's end leaves the run unconverged. An event at the budget or
+    later never applies and is not waited for."""
+    for at, budget, converged in ((150, 400, True), (390, 400, False),
+                                  (400, 400, True)):
+        net = two_node_net(
+            events=(TopologyEvent(at, "metric", "a", "b", 3),))
+        rep = run_to_convergence(net, window=20, budget=budget)
+        assert rep.converged == converged, at
+        if at < budget:
+            assert net.clock >= min(at + 20, budget)
+        else:
+            assert net.clock < 100
+        if converged:
+            assert net.clock >= rep.tick + 20
+        else:
+            assert rep.tick is None and net.clock == budget
 
 
 def test_reference_scenarios_parse_and_build():

@@ -412,6 +412,18 @@ def test_check_converges_on_minimal(tmp_path, capsys):
     assert "OPT n=b verdict=true" in cap.out
 
 
+def test_check_judges_the_network_after_its_events(tmp_path, capsys):
+    """EVENTFUL_SCENARIO quiets down by t=34, well before its events
+    (the last, a metric change, at t=200): check runs past them, and
+    every router's routes are optimal over the final links."""
+    rc = main(["check", "--scenario", write(tmp_path, EVENTFUL_SCENARIO)])
+    cap = capsys.readouterr()
+    assert rc == 0
+    tick = int(cap.err.split("# converged t=")[1].split()[0])
+    assert tick >= 200
+    assert cap.out.count("verdict=true") == 4
+
+
 def test_check_nonconvergence_exit_three(tmp_path, capsys):
     rc = main(["check", "--scenario", write(tmp_path, MINIMAL),
                "--ticks", "10", "--window", "50"])
@@ -461,8 +473,11 @@ def test_window_where_nothing_reads_it_exit_two(tmp_path, capsys, argv):
 def test_events_past_the_budget_warn(tmp_path, capsys, command, budget):
     # the last tick run is budget - 1, so an event at the budget or later
     # is never applied: it is named on stderr, and stdout and the exit
-    # code are those of the scenario without it
-    early = MINIMAL + f"at {budget - 1} metric a b 2\n"
+    # code are those of the scenario without it. check judges a run
+    # from its last applied event, so its early event leaves a window
+    # before the budget
+    early_at = budget - 1 if command == "run" else budget - 100
+    early = MINIMAL + f"at {early_at} metric a b 2\n"
     late = early + (f"at {budget} linkdown a b\n"
                     f"at {budget + 3} linkup a b 4\n")
     argv = [command, "--ticks", str(budget), "--scenario"]
@@ -471,6 +486,7 @@ def test_events_past_the_budget_warn(tmp_path, capsys, command, budget):
     rc_late = main(argv + [write(tmp_path, late, "late.txt")])
     cap_late = capsys.readouterr()
     assert (rc_late, cap_late.out) == (rc_early, cap_early.out)
+    assert rc_early == 0
     assert "warning" not in cap_early.err
     warnings = [line for line in cap_late.err.splitlines()
                 if line.startswith("warning:")]
