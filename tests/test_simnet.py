@@ -204,11 +204,11 @@ def test_churn_networks_render_alike(seed, flood_all):
 
 
 def events_in_flight(rng, s, ticks):
-    """linkdown, linkup and metric events for s within ticks, the
-    linkdown and the first metric change at a tick when their src has a
-    broadcast in flight through phase 3. Until the first event a run
-    of s is the same with or without events, so a run without them
-    finds such ticks."""
+    """linkdown, linkup and metric events for s within ticks: the
+    linkdown at a tick when its src has a broadcast in flight through
+    phase 3, found by a run of s without events, which is the same run
+    until the first event. Up to three metric changes fall at later
+    ticks when their src had a broadcast in flight in that run."""
     dry = build_network(s)
     busy = []  # (tick, sender) with a broadcast landing after that tick
     for _ in range(ticks // 2):
@@ -216,7 +216,7 @@ def events_in_flight(rng, s, ticks):
         t = dry.clock - 1
         busy += [(t, n) for n in sorted(dry.routers)
                  if t >= 20 and dry._busy_until[n] > t]
-    links = {(u, v): m for u, v, m in s.links}
+    links = [(u, v) for u, v, _ in s.links]
     t, src = rng.choice(busy)
     down = rng.choice(sorted(v for u, v in links if u == src))
     up = t + rng.randrange(1, 30)
