@@ -242,9 +242,10 @@ _BATCH = 1000  # events per chunk list, and per string trace_batches yields
 
 
 class _TickEvents(dict):
-    """The tick being run, and its events: node -> that node's list, in
-    emission order. Routers' emitters hold this and not the Network, so
-    a network forms no reference cycle and is freed once dropped."""
+    """The tick being run, and its events by node, nodes in ascending
+    order: node -> the node's events so far, in emission order.
+    Routers' emitters hold this and not the Network, so a network
+    forms no reference cycle and is freed once dropped."""
 
     tick: TimeValue = 0
 
@@ -356,7 +357,7 @@ class Network:
         self._snapshots: dict = {}  # sender -> snapshot of its row now
         self._busy_until = dict.fromkeys(routers, 0)  # node -> delivery tick
         self.trace: list = []
-        self._tick_events = _TickEvents((n, []) for n in sorted(routers))
+        self._tick_events = _TickEvents([(n, []) for n in sorted(routers)])
         self._adds = {n: evs.append for n, evs in self._tick_events.items()}
         for nid, router in routers.items():
             router.trace = self._emitter(nid)
@@ -371,8 +372,7 @@ class Network:
     def _emitter(self, node: NodeId):
         """The router's trace(kind, payload): records a TraceEvent of
         node at the current tick."""
-        events = self._tick_events
-        append = events[node].append
+        events, append = self._tick_events, self._adds[node]
 
         def emit(kind: str, payload) -> None:
             append(_event((events.tick, node, kind, payload, None)))
