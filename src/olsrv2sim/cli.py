@@ -271,7 +271,7 @@ def _demo_fig2(args) -> int:
 
     snaps = []
     for _ in range(_ticks(scenario)):
-        net.tick()
+        net.run(1)
         snaps.append({
             "b_sees_a": status(b, "A"),
             "a_sees_b": status(a, "B"),

@@ -238,9 +238,9 @@ class Router:
         self._edges: dict = {}
         self._changed: dict = {}
         self._opt: Optional[topology.RouteMemo] = None
-        # trace(kind, payload): the typed event simnet records and
-        # renders only on output (see simnet for each kind's payload)
-        self.trace: Callable = lambda kind, payload: None
+        # trace(tick, kind, payload), tick = now: the typed event simnet
+        # records and renders only on output (see simnet for each kind)
+        self.trace: Callable = lambda tick, kind, payload: None
 
     # -- consistency ----------------------------------------------------
 
@@ -387,7 +387,7 @@ class Router:
                                                    changed, rs, self._opt)
         if new_rs is not rs and new_rs != rs:
             self.rs = new_rs
-            self.trace("ROUTE_CHANGE",
+            self.trace(self.now, "ROUTE_CHANGE",
                        tuple(map(new_rs.__getitem__, sorted(new_rs))))
 
     # -- message processing ----------------------------------------------
@@ -578,7 +578,7 @@ class Router:
         if self.flood_all or sender_lt.fmpr_selector:
             self.pkt.append(msg)
             self.send_time = now + 1
-            self.trace("TC_FWD", msg)
+            self.trace(now, "TC_FWD", msg)
 
     # -- per-tick step ----------------------------------------------------
 
@@ -651,7 +651,7 @@ class Router:
                     self._hello_stale = False
                 msg = self._hello
                 self.pkt.append(msg)
-                self.trace("HELLO_GEN", msg)
+                self.trace(self.now, "HELLO_GEN", msg)
                 self.hello_time = self.now + cfg.hello_interval
                 self._hello_fire = (self.hello_time
                                     - self._rng.randrange(cfg.hp_maxjitter))
@@ -670,7 +670,7 @@ class Router:
                     msg = _tc((*msg[:4], self._tc_map))
                 self._tc_map = msg.dests
                 self.pkt.append(msg)
-                self.trace("TC_GEN", msg)
+                self.trace(self.now, "TC_GEN", msg)
                 self.sqn += 1
                 self.tc_time = self.now + cfg.tc_interval
                 self._tc_fire = (self.tc_time

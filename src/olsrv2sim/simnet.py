@@ -61,9 +61,11 @@ in that router's list (phase 2), each LINK_EVENT in its src's list
 node order, each in emission order, with no sort: a router records
 only its own events, so the trace's order is the same whatever
 phase 2's order. Each router's trace callback is bound once, when the
-Network is built, to its node's list; anything recorded outside a
-tick is dropped. Every event is built with _event, from all five
-fields.
+Network is built, to its node's list, and carries the router's own
+clock, which phase 4 keeps equal to the network's. No router records
+an event between ticks of a run; one recorded there (a test's call to
+run_update_info, say) joins the next tick's trace, stamped with that
+tick. Every event is built with _event, from all five fields.
 
 Ground truth, Network.out, is held by sender, sender -> {recipient:
 metric}, one row per router, so a broadcast reads its recipients and
@@ -79,14 +81,15 @@ its sender's current one, its metrics are the row's; once dropped,
 phase 1 reads each metric off the row, and the snapshot's is the
 fallback measurement for a link gone mid-flight.
 
-The cycle collector is paused while the network runs: Network.tick
-pauses it for one tick, Network.run across its loop, and
-checkers.run_to_convergence across its loop, which allocates between
-ticks. Network.run pauses between its ticks for code that runs there:
-a wrapper round tick, a tracer's say, that allocates one object after
-each tick would otherwise start a collection over all that the tick
-allocated (42 in 300 ticks of a 4x4 grid). Each one restores the
-state it found, enabled or not, also when a step raises, so they nest.
+The cycle collector is paused while the network runs: Network.run
+pauses it across its loop, and checkers.run_to_convergence across its
+loop, which allocates between ticks; a caller that ticks by hand
+leaves it as set. Network.run pauses between its ticks for code that
+runs there: a wrapper round tick, a tracer's say, that allocates one
+object after each tick would otherwise start a collection over all
+that the tick allocated (42 in 300 ticks of a 4x4 grid). Each one
+restores the state it found, enabled or not, also when a step raises,
+so they nest.
 The pause rests on a run making no reference cycles: no router or
 emitter holds the Network, so reference counting frees everything a
 run drops, and the tests check that the collector finds nothing.
@@ -241,13 +244,13 @@ _SENDER = itemgetter(0)
 _BATCH = 1000  # events per chunk list, and per string trace_batches yields
 
 
-class _TickEvents(dict):
-    """The tick being run, and its events by node, nodes in ascending
-    order: node -> the node's events so far, in emission order.
-    Routers' emitters hold this and not the Network, so a network
-    forms no reference cycle and is freed once dropped."""
-
-    tick: TimeValue = 0
+def _emitter(node: NodeId, append):
+    """node's router's trace(tick, kind, payload): records a TraceEvent
+    through append, its node's list's. It holds no Network, so a
+    network forms no reference cycle and is freed once dropped."""
+    def emit(tick: TimeValue, kind: str, payload) -> None:
+        append(_event((tick, node, kind, payload, None)))
+    return emit
 
 
 def _chunk_lists(trace: list) -> Iterator[list]:
@@ -357,10 +360,11 @@ class Network:
         self._snapshots: dict = {}  # sender -> snapshot of its row now
         self._busy_until = dict.fromkeys(routers, 0)  # node -> delivery tick
         self.trace: list = []
-        self._tick_events = _TickEvents([(n, []) for n in sorted(routers)])
+        # node -> the node's events this tick, nodes in ascending order
+        self._tick_events = {n: [] for n in sorted(routers)}
         self._adds = {n: evs.append for n, evs in self._tick_events.items()}
         for nid, router in routers.items():
-            router.trace = self._emitter(nid)
+            router.trace = _emitter(nid, self._adds[nid])
         self._dur_rng = {n: random.Random(f"{params.seed}/{n}/dur")
                          for n in routers}
         # only a noisy delivery draws from it (phase 1)
@@ -369,15 +373,6 @@ class Network:
 
     # -- helpers ----------------------------------------------------------
 
-    def _emitter(self, node: NodeId):
-        """The router's trace(kind, payload): records a TraceEvent of
-        node at the current tick."""
-        events, append = self._tick_events, self._adds[node]
-
-        def emit(kind: str, payload) -> None:
-            append(_event((events.tick, node, kind, payload, None)))
-        return emit
-
     def busy(self, node: NodeId) -> bool:
         return self.clock < self._busy_until.get(node, 0)
 
@@ -385,79 +380,69 @@ class Network:
 
     def tick(self) -> None:
         """Advance the whole network by one time unit."""
-        enabled = gc.isenabled()
-        gc.disable()  # a run makes no cycles: see the module docstring
-        try:
-            events = self._tick_events
-            if any(events.values()):  # drop anything traced outside a tick
-                for recorded in events.values():
-                    recorded.clear()
-            clock = events.tick = self.clock
-            adds, snapshots = self._adds, self._snapshots
-            routers, out = self.routers, self.out
+        clock = self.clock
+        adds, snapshots = self._adds, self._snapshots
+        routers, out = self.routers, self.out
 
-            # phase 1: deliveries due now, canonical order by sender
-            noise = self.metric_noise
-            due = self.inflights.pop(clock, ())
-            for sender, packet, snapshot in sorted(due, key=_SENDER):
-                pairs = snapshot[1]
-                if snapshots.get(sender) is not snapshot:  # row written
-                    row = out[sender]
-                    pairs = [(r, row.get(r, m)) for r, m in pairs]
-                for r, m in pairs:
-                    if noise:
-                        m = self._noise_rng[r].randint(max(1, m - noise),
-                                                       m + noise)
-                    routers[r].enqueue_delivery(packet, m, sender)
-                    adds[r](_event((clock, r, "DELIVER", (sender, m), packet)))
+        # phase 1: deliveries due now, canonical order by sender
+        noise = self.metric_noise
+        due = self.inflights.pop(clock, ())
+        for sender, packet, snapshot in sorted(due, key=_SENDER):
+            pairs = snapshot[1]
+            if snapshots.get(sender) is not snapshot:  # row written
+                row = out[sender]
+                pairs = [(r, row.get(r, m)) for r, m in pairs]
+            for r, m in pairs:
+                if noise:
+                    m = self._noise_rng[r].randint(max(1, m - noise),
+                                                   m + noise)
+                routers[r].enqueue_delivery(packet, m, sender)
+                adds[r](_event((clock, r, "DELIVER", (sender, m), packet)))
 
-            # phase 2: per-router steps
-            busy_until = self._busy_until
-            for nid in self._step_order:
-                if clock < busy_until[nid]:
-                    continue
-                packet = routers[nid].step_main()
-                if packet is not None:
-                    d = self.params.lb + self._dur_rng[nid].randrange(
-                        self.params.delta_b + 1)
-                    snapshot = snapshots.get(nid)
-                    if snapshot is None:
-                        row = out[nid]
-                        snapshot = snapshots[nid] = (
-                            frozenset(row), sorted(row.items()))
-                    self.inflights.setdefault(clock + d, []).append(
-                        (nid, packet, snapshot))
-                    busy_until[nid] = clock + d
-                    adds[nid](_event((clock, nid, "BROADCAST",
-                                      (d, snapshot[0]), packet)))
+        # phase 2: per-router steps
+        busy_until = self._busy_until
+        for nid in self._step_order:
+            if clock < busy_until[nid]:
+                continue
+            packet = routers[nid].step_main()
+            if packet is not None:
+                d = self.params.lb + self._dur_rng[nid].randrange(
+                    self.params.delta_b + 1)
+                snapshot = snapshots.get(nid)
+                if snapshot is None:
+                    row = out[nid]
+                    snapshot = snapshots[nid] = (
+                        frozenset(row), sorted(row.items()))
+                self.inflights.setdefault(clock + d, []).append(
+                    (nid, packet, snapshot))
+                busy_until[nid] = clock + d
+                adds[nid](_event((clock, nid, "BROADCAST",
+                                  (d, snapshot[0]), packet)))
 
-            # phase 3: this tick's topology events, checked when built;
-            # sorted by time from tick 0, the due ones start at the cursor
-            evs, i = self.events, self._next_event
-            while i < len(evs) and evs[i].time == clock:
-                ev = evs[i]
-                if ev.kind == "linkdown":
-                    del out[ev.src][ev.dst]
-                else:  # linkup or metric
-                    out[ev.src][ev.dst] = ev.metric
-                snapshots.pop(ev.src, None)  # the row changed
-                adds[ev.src](_event((clock, ev.src, "LINK_EVENT", ev, None)))
-                i += 1
-            self._next_event = i
+        # phase 3: this tick's topology events, checked when built;
+        # sorted by time from tick 0, the due ones start at the cursor
+        evs, i = self.events, self._next_event
+        while i < len(evs) and evs[i].time == clock:
+            ev = evs[i]
+            if ev.kind == "linkdown":
+                del out[ev.src][ev.dst]
+            else:  # linkup or metric
+                out[ev.src][ev.dst] = ev.metric
+            snapshots.pop(ev.src, None)  # the row changed
+            adds[ev.src](_event((clock, ev.src, "LINK_EVENT", ev, None)))
+            i += 1
+        self._next_event = i
 
-            # phase 4: clocks advance
-            self.clock += 1
-            for router in self.routers.values():
-                router.now += 1
+        # phase 4: clocks advance
+        self.clock += 1
+        for router in self.routers.values():
+            router.now += 1
 
-            trace = self.trace
-            for recorded in events.values():  # in node order
-                if recorded:
-                    trace += recorded
-                    recorded.clear()
-        finally:
-            if enabled:
-                gc.enable()
+        trace = self.trace
+        for recorded in self._tick_events.values():  # in node order
+            if recorded:
+                trace += recorded
+                recorded.clear()
 
     def run(self, ticks: int) -> None:
         enabled = gc.isenabled()

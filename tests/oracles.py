@@ -503,7 +503,7 @@ def ref_tick(net) -> None:
     clock, out, routers = net.clock, net.out, net.routers
     events = []
     for nid, router in routers.items():
-        router.trace = (lambda kind, payload, nid=nid:
+        router.trace = (lambda tick, kind, payload, nid=nid:
                         events.append(TraceEvent(clock, nid, kind, payload)))
 
     for sender, packet, snapshot in sorted(net.inflights.pop(clock, ()),

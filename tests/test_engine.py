@@ -245,7 +245,7 @@ def test_reset_memo_never_pairs_stale_distances_with_new_rows():
 def test_run_update_info_traces_route_changes_once():
     r = mk_router(start_time=100)
     events = []
-    r.trace = lambda kind, payload: events.append(
+    r.trace = lambda tick, kind, payload: events.append(
         TraceEvent(r.now, r.ip, kind, payload))
     r.ls = {"b": sym("b", in_m=2, out_m=3, now=100)}
     r.run_update_info()
@@ -469,7 +469,7 @@ def test_tc_forward_is_the_received_object():
     origination carries the one object, its advertised map included."""
     r = symmetric_selector_router()
     traced = []
-    r.trace = lambda kind, payload: traced.append((kind, payload))
+    r.trace = lambda tick, kind, payload: traced.append((kind, payload))
     t = tc(originator="x", vt=1, seq=5, ansn=6, dests={"y": 2})
     r.process_tc(t, "b")
     (f,) = r.pkt
@@ -533,7 +533,7 @@ def test_tc_copy_already_received_changes_nothing(from_unknown):
     deliver(r, "b", tc(seq=4, ansn=1, dests={"y": 3}))
     assert ("x", 4) in r.rxs and len(r.pkt) == 1
     traced = []
-    r.trace = lambda kind, payload: traced.append(kind)
+    r.trace = lambda tick, kind, payload: traced.append(kind)
     before = tc_state(r)
     senders = ["c", "stranger"] if from_unknown else ["c"]
     for sender in senders:
@@ -616,7 +616,7 @@ def test_tc_changing_only_the_receivers_metric_changes_no_route():
     memo, rs = r._opt, r.rs
     assert rs["y"] == Route("y", "b", 4)
     traced = []
-    r.trace = lambda kind, payload: traced.append(kind)
+    r.trace = lambda tick, kind, payload: traced.append(kind)
     r.process_tc(tc("b", seq=1, dests={"y": 3, "a": 1}), "b")
     assert r._topology_dirty and r._changed == {"b": {"y": 3, "a": 9}}
     r.run_topology_update()
@@ -737,7 +737,7 @@ def test_generation_spacing_single_router():
     r = Router(cfg(), jitter_rng=random.Random("9/a/jitter"), hello_offset=4,
                tc_offset=11)
     events = []
-    r.trace = lambda kind, payload: events.append((r.now, kind))
+    r.trace = lambda tick, kind, payload: events.append((r.now, kind))
     for _ in range(400):
         r.step_main()
         r.now += 1
@@ -754,7 +754,7 @@ def test_generation_spacing_single_router():
 def test_generated_tc_sequence_numbers_increase_by_one():
     r = Router(cfg(), jitter_rng=random.Random("3/a/jitter"))
     seqs = []
-    r.trace = (lambda kind, payload:
+    r.trace = (lambda tick, kind, payload:
                seqs.append(payload.seq) if kind == "TC_GEN" else None)
     for _ in range(150):
         r.step_main()
@@ -771,7 +771,7 @@ def test_generation_reuses_only_content_equal_in_order():
     def generate():
         """A HELLO and a TC generated now."""
         out = []
-        r.trace = lambda kind, payload: out.append(payload)
+        r.trace = lambda tick, kind, payload: out.append(payload)
         r.hello_time = r._hello_fire = r.tc_time = r._tc_fire = r.now
         r._maybe_generate()
         r.now += 1
@@ -800,7 +800,7 @@ def generated_hello(r):
     """The HELLO r's step generates now, with TC generation off and
     the last generation's broadcast taken as sent."""
     out = []
-    r.trace = (lambda kind, payload:
+    r.trace = (lambda tick, kind, payload:
                out.append(payload) if kind == "HELLO_GEN" else None)
     r.pkt, r.send_time = [], INF
     r.tc_time = r._tc_fire = INF

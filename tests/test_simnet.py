@@ -26,7 +26,7 @@ import oracles
 from oracles import render_event_detail, render_trace_event
 import test_trace_pins
 from test_acceptance import EVENTFUL_SCENARIO
-from test_engine import churn_events
+from test_engine import churn_events, sym
 from test_scripts import load
 
 
@@ -342,6 +342,24 @@ def test_clock_sync():
     net.run(7)
     assert net.clock == 7
     assert all(r.now == 7 for r in net.routers.values())
+
+
+def test_an_event_recorded_between_ticks_joins_the_next_tick():
+    """A router stamps its events with its own clock, the next tick's
+    between ticks: a route change made there is traced with that tick,
+    first among its router's events, once the tick has run."""
+    net = build_network(scen())
+    net.run(3)
+    assert not [ev for ev in net.trace if ev.kind == "ROUTE_CHANGE"]
+    traced = len(net.trace)
+    a = net.routers["a"]
+    a.ls = {"b": sym("b", in_m=2, out_m=3, now=3)}
+    a.run_update_info()
+    assert len(net.trace) == traced
+    net.run(1)
+    first = next(ev for ev in net.trace[traced:] if ev.node == "a")
+    assert (first.tick, first.kind, render_event_detail(first)) == (
+        3, "ROUTE_CHANGE", "rs=[ROUTE b via b m=3]")
 
 
 def test_out_of_range_at_send_never_delivered():
@@ -747,7 +765,6 @@ def test_dropped_network_is_freed_without_the_cycle_collector():
 # --- the paused cycle collector ------------------------------------------
 
 RUNNERS = {
-    "tick": lambda net: net.tick(),
     "run": lambda net: net.run(40),
     "run_to_convergence": lambda net: run_to_convergence(net, 5, 40),
 }
@@ -769,9 +786,9 @@ def collector_restored():
 def test_running_leaves_the_collector_as_found(collector_restored,
                                                monkeypatch, runner, enabled,
                                                raises):
-    """Network.tick, Network.run and run_to_convergence pause the cycle
-    collector while routers step, and leave it enabled or disabled as
-    they found it, also when a step raises mid-tick."""
+    """Network.run and run_to_convergence pause the cycle collector
+    while routers step, and leave it enabled or disabled as they found
+    it, also when a step raises mid-tick."""
     net = build_network(parse_scenario(EVENTFUL_SCENARIO))
     step, seen = engine.Router.step_main, []
 
