@@ -183,13 +183,19 @@ def _ticks(scenario: Scenario, default: int = 100) -> int:
     return scenario.params.get("ticks", default)
 
 
-def _warn_late_events(scenario: Scenario, budget: int) -> None:
-    """Name on stderr each event the tick budget never reaches."""
+def _warn_late_events(scenario: Scenario, budget: int,
+                      window: int = 0) -> None:
+    """Name on stderr each event the tick budget never reaches, and,
+    given check's window, each that leaves less than a window after."""
     for ev in scenario.events:
         if ev.time >= budget:
             print(f"warning: event at t={ev.time} ({ev.kind} {ev.src}"
                   f" {ev.dst}) is at or after the tick budget {budget}"
                   " and is never applied", file=sys.stderr)
+        elif ev.time > budget - window:
+            print(f"warning: event at t={ev.time} ({ev.kind} {ev.src}"
+                  f" {ev.dst}) leaves fewer than {window} quiet ticks"
+                  f" before the tick budget {budget}", file=sys.stderr)
 
 
 def _open_trace(path):
@@ -229,7 +235,7 @@ def _cmd_check(args) -> int:
             " use run instead")
     window = args.window if args.window is not None else default_window(net)
     budget = _ticks(scenario, default=400)
-    _warn_late_events(scenario, budget)
+    _warn_late_events(scenario, budget, window)
     report = run_to_convergence(net, window, budget)
     _write_trace(net, args)
     if not report.converged:

@@ -469,14 +469,18 @@ def test_window_where_nothing_reads_it_exit_two(tmp_path, capsys, argv):
     assert "unrecognized arguments: --window 7" in cap.err
 
 
-@pytest.mark.parametrize("command,budget", [("run", 6), ("check", 400)])
-def test_events_past_the_budget_warn(tmp_path, capsys, command, budget):
+@pytest.mark.parametrize("command,budget,early_at", [
+    pytest.param("run", 6, 5, id="run-6"),
+    pytest.param("check", 400, 300, id="check-400"),
+    pytest.param("check", 400, 399, id="check-400-no-quiet-window"),
+])
+def test_events_past_the_budget_warn(tmp_path, capsys, command, budget,
+                                     early_at):
     # the last tick run is budget - 1, so an event at the budget or later
     # is never applied: it is named on stderr, and stdout and the exit
     # code are those of the scenario without it. check judges a run
-    # from its last applied event, so its early event leaves a window
-    # before the budget
-    early_at = budget - 1 if command == "run" else budget - 100
+    # from its last applied event, so an early event leaves a window
+    # before the budget or is named as the reason check exits 3
     early = MINIMAL + f"at {early_at} metric a b 2\n"
     late = early + (f"at {budget} linkdown a b\n"
                     f"at {budget + 3} linkup a b 4\n")
@@ -486,11 +490,16 @@ def test_events_past_the_budget_warn(tmp_path, capsys, command, budget):
     rc_late = main(argv + [write(tmp_path, late, "late.txt")])
     cap_late = capsys.readouterr()
     assert (rc_late, cap_late.out) == (rc_early, cap_early.out)
-    assert rc_early == 0
-    assert "warning" not in cap_early.err
+    in_window = command == "check" and early_at == budget - 1
+    assert rc_early == (3 if in_window else 0)
+    window_warnings = [  # MINIMAL's default window is 32 ticks
+        f"warning: event at t={early_at} (metric a b) leaves fewer than 32"
+        f" quiet ticks before the tick budget {budget}"] if in_window else []
+    assert [line for line in cap_early.err.splitlines()
+            if line.startswith("warning:")] == window_warnings
     warnings = [line for line in cap_late.err.splitlines()
                 if line.startswith("warning:")]
-    assert warnings == [
+    assert warnings == window_warnings + [
         f"warning: event at t={budget} (linkdown a b) is at or after the"
         f" tick budget {budget} and is never applied",
         f"warning: event at t={budget + 3} (linkup a b) is at or after the"
