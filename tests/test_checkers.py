@@ -1,6 +1,9 @@
 """Trace analysis: ground-truth shortest paths, flood counting, convergence."""
 import random
 
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
 from olsrv2sim.checkers import (FIG1_SCENARIO, FIG2_SCENARIO, FIG3_SCENARIO,
                                 OptimalityReport, check_route_optimality,
                                 count_tc_broadcasts, default_window,
@@ -14,6 +17,7 @@ from olsrv2sim.simnet import TopologyEvent, TraceEvent, build_network
 from olsrv2sim.topology import Route
 
 import oracles
+from test_engine import churn_events
 
 
 def test_symmetric_universe_drops_one_way_links():
@@ -156,6 +160,35 @@ def test_run_to_convergence_waits_for_the_last_event():
             assert net.clock >= rep.tick + 20
         else:
             assert rep.tick is None and net.clock == budget
+
+
+# no shrinking: a smaller seed is no simpler network
+@settings(max_examples=25, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(4, 8))
+def test_churn_reconverges_to_ground_truth(seed, n_nodes):
+    """After link churn and metric changes, the last route change comes
+    within h_hold_time + t_hold_time of the last event (a lost link
+    leaves its router's link set within h_hold_time of the last HELLO
+    over it, and a row that advertised it leaves every topology set
+    within t_hold_time of the last TC carrying it), and the routes
+    then equal ground-truth shortest paths at every router."""
+    rng = random.Random(seed)
+    s = oracles.random_connected_scenario(rng, n_nodes, seed=seed,
+                                          ticks=200)
+    s.events = churn_events(rng, [(u, v) for u, v, _ in s.links], 200)
+    net = build_network(s)
+    last_event = max(ev.time for ev in s.events)
+    bound = last_event + max(r.cfg.h_hold_time + r.cfg.t_hold_time
+                             for r in net.routers.values())
+    conv = run_to_convergence(net, window=50, budget=bound + 50)
+    assert conv.converged
+    assert max(ev.tick for ev in net.trace
+               if ev.kind == "ROUTE_CHANGE") <= bound
+    universe = symmetric_universe(net.out)
+    for ip, router in net.routers.items():
+        assert {r.dest: r.metric for r in router.rs.values()} == (
+            ground_truth_shortest_paths(universe, ip)), ip
 
 
 def test_reference_scenarios_parse_and_build():
