@@ -245,9 +245,9 @@ _BATCH = 1000  # events per chunk list, and per string trace_batches yields
 
 
 def _emitter(node: NodeId, append):
-    """node's router's trace(tick, kind, payload): records a TraceEvent
-    through append, its node's list's. It holds no Network, so a
-    network forms no reference cycle and is freed once dropped."""
+    """The trace(tick, kind, payload) of node's router: records a
+    TraceEvent through append, node's list's. It holds no Network, so
+    a network forms no reference cycle and is freed once dropped."""
     def emit(tick: TimeValue, kind: str, payload) -> None:
         append(_event((tick, node, kind, payload, None)))
     return emit
