@@ -498,8 +498,9 @@ def ref_tick(net) -> None:
     list, sorted stably by node at the tick's end, and each broadcast
     in flight with its own copy of the sender's row, whose recipients
     its delivery sorts. Each router's trace is rebound to this tick's
-    list, and in-flight entries hold a bare row copy, so a network
-    ticked by this is ticked by nothing else."""
+    list, stamping with the network's clock where the library takes the
+    router's own, and in-flight entries hold a bare row copy, so a
+    network ticked by this is ticked by nothing else."""
     clock, out, routers = net.clock, net.out, net.routers
     events = []
     for nid, router in routers.items():

@@ -246,7 +246,7 @@ def test_run_update_info_traces_route_changes_once():
     r = mk_router(start_time=100)
     events = []
     r.trace = lambda tick, kind, payload: events.append(
-        TraceEvent(r.now, r.ip, kind, payload))
+        TraceEvent(tick, r.ip, kind, payload))
     r.ls = {"b": sym("b", in_m=2, out_m=3, now=100)}
     r.run_update_info()
     assert [(ev.kind, render_event_detail(ev)) for ev in events] == [
@@ -737,7 +737,7 @@ def test_generation_spacing_single_router():
     r = Router(cfg(), jitter_rng=random.Random("9/a/jitter"), hello_offset=4,
                tc_offset=11)
     events = []
-    r.trace = lambda tick, kind, payload: events.append((r.now, kind))
+    r.trace = lambda tick, kind, payload: events.append((tick, kind))
     for _ in range(400):
         r.step_main()
         r.now += 1

@@ -15,7 +15,6 @@ from olsrv2sim import simnet
 from olsrv2sim.cli import main
 
 _Random = random.Random
-CHOSEN = ("/jitter", "/dur")  # the streams a choice vector replaces
 
 
 class _Replayed(_Random):
@@ -39,7 +38,7 @@ def replaying(choices, ranges):
     the /jitter and /dur streams, taken together in the order the run
     makes them, are choices; ranges gets each such draw's range."""
     def build(seed):
-        if seed.endswith(CHOSEN):
+        if seed.endswith(("/jitter", "/dur")):
             return _Replayed(seed, choices, ranges)
         return _Random(seed)
     return build
