@@ -13,7 +13,8 @@ writes one file:
 - shas: every scenario's trace sha256, which must agree over all runs;
 - counts: the counts scripts/grid_probe.py prints, as CI runs it;
 - lines: the line counts of src/olsrv2sim/*.py, tests/*.py and
-  scripts/*.py;
+  scripts/*.py, and as src_code the lines of src/olsrv2sim/*.py that
+  hold code: not blank, not only a comment, not in a docstring;
 - host: the commit, whether the tree had changes, the Python version
   and the number of usable cores.
 
@@ -24,12 +25,15 @@ file with the last one. Run from anywhere:
     python3 scripts/bench_record.py --out BENCH_<n>.json --seconds 10
 """
 import argparse
+import ast
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -79,6 +83,31 @@ def line_count(paths) -> int:
     return sum(p.read_bytes().count(b"\n") for p in paths)
 
 
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER}
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def code_line_count(paths) -> int:
+    """The lines holding a token other than a comment, outside the
+    docstrings of modules, classes and functions."""
+    total = 0
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, DOCUMENTED)
+                    and ast.get_docstring(node, clean=False) is not None):
+                doc = node.body[0]
+                docs.update(range(doc.lineno, doc.end_lineno + 1))
+        code = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in NOT_CODE:
+                code.update(range(tok.start[0], tok.end[0] + 1))
+        total += len(code - docs)
+    return total
+
+
 def git(*args):
     """git's output in the repository, or None outside a git checkout."""
     try:
@@ -117,8 +146,9 @@ def record(workloads, repeats: int, seconds: float) -> dict:
                     r["result"]["metrics"][name]["value"] for r in traced)
         out["layers"][w] = layers
     out["counts"] = grid_counts()
+    src = sorted((ROOT / "src" / "olsrv2sim").glob("*.py"))
     out["lines"] = {
-        "src": line_count((ROOT / "src" / "olsrv2sim").glob("*.py")),
+        "src": line_count(src), "src_code": code_line_count(src),
         "tests": line_count((ROOT / "tests").glob("*.py")),
         "scripts": line_count((ROOT / "scripts").glob("*.py"))}
     out["host"] = {

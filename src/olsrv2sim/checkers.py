@@ -6,12 +6,11 @@ for the three built-in demos live here as plain scenario text.
 """
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from .messages import INF, NodeId, Tc, render_metric
-from .simnet import Network
+from .simnet import Network, collector_paused
 from .topology import _dijkstra
 
 
@@ -133,9 +132,7 @@ def run_to_convergence(net: Network, window: int,
                      default=0)
     last_change = None
     scanned = 0
-    enabled = gc.isenabled()
-    gc.disable()  # as Network.run: the slice below allocates between ticks
-    try:
+    with collector_paused():  # the slice below allocates between ticks
         while net.clock < budget:
             net.tick()
             for ev in net.trace[scanned:]:
@@ -149,9 +146,6 @@ def run_to_convergence(net: Network, window: int,
         if last_change is not None and last_event + window > net.clock:
             return replace(report, converged=False, tick=None)
         return report
-    finally:
-        if enabled:
-            gc.enable()
 
 
 # ---------------------------------------------------------------------------

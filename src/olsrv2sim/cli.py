@@ -188,14 +188,13 @@ def _warn_late_events(scenario: Scenario, budget: int,
     """Name on stderr each event the tick budget never reaches, and,
     given check's window, each that leaves less than a window after."""
     for ev in scenario.events:
+        what = f"warning: event at t={ev.time} ({ev.kind} {ev.src} {ev.dst})"
         if ev.time >= budget:
-            print(f"warning: event at t={ev.time} ({ev.kind} {ev.src}"
-                  f" {ev.dst}) is at or after the tick budget {budget}"
-                  " and is never applied", file=sys.stderr)
+            print(f"{what} is at or after the tick budget {budget} and is"
+                  " never applied", file=sys.stderr)
         elif ev.time > budget - window:
-            print(f"warning: event at t={ev.time} ({ev.kind} {ev.src}"
-                  f" {ev.dst}) leaves fewer than {window} quiet ticks"
-                  f" before the tick budget {budget}", file=sys.stderr)
+            print(f"{what} leaves fewer than {window} quiet ticks before the"
+                  f" tick budget {budget}", file=sys.stderr)
 
 
 def _open_trace(path):

@@ -253,8 +253,8 @@ class Router:
         equality-based phrasing (set != purge(set)) is what the tests
         check this against. step_main never asks it: it is the oracle
         the tests hold the maintenance pass and its scheduling to. It
-        only reads the live universe and the optimality memo, so asking
-        it changes no pass.
+        reads live state only, not the route memo or the changed rows, so
+        it can catch a memo gone wrong, and asking it changes no pass.
         """
         now = self.now
         for lt in self.ls.values():
@@ -284,19 +284,6 @@ class Router:
             if vt <= now:
                 return True
         edges = topology.link_universe(self.ip, self.ls, self.rts, now)
-        if self._opt is not None and self.rs == self._opt.rs:
-            # the universe as it stood at the last pass, which proved
-            # the memo's routing set optimal over it, but for the rows
-            # of originators that pass reached by no path: no path
-            # crosses them, so the set stays optimal
-            proved = dict(self._edges)
-            for src, row in self._changed.items():
-                if row is None:
-                    proved.pop(src, None)
-                else:
-                    proved[src] = row
-            if edges == proved:
-                return False
         return not topology.is_optimal_over(
             self.ip, edges, self.rs, topology._dijkstra(edges, self.ip))
 

@@ -82,8 +82,8 @@ phase 1 reads each metric off the row, and the snapshot's is the
 fallback measurement for a link gone mid-flight.
 
 The cycle collector is paused while the network runs: Network.run
-pauses it across its loop, and checkers.run_to_convergence across its
-loop, which allocates between ticks; a caller that ticks by hand
+and checkers.run_to_convergence, whose loop allocates between ticks,
+run their loops in collector_paused; a caller that ticks by hand
 leaves it as set. Network.run pauses between its ticks for code that
 runs there: a wrapper round tick, a tracer's say, that allocates one
 object after each tick would otherwise start a collection over all
@@ -329,6 +329,18 @@ def trace_batches(trace: list) -> Iterator[str]:
         yield "".join(chunks)
 
 
+class collector_paused:
+    """Pauses the cycle collector for a with block. Each exit's last act
+    restores the state found: an allocation after it could collect."""
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc) -> None:
+        if self.enabled:
+            gc.enable()
+
+
 class Network:
     """routers, keyed by node, is the node set and out its ground truth.
     build_network checks the scenario; this only replays the events."""
@@ -445,14 +457,9 @@ class Network:
                 recorded.clear()
 
     def run(self, ticks: int) -> None:
-        enabled = gc.isenabled()
-        gc.disable()  # between ticks too: see the module docstring
-        try:
+        with collector_paused():  # between ticks too
             for _ in range(ticks):
                 self.tick()
-        finally:
-            if enabled:
-                gc.enable()
 
     def render_trace(self) -> str:
         """The trace's text, every chunk joined once."""

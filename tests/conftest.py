@@ -21,7 +21,7 @@ wrapped, so that each step is held to that predicate:
   next one to carry over equals the full computation: the live
   universe (Router._edges) is link_universe over rts with no row left
   recorded as changed, and the memo (Router._opt, which
-  updates_pending() only reads) holds that universe's full Dijkstra
+  updates_pending() never reads) holds that universe's full Dijkstra
   distances, the predecessors a full scan picks (the smallest tight
   in-neighbour, oracles.ref_predecessors), their exact inverse as the
   children index (empty sets aside) and a copy of the routing set,
@@ -37,9 +37,11 @@ wrapped, so that each step is held to that predicate:
 The third one is why running a pass that is not needed leaves every
 trace unchanged. The topology half the full pass calls is checked as
 part of that pass. Only the passes carry the memo over the rows
-written since (topology.update_routes and repair_distances);
-updates_pending() never does, and it compares the universe with the
-one the last pass proved, not with the live one.
+written since (topology.update_routes and repair_distances).
+updates_pending() reads none of that bookkeeping (Router._edges,
+_changed, _opt): it builds link_universe from rts and tests the
+routing set against one full Dijkstra over it, so a row stored with
+no record of its change still shows as pending.
 
 process_tc() is handed only what the step lets through: a TC that is
 not the router's own and whose (originator, seq) is not in its

@@ -158,7 +158,7 @@ def test_updates_pending_equals_reference_composition():
         scramble(rng, r)
         want = oracles.ref_updates_pending(r)
         assert r.updates_pending() == want
-        # the optimality memo must not change the verdict on a re-ask
+        # asking writes nothing the verdict reads: a re-ask agrees
         assert r.updates_pending() == want
 
 
@@ -183,9 +183,29 @@ def test_memo_does_not_mask_mutations():
     assert r.rs == {"b": Route("b", "b", 1)}
 
 
+def test_oracle_sees_a_row_stored_without_a_record():
+    """A row a bookkeeping bug stores in the live universe without
+    recording it as changed still makes the routing set not optimal:
+    the oracle judges rts itself, not the universe the last pass
+    proved."""
+    r = symmetric_selector_router()
+    r.process_tc(tc("b", dests={"y": 5}), "b")
+    r.run_update_info()
+    assert r.rs["y"] == Route("y", "b", 6)
+    assert not r.updates_pending()
+    row = {"y": 1}
+    r.rts["c"] = (r.now + 40, 0, row)
+    r._edges["c"] = row
+    assert not r._changed
+    # y via c (2) beats the kept y via b (6)
+    assert r.updates_pending()
+    assert oracles.ref_updates_pending(r)
+
+
 def test_updates_pending_leaves_the_memo_untouched():
-    """The oracle only reads the memo: a memo it wrote would spare the
-    next pass the optimality test that a run never asking it makes."""
+    """The oracle neither reads nor writes the memo: a memo it wrote
+    would spare the next pass the optimality test that a run never
+    asking it makes."""
     r = mk_router(start_time=100)
     r.ls = {"b": sym("b", now=100)}
     r.run_update_info()

@@ -64,9 +64,34 @@ def test_bench_record_writes_every_key(tmp_path):
         "calls", "self_s"}
     assert sorted(data["shas"]["grid"]) == ["grid0", "grid1", "grid2"]
     assert set(data["counts"]) == PROBE_KEYS | {"grid7_sha256"}
-    assert set(data["lines"]) == {"src", "tests", "scripts"}
+    assert set(data["lines"]) == {"src", "src_code", "tests", "scripts"}
+    assert 0 < data["lines"]["src_code"] < data["lines"]["src"]
     assert set(data["host"]) == {"commit", "changed", "python", "nproc"}
     assert data["settings"]["seed"] == 1
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):
+    """Only lines holding code count: a string that is no docstring and
+    a line with code and a comment do, a docstring's lines do not."""
+    path = tmp_path / "sample.py"
+    path.write_text('''"""Module
+docstring."""
+# a comment
+
+def f(x):  # code with a comment
+    """One line."""
+    text = """two
+lines"""
+    return (x,
+            text)
+
+
+class C:
+    """Class
+    docstring."""
+    y = 1
+''')
+    assert load("bench_record").code_line_count([path]) == 7
 
 
 PROBE_KEYS = {"hello_builds", "hellos", "passes", "passes_kept",

@@ -115,6 +115,32 @@ def test_params_validation(tmp_path, capsys):
     assert "error: constraint violated: 0 < LB\n" in capsys.readouterr().err
 
 
+def late_route_changes(seed, n_nodes, h_hold_time):
+    """The ROUTE_CHANGE ticks after t=350 of a static random network run
+    for 700 ticks with lb 1, ΔB 1 and hello_interval 8."""
+    s = oracles.random_connected_scenario(random.Random(seed), n_nodes,
+                                          seed, ticks=700)
+    s.params["h_hold_time"] = h_hold_time
+    net = build_network(s)
+    net.run(700)
+    return [ev.tick for ev in net.trace
+            if ev.kind == "ROUTE_CHANGE" and ev.tick > 350]
+
+
+@pytest.mark.parametrize("seed,n_nodes", [(1, 5), (2, 6)])
+def test_h_hold_time_bound_is_needed(monkeypatch, seed, n_nodes):
+    """A witness that validate_config's "LB + 2ΔB + hello_interval <
+    h_hold_time" is tight: one below its minimum, 12, a link can expire
+    between two HELLOs over it, so routes still change long after the
+    network settled; at the minimum, none do."""
+    with pytest.raises(engine.ConfigError, match="< h_hold_time$"):
+        late_route_changes(seed, n_nodes, 11)
+    with monkeypatch.context() as m:
+        m.setattr(simnet, "validate_config", lambda *args: None)
+        assert late_route_changes(seed, n_nodes, 11)
+    assert late_route_changes(seed, n_nodes, 12) == []
+
+
 def test_render_trace_event_frozen():
     """The oracle and the library render one event's line alike."""
     hello = Hello("b", 12, {"a": Status.HEARD}, {}, {"a": 1}, {})
