@@ -74,18 +74,17 @@ def counts(k: int, ticks: int):
             n["rows_unreached"] += 1
 
     # routes() reads: of every node, or, on a lowering pass, of the
-    # stale nodes and their descendants only
+    # stale nodes and their descendants only, found in order of
+    # distance: a node is a descendant when its predecessor is one
     def routes(ip, dist, pred, rs, stale=None, children=None):
         if stale is None:
             n["routes_full_reads"] += 1
             n["routes_full_nodes"] += len(dist) - 1
         else:
-            under, todo = set(stale), list(stale)
-            while todo:
-                for v in children.get(todo.pop(), ()):
-                    if v not in under:
-                        under.add(v)
-                        todo.append(v)
+            under = set(stale)
+            for v in sorted(dist, key=dist.get):
+                if pred.get(v) in under:
+                    under.add(v)
             n["routes_partial_reads"] += 1
             n["routes_partial_nodes"] += len(under)
         return old["routes"](ip, dist, pred, rs, stale, children)

@@ -636,15 +636,11 @@ class Router:
                             list(msg.statuses) != list(self._hello.statuses)):
                         self._hello = msg
                     self._hello_stale = False
-                msg = self._hello
-                self.pkt.append(msg)
-                self.trace(self.now, "HELLO_GEN", msg)
+                msg, kind = self._hello, "HELLO_GEN"
                 self.hello_time = self.now + cfg.hello_interval
                 self._hello_fire = (self.hello_time
                                     - self._rng.randrange(cfg.hp_maxjitter))
-                self.send_time = self.now + 1
-                continue
-            if (self.now >= self._tc_fire
+            elif (self.now >= self._tc_fire
                     or (pending_bcast
                         and self.now >= self.tc_time - cfg.tp_maxjitter)):
                 if self.now > self.tc_time:
@@ -655,14 +651,14 @@ class Router:
                 if msg.dests == self._tc_map and (
                         list(msg.dests) == list(self._tc_map)):
                     msg = _tc((*msg[:4], self._tc_map))
-                self._tc_map = msg.dests
-                self.pkt.append(msg)
-                self.trace(self.now, "TC_GEN", msg)
+                self._tc_map, kind = msg.dests, "TC_GEN"
                 self.sqn += 1
                 self.tc_time = self.now + cfg.tc_interval
                 self._tc_fire = (self.tc_time
                                  - self._rng.randrange(cfg.tp_maxjitter))
-                self.send_time = self.now + 1
-                continue
-            break
+            else:
+                return
+            self.pkt.append(msg)
+            self.trace(self.now, kind, msg)
+            self.send_time = self.now + 1
 

@@ -35,10 +35,13 @@ Algorithms, 1996); predecessors then rescans the out-edges of the
 nodes whose distance fell and of the changed rows, the only sources of
 a tight edge that was not tight before. routes extends the repair to
 the next hops: only the subtrees of the nodes whose distance fell or
-whose predecessor moved are read again. A pass that keeps the
-distances keeps the routing set, even where a predecessor moved on an
-equal-cost tie, so the memo carries such nodes as stale to the next
-read, which must give choose_optimal's set exactly.
+whose predecessor moved are read again. Every metric is at least 1
+(simnet rejects any other), so a node's predecessor is strictly nearer
+to ip than the node, and routes reads the nodes in order of distance:
+each next hop is then one lookup of the predecessor's. A pass that
+keeps the distances keeps the routing set, even where a predecessor
+moved on an equal-cost tie, so the memo carries such nodes as stale to
+the next read, which must give choose_optimal's set exactly.
 """
 from __future__ import annotations
 
@@ -172,7 +175,7 @@ def is_optimal_over(ip: NodeId, edges: dict, rs: RoutingSet,
         seen = reach.get(hop)
         if seen is None:
             w = own.get(hop)
-            if w is None or w != dist[hop]:
+            if w is None or w != dist.get(hop):
                 return False
             seen = reach[hop] = {hop}
             todo = [hop]
@@ -225,18 +228,21 @@ def routes(ip: NodeId, dist: dict, pred: dict, rs: RoutingSet,
     """choose_optimal's routing set, read off its predecessors pred.
 
     A destination's next hop is the first node after ip on its
-    predecessor chain; each chain is walked once, as far as the first
-    node whose hop is known. Routes follow dist's order, and a route of
-    rs with the same next hop and metric is reused.
+    predecessor chain. Metrics are at least 1, so a predecessor is
+    strictly nearer to ip than its node: the nodes are read in order of
+    distance, and a node's next hop is the node itself when its
+    predecessor is ip, else its predecessor's, read before it or kept.
+    Routes follow dist's key order, and a route of rs with the same
+    next hop and metric is reused.
 
     Given stale and pred's children index, only the nodes of stale and
     their descendants are read: rs must hold every other node of dist
     with the metric and the next hop that pred gives it, and in dist's
     order, and those routes are kept.
     """
-    hop: dict = {}
     if stale is None:
-        todo, out = dist, {}
+        # every destination, in dist's order, each filled in below
+        todo = out = {v: None for v in dist if v != ip}
     else:
         todo, out = set(stale), dict(rs)
         # new destinations come last in dist: they take their places in
@@ -248,20 +254,9 @@ def routes(ip: NodeId, dist: dict, pred: dict, rs: RoutingSet,
                 if v not in todo:
                     todo.add(v)
                     below.append(v)
-    for dest in todo:
-        if dest == ip:
-            continue
-        h = hop.get(dest)
-        if h is None:
-            path = [dest]
-            u = pred[dest]
-            while u != ip and u not in hop and u in todo:
-                path.append(u)
-                u = pred[u]
-            h = (path[-1] if u == ip else hop[u] if u in hop
-                 else rs[u].next_hop)
-            for v in path:
-                hop[v] = h
+    for dest in sorted(todo, key=dist.__getitem__):
+        u = pred[dest]
+        h = dest if u == ip else out[u].next_hop
         m = dist[dest]
         r = rs.get(dest)
         if r is None or r.next_hop != h or r.metric != m:

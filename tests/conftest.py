@@ -27,9 +27,11 @@ wrapped, so that each step is held to that predicate:
   children index (empty sets aside) and a copy of the routing set,
   which is optimal by the oracle's own one-Dijkstra-per-first-hop
   test. After a pass that lowered distances that set is the one read
-  off those predecessors, in the memo's order of distances, and no
-  node is left stale; after any other pass that leaves stale nodes
-  listed, it is so outside their subtrees;
+  off those predecessors (oracles.ref_routes, which walks each
+  destination's predecessor chain to the router on its own, not
+  topology.routes), in the memo's order of distances, and no node is
+  left stale; after any other pass that leaves stale nodes listed, it
+  is so outside their subtrees;
 - a pass entered while nothing was pending changes no state;
 - a topology-only pass meets no expired topology-set entry: only the
   full pass purges rts, and a reached validity time makes it due.
@@ -79,7 +81,7 @@ from olsrv2sim.engine import Router
 from olsrv2sim.messages import Tc, make_hello
 
 from oracles import (full_hello_receipt, hello_receipt_state, pass_state,
-                     ref_is_optimal_over, ref_predecessors)
+                     ref_is_optimal_over, ref_predecessors, ref_routes)
 
 
 @pytest.fixture(autouse=True)
@@ -216,20 +218,20 @@ def oracle_mode(monkeypatch):
         assert {u: vs for u, vs in memo.children.items() if vs} == children, (
             f"{where} kept a children index that is not pred's inverse")
         # in the memo's order of distances, equal to dist's values
-        want = topology.routes(self.ip, memo.dist, pred, {})
+        want = ref_routes(self.ip, memo.dist, pred)
         if lowered:
             assert memo.stale == set() and (
                 list(memo.rs.items()) == list(want.items())), (
                 f"{where} lowered distances but left routes that are not"
                 " read off the predecessors, in its distances' order")
         elif memo.stale is not None:
-            # off the stale nodes' subtrees, the routes read off pred
-            under, todo = set(memo.stale), list(memo.stale)
-            while todo:
-                for v in children.get(todo.pop(), ()):
-                    if v not in under:
-                        under.add(v)
-                        todo.append(v)
+            # off the stale nodes' subtrees, the routes read off pred: a
+            # node is under a stale one when its predecessor is, and a
+            # predecessor is nearer than its node
+            under = set(memo.stale)
+            for v in sorted(dist, key=dist.get):
+                if pred.get(v) in under:
+                    under.add(v)
             assert list(memo.rs) == list(want) and all(
                 memo.rs[d] == r for d, r in want.items() if d not in under), (
                 f"{where} left a route that is not read off the"

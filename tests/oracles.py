@@ -257,6 +257,24 @@ def ref_predecessors(edges: dict, dist: dict) -> dict:
     return {v: min(us) for v, us in tight.items()}
 
 
+def ref_routes(ip, dist: dict, pred: dict) -> dict:
+    """The routing set read off the predecessor map pred over dist, one
+    destination at a time: each destination's chain of predecessors is
+    walked back to ip, and its next hop is the last node before ip.
+    Routes are listed in dist's key order; nothing is shared between
+    destinations or assumed about the order of their distances."""
+    out = {}
+    for dest in dist:
+        if dest == ip:
+            continue
+        hop, steps = dest, 0
+        while pred[hop] != ip:
+            hop, steps = pred[hop], steps + 1
+            assert steps < len(dist), f"a predecessor cycle through {dest}"
+        out[dest] = topology.Route(dest, hop, dist[dest])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # The consistency-check predicate, composed literally
 # ---------------------------------------------------------------------------
@@ -608,3 +626,73 @@ def random_connected_scenario(rng: random.Random, n_nodes: int,
         "tp_maxjitter": 3, "tc_interval": 12, "seed": seed, "ticks": ticks,
     }
     return Scenario(nodes=tuple(names), params=params, links=tuple(links))
+
+
+# ---------------------------------------------------------------------------
+# Reconvergence bounds, one per event kind
+# ---------------------------------------------------------------------------
+
+def reconvergence_bounds(net) -> dict:
+    """Ticks after an event of each kind within which every router's
+    routes stop changing, unless a later event moves them again,
+    derived from net's constraint chain with every router's largest
+    parameters. Two latencies, in ticks:
+
+    - a hop, H = 2(LB + ΔB) + 1. A message queued in a step at g is
+      broadcast at g + 1 and delivered at most LB + ΔB later. A
+      receiver that broadcasts at that tick does nothing else in its
+      step and is busy for at most LB + ΔB more, so every receiver has
+      processed the message by g + H;
+    - a HELLO round, R = hello_interval + H - 1. State written in a step
+      at t is in a HELLO built at t, or else by t - 1 + hello_interval,
+      as no HELLO deadline is missed, so every neighbour has processed
+      it by t + R. A TC carries it by t - 1 + tc_interval, and its flood
+      reaches every router over at most n - 1 hops, one H each.
+
+    "linkup", and "metric" in either direction, on u->v at T: v takes
+    up the link or its new in_metric from u's first HELLO over it
+    (T + R). u reads v's SYMMETRIC status and v's new in_metric of it
+    from v's next HELLO (2R). From u's and v's next ones their
+    neighbours' 2-hop sets take the link (3R). The MPR selections made
+    over those sets reach the selected routers in the HELLO after that
+    (4R). Each router's next TC then carries its final selectors and
+    metrics, and its flood ends the route changes:
+    4R + tc_interval - 1 + (n - 1)H. A raise waits for the same chain
+    as a lowering: its metric reaches u, the end that advertises it,
+    only through v's HELLO.
+
+    "linkdown" of u->v at T: u's last HELLO over it was processed by
+    T + 2(LB + ΔB), so v's link tuple lapses by
+    A = T + 2(LB + ΔB) + h_hold_time. A fact that stops being true is
+    no longer sent, and what a HELLO stored lapses h_hold_time after
+    the last HELLO that carried it, processed at most H - 1 after the
+    fact's last HELLO was built. So u's SYMMETRIC link to v lapses by
+    B = A + H - 1 + h_hold_time, and the 2-hop tuples of u's neighbours
+    through u to v by C = B + H - 1 + h_hold_time: a HELLO that lists
+    v as not SYMMETRIC neither refreshes nor removes them. The MPR
+    selections made then are announced within R, and the TCs follow:
+    C + R + tc_interval - 1 + (n - 1)H. If no other link joins u's side
+    to v's, rows from across stop coming once u drops v (B), the last
+    one stored at most n - 2 hops later, and lapse t_hold_time after:
+    B + (n - 2)H + t_hold_time.
+    """
+    cfgs = [router.cfg for router in net.routers.values()]
+    lb_db = net.params.lb + net.params.delta_b
+    h_hold = max(c.h_hold_time for c in cfgs)
+    hop = 2 * lb_db + 1
+    hello_round = max(c.hello_interval for c in cfgs) + hop - 1
+    tc_flood = (max(c.tc_interval for c in cfgs) - 1
+                + (len(cfgs) - 1) * hop)
+    change = 4 * hello_round + tc_flood
+    lapsed = 2 * lb_db + h_hold + hop - 1 + h_hold
+    down = max(lapsed + hop - 1 + h_hold + hello_round + tc_flood,
+               lapsed + (len(cfgs) - 2) * hop
+               + max(c.t_hold_time for c in cfgs))
+    return {"linkup": change, "metric": change, "linkdown": down}
+
+
+def last_change_bound(net) -> int:
+    """The tick by which net's last route change comes: the largest,
+    over its events, of the event's tick plus its kind's bound."""
+    bounds = reconvergence_bounds(net)
+    return max(ev.time + bounds[ev.kind] for ev in net.events)

@@ -1,7 +1,8 @@
 """Trace analysis: ground-truth shortest paths, flood counting, convergence."""
 import random
 
-from hypothesis import Phase, given, settings
+import pytest
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from olsrv2sim.checkers import (FIG1_SCENARIO, FIG2_SCENARIO, FIG3_SCENARIO,
@@ -166,25 +167,58 @@ def test_run_to_convergence_waits_for_the_last_event():
 @settings(max_examples=25, deadline=None,
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(4, 8))
+# runs whose last route change (t=201, 193 and 203) comes past the last
+# event plus h_hold_time + t_hold_time, which bounds a lost link only
+@example(seed=599599, n_nodes=4)
+@example(seed=10861375, n_nodes=4)
+@example(seed=12128415, n_nodes=4)
 def test_churn_reconverges_to_ground_truth(seed, n_nodes):
     """After link churn and metric changes, the last route change comes
-    within h_hold_time + t_hold_time of the last event (a lost link
-    leaves its router's link set within h_hold_time of the last HELLO
-    over it, and a row that advertised it leaves every topology set
-    within t_hold_time of the last TC carrying it), and the routes
-    then equal ground-truth shortest paths at every router."""
+    within each event's bound (oracles.reconvergence_bounds) of that
+    event, and the routes then equal ground-truth shortest paths at
+    every router."""
     rng = random.Random(seed)
     s = oracles.random_connected_scenario(rng, n_nodes, seed=seed,
                                           ticks=200)
     s.events = churn_events(rng, [(u, v) for u, v, _ in s.links], 200)
     net = build_network(s)
-    last_event = max(ev.time for ev in s.events)
-    bound = last_event + max(r.cfg.h_hold_time + r.cfg.t_hold_time
-                             for r in net.routers.values())
+    bound = oracles.last_change_bound(net)
     conv = run_to_convergence(net, window=50, budget=bound + 50)
     assert conv.converged
     assert max(ev.tick for ev in net.trace
                if ev.kind == "ROUTE_CHANGE") <= bound
+    universe = symmetric_universe(net.out)
+    for ip, router in net.routers.items():
+        assert {r.dest: r.metric for r in router.rs.values()} == (
+            ground_truth_shortest_paths(universe, ip)), ip
+
+
+@pytest.mark.parametrize("kind,seed", [("linkdown", 540), ("raise", 141)])
+def test_shorter_reconvergence_bounds_fail(kind, seed):
+    """Witnesses that two shorter bounds do not hold, on 3 routers with
+    one event at t=120 on the scenario's first link:
+    - a linkdown's h_hold_time + t_hold_time covers the lost link
+      leaving every set, but not the MPR selections made once the 2-hop
+      tuples through it lapse, nor the TCs that then advertise others;
+    - a raise's tc_interval plus the flood covers the next TC, but the
+      new metric reaches the end that advertises it only through the
+      far end's HELLO.
+    The last route change comes past each, within the derived bound,
+    and the routes end at ground truth."""
+    rng = random.Random(seed)
+    s = oracles.random_connected_scenario(rng, 3, seed=seed, ticks=320)
+    u, v, m = s.links[0]
+    s.events = ((TopologyEvent(120, "linkdown", u, v),) if kind == "linkdown"
+                else (TopologyEvent(120, "metric", u, v, m + 8),))
+    net = build_network(s)
+    net.run(320)
+    gap = max(ev.tick for ev in net.trace if ev.kind == "ROUTE_CHANGE") - 120
+    cfg, hop = net.routers[u].cfg, 2 * (net.params.lb + net.params.delta_b) + 1
+    shorter = (cfg.h_hold_time + cfg.t_hold_time if kind == "linkdown"
+               else cfg.tc_interval + 2 * hop)
+    bound = oracles.reconvergence_bounds(net)[
+        "linkdown" if kind == "linkdown" else "metric"]
+    assert shorter < gap <= bound
     universe = symmetric_universe(net.out)
     for ip, router in net.routers.items():
         assert {r.dest: r.metric for r in router.rs.values()} == (

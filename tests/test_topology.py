@@ -198,6 +198,21 @@ def tie_heavy_digraph(rng):
     return random_digraph(rng, rng.randint(3, 6), max_metric=2, density=0.7)
 
 
+def odd_rows_digraph(rng):
+    """random_digraph's universe with the rows a link universe may also
+    hold: a row that names every node (itself and ip among them), an
+    edge of infinite metric and an empty row. Metrics are at least 1,
+    so none of these edges is ever tight: the self-loop and the edge
+    into ip end at a node no farther from ip than their start, and an
+    infinite one shortens no path."""
+    names, edges = random_digraph(rng, rng.randint(3, 6))
+    every, infinite, empty = rng.sample(names, 3)
+    edges[every] = {v: rng.randint(1, 9) for v in names}
+    edges[infinite] = {**edges.get(infinite, {}), rng.choice(names): INF}
+    edges[empty] = {}
+    return names, edges
+
+
 def test_dijkstra_matches_path_enumeration():
     rng = random.Random(0xD1)
     for _ in range(300):
@@ -286,11 +301,14 @@ def mutate_routing_set(rng, rs, names, edges, ip):
 def test_optimality_verdicts_match_oracle():
     rng = random.Random(0x0517)
     verdicts = Counter()
-    for draw in (random_digraph, tie_heavy_digraph):
+    for draw in (random_digraph, tie_heavy_digraph, odd_rows_digraph):
         for _ in range(250):
             names, edges = draw(rng)
             ip = rng.choice(names)
-            rs = choose_optimal(ip, edges, _dijkstra(edges, ip))
+            dist = _dijkstra(edges, ip)
+            rs = choose_optimal(ip, edges, dist)
+            assert list(rs.items()) == list(oracles.ref_routes(
+                ip, dist, oracles.ref_predecessors(edges, dist)).items())
             assert is_optimal_over(ip, edges, rs, _dijkstra(edges, ip))
             assert ref_is_optimal(ip, edges, rs)
             mutated = mutate_routing_set(rng, rs, names, edges, ip)
@@ -511,7 +529,7 @@ def test_repaired_distances_are_dijkstras(case):
 
 EDITS = st.tuples(
     st.sampled_from(["add", "tie", "lower", "drop slack", "purge", "own",
-                     "row"]),
+                     "row", "odd"]),
     st.sampled_from(NODES), st.sampled_from(NODES), WEIGHTS,
     st.integers(0, 7), ROWS)
 
@@ -565,6 +583,11 @@ def edit_row(edges, dist, edit):
         return "s", {**own, dst: w}
     if kind == "row" and src != "s":
         return src, new_row
+    if kind == "odd":
+        # an infinite metric, a self-loop, an edge into s or an empty
+        # row: rows no shortest path uses
+        return src, ({**row, dst: INF}, {**row, src: w}, {**row, "s": w},
+                     {})[i % 4]
     return None
 
 
@@ -573,11 +596,13 @@ def edit_row(edges, dist, edit):
 def test_routes_carried_over_changed_rows_equal_the_full_computation(case):
     """update_routes over a live universe and the rows a sequence of
     edits replaced (edges added, made tight, lowered, slack ones dropped, rows
-    purged or replaced, the own row changed) keeps the distances,
-    predecessors and routing set the full computation gives: _dijkstra,
-    a full predecessor scan, and choose_optimal's routing set where a
-    distance fell, update_routing_set's where a tight edge was lost,
-    the routing set itself where the distances held."""
+    purged or replaced, the own row changed, rows no shortest path uses
+    added) keeps the distances, predecessors and routing set the full
+    computation gives: _dijkstra, a full predecessor scan, and
+    choose_optimal's routing set where a distance fell,
+    update_routing_set's where a tight edge was lost, the routing set
+    itself where the distances held. A set read off the predecessors
+    is oracles.ref_routes', in the memo's order of distances."""
     start, passes = case
     edges, changed = dict(start), {}
     rs, memo = {}, None
@@ -617,6 +642,9 @@ def test_routes_carried_over_changed_rows_equal_the_full_computation(case):
         else:
             want = choose_optimal("s", edges, memo.dist)
         assert list(rs.items()) == list(want.items())
+        if rs is not given_rs:   # read off the predecessors
+            assert list(rs.items()) == list(oracles.ref_routes(
+                "s", memo.dist, oracles.ref_predecessors(edges, dist)).items())
 
 
 def test_routes_carried_over_a_predecessor_moved_on_a_tie():
