@@ -1,15 +1,15 @@
 """Analysis passes over finished (or in-progress) simulation runs.
 
-Everything here works from ground truth plus the trace and router
-state; nothing feeds back into the protocol. The reference scenarios
+Everything here works from ground truth plus router state or the
+trace; nothing feeds back into the protocol. The reference scenarios
 for the three built-in demos live here as plain scenario text.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
-from .messages import INF, NodeId, Tc, render_metric
+from .messages import INF, NEG_INF, NodeId, Tc, render_metric
 from .simnet import Network, collector_paused
 from .topology import _dijkstra
 
@@ -92,7 +92,14 @@ class ConvergenceReport:
     converged: bool
     tick: Optional[int]     # last routing-set change, 0 if none ever
     window: int
-    observed_ticks: int
+    observed_ticks: int     # the clock quiet_window judged at
+
+
+def quiet_window(last_change, last_event, window: int, clock: int):
+    """The one convergence rule; a last_change of NEG_INF is none."""
+    converged = max(last_change, last_event) + window <= clock
+    tick = max(last_change, 0) if converged else None
+    return ConvergenceReport(converged, tick, window, clock)
 
 
 def detect_convergence(trace, window: int, total_ticks: int) -> ConvergenceReport:
@@ -104,11 +111,8 @@ def detect_convergence(trace, window: int, total_ticks: int) -> ConvergenceRepor
     at least `window` ticks long).
     """
     last = max((ev.tick for ev in trace if ev.kind == "ROUTE_CHANGE"),
-               default=0)
-    converged = last + window <= total_ticks
-    return ConvergenceReport(converged=converged,
-                             tick=last if converged else None,
-                             window=window, observed_ticks=total_ticks)
+               default=NEG_INF)
+    return quiet_window(last, 0, window, total_ticks)
 
 
 def default_window(net: Network) -> int:
@@ -121,31 +125,25 @@ def run_to_convergence(net: Network, window: int,
                        budget: int) -> ConvergenceReport:
     """Tick until routing sets stay quiet for `window`, or give up.
 
-    The quiet window counts from the later of the last ROUTE_CHANGE and
-    the last topology event within the budget, so a run is never judged
-    before its events have applied. Early exit only triggers after at
-    least one ROUTE_CHANGE has been seen; a scenario that never routes
-    anything runs its full budget and is then judged by
-    detect_convergence.
+    After each tick, quiet_window judges the routers' last routing-set
+    change (Router.last_route_change, not the trace) and the last
+    topology event within the budget, so a run is never judged before
+    its events have applied. Early exit only triggers after at least
+    one route change; a scenario that never routes anything runs its
+    full budget.
     """
     last_event = max((ev.time for ev in net.events if ev.time < budget),
                      default=0)
-    last_change = None
-    scanned = 0
-    with collector_paused():  # the slice below allocates between ticks
+    routers = net.routers.values()
+    with collector_paused():  # the reports allocate between ticks
         while net.clock < budget:
             net.tick()
-            for ev in net.trace[scanned:]:
-                if ev.kind == "ROUTE_CHANGE":
-                    last_change = ev.tick
-            scanned = len(net.trace)
-            if (last_change is not None
-                    and net.clock >= max(last_change, last_event) + window):
-                break
-        report = detect_convergence(net.trace, window, net.clock)
-        if last_change is not None and last_event + window > net.clock:
-            return replace(report, converged=False, tick=None)
-        return report
+            last_change = max(r.last_route_change for r in routers)
+            report = quiet_window(last_change, last_event, window, net.clock)
+            if report.converged and last_change > NEG_INF:
+                return report
+        return quiet_window(max(r.last_route_change for r in routers),
+                            last_event, window, net.clock)
 
 
 # ---------------------------------------------------------------------------

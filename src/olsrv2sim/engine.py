@@ -206,6 +206,7 @@ class Router:
         self.send_time: TimeValue = INF
         self.sqn = 0
         self.ansn = 0
+        self.last_route_change = NEG_INF  # the last ROUTE_CHANGE's tick
         self.advertised = frozenset()  # rmpr selectors at the last pass
         self._hello, self._tc_map = None, {}  # the last HELLO and TC map
         # a write or a full pass since the last HELLO build
@@ -374,6 +375,7 @@ class Router:
                                                    changed, rs, self._opt)
         if new_rs is not rs and new_rs != rs:
             self.rs = new_rs
+            self.last_route_change = self.now
             self.trace(self.now, "ROUTE_CHANGE",
                        tuple(map(new_rs.__getitem__, sorted(new_rs))))
 

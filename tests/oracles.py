@@ -333,7 +333,8 @@ def pass_state(router):
     """The state a maintenance pass may write, in iteration order."""
     return (list(router.ls.items()), list(router.twohop_set.items()),
             list(router.rts.items()),
-            list(router.rs.items()), router.ansn, router.advertised)
+            list(router.rs.items()), router.last_route_change, router.ansn,
+            router.advertised)
 
 
 # ---------------------------------------------------------------------------

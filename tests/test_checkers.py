@@ -13,7 +13,7 @@ from olsrv2sim.checkers import (FIG1_SCENARIO, FIG2_SCENARIO, FIG3_SCENARIO,
                                 render_optimality_report, run_to_convergence,
                                 symmetric_universe)
 from olsrv2sim.cli import Scenario, parse_scenario
-from olsrv2sim.messages import Hello, Tc
+from olsrv2sim.messages import NEG_INF, Hello, Tc
 from olsrv2sim.simnet import TopologyEvent, TraceEvent, build_network
 from olsrv2sim.topology import Route
 
@@ -139,18 +139,29 @@ def test_run_to_convergence_early_exit():
     assert rep.converged and rep.tick is not None and rep.tick > 0
     assert net.clock < 400
     assert net.clock >= rep.tick + 20
+    # with no event, the routers' record and the trace give one verdict
+    assert rep == detect_convergence(net.trace, 20, net.clock)
 
 
 def test_run_to_convergence_waits_for_the_last_event():
     """A network quiet long before its last event within the budget is
     judged from that event: the window counts from the later of the
     last route change and the last event, and an event too close to the
-    budget's end leaves the run unconverged. An event at the budget or
+    budget's end leaves the run unconverged, also when no route has
+    changed by the budget (linkless, the links coming up at t=395: the
+    first route change would come at t=402). An event at the budget or
     later never applies and is not waited for."""
-    for at, budget, converged in ((150, 400, True), (390, 400, False),
-                                  (400, 400, True)):
-        net = two_node_net(
-            events=(TopologyEvent(at, "metric", "a", "b", 3),))
+    for at, budget, converged, linkless in (
+            (150, 400, True, False), (390, 400, False, False),
+            (400, 400, True, False), (150, 400, True, True),
+            (390, 400, False, True), (395, 400, False, True)):
+        if linkless:
+            net = two_node_net(links=(), events=(
+                TopologyEvent(at, "linkup", "a", "b", 1),
+                TopologyEvent(at, "linkup", "b", "a", 1)))
+        else:
+            net = two_node_net(
+                events=(TopologyEvent(at, "metric", "a", "b", 3),))
         rep = run_to_convergence(net, window=20, budget=budget)
         assert rep.converged == converged, at
         if at < budget:
@@ -159,6 +170,7 @@ def test_run_to_convergence_waits_for_the_last_event():
             assert net.clock < 100
         if converged:
             assert net.clock >= rep.tick + 20
+            assert not linkless or rep.tick > at  # the links made routes
         else:
             assert rep.tick is None and net.clock == budget
 
@@ -187,6 +199,12 @@ def test_churn_reconverges_to_ground_truth(seed, n_nodes):
     assert conv.converged
     assert max(ev.tick for ev in net.trace
                if ev.kind == "ROUTE_CHANGE") <= bound
+    # run_to_convergence reads each router's record of its last change
+    for ip, router in net.routers.items():
+        assert router.last_route_change == max(
+            (ev.tick for ev in net.trace
+             if ev.kind == "ROUTE_CHANGE" and ev.node == ip),
+            default=NEG_INF), ip
     universe = symmetric_universe(net.out)
     for ip, router in net.routers.items():
         assert {r.dest: r.metric for r in router.rs.values()} == (

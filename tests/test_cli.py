@@ -425,11 +425,16 @@ def test_check_judges_the_network_after_its_events(tmp_path, capsys):
 
 
 def test_check_nonconvergence_exit_three(tmp_path, capsys):
-    rc = main(["check", "--scenario", write(tmp_path, MINIMAL),
-               "--ticks", "10", "--window", "50"])
-    cap = capsys.readouterr()
-    assert rc == 3
-    assert "no convergence within 10 ticks (window 50)" in cap.err
+    # the second scenario's links come up at t=390 and no route changes
+    # by the budget, but that last event leaves less than a window
+    linkless = "node a\nnode b\nat 390 linkup a b 1\nat 390 linkup b a 1\n"
+    for text, ticks, window in ((MINIMAL, 10, 50), (linkless, 400, 20)):
+        rc = main(["check", "--scenario", write(tmp_path, text),
+                   "--ticks", str(ticks), "--window", str(window)])
+        cap = capsys.readouterr()
+        assert rc == 3 and cap.out == ""
+        assert (f"error: no convergence within {ticks} ticks"
+                f" (window {window})") in cap.err
 
 
 def test_check_refuses_metric_noise(tmp_path, capsys):
