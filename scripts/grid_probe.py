@@ -55,8 +55,7 @@ def counts(k: int, ticks: int):
 
     # accepted TC copies by how their rows were stored: refreshed
     # inline, or through update_router_topology, which compares them
-    # row by row unless the originator is new; and the rows stored
-    # with no pass: no path of the last pass reached their originator
+    # row by row unless the originator is new
     def update_router_topology(rts, moip, *rest):
         n["tc_compared" if moip in rts else "tc_new"] += 1
         return old["update_router_topology"](rts, moip, *rest)
@@ -64,14 +63,10 @@ def counts(k: int, ticks: int):
     def process_tc(router, msg, *args):
         moip = msg.originator
         before, through = router.rts.get(moip), n["tc_compared"] + n["tc_new"]
-        row = router._edges.get(moip)
         old["process_tc"](router, msg, *args)
         if (router.rts.get(moip) is not before
                 and n["tc_compared"] + n["tc_new"] == through):
             n["tc_inline"] += 1
-        elif (router._edges.get(moip) is not row
-                and moip not in router._changed):
-            n["rows_unreached"] += 1
 
     # routes() reads: of every node, or, on a lowering pass, of the
     # stale nodes and their descendants only, found in order of
@@ -117,7 +112,7 @@ def counts(k: int, ticks: int):
 
 KEYS = ("hello_builds", "hellos", "passes", "passes_kept", "passes_lowered",
         "passes_full", "passes_fell_back", "tc_accepted", "tc_inline",
-        "tc_compared", "tc_new", "rows_unreached", "routes_full_reads",
+        "tc_compared", "tc_new", "routes_full_reads",
         "routes_full_nodes", "routes_partial_reads", "routes_partial_nodes",
         "collections")
 
@@ -161,8 +156,7 @@ def main() -> int:
         " {passes_lowered} lowered them, {passes_full} recomputed them in"
         " full ({passes_fell_back} after a lost tight edge); {tc_accepted}"
         " accepted TC copies: {tc_inline} refreshed inline, {tc_compared}"
-        " compared row by row, {tc_new} from a new originator;"
-        " {rows_unreached} rows stored with no pass; routes() read"
+        " compared row by row, {tc_new} from a new originator; routes() read"
         " {routes_full_nodes} nodes in {routes_full_reads} full reads and"
         " {routes_partial_nodes} in {routes_partial_reads} reads under moved"
         " nodes; {collections} automatic collections started during net.run"

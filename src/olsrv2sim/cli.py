@@ -27,6 +27,7 @@ import contextlib
 import os
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .checkers import (FIG1_SCENARIO, FIG2_SCENARIO, FIG3_SCENARIO,
@@ -179,6 +180,14 @@ def _apply_cli_overrides(scenario: Scenario, args) -> Scenario:
     return scenario
 
 
+def _network(text: str, args, **flags):
+    """Parse a scenario's text, apply the command line's overrides and
+    then flags, and build its network: (the scenario, the network)."""
+    scenario = _apply_cli_overrides(parse_scenario(text), args)
+    scenario.flags.update(flags)
+    return scenario, build_network(scenario)
+
+
 def _ticks(scenario: Scenario, default: int = 100) -> int:
     return scenario.params.get("ticks", default)
 
@@ -197,6 +206,14 @@ def _warn_late_events(scenario: Scenario, budget: int,
                   f" tick budget {budget}", file=sys.stderr)
 
 
+def _converge(scenario: Scenario, net: Network, args, budget: int):
+    """check's and fig3's run: to convergence within budget, quiet for
+    --window or the network's default window; (window, report)."""
+    window = args.window if args.window is not None else default_window(net)
+    _warn_late_events(scenario, budget, window)
+    return window, run_to_convergence(net, window, budget)
+
+
 def _open_trace(path):
     """The --trace file, opened before anything runs (or no file)."""
     if not path:
@@ -213,9 +230,7 @@ def _write_trace(net: Network, args) -> None:
 
 
 def _cmd_run(args) -> int:
-    scenario = _apply_cli_overrides(
-        parse_scenario(_read(args.scenario)), args)
-    net = build_network(scenario)
+    scenario, net = _network(_read(args.scenario), args)
     budget = _ticks(scenario)
     _warn_late_events(scenario, budget)
     net.run(budget)
@@ -224,18 +239,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    scenario = _apply_cli_overrides(
-        parse_scenario(_read(args.scenario)), args)
-    net = build_network(scenario)
+    scenario, net = _network(_read(args.scenario), args)
     if net.metric_noise:
         raise ScenarioError(
             "check compares routes with noiseless ground truth and cannot"
             f" judge a run with metric_noise {net.metric_noise};"
             " use run instead")
-    window = args.window if args.window is not None else default_window(net)
-    budget = _ticks(scenario, default=400)
-    _warn_late_events(scenario, budget, window)
-    report = run_to_convergence(net, window, budget)
+    window, report = _converge(scenario, net, args,
+                               _ticks(scenario, default=400))
     _write_trace(net, args)
     if not report.converged:
         print(f"error: no convergence within {report.observed_ticks} ticks"
@@ -249,9 +260,8 @@ def _cmd_check(args) -> int:
 
 
 def _demo_fig1(args) -> int:
-    scenario = _apply_cli_overrides(parse_scenario(FIG1_SCENARIO), args)
+    scenario, net = _network(FIG1_SCENARIO, args)
     flood_all = scenario.flags.get("flood_all", False)
-    net = build_network(scenario)
     net.run(_ticks(scenario))
     _write_trace(net, args)
     count, coverage = count_tc_broadcasts(net.trace, "E", 0)
@@ -266,105 +276,74 @@ def _demo_fig1(args) -> int:
 
 
 def _demo_fig2(args) -> int:
-    scenario = _apply_cli_overrides(parse_scenario(FIG2_SCENARIO), args)
-    net = build_network(scenario)
+    scenario, net = _network(FIG2_SCENARIO, args)
     a, b, c = (net.routers[n] for n in ("A", "B", "C"))
 
     def status(router, oip):
         lt = router.ls.get(oip)
         return lt.status(router.now) if lt else None
 
-    snaps = []
-    for _ in range(_ticks(scenario)):
-        net.run(1)
-        snaps.append({
-            "b_sees_a": status(b, "A"),
-            "a_sees_b": status(a, "B"),
-            "a_n2_c": ("B", "C") in a.twohop_set,
-            "c_n2_a": ("B", "A") in c.twohop_set,
-        })
-    _write_trace(net, args)
-
-    def deliver_tick(at_node, sender, nth):
-        seen = 0
-        for ev in net.trace:
-            if (ev.kind == "DELIVER" and ev.node == at_node
-                    and ev.payload[0] == sender):
-                seen += 1
-                if seen == nth:
-                    return ev.tick
-        return None
-
-    t1 = deliver_tick("B", "A", 1)   # A's first HELLO lands at B
-    t2 = deliver_tick("A", "B", 1)   # B's first HELLO lands at A
-    t3a = deliver_tick("A", "B", 2)  # B's second HELLO lands at A
-    t3c = deliver_tick("C", "B", 2)  # ... and at C
+    # each checkpoint is judged at the end of the tick in which the nth
+    # delivery from sender lands at the receiver
     panels = [
-        ("after A's first HELLO, B holds a HEARD tuple for A", t1,
-         t1 is not None and snaps[t1]["b_sees_a"] == Status.HEARD),
-        ("after B's first HELLO, A holds a SYMMETRIC tuple for B", t2,
-         t2 is not None and snaps[t2]["a_sees_b"] == Status.SYMMETRIC),
-        ("after B's second HELLO, A holds a 2-hop tuple for C via B", t3a,
-         t3a is not None and snaps[t3a]["a_n2_c"]),
-        ("after B's second HELLO, C holds a 2-hop tuple for A via B", t3c,
-         t3c is not None and snaps[t3c]["c_n2_a"]),
+        ("after A's first HELLO, B holds a HEARD tuple for A", "B", "A", 1,
+         lambda: status(b, "A") == Status.HEARD),
+        ("after B's first HELLO, A holds a SYMMETRIC tuple for B", "A", "B",
+         1, lambda: status(a, "B") == Status.SYMMETRIC),
+        ("after B's second HELLO, A holds a 2-hop tuple for C via B", "A",
+         "B", 2, lambda: ("B", "C") in a.twohop_set),
+        ("after B's second HELLO, C holds a 2-hop tuple for A via B", "C",
+         "B", 2, lambda: ("B", "A") in c.twohop_set),
     ]
+    delivered, judged = Counter(), {}
+    for _ in range(_ticks(scenario)):
+        tick, recorded = net.clock, len(net.trace)
+        net.run(1)
+        for ev in net.trace[recorded:]:  # this tick's events
+            if ev.kind == "DELIVER":
+                delivered[ev.node, ev.payload[0]] += 1
+        for text, node, sender, nth, holds in panels:
+            if text not in judged and delivered[node, sender] >= nth:
+                judged[text] = tick, holds()
+    _write_trace(net, args)
     print("fig2: staggered HELLO exchange on the chain A - B - C")
     ok = True
-    for text, tick, held in panels:
-        mark = "ok" if held else "FAIL"
-        print(f"  [{mark}] t={tick}: {text}")
+    for text, *_ in panels:
+        tick, held = judged.get(text, (None, False))
+        print(f"  [{'ok' if held else 'FAIL'}] t={tick}: {text}")
         ok = ok and held
     return 0 if ok else 1
 
 
-def _fig3_one_mode(args, bug: bool):
-    scenario = _apply_cli_overrides(parse_scenario(FIG3_SCENARIO), args)
-    scenario.flags["bug_rfc7181"] = bug
-    net = build_network(scenario)
-    window = args.window if args.window is not None else default_window(net)
-    conv = run_to_convergence(net, window, _ticks(scenario))
-    if not conv.converged:
-        return None
-    d_rmprs = sorted(oip for oip, lt in net.routers["D"].ls.items()
-                     if lt.rmpr)
-    route = net.routers["S"].rs.get("D")
-    reports = check_route_optimality(net)
-    return {
-        "net": net,
-        "d_rmprs": d_rmprs,
-        "route": route,
-        "reports": reports,
-        "verdict": all(r.verdict for r in reports.values()),
-    }
-
-
 def _demo_fig3(args) -> int:
-    results = {}
+    runs = {}
     for label, bug in (("corrected", False), ("rfc7181", True)):
-        r = _fig3_one_mode(args, bug)
-        if r is None:
+        scenario, net = _network(FIG3_SCENARIO, args, bug_rfc7181=bug)
+        _, report = _converge(scenario, net, args, _ticks(scenario))
+        if not report.converged:
             print(f"error: {label} run did not converge", file=sys.stderr)
             return 3
-        results[label] = r
+        runs[label] = net, check_route_optimality(net)
 
     print("fig3: which metric direction feeds routing-MPR selection")
     print(f"{'mode':<11}{'D routing MPRs':<17}{'S->D route':<16}"
           "all routes optimal")
-    for label, r in results.items():
-        mprs = "{" + ",".join(r["d_rmprs"]) + "}"
-        rt = r["route"]
+    for label, (net, reports) in runs.items():
+        mprs = "{" + ",".join(sorted(
+            oip for oip, lt in net.routers["D"].ls.items() if lt.rmpr)) + "}"
+        rt = net.routers["S"].rs.get("D")
         route = (f"via {rt.next_hop} m={render_metric(rt.metric)}"
                  if rt else "none")
-        verdict = "true" if r["verdict"] else "false"
+        verdict = ("true" if all(r.verdict for r in reports.values())
+                   else "false")
         print(f"{label:<11}{mprs:<17}{route:<16}{verdict}")
-    for rep in results["rfc7181"]["reports"].values():
+    for rep in runs["rfc7181"][1].values():
         if not rep.verdict:
             print("  " + render_optimality_report(rep))
 
-    active = "rfc7181" if args.bug_rfc7181 else "corrected"
-    _write_trace(results[active]["net"], args)
-    return 0 if results[active]["verdict"] else 1
+    net, reports = runs["rfc7181" if args.bug_rfc7181 else "corrected"]
+    _write_trace(net, args)
+    return 0 if all(r.verdict for r in reports.values()) else 1
 
 
 def _read(path: str) -> str:

@@ -69,17 +69,16 @@ SYMMETRIC, carries a selector flag or has already expired; or when it
 creates a 2-hop tuple or changes its metrics. A TC that changes the
 advertised rows marks only the pass's topology half, which recomputes
 routes over the rows: neither the MPR sets nor ansn read them. It
-marks nothing when the last pass reached its originator by no path
-and proved the routing set: no distance, predecessor or route reads
-an unreachable node's row, so the TC writes only the live universe,
-and the pass that first reaches the node reads the row there. The
-full pass purges the topology set and rebuilds the router's own row
-before that half. A topology-only pass meets no expired row and no
-changed own row: the clock reaching a row's validity time or a
-symmetric time makes the full pass due, and so does a HELLO that
-moves a status or an out_metric the own row reads. Times aside, these
-are the only inputs of updates_pending() the two write. Any other write
-only moves stored times, and lowers the "next expiry" tick to each new
+records every changed row: that half alone decides what a row moves,
+and it keeps the distances and routes over a row of an originator
+they do not reach (topology.repair_distances). The full pass purges
+the topology set and rebuilds the router's own row before that half.
+A topology-only pass meets no expired row and no changed own row:
+the clock reaching a row's validity time or a symmetric time makes
+the full pass due, and so does a HELLO that moves a status or an
+out_metric the own row reads. Times aside, these are the only inputs
+of updates_pending() the two write. Any other write only moves
+stored times, and lowers the "next expiry" tick to each new
 time that is in the future. Most receipts in a converged network are
 such writes: a HELLO that moves its tuples' times, and a TC that
 carries its originator's stored row map again, which process_tc stores
@@ -228,10 +227,10 @@ class Router:
         self._next_expiry: TimeValue = NEG_INF
         # the link universe, kept live (topology.link_universe): rts's
         # row maps by originator, and ip's own row as the last full
-        # pass built it. A TC that changes a row or adds an originator,
-        # and the purge, write it here too, recording in _changed the
-        # row as it stood at the last pass, or None; a TC from an
-        # originator the last pass reached by no path records nothing.
+        # pass built it. Every accepted TC stores its map here too, and
+        # a TC that changes a row, like the purge, records in _changed
+        # the row as it stood at the last pass, or None, whether or not
+        # that pass reached its originator.
         # The memo (topology.RouteMemo) holds what the last pass proved,
         # and the next carries it over _changed (topology.update_routes).
         # A new router has no memo: its first pass computes routes in
@@ -519,10 +518,11 @@ class Router:
         A TC whose dests is the stored row map itself is a refresh: it
         is stored inline as the new validity time and ansn, as
         update_router_topology would store it, and it marks nothing.
-        Any other accepted TC goes through update_router_topology. A
-        row that names ip is stored as it came, like any other. A new
-        row of an originator that the last pass reached by no path,
-        while its memo proves rs, enters the live universe only.
+        Any other accepted TC goes through update_router_topology, and
+        its map enters the live universe: a row that changed is
+        recorded and marks the topology half, whether or not the last
+        pass reached moip. A row that names ip is stored as it came,
+        like any other.
         """
         moip, validity, seq, ansn, dests = msg
         key = (moip, seq)
@@ -544,19 +544,13 @@ class Router:
                     # update_router_topology would store it
                     rts[moip] = (vt, ansn, dests)
                 else:
-                    changed = topology.update_router_topology(
-                        rts, moip, ansn, validity, dests, now)
-                    if changed or entry is None:
-                        # the stored row enters the live universe, and
-                        # _changed keeps the row it had at the last pass,
-                        # unless that pass proved rs and reached no moip
-                        edges, memo = self._edges, self._opt
-                        if (memo is None or moip in memo.dist
-                                or self.rs != memo.rs):
-                            self._changed.setdefault(moip, edges.get(moip))
-                            if changed:
-                                self._topology_dirty = True
-                        edges[moip] = dests
+                    # the stored row enters the live universe, and a
+                    # changed one is recorded as it stood at the last pass
+                    if topology.update_router_topology(
+                            rts, moip, ansn, validity, dests, now):
+                        self._changed.setdefault(moip, self._edges.get(moip))
+                        self._topology_dirty = True
+                    self._edges[moip] = dests
                 # the rows' new validity time may come before every
                 # stored one
                 if vt < self._next_expiry:

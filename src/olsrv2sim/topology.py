@@ -25,10 +25,11 @@ A router keeps its universe live from one pass to the next, with the
 rows replaced since the last pass recorded as they stood then, and a
 RouteMemo of that pass: the distances, choose_optimal's predecessors
 with each node's children, and the routing set proved optimal.
-update_routes carries the memo over the recorded rows only. A row
-whose source the memo's distances do not reach need not be recorded:
-no distance, predecessor or route reads it, and a pass that reaches
-its source lowers that distance and reads the row live.
+update_routes carries the memo over the recorded rows only. Every
+changed row is recorded, and the pass alone decides what it moves: a
+row whose source the memo's distances do not reach moves no distance,
+predecessor or route, and a pass that reaches its source lowers that
+distance and reads the row live.
 repair_distances keeps the distances unless a tight edge was lost or
 lengthened, lowering in place only what fell (Ramalingam & Reps, J.
 Algorithms, 1996); predecessors then rescans the out-edges of the

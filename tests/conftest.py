@@ -47,11 +47,7 @@ no record of its change still shows as pending.
 
 process_tc() is handed only what the step lets through: a TC that is
 not the router's own and whose (originator, seq) is not in its
-received log. A row it stores in the live universe without recording
-it as changed is of an originator that the last pass reached by no
-path, while that pass's memo proves the routing set: the pass checks
-above hold the memo's distances to a full Dijkstra, so no path
-crosses such a row. Every copy it forwards is the object it was handed, and
+received log. Every copy it forwards is the object it was handed, and
 leaves its (originator, seq) in the received log, so that no copy of
 it is forwarded again.
 
@@ -149,16 +145,8 @@ def oracle_mode(monkeypatch):
             " caller must filter out")
         if in_step:
             assert_consistent(self, "before a TC")
-        sent, row = len(self.pkt), self._edges.get(msg.originator)
+        sent = len(self.pkt)
         process_tc(self, msg, sender)
-        if (self._edges.get(msg.originator) is not row
-                and msg.originator not in self._changed):
-            memo = self._opt
-            assert (memo is not None and msg.originator not in memo.dist
-                    and self.rs == memo.rs), (
-                f"router {self.ip} at t={self.now}: stored"
-                f" {msg.originator}'s row with no pass to read it, though"
-                " the last pass reached it or proved no routing set")
         assert len(self.pkt) == sent or (
             key in self.rxs and self.pkt[-1] is msg), (
             f"router {self.ip} at t={self.now}: forwarded"

@@ -622,6 +622,13 @@ def test_demo_fig2_panels(capsys):
     assert main(["demo", "fig2"]) == 0
     out = capsys.readouterr().out
     assert out.count("[ok]") == 4 and "[FAIL]" not in out
+    # a checkpoint whose delivery does not land within the budget fails
+    # with no tick: in 8 ticks only A's first HELLO reaches B
+    assert main(["demo", "fig2", "--ticks", "8"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and lines[1].startswith("  [ok] t=5: after A's")
+    assert all(line.startswith("  [FAIL] t=None: after B's")
+               for line in lines[2:])
 
 
 def test_demo_fig3_modes(capsys):

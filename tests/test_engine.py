@@ -644,31 +644,31 @@ def test_tc_changing_only_the_receivers_metric_changes_no_route():
     assert r._edges["b"] == {"y": 3, "a": 1} and not r._changed
 
 
-def test_tc_from_an_originator_no_path_reaches_marks_no_pass():
-    """A TC whose originator the last pass reached by no path, while
-    that pass's memo proves rs, writes the live universe only: it
-    records no row and marks no pass, and nothing is pending. The pass
-    that first reaches the originator reads its row live and routes
-    over it. Without that proof the row is recorded and marks a pass."""
+def test_tc_from_an_originator_no_path_reaches_marks_a_keep_pass():
+    """A TC whose originator the last pass reached by no path is stored
+    like any other: its row is recorded and marks the topology half,
+    and nothing is pending. That pass keeps the memo's distances and
+    the routing set, and traces no route change. The pass that first
+    reaches the originator routes over its row."""
     r = symmetric_selector_router()
     r.run_update_info()
-    assert "z" not in r._opt.dist
+    memo, rs, dist = r._opt, r.rs, dict(r._opt.dist)
+    assert "z" not in dist
+    traced = []
+    r.trace = lambda tick, kind, payload: traced.append(kind)
     dests = {"y": 1}
     r.process_tc(tc("z", dests=dests), "b")
     assert r.rts["z"][2] is dests and r._edges["z"] is dests
-    assert not r._changed and not r._topology_dirty
+    assert r._changed == {"z": None} and r._topology_dirty
     assert not r.updates_pending() and not oracles.ref_updates_pending(r)
+    r.run_topology_update()
+    assert r._opt is memo and r._opt.dist == dist and r.rs is rs
+    assert "ROUTE_CHANGE" not in traced and not r._changed
     # b's new row reaches z, and over z's row y
     r.process_tc(tc("b", dests={"z": 2}), "b")
     assert r._changed == {"b": None} and r._topology_dirty
     r.run_topology_update()
     assert r.rs["z"] == Route("z", "b", 3) and r.rs["y"] == Route("y", "b", 4)
-    # a routing set the memo does not prove
-    r2 = symmetric_selector_router()
-    r2.run_update_info()
-    r2.rs = {**r2.rs, "b": Route("b", "b", 7)}
-    r2.process_tc(tc("z", dests=dests), "b")
-    assert r2._changed == {"z": None} and r2._topology_dirty
 
 
 def test_tc_forwarding_gates():

@@ -97,7 +97,7 @@ class C:
 PROBE_KEYS = {"hello_builds", "hellos", "passes", "passes_kept",
               "passes_lowered", "passes_full", "passes_fell_back",
               "tc_accepted", "tc_inline", "tc_compared", "tc_new",
-              "rows_unreached", "routes_full_reads", "routes_full_nodes",
+              "routes_full_reads", "routes_full_nodes",
               "routes_partial_reads", "routes_partial_nodes", "collections"}
 
 
