@@ -20,10 +20,11 @@ otherwise occupy the transmitter through the rest of the window. With
 the parameter constraint maxjitter > LB + dB, the two rules together
 guarantee the deadline is never crossed; the engine still checks the
 deadline at every generation and raises if the argument ever fails.
-The step enters generation only when one of its guards can hold: now
-has reached a fire tick, or a broadcast is scheduled for the next tick
-(the piggyback). A fire tick never passes its deadline, so a step that
-skips generation skips no deadline check either.
+The step enters generation only when it generates: now has reached a
+fire tick, or a broadcast is scheduled for the next tick while a
+generation window is open (the piggyback). A fire tick never passes
+its deadline, so a step that skips generation skips no deadline check
+either.
 
 A generated HELLO equal to the router's last one, or TC map equal to
 its last map, is replaced by that object, which the trace renders once
@@ -59,7 +60,10 @@ times: each link tuple's symmetric, heard and validity time, and the
 validity time of every 2-hop tuple and topology-set entry.
 So after a pass nothing is pending until the state is written in a
 way the predicate can see, or the clock reaches the smallest stored
-time that was still in the future.
+time that was still in the future. The full pass walks each of the
+three sets once (run_update_info): each purge also returns the
+smallest time it kept, so the pass learns that time without a scan
+of its own, and _expiry_after's scan serves only the lookup below.
 
 A write marks a pass only when it can change what a pass does. A HELLO
 sets the dirty bit, which marks the full pass, when its link tuple
@@ -269,14 +273,14 @@ class Router:
             anchor = self.ls.get(n2.one_hop_oip)
             if anchor is None or anchor.status(now) is not SYMMETRIC:
                 return True
-        flagged_f = frozenset(o for o, lt in self.ls.items() if lt.fmpr)
-        if not neighborhood.is_valid_fmpr_set(self.ls, self.twohop_set, now,
-                                              flagged_f):
-            return True
-        flagged_r = frozenset(o for o, lt in self.ls.items() if lt.rmpr)
-        if not neighborhood.is_valid_rmpr_set(self.ls, self.twohop_set, now,
-                                              flagged_r, self.bug_mode):
-            return True
+        # both flavours' tables from one walk of each set
+        n1, fcov, rcov = neighborhood.covering_tables(
+            self.ls, self.twohop_set, now, self.bug_mode)
+        for field, coverers in (("fmpr", fcov), ("rmpr", rcov)):
+            flagged = frozenset(o for o, lt in self.ls.items()
+                                if getattr(lt, field))
+            if not neighborhood.is_valid_mpr_set(flagged, n1, coverers):
+                return True
         if self.ansn != topology.increment_ansn(self.ls, self.advertised,
                                                 self.ansn):
             return True
@@ -324,35 +328,43 @@ class Router:
 
     def run_update_info(self) -> None:
         """The full pass: purge the neighbourhood sets, reselect MPRs,
-        refresh ansn, purge rts, rebuild ip's own row in O(degree) and
-        record it when it differs, then the topology half (in order).
+        refresh ansn, purge rts, rebuild ip's own row and record it when
+        it differs, then the topology half (in order).
 
-        Afterwards nothing is pending until the next write or until the
-        clock reaches the new _next_expiry. The pass may rewrite ls, and
-        a status may have changed since the last HELLO build because the
-        clock reached a stored time, so the next HELLO is built.
+        It walks each information base once. The link set's purge also
+        reads off N1, the flagged MPR sets, the routing-MPR selectors
+        (so ansn moves inline) and the own row; the 2-hop set's purge
+        builds both covering tables, which the MPR updates then apply.
+        Each purge also returns the smallest time it kept after now, so
+        the new _next_expiry is _expiry_after(now) without a scan of its
+        own. Afterwards nothing is pending until the next write or until
+        the clock reaches it. The pass may rewrite ls, and a status may
+        have changed since the last HELLO build because the clock
+        reached a stored time, so the next HELLO is built.
         """
-        now = self.now
+        now, ls = self.now, self.ls
         self._hello_stale = True
-        neighborhood.purge_link_set(self.ls, now)
-        neighborhood.purge_2hop_set(self.ls, self.twohop_set, now)
-        neighborhood.update_fmprs(self.ls, self.twohop_set, now)
-        neighborhood.update_rmprs(self.ls, self.twohop_set, now,
-                                  self.bug_mode)
-        self.ansn = topology.increment_ansn(self.ls, self.advertised,
-                                            self.ansn)
-        self.advertised = topology.rmpr_selectors(self.ls)
+        links = neighborhood.purge_link_set(ls, now)
+        n1 = links.n1
+        fcov, rcov, two_hop_next = neighborhood.purge_2hop_set(
+            n1, self.twohop_set, now, self.bug_mode)
+        neighborhood.update_fmprs(ls, links.fmprs, n1, fcov)
+        neighborhood.update_rmprs(ls, links.rmprs, n1, rcov)
+        if links.selectors != self.advertised:
+            self.ansn += 1
+        self.advertised = links.selectors
         ip, edges, changed = self.ip, self._edges, self._changed
-        for oip in topology.purge_router_topology(self.rts, now):
+        gone, rts_next = topology.purge_router_topology(self.rts, now)
+        for oip in gone:
             changed.setdefault(oip, edges.pop(oip, None))
-        own = topology.own_row(self.ls, now)
+        own = links.own_row
         if own != edges.get(ip):
             changed[ip] = edges.get(ip)
             edges[ip] = own
         self.run_topology_update()
         self._dirty = False
         self._last_pass = now
-        self._next_expiry = self._expiry_after(now)
+        self._next_expiry = min(links.next_time, two_hop_next, rts_next)
 
     def run_topology_update(self) -> None:
         """The topology half of the pass: recompute routes over rts.
@@ -584,10 +596,12 @@ class Router:
         other TC to process_tc with its packet's sender. It asks
         _maintenance_due() only once the dirty bit is set or now has
         reached _next_expiry, and it calls _maybe_generate() only when
-        one of its guards can hold: now has reached _hello_fire or
-        _tc_fire, or a broadcast is due at now + 1 (the piggyback).
-        Each of _maybe_generate's branches needs one of the three, so
-        the skip is exact.
+        the first round of its loop generates: now has reached
+        _hello_fire or _tc_fire, or a broadcast is due at now + 1 and a
+        generation window is open (now >= hello_time - hp_maxjitter or
+        now >= tc_time - tp_maxjitter: the piggyback). That is the
+        condition of its two branches, so the skip is exact: a step that
+        skips it would have generated nothing.
         """
         if ((self._dirty or self.now >= self._next_expiry)
                 and self._maintenance_due()):
@@ -609,9 +623,11 @@ class Router:
                     self.run_update_info()
                 elif self._topology_dirty:
                     self.run_topology_update()
-        now = self.now
+        now, cfg = self.now, self.cfg
         if (now >= self._hello_fire or now >= self._tc_fire
-                or self.send_time == now + 1):
+                or (self.send_time == now + 1
+                    and (now >= self.hello_time - cfg.hp_maxjitter
+                         or now >= self.tc_time - cfg.tp_maxjitter))):
             self._maybe_generate()
         return None
 

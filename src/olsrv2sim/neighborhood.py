@@ -9,6 +9,13 @@ The purge and MPR-flag updates change the sets they are given in
 place; Router.process_hello writes the HELLO's rows directly. The
 tuples themselves are immutable NamedTuples, so a changed row is a new
 tuple (built with _replace), and tuples compare as plain tuples.
+
+A maintenance pass walks each set once. The link set's purge returns
+what the rest of the pass reads of its survivors (LinkWalk), N1 among
+it; the 2-hop set's purge, given N1, builds both flavours' covering
+tables as it goes; the MPR updates apply those tables. Each purge also
+returns the smallest time it kept after now, for the router's next
+expiry.
 """
 from __future__ import annotations
 
@@ -51,32 +58,85 @@ class TwoHopTuple(NamedTuple):
     out_metric: Metric
 
 
-def purge_link_set(ls: LinkSet, now: TimeValue) -> None:
-    """Drop expired tuples; strip MPR flags from non-symmetric survivors."""
-    for oip in [oip for oip, lt in ls.items() if lt.validity_time <= now]:
+class LinkWalk(NamedTuple):
+    """What the pass's one walk of the link set reads off its survivors.
+
+    n1 maps each symmetric neighbour to its in_metric, and own_row to
+    its out_metric where that is finite (topology.own_row), both in ls
+    order; fmprs and rmprs are the neighbours flagged as MPRs, and
+    selectors those that chose this router as routing MPR
+    (topology.rmpr_selectors). next_time is the smallest symmetric,
+    heard or validity time of a survivor that is after now, or INF.
+    """
+    n1: dict
+    fmprs: set
+    rmprs: set
+    selectors: FrozenSet[NodeId]
+    own_row: dict
+    next_time: TimeValue
+
+
+def purge_link_set(ls: LinkSet, now: TimeValue) -> LinkWalk:
+    """Drop expired tuples; strip MPR flags from non-symmetric survivors.
+
+    One walk: it also returns what the rest of the pass reads of the
+    survivors. A symmetric survivor keeps its flags, so the flagged
+    sets are those of the purged set.
+    """
+    gone, stale = [], []
+    n1, own, fmprs, rmprs, selectors = {}, {}, set(), set(), []
+    nxt = INF
+    for oip, lt in ls.items():
+        _, sym, heard, vt, fmpr, rmpr, fsel, rsel, m_in, m_out = lt
+        if vt <= now:
+            gone.append(oip)
+            continue
+        if vt < nxt:
+            nxt = vt
+        if now < heard < nxt:
+            nxt = heard
+        if sym > now:  # SYMMETRIC, as LinkTuple.status reads it
+            if sym < nxt:
+                nxt = sym
+            n1[oip] = m_in
+            if m_out != INF:
+                own[oip] = m_out
+            if fmpr:
+                fmprs.add(oip)
+            if rmpr:
+                rmprs.add(oip)
+            if rsel:
+                selectors.append(oip)
+        elif fmpr or rmpr or fsel or rsel:
+            stale.append(lt)
+    for oip in gone:
         del ls[oip]
-    stale = [lt for lt in ls.values()
-             if lt.status(now) is not SYMMETRIC
-             and (lt.fmpr or lt.rmpr or lt.fmpr_selector or lt.rmpr_selector)]
     for lt in stale:
         ls[lt.oip] = lt._replace(fmpr=False, rmpr=False,
                                  fmpr_selector=False, rmpr_selector=False)
+    return LinkWalk(n1, fmprs, rmprs, frozenset(selectors), own, nxt)
 
 
-def purge_2hop_set(ls: LinkSet, twohop_set: TwoHopSet,
-                   now: TimeValue) -> None:
-    """Drop expired tuples and those whose anchor is not symmetric."""
-    n1 = _n1_oips(ls, now)
-    for key in [key for key, n2 in twohop_set.items()
-                if n2.validity_time <= now or n2.one_hop_oip not in n1]:
+def purge_2hop_set(n1: dict, twohop_set: TwoHopSet, now: TimeValue,
+                   bug_mode: bool = False) -> tuple:
+    """Drop expired tuples and those whose anchor is not in n1, the
+    symmetric neighbours of the purged link set (LinkWalk.n1).
+
+    One walk: returns the covering tables of the survivors, flooding
+    and then routing ones (covering_tables), and the smallest validity
+    time among them, or INF.
+    """
+    fcov, rcov, gone, nxt = _tables(n1, twohop_set, now, bug_mode)
+    for key in gone:
         del twohop_set[key]
+    return fcov, rcov, nxt
 
 
 # --- MPR validity and selection -----------------------------------------
 #
 # Both MPR flavours share one covering table and differ only in its
-# weights. N1 is the set of symmetric 1-hop neighbors, N2 the 2-hop
-# tuples anchored at N1 members, and a candidate subset M <= N1 is
+# weights. N1 is the set of symmetric 1-hop neighbors, N2 the unexpired
+# 2-hop tuples anchored at N1 members, and a candidate subset M <= N1 is
 # valid when it preserves the distance d(t, .) from this router to
 # every 2-hop target t. A path is a 1-hop leg into a neighbor x,
 # followed for t != x by a 2-hop leg from x to t:
@@ -92,61 +152,81 @@ def purge_2hop_set(ls: LinkSet, twohop_set: TwoHopSet,
 # constrains nothing and has none. The greedy pick exploits this for a
 # polynomial choice; the test suite checks it against an exhaustive
 # enumeration (practical for |N1| <= 6) and a greedy written from the
-# distances. A pass builds the table once per flavour and chooses anew
-# only when the flagged set is invalid.
+# distances. One walk of the 2-hop set builds both flavours' tables: a
+# pass builds them as it purges the set (purge_2hop_set), and chooses
+# anew only when a flagged set is invalid.
 
-def _n1_oips(ls: LinkSet, now: TimeValue) -> FrozenSet[NodeId]:
-    return frozenset(oip for oip, lt in ls.items()
-                     if lt.status(now) is SYMMETRIC)
-
-
-def _covering_table(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
-                    routing: bool, bug_mode: bool = False):
-    """N1 and, per target at finite distance, its coverers under the
-    routing weights or, when routing is false, the flooding ones.
-
-    Returns (n1, coverers) where coverers[t] lists the x in N1, in any
-    order, whose d(t, {x}) is d(t, N1). One pass over the 2-hop set.
-    """
-    n1 = _n1_oips(ls, now)
-    dist = {}  # (x, t) -> d(t, {x}), for the pairs some leg gives
-    for n2 in twohop_set.values():
-        x = n2.one_hop_oip
-        if x not in n1:
+def _tables(n1: dict, twohop_set: TwoHopSet, now: TimeValue,
+            bug_mode: bool) -> tuple:
+    """(flooding coverers, routing coverers, the keys of the tuples
+    N2 leaves out, the smallest validity time in N2 or INF), from one
+    walk of the 2-hop set. n1 maps N1 to the in_metrics."""
+    fcov, rcov, rbest, gone, nxt = {}, {}, {}, [], INF
+    for key, (x, t, vt, m_in, m_out) in twohop_set.items():
+        m = n1.get(x)
+        if m is None or vt <= now:
+            gone.append(key)
             continue
-        if routing:
-            d = ls[x].in_metric + (n2.out_metric if bug_mode
-                                   else n2.in_metric)
+        if vt < nxt:
+            nxt = vt
+        # flooding: every leg pair weighs 2; a direct leg is set below
+        xs = fcov.get(t)
+        if xs is None:
+            fcov[t] = [x]
         else:
-            d = 2  # two legs of weight 1
-        dist[x, n2.two_hop_oip] = d
-    for x in n1.intersection([t for _, t in dist]):
-        direct = ls[x].in_metric if routing else 1
-        dist[x, x] = min(direct, dist.get((x, x), INF))
-    best, coverers = {}, {}
-    for (x, t), d in dist.items():
-        if d < best.get(t, INF):
-            best[t], coverers[t] = d, [x]
-        elif d == best.get(t, INF) != INF:
-            coverers[t].append(x)
-    return n1, coverers
+            xs.append(x)
+        d = m + (m_out if bug_mode else m_in)
+        best = rbest.get(t, INF)
+        if d < best:
+            rbest[t], rcov[t] = d, [x]
+        elif d == best != INF:
+            rcov[t].append(x)
+    # a target in N1 also has its direct leg, which weighs 1 when
+    # flooding and its (finite) in_metric under the routing weights:
+    # less than any 2-hop leg from the target itself, so no list names
+    # the target twice
+    for t in n1.keys() & fcov.keys():
+        fcov[t] = [t]
+        d, best = n1[t], rbest.get(t, INF)
+        if d < best:
+            rcov[t] = [t]
+        elif d == best:
+            rcov[t].append(t)
+    return fcov, rcov, gone, nxt
 
 
-def _is_valid(member_oips: AbstractSet[NodeId], n1, coverers) -> bool:
-    return member_oips <= n1 and all(not member_oips.isdisjoint(xs)
-                                     for xs in coverers.values())
+def covering_tables(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
+                    bug_mode: bool = False) -> tuple:
+    """(N1, flooding coverers, routing coverers), from one walk of each set.
+
+    coverers[t] lists the x in N1, in any order, whose d(t, {x}) is
+    d(t, N1), for each target t at finite distance under that
+    flavour's weights. N1 maps each neighbour to its in_metric.
+    """
+    n1 = {oip: lt.in_metric for oip, lt in ls.items()
+          if lt.symmetric_time > now}
+    fcov, rcov, _, _ = _tables(n1, twohop_set, now, bug_mode)
+    return n1, fcov, rcov
+
+
+def is_valid_mpr_set(member_oips: AbstractSet[NodeId], n1: dict,
+                     coverers: dict) -> bool:
+    """Does member_oips, a subset of N1, cover every target?"""
+    return member_oips <= n1.keys() and all(
+        not member_oips.isdisjoint(xs) for xs in coverers.values())
 
 
 def is_valid_fmpr_set(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
                       member_oips: AbstractSet[NodeId]) -> bool:
-    return _is_valid(member_oips, *_covering_table(ls, twohop_set, now, False))
+    n1, fcov, _ = covering_tables(ls, twohop_set, now)
+    return is_valid_mpr_set(member_oips, n1, fcov)
 
 
 def is_valid_rmpr_set(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
                       member_oips: AbstractSet[NodeId],
                       bug_mode: bool = False) -> bool:
-    return _is_valid(member_oips, *_covering_table(ls, twohop_set, now, True,
-                                                   bug_mode))
+    n1, _, rcov = covering_tables(ls, twohop_set, now, bug_mode)
+    return is_valid_mpr_set(member_oips, n1, rcov)
 
 
 def _greedy_choose(n1, coverers) -> FrozenSet[NodeId]:
@@ -166,34 +246,36 @@ def _greedy_choose(n1, coverers) -> FrozenSet[NodeId]:
 def choose_fmprs(ls: LinkSet, twohop_set: TwoHopSet,
                  now: TimeValue) -> FrozenSet[NodeId]:
     """Deterministic small valid flooding-MPR set (greedy cover)."""
-    return _greedy_choose(*_covering_table(ls, twohop_set, now, False))
+    n1, fcov, _ = covering_tables(ls, twohop_set, now)
+    return _greedy_choose(n1, fcov)
 
 
 def choose_rmprs(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
                  bug_mode: bool = False) -> FrozenSet[NodeId]:
-    return _greedy_choose(*_covering_table(ls, twohop_set, now, True,
-                                           bug_mode))
+    n1, _, rcov = covering_tables(ls, twohop_set, now, bug_mode)
+    return _greedy_choose(n1, rcov)
 
 
-def _update_flags(ls: LinkSet, field: str, table) -> None:
-    """Keep the flags in field while they form a valid set under the
-    covering table, else flag the greedy pick instead."""
-    if _is_valid({oip for oip, lt in ls.items() if getattr(lt, field)},
-                 *table):
+def _update_flags(ls: LinkSet, field: str, flagged: AbstractSet[NodeId],
+                  n1: dict, coverers: dict) -> None:
+    """Keep the flags in field, those of flagged, while they form a
+    valid set under the covering table, else flag the greedy pick."""
+    if is_valid_mpr_set(flagged, n1, coverers):
         return
-    chosen = _greedy_choose(*table)
-    for lt in [lt for lt in ls.values()
-               if getattr(lt, field) != (lt.oip in chosen)]:
-        ls[lt.oip] = lt._replace(**{field: lt.oip in chosen})
+    chosen = _greedy_choose(n1, coverers)
+    for oip in chosen.symmetric_difference(flagged):
+        ls[oip] = ls[oip]._replace(**{field: oip in chosen})
 
 
-def update_fmprs(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue) -> None:
-    """Keep the flooding-MPR flags while valid, else flag choose_fmprs."""
-    _update_flags(ls, "fmpr", _covering_table(ls, twohop_set, now, False))
+def update_fmprs(ls: LinkSet, flagged: AbstractSet[NodeId], n1: dict,
+                 coverers: dict) -> None:
+    """Keep the flooding-MPR flags, flagged, while valid under the
+    flooding table (n1, coverers), else flag its greedy pick."""
+    _update_flags(ls, "fmpr", flagged, n1, coverers)
 
 
-def update_rmprs(ls: LinkSet, twohop_set: TwoHopSet, now: TimeValue,
-                 bug_mode: bool = False) -> None:
-    """Keep the routing-MPR flags while valid, else flag choose_rmprs."""
-    _update_flags(ls, "rmpr", _covering_table(ls, twohop_set, now, True,
-                                              bug_mode))
+def update_rmprs(ls: LinkSet, flagged: AbstractSet[NodeId], n1: dict,
+                 coverers: dict) -> None:
+    """Keep the routing-MPR flags, flagged, while valid under the
+    routing table (n1, coverers), else flag its greedy pick."""
+    _update_flags(ls, "rmpr", flagged, n1, coverers)

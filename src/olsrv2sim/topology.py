@@ -81,12 +81,18 @@ def update_router_topology(rts: TrSet, moip: NodeId, mansn: Sqn,
     return old != dests
 
 
-def purge_router_topology(rts: TrSet, now: TimeValue) -> list:
-    """Drop every originator whose entry expired; return them."""
-    gone = [oip for oip, (vt, _, _) in rts.items() if vt <= now]
+def purge_router_topology(rts: TrSet, now: TimeValue) -> tuple:
+    """Drop every originator whose entry expired. One walk: returns
+    them, and the smallest validity time left, or INF."""
+    gone, nxt = [], INF
+    for oip, (vt, _, _) in rts.items():
+        if vt <= now:
+            gone.append(oip)
+        elif vt < nxt:
+            nxt = vt
     for oip in gone:
         del rts[oip]
-    return gone
+    return gone, nxt
 
 
 def rmpr_selectors(ls: dict) -> FrozenSet[NodeId]:

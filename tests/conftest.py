@@ -34,7 +34,10 @@ wrapped, so that each step is held to that predicate:
   is so outside their subtrees;
 - a pass entered while nothing was pending changes no state;
 - a topology-only pass meets no expired topology-set entry: only the
-  full pass purges rts, and a reached validity time makes it due.
+  full pass purges rts, and a reached validity time makes it due;
+- the next expiry a full pass folds from its walks of the three timed
+  sets is the smallest stored time after now (Router._expiry_after's
+  full scan).
 
 The third one is why running a pass that is not needed leaves every
 trace unchanged. The topology half the full pass calls is checked as
@@ -241,6 +244,10 @@ def oracle_mode(monkeypatch):
             idle = checked(self, run, "pass")
         finally:
             in_full_pass.pop()
+        assert self._next_expiry == self._expiry_after(self.now), (
+            f"router {self.ip} at t={self.now}: the pass folded"
+            f" {self._next_expiry} as the next expiry, but the smallest"
+            f" stored time after now is {self._expiry_after(self.now)}")
         if idle:
             seen["idle"] += 1
         if in_step:

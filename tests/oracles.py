@@ -138,8 +138,14 @@ def ref_greedy_choice(ls, twohop_set, now, flavour, bug_mode=False):
 # Random neighborhood states
 # ---------------------------------------------------------------------------
 
-def random_neighborhood(rng: random.Random, max_n1: int = 6, now: int = 100):
-    """A random (ls, twohop_set) pair with mixed statuses and metrics."""
+def random_neighborhood(rng: random.Random, max_n1: int = 6, now: int = 100,
+                        expire: float = 0.0):
+    """A random (ls, twohop_set) pair with mixed statuses and metrics.
+
+    With expire > 0, each tuple then has that chance to be expired: its
+    validity time moves to now or up to 5 ticks before. The draws of a
+    pair come first, so the default draws are those of expire = 0.
+    """
     n_sym = rng.randint(1, max_n1)
     n_other = rng.randint(0, 2)
     ls = {}
@@ -180,6 +186,12 @@ def random_neighborhood(rng: random.Random, max_n1: int = 6, now: int = 100):
                 validity_time=now + rng.randint(1, 60),
                 in_metric=rng.randint(1, 8),
                 out_metric=rng.randint(1, 8))
+    if expire:
+        for table in (ls, twohop):
+            for key, row in table.items():
+                if rng.random() < expire:
+                    table[key] = row._replace(
+                        validity_time=now - rng.randint(0, 5))
     return ls, twohop
 
 

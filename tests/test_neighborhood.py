@@ -7,18 +7,24 @@ against an independently written enumeration (oracles.ref_all_valid),
 the greedy choice against that family and against a greedy written
 from the distances (oracles.ref_greedy_choice), and hand-computed
 fixed points (a unit-metric grid center, an asymmetric-metric diamond,
-a neighbor reached only by its direct leg).
+a neighbor reached only by its direct leg). A property holds the full
+pass's one walk of each set, and the MPR updates on the tables it
+builds, to the references on the purged sets.
 """
 import itertools
 import random
 
 from olsrv2sim.engine import Router, RouterConfig
 from olsrv2sim.messages import INF, NEG_INF, Hello, MprRole, Status
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from olsrv2sim.neighborhood import (LinkTuple, TwoHopTuple, choose_fmprs,
-                                    choose_rmprs, is_valid_fmpr_set,
-                                    is_valid_rmpr_set, purge_2hop_set,
-                                    purge_link_set, update_fmprs,
-                                    update_rmprs)
+                                    choose_rmprs, covering_tables,
+                                    is_valid_fmpr_set, is_valid_rmpr_set,
+                                    purge_2hop_set, purge_link_set,
+                                    update_fmprs, update_rmprs)
+from olsrv2sim.topology import own_row, rmpr_selectors
 
 import oracles
 
@@ -58,6 +64,18 @@ def receive(ls, ths=None, *, sender="b", vt=8, htime=5, in_metric=1,
     r.process_hello(Hello(sender, vt, statuses or {}, mprs or {},
                           in_metrics or {}, out_metrics or {}), in_metric)
     return r.ls, r.twohop_set
+
+
+def update(ls, ths, field, bug=False):
+    """update_fmprs or update_rmprs, by field, on ls in place, with the
+    flags ls holds in field and the covering tables of (ls, ths) at
+    NOW, as a pass hands them over."""
+    n1, fcov, rcov = covering_tables(ls, ths, NOW, bug)
+    flagged = {o for o, lt in ls.items() if getattr(lt, field)}
+    if field == "fmpr":
+        update_fmprs(ls, flagged, n1, fcov)
+    else:
+        update_rmprs(ls, flagged, n1, rcov)
 
 
 def valid_family(is_valid, ls, ths, *args):
@@ -235,9 +253,13 @@ def test_purge_2hop_set_follows_anchor_status():
     ths = {("b", "x"): n2("b", "x"),
            ("b", "y"): n2("b", "y", vt=NOW),
            ("h", "x"): n2("h", "x")}
-    purge_2hop_set(ls, ths, NOW)
+    n1 = purge_link_set(dict(ls), NOW).n1
+    assert n1 == {"b": 1}
+    # the survivor's tables, and its validity time as the next one
+    assert purge_2hop_set(n1, ths, NOW) == ({"x": ["b"]}, {"x": ["b"]},
+                                            NOW + 20)
     assert ths == {("b", "x"): n2("b", "x")}
-    purge_2hop_set(ls, ths, NOW)
+    purge_2hop_set(n1, ths, NOW)
     assert ths == {("b", "x"): n2("b", "x")}
 
 
@@ -279,13 +301,13 @@ def test_choose_is_deterministic():
         ls, ths = oracles.random_neighborhood(rng)
         ls2 = dict(rng.sample(list(ls.items()), len(ls)))
         ths2 = dict(rng.sample(list(ths.items()), len(ths)))
-        for choose, update, bug in ((choose_fmprs, update_fmprs, ()),
-                                    (choose_rmprs, update_rmprs, (False,)),
-                                    (choose_rmprs, update_rmprs, (True,))):
+        for choose, field, bug in ((choose_fmprs, "fmpr", ()),
+                                   (choose_rmprs, "rmpr", (False,)),
+                                   (choose_rmprs, "rmpr", (True,))):
             assert choose(ls, ths, NOW, *bug) == choose(ls2, ths2, NOW, *bug)
             flagged, flagged2 = dict(ls), dict(ls2)
-            update(flagged, ths, NOW, *bug)
-            update(flagged2, ths2, NOW, *bug)
+            update(flagged, ths, field, *bug)
+            update(flagged2, ths2, field, *bug)
             assert flagged == flagged2
 
 
@@ -372,20 +394,20 @@ def test_update_mprs_keeps_valid_current_flags():
     # {d,f} is valid, so it is kept although choose_fmprs picks {b,h}
     assert choose_fmprs(flagged, ths, NOW) == {"b", "h"}
     kept = dict(flagged)
-    update_fmprs(kept, ths, NOW)
+    update(kept, ths, "fmpr")
     assert kept == flagged
     # invalidate the current flags: now choose_fmprs's set is flagged
     flagged["f"] = sym("f")  # only d flagged -> invalid
-    update_fmprs(flagged, ths, NOW)
+    update(flagged, ths, "fmpr")
     assert {o for o, t in flagged.items() if t.fmpr} == {"b", "h"}
 
 
 def test_update_rmprs_respects_bug_mode():
     ls, ths = asymmetric_diamond_state()
-    update_rmprs(ls, ths, NOW, bug_mode=True)
+    update(ls, ths, "rmpr", bug=True)
     assert {o for o, t in ls.items() if t.rmpr} == {"c"}
     # {c} is invalid in the corrected reading, so it is replaced
-    update_rmprs(ls, ths, NOW, bug_mode=False)
+    update(ls, ths, "rmpr", bug=False)
     assert {o for o, t in ls.items() if t.rmpr} == {"b"}
 
 
@@ -398,14 +420,11 @@ def test_update_mprs_against_the_references():
     for _ in range(200):
         ls, ths = oracles.random_neighborhood(rng)
         for bug in (False, True):
-            for field, update, chosen in (
-                    ("fmpr", lambda x: update_fmprs(x, ths, NOW),
-                     choose_fmprs(ls, ths, NOW)),
-                    ("rmpr", lambda x: update_rmprs(x, ths, NOW, bug),
-                     choose_rmprs(ls, ths, NOW, bug))):
+            for field, chosen in (("fmpr", choose_fmprs(ls, ths, NOW)),
+                                  ("rmpr", choose_rmprs(ls, ths, NOW, bug))):
                 before = {o for o, t in ls.items() if getattr(t, field)}
                 updated = dict(ls)
-                update(updated)
+                update(updated, ths, field, bug)
                 after = {o for o, t in updated.items() if getattr(t, field)}
                 valid = oracles.ref_mpr_valid(ls, ths, NOW, field, bug,
                                               before)
@@ -416,3 +435,50 @@ def test_update_mprs_against_the_references():
                         for o, t in updated.items()} == \
                     {o: t._replace(**{field: False})
                      for o, t in ls.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), bug=st.booleans())
+def test_pass_walks_match_the_references(seed, bug):
+    """The full pass's one walk of the link set and one of the 2-hop
+    set, and the MPR updates on the tables they build, on random
+    neighbourhoods with expired, HEARD and LOST tuples, in both bug
+    modes, give what the references give on the sets purged in the
+    pass's order: the purged sets, each flavour's flags (kept when the
+    enumeration finds them valid, else the greedy written from the
+    distances), N1 with its in_metrics, the own row, the routing-MPR
+    selectors and the smallest stored time after NOW."""
+    ls, ths = oracles.random_neighborhood(random.Random(seed), expire=0.25)
+    want_ls = oracles.ref_purged_link_set(ls, NOW)
+    want_ths = oracles.ref_purged_2hop_set(want_ls, ths, NOW)
+    got_ls, got_ths = dict(ls), dict(ths)
+    links = purge_link_set(got_ls, NOW)
+    assert list(got_ls.items()) == list(want_ls.items())
+    n1 = links.n1
+    assert n1 == {o: want_ls[o].in_metric
+                  for o in oracles.ref_symmetric_neighbors(want_ls, NOW)}
+    fcov, rcov, two_hop_next = purge_2hop_set(n1, got_ths, NOW, bug)
+    assert list(got_ths.items()) == list(want_ths.items())
+    update_fmprs(got_ls, links.fmprs, n1, fcov)
+    update_rmprs(got_ls, links.rmprs, n1, rcov)
+    for field, flagged in (("fmpr", links.fmprs), ("rmpr", links.rmprs)):
+        before = frozenset(o for o, lt in want_ls.items()
+                           if getattr(lt, field))
+        assert flagged == before
+        after = {o for o, lt in got_ls.items() if getattr(lt, field)}
+        if before in oracles.ref_all_valid(want_ls, want_ths, NOW, field,
+                                           bug):
+            assert after == before
+        else:
+            assert after == oracles.ref_greedy_choice(want_ls, want_ths,
+                                                      NOW, field, bug)
+    # the updates write the two flags only, in place
+    assert [lt._replace(fmpr=False, rmpr=False) for lt in got_ls.values()] \
+        == [lt._replace(fmpr=False, rmpr=False) for lt in want_ls.values()]
+    want_own = own_row(got_ls, NOW)
+    assert list(links.own_row.items()) == list(want_own.items())
+    assert links.selectors == rmpr_selectors(got_ls)
+    times = [t for lt in want_ls.values() for t in lt[1:4]]
+    times += [n2.validity_time for n2 in want_ths.values()]
+    assert min(links.next_time, two_hop_next) == min(
+        (t for t in times if t > NOW), default=INF)

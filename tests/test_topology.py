@@ -106,7 +106,7 @@ def test_purges():
            "b": rows({"y": 1}, vt=NOW + 1),
            "c": rows({}, vt=NOW, ansn=1),
            "d": rows({}, vt=NOW + 1, ansn=1)}
-    assert purge_router_topology(rts, NOW) == ["a", "c"]
+    assert purge_router_topology(rts, NOW) == (["a", "c"], NOW + 1)
     assert rts == {"b": rows({"y": 1}, vt=NOW + 1),
                    "d": rows({}, vt=NOW + 1, ansn=1)}
 
